@@ -25,8 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric tolerance (default 1e-8)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write the machine-readable report here")
-        p.add_argument("--cache", metavar="DIR", default=None,
-                       help="directory for plain-text series caches")
     return parser
 
 
@@ -34,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = run_suite(args.selector, truncation=args.truncation,
-                           seed=args.seed, tol=args.tol, cache_dir=args.cache)
+                           seed=args.seed, tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,8 @@ from .characteristics import (
     even_characteristics,
     is_syzygetic,
 )
-from .qseries import QSeries, product, second_kind_qexp, theta_qexp_cached, vanishing_order
+from . import qseries
+from .qseries import QSeries, product, second_kind_qexp, vanishing_order
 
 THETA_FOURTH_00_11 = Char(0, 0, 1, 1)
 THETA_FOURTH_00_01 = Char(0, 0, 0, 1)
@@ -53,11 +54,11 @@ SECOND_KIND_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 class FormRegistry:
     """All named series at one truncation bound, built once and shared."""
 
-    def __init__(self, truncation: int, cache_dir: str | None = None) -> None:
+    def __init__(self, truncation: int) -> None:
         if truncation < 4:
             raise ValueError("registry needs truncation at least 4")
         self.truncation = truncation
-        self.theta = {m: theta_qexp_cached(m, truncation, cache_dir)
+        self.theta = {m: qseries.theta_qexp(m, truncation)
                       for m in even_characteristics()}
         th = self.theta
         self.y = [
@@ -142,7 +143,7 @@ def classical_relation_sides(reg: FormRegistry, m: Char,
     For odd m the left side is the zero series, so the relation asserts
     that the alternating sum of f-products cancels.
     """
-    lhs = scale * (theta_qexp_cached(m, reg.truncation, None) ** 2
+    lhs = scale * (qseries.theta_qexp(m, reg.truncation) ** 2
                    if m not in reg.theta else reg.theta[m] ** 2)
     rhs = QSeries.zero(reg.truncation)
     index = {a: i for i, a in enumerate(SECOND_KIND_ORDER)}

@@ -4,7 +4,7 @@ A polynomial fixes an ordered tuple of variable names and maps exponent
 tuples to nonzero Fractions.  Rational functions are unreduced quotients
 (equality by cross-multiplication); in every computation done here the
 denominators stay monomial-like, so the missing gcd never hurts.  Ideal
-membership is decided degree by degree with dense exact linear algebra,
+membership is decided degree by degree with sparse exact row reduction,
 which covers everything needed in a 6-variable ring up to degree 4.
 """
 
@@ -250,42 +250,63 @@ def monomials_of_degree(variables: tuple[str, ...], degree: int) -> list[Exponen
     return out
 
 
-def solve_exact(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
+def _subtract_multiple(row: dict[int, Fraction], factor: Fraction,
+                       other: dict[int, Fraction]) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        x = row.get(c, 0) - factor * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def row_reduce(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """Reduced row echelon form of sparse rational rows.
+
+    A row maps column indices to entries.  Returns the nonzero rows of the
+    echelon form as (pivot, row) pairs in increasing pivot order: each row
+    has entry 1 at its pivot, its smallest column, and no entry at any other
+    row's pivot.  That form is unique, so it does not depend on the order
+    of the input rows.  Rows are reduced one at a time against the basis
+    built so far, touching only their nonzero entries.
+    """
+    basis: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {c: Fraction(v) for c, v in given.items() if v}
+        # basis rows vanish at each other's pivots, so one pass clears them all
+        for p in [c for c in row if c in basis]:
+            _subtract_multiple(row, row[p], basis[p])
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        row = {c: v / lead for c, v in row.items()}
+        for other in basis.values():
+            if pivot in other:
+                _subtract_multiple(other, other[pivot], row)
+        basis[pivot] = row
+    return sorted(basis.items())
+
+
+def solve_exact(columns: list[dict[int, Fraction]],
+                target: list[Fraction]) -> list[Fraction] | None:
     """Solve sum_j c_j * columns[j] = target over Q; None if inconsistent.
 
-    Plain Gauss elimination on the augmented matrix; returns one solution
-    with free coefficients set to zero.
+    columns[j] maps row indices to the nonzero entries of column j.  The
+    system is inconsistent iff the echelon form of the augmented matrix has
+    a pivot on the target column; free unknowns are set to zero.
     """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
+    n = len(columns)
+    rows: list[dict[int, Fraction]] = [{n: t} if t else {} for t in target]
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            rows[i][j] = v
+    solution = [Fraction(0)] * n
+    for pivot, row in row_reduce(rows):
+        if pivot == n:
             return None
-    solution = [Fraction(0)] * ncols
-    for r, c in pivots:
-        solution[c] = aug[r][ncols]
+        solution[pivot] = row.get(n, Fraction(0))
     return solution
 
 
@@ -322,7 +343,7 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | No
     d = f.homogeneous_degree()
     rows = monomials_of_degree(f.vars, d)
     row_index = {e: i for i, e in enumerate(rows)}
-    columns: list[list[Fraction]] = []
+    columns: list[dict[int, Fraction]] = []
     labels: list[tuple[int, Exponent]] = []
     for gi, g in enumerate(gens):
         if g.is_zero():
@@ -331,11 +352,8 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | No
         if dg > d:
             continue
         for mono in monomials_of_degree(f.vars, d - dg):
-            col = [Fraction(0)] * len(rows)
-            for e, c in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(e, mono))
-                col[row_index[shifted]] = c
-            columns.append(col)
+            columns.append({row_index[tuple(a + b for a, b in zip(e, mono))]: c
+                            for e, c in g.terms.items()})
             labels.append((gi, mono))
     target = [f.terms.get(e, Fraction(0)) for e in rows]
     solution = solve_exact(columns, target)

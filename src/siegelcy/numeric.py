@@ -21,6 +21,7 @@ import mpmath
 from mpmath import mp
 
 from .characteristics import Char, sp4f2_act
+from .modforms import PRODUCT_FORM_CHARS
 from .qseries import QSeries
 from .symplectic import SpMat
 
@@ -236,11 +237,6 @@ def transform_modulus_check(M: SpMat, m: Char, Z: SiegelPoint,
     deviation = abs(got - expected) / scale
     slack = (lhs.tail_bound + rhs.tail_bound) / scale
     return deviation <= tol + slack, deviation
-
-
-#: the four theta constants multiplying to the weight-2 form
-PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0),
-                      Char(0, 0, 1, 0), Char(0, 0, 1, 1))
 
 
 def _standard_sextuple_chars() -> tuple[Char, ...]:

@@ -22,7 +22,6 @@ only ever asserted up to the smaller of the two bounds.
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable
 
 from .characteristics import Char
@@ -302,44 +301,3 @@ def negate_offdiag(s: QSeries) -> QSeries:
                              "not semipositive-supported")
         terms[key] = c
     return QSeries(terms, s.truncation)
-
-
-# -- plain-text cache -------------------------------------------------------
-
-def write_series(path: str, header: str, s: QSeries) -> None:
-    """One term per line: 'n0 n1 n2 c0 c1 c2 c3' after a header line."""
-    lines = [header.strip()]
-    for n in sorted(s.terms):
-        c = s.terms[n]
-        lines.append(f"{n[0]} {n[1]} {n[2]} {c.c0} {c.c1} {c.c2} {c.c3}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_series(path: str) -> tuple[str, QSeries]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0]
-    truncation = int(header.split()[-1])
-    terms = {}
-    for ln in lines[1:]:
-        n0, n1, n2, c0, c1, c2, c3 = (int(x) for x in ln.split())
-        terms[(n0, n1, n2)] = CycInt8(c0, c1, c2, c3)
-    return header, QSeries(terms, truncation)
-
-
-def theta_qexp_cached(m: Char, truncation: int, cache_dir: str | None) -> QSeries:
-    """theta_qexp with an optional plain-text disk cache."""
-    if cache_dir is None:
-        return theta_qexp(m, truncation)
-    os.makedirs(cache_dir, exist_ok=True)
-    name = f"theta_{m.a1}{m.a2}{m.b1}{m.b2}_N{truncation}.txt"
-    path = os.path.join(cache_dir, name)
-    header = f"theta {m.a1} {m.a2} {m.b1} {m.b2} {truncation}"
-    if os.path.exists(path):
-        found_header, series = read_series(path)
-        if found_header == header:
-            return series
-    series = theta_qexp(m, truncation)
-    write_series(path, header, series)
-    return series

@@ -37,7 +37,6 @@ class SuiteReport:
     truncation: int
     seed: int
     tol: float
-    cache_dir: str | None = None
     checks: list[CheckRecord] = field(default_factory=list)
 
     @property
@@ -181,7 +180,7 @@ def run_series(report: SuiteReport) -> None:
 
 def run_relations(report: SuiteReport) -> None:
     n = report.truncation
-    registry = modforms.FormRegistry(n, cache_dir=report.cache_dir)
+    registry = modforms.FormRegistry(n)
     for name in modforms.relation_names():
         residual = modforms.verify_identity(name, registry)
         lhs, rhs = modforms.RELATIONS[name].sides(registry)
@@ -198,8 +197,7 @@ def run_relations(report: SuiteReport) -> None:
             "square relation for each of the sixteen characteristics",
             not bad, {"failing": bad})
 
-    control_registry = (registry if n >= 16
-                        else modforms.FormRegistry(16, cache_dir=report.cache_dir))
+    control_registry = registry if n >= 16 else modforms.FormRegistry(16)
     undetected = [name for name in modforms.relation_names()
                   if modforms.verify_identity(name, control_registry,
                                               mutated=True).is_zero()]
@@ -221,7 +219,7 @@ def _sextuple_label(sextuple) -> str:
 
 def run_boundary(report: SuiteReport) -> None:
     n = max(report.truncation, 8)
-    registry = modforms.FormRegistry(n, cache_dir=report.cache_dir)
+    registry = modforms.FormRegistry(n)
     dist = modforms.boundary_distribution(registry)
     per_sextuple = {
         _sextuple_label(s): list(modforms.boundary_orders(s, registry).as_tuple())
@@ -437,12 +435,11 @@ SELECTORS["all"] = [fn for key in
 
 
 def run_suite(selector: str, truncation: int = 12, seed: int = 0,
-              tol: float = 1e-8, cache_dir: str | None = None) -> SuiteReport:
+              tol: float = 1e-8) -> SuiteReport:
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; "
                          f"choose from {', '.join(sorted(SELECTORS))}")
-    report = SuiteReport(truncation=truncation, seed=seed, tol=tol,
-                         cache_dir=cache_dir)
+    report = SuiteReport(truncation=truncation, seed=seed, tol=tol)
     for fn in SELECTORS[selector]:
         _guarded(report, f"{fn.__name__}.crashed", fn.__name__,
                  lambda f=fn: f(report))

@@ -302,17 +302,3 @@ def sample_element(tag: Subgroup, word_length: int, seed: int,
         f"no member of {tag} found in {max_tries} words of length {word_length}; "
         "try a larger word_length"
     )
-
-
-def sample_elements(tag: Subgroup, count: int, word_length: int, seed: int,
-                    max_entry: int | None = None) -> list[SpMat]:
-    """A list of members; optionally capped in entry size (numeric use)."""
-    out: list[SpMat] = []
-    offset = 0
-    while len(out) < count:
-        m = sample_element(tag, word_length, seed + offset)
-        offset += 1
-        if max_entry is not None and m.max_entry() > max_entry:
-            continue
-        out.append(m)
-    return out

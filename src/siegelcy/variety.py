@@ -24,6 +24,7 @@ from .mpoly import (
     graded_membership,
     mpoly_determinant,
     rational_jacobian,
+    row_reduce,
     threeform_pullback,
 )
 
@@ -70,19 +71,13 @@ COORD_MATRIX: tuple[tuple[int, ...], ...] = (
 
 
 def _invert_fraction_matrix(rows) -> list[list[Fraction]]:
+    """The inverse, read off the reduced echelon form of [M | I]."""
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    reduced = row_reduce([{**dict(enumerate(row)), n + i: 1}
+                          for i, row in enumerate(rows)])
+    if [pivot for pivot, _ in reduced] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for _, row in reduced]
 
 
 def coord_matrix_det() -> Fraction:
@@ -132,7 +127,7 @@ def coordinate_change_check() -> CoordinateChangeReport:
 
     sub_quartic = substitute_linear(pres_y.quartic, COORD_MATRIX, Y_VARS, X_VARS)
     cert = graded_membership(sub_quartic, pres_x.gens())
-    if cert is None:
+    if cert is None or cert.reexpand(pres_x.gens()) != sub_quartic:
         raise ArithmeticError("substituted quartic is not in the target ideal")
 
     inverse = _invert_fraction_matrix(COORD_MATRIX)
@@ -144,7 +139,7 @@ def coordinate_change_check() -> CoordinateChangeReport:
 
     inv_quartic = substitute_linear(pres_x.quartic, inverse, X_VARS, Y_VARS)
     inv_cert = graded_membership(inv_quartic, pres_y.gens())
-    if inv_cert is None:
+    if inv_cert is None or inv_cert.reexpand(pres_y.gens()) != inv_quartic:
         raise ArithmeticError("inverse-substituted quartic is not in the source ideal")
 
     return CoordinateChangeReport(scalar, cert, inv_scalar, inv_cert, coord_matrix_det())
@@ -169,14 +164,6 @@ class SignedMonomialMap:
     @classmethod
     def identity(cls, n: int = 6) -> SignedMonomialMap:
         return cls(tuple(range(n)), (1,) * n)
-
-    @classmethod
-    def from_cycle(cls, n: int, *cycle: int, signs=None) -> SignedMonomialMap:
-        perm = list(range(n))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            perm[a] = b
-        sign = list(signs) if signs else [1] * n
-        return cls(tuple(perm), tuple(sign))
 
     @classmethod
     def sign_flip(cls, n: int, *indices: int) -> SignedMonomialMap:
@@ -227,10 +214,6 @@ class SignedMonomialMap:
             for i, v in enumerate(f.vars)
         }
         return f.substitute(assignment)
-
-    def move_point(self, point: tuple) -> tuple:
-        """sigma(point) for the coordinate map sigma behind the substitution."""
-        return tuple(self.sign[i] * point[self.perm[i]] for i in range(len(point)))
 
 
 def group_closure(generators: list[SignedMonomialMap],
@@ -451,22 +434,10 @@ def act_on_curve(g: SignedMonomialMap, curve: CurveRep) -> CurveRep:
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    mat = [list(r) for r in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        mat[row] = [v / pv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        row += 1
-    return tuple(tuple(r) for r in mat[:row] if any(v != 0 for v in r))
+    """Nonzero rows of the reduced echelon form, as dense tuples."""
+    ncols = len(rows[0])
+    return tuple(tuple(row.get(j, Fraction(0)) for j in range(ncols))
+                 for _, row in row_reduce([dict(enumerate(r)) for r in rows]))
 
 
 def canonical_curve_key(curve: CurveRep):
@@ -516,13 +487,17 @@ def jacobian_rows(pres: Presentation) -> list[list[MPoly]]:
     return [[f.partial(v) for v in pres.variables] for f in pres.gens()]
 
 
+def _certified_member(f: MPoly, gens: list[MPoly]) -> bool:
+    """Ideal membership, with the certificate re-expanded rather than trusted."""
+    cert = graded_membership(f, gens)
+    return cert is not None and cert.reexpand(gens) == f
+
+
 def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
     """Containment and singularity certificates along one curve."""
     assignment = {v: curve.param[i] for i, v in enumerate(pres.variables)}
     param_ok = all(f.substitute(assignment).is_zero() for f in curve.ideal)
-    member_ok = all(
-        graded_membership(f, list(curve.ideal)) is not None for f in pres.gens()
-    )
+    member_ok = all(_certified_member(f, list(curve.ideal)) for f in pres.gens())
     rows = jacobian_rows(pres)
     minors_ok = True
     for i, j in combinations(range(6), 2):

@@ -10,14 +10,11 @@ from siegelcy.qseries import (
     QSeries,
     koecher_check,
     negate_offdiag,
-    read_series,
     second_kind_qexp,
     theta_qexp,
-    theta_qexp_cached,
     translate_action,
     unimodular_action,
     vanishing_order,
-    write_series,
 )
 
 
@@ -157,18 +154,3 @@ def test_truncation_equality_semantics():
     b = theta_qexp(Char(0, 0, 0, 0), 4)
     assert a == b  # compared up to the smaller bound
     assert a.restrict(4).truncation == 4
-
-
-def test_series_cache_roundtrip(tmp_path):
-    m = Char(1, 0, 0, 1)
-    s = theta_qexp(m, 10)
-    path = tmp_path / "series.txt"
-    write_series(str(path), f"theta {m.a1} {m.a2} {m.b1} {m.b2} 10", s)
-    header, loaded = read_series(str(path))
-    assert header.split() == ["theta", "1", "0", "0", "1", "10"]
-    assert loaded == s
-    assert loaded.truncation == 10
-
-    cached = theta_qexp_cached(m, 10, str(tmp_path))
-    again = theta_qexp_cached(m, 10, str(tmp_path))
-    assert cached == s and again == s

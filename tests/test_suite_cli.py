@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -103,13 +102,3 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 def test_cli_rejects_bad_selector(capsys):
     with pytest.raises(SystemExit):
         main(["nonsense"])
-
-
-def test_series_cache_flag(tmp_path):
-    cache = tmp_path / "cache"
-    report = run_suite("boundary", truncation=8, cache_dir=str(cache))
-    assert report.exit_ok
-    assert any(name.startswith("theta_") for name in os.listdir(cache))
-    # second run reads the cache
-    report2 = run_suite("boundary", truncation=8, cache_dir=str(cache))
-    assert report2.exit_ok

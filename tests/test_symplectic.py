@@ -4,16 +4,20 @@ import random
 
 import pytest
 
+from siegelcy.numeric import conditioned_samples
 from siegelcy.symplectic import (
     SpMat,
     Subgroup,
     cusp_form_character,
     is_symplectic,
     sample_element,
-    sample_elements,
     subgroup_membership,
     theta_character,
 )
+
+
+# Every sampling generator has absolute row sums at most 2, so a word of
+# length L has entries at most 2 ** L and that cap never rejects a sample.
 
 
 def lower(c) -> SpMat:
@@ -74,7 +78,7 @@ def test_theta_character_rejects_odd_c():
 
 def test_theta_character_is_multiplicative():
     tag = Subgroup.hecke(2)
-    pairs = sample_elements(tag, 200, word_length=6, seed=210)
+    pairs = conditioned_samples(tag, 200, seed=210, word_length=6, max_entry=2 ** 6)
     for i in range(0, 200, 2):
         a, b = pairs[i], pairs[i + 1]
         assert theta_character(a * b) == theta_character(a) * theta_character(b)
@@ -82,7 +86,7 @@ def test_theta_character_is_multiplicative():
 
 def test_cusp_form_character_is_multiplicative():
     tag = Subgroup.hecke(2)
-    mats = sample_elements(tag, 60, word_length=6, seed=321)
+    mats = conditioned_samples(tag, 60, seed=321, word_length=6, max_entry=2 ** 6)
     for i in range(0, 60, 2):
         a, b = mats[i], mats[i + 1]
         assert cusp_form_character(a * b) == cusp_form_character(a) * cusp_form_character(b)
@@ -99,7 +103,7 @@ MEMBER_TAGS = [
 
 @pytest.mark.parametrize("tag", MEMBER_TAGS, ids=str)
 def test_membership_closed_under_product_and_inverse(tag):
-    mats = sample_elements(tag, 20, word_length=8, seed=77)
+    mats = conditioned_samples(tag, 20, seed=77, word_length=8, max_entry=2 ** 8)
     rng = random.Random(7)
     for _ in range(100):
         a, b = rng.choice(mats), rng.choice(mats)
@@ -127,7 +131,7 @@ def test_budget_exhaustion_raises():
 def test_chi_kernel_has_index_two():
     level2 = Subgroup.principal(2)
     kernel = Subgroup.chi_kernel()
-    mats = sample_elements(level2, 200, word_length=8, seed=1234)
+    mats = conditioned_samples(level2, 200, seed=1234, word_length=8, max_entry=2 ** 8)
     nonmembers = [m for m in mats if not subgroup_membership(m, kernel)]
     members = [m for m in mats if subgroup_membership(m, kernel)]
     assert nonmembers and members
@@ -157,7 +161,8 @@ def test_igusa_subgroup_membership_and_closure():
 
 
 def test_chi_kernel_is_hecke_kernel_restricted_to_level_two():
-    mats = sample_elements(Subgroup.principal(2), 80, word_length=8, seed=4321)
+    mats = conditioned_samples(Subgroup.principal(2), 80, seed=4321, word_length=8,
+                               max_entry=2 ** 8)
     for m in mats:
         assert subgroup_membership(m, Subgroup.chi_kernel()) == (
             cusp_form_character(m) == 1
