@@ -110,6 +110,9 @@ class Relation:
     sides: Callable[[FormRegistry], tuple[QSeries, QSeries]]
     mutated: Callable[[FormRegistry], tuple[QSeries, QSeries]]
     mutation_note: str
+    #: smallest truncation at which the two sides have any coefficients;
+    #: a comparison below it holds vacuously
+    nonvacuous_from: int = 4
 
 
 def _igusa_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
@@ -231,7 +234,7 @@ RELATIONS: dict[str, Relation] = {
         Relation("second_kind_quartic", Fraction(8),
                  lambda reg: _second_kind_quartic(reg, 1),
                  lambda reg: _second_kind_quartic(reg, 2),
-                 "four-fold product coefficient 1 -> 2"),
+                 "four-fold product coefficient 1 -> 2", 32),
         Relation("f6_quadric", Fraction(4),
                  lambda reg: _f6_quadric(reg, 32),
                  lambda reg: _f6_quadric(reg, 33),
@@ -239,7 +242,7 @@ RELATIONS: dict[str, Relation] = {
         Relation("chi5_product", Fraction(5),
                  lambda reg: _chi5_product(reg, 1),
                  lambda reg: _chi5_product(reg, -1),
-                 "product sign flipped"),
+                 "product sign flipped", 8),
     ]
 }
 

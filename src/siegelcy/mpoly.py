@@ -493,27 +493,13 @@ def substitute_ratfn(f: MPoly, assignment: dict[str, RatFn]) -> RatFn:
     return result
 
 
-def ratfn_determinant(matrix: list[list[RatFn]]) -> RatFn:
-    """Exact determinant by permutation expansion (intended for n <= 4)."""
-    n = len(matrix)
-    variables = matrix[0][0].vars
-    total = RatFn.from_const(variables, 0)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = RatFn.from_const(variables, sign)
-        for i in range(n):
-            prod = prod * matrix[i][perm[i]]
-        total = total + prod
-    return total
-
-
-def mpoly_determinant(matrix: list[list[MPoly]]) -> MPoly:
-    n = len(matrix)
-    variables = matrix[0][0].vars
-    total = MPoly.zero(variables)
-    for perm in permutations(range(n)):
-        prod = MPoly.const(variables, _perm_sign(perm))
-        for i in range(n):
+def determinant(matrix: list[list[MPoly | RatFn]]) -> MPoly | RatFn:
+    """Exact determinant of a square matrix of MPoly or RatFn entries, by
+    permutation expansion (intended for n <= 4)."""
+    total = matrix[0][0] * 0
+    for perm in permutations(range(len(matrix))):
+        prod = matrix[0][perm[0]] * _perm_sign(perm)
+        for i in range(1, len(matrix)):
             prod = prod * matrix[i][perm[i]]
         total = total + prod
     return total
@@ -527,7 +513,7 @@ def rational_jacobian(maps: list[RatFn], variables: list[str]) -> RatFn:
         if set(variables) != set(m.vars):
             raise ValueError("maps must be rational functions of exactly the given variables")
     rows = [[m.partial(v) for v in variables] for m in maps]
-    return ratfn_determinant(rows)
+    return determinant(rows)
 
 
 class ThreeForm:
@@ -608,7 +594,7 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, RatFn],
     tv = list(target_vars)
     for i, j, k in combinations(range(len(tv)), 3):
         sub = [[differentials[r][tv[c]] for c in (i, j, k)] for r in range(3)]
-        det = ratfn_determinant(sub)
+        det = determinant(sub)
         if not det.is_zero():
             components[(tv[i], tv[j], tv[k])] = det
     if not components:

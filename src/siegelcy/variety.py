@@ -21,8 +21,8 @@ from .mpoly import (
     MembershipCertificate,
     RatFn,
     ThreeForm,
+    determinant,
     graded_membership,
-    mpoly_determinant,
     rational_jacobian,
     row_reduce,
     threeform_pullback,
@@ -82,7 +82,7 @@ def _invert_fraction_matrix(rows) -> list[list[Fraction]]:
 
 def coord_matrix_det() -> Fraction:
     mat = [[MPoly.const(("t",), COORD_MATRIX[i][j]) for j in range(6)] for i in range(6)]
-    det = mpoly_determinant(mat)
+    det = determinant(mat)
     return det.coefficient((0,))
 
 
@@ -593,7 +593,7 @@ def _bordered_and_affine() -> tuple[MPoly, MPoly, MPoly]:
     gens = {v: MPoly.var(H_VARS, v) for v in H_VARS}
     f = [gens[f"f{j}"] for j in range(1, 5)]
     d = [[gens[f"d{i}{j}"] for j in range(1, 5)] for i in range(3)]
-    bordered = mpoly_determinant([
+    bordered = determinant([
         [f[0], f[1], f[2], f[3]],
         [d[0][0], d[0][1], d[0][2], d[0][3]],
         [d[1][0], d[1][1], d[1][2], d[1][3]],
@@ -601,7 +601,7 @@ def _bordered_and_affine() -> tuple[MPoly, MPoly, MPoly]:
     ])
     f4 = f[3]
     numerators = [[d[i][j] * f4 - f[j] * d[i][3] for j in range(3)] for i in range(3)]
-    return bordered, mpoly_determinant(numerators), f4
+    return bordered, determinant(numerators), f4
 
 
 def bordered_jacobian_sign() -> int | None:
@@ -634,8 +634,8 @@ def homogeneous_jacobian_specialization_sign() -> int | None:
     zero = MPoly.zero(H_VARS)
     f = [gens["f1"], gens["f2"], gens["f3"], one]
     d = [[gens[f"d{i}{j}"] for j in range(1, 4)] + [zero] for i in range(3)]
-    bordered = mpoly_determinant([f, d[0], d[1], d[2]])
-    plain = mpoly_determinant([[d[i][j] for j in range(3)] for i in range(3)])
+    bordered = determinant([f, d[0], d[1], d[2]])
+    plain = determinant([[d[i][j] for j in range(3)] for i in range(3)])
     if bordered == plain:
         return 1
     if bordered == -plain:

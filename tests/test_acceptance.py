@@ -1,236 +1,120 @@
 """Acceptance battery: one test per criterion, each printing a summary line.
 
-Criteria 5 and 8 assert tabulated claims whose signs the exact engine
-(and an independent lattice-sum check) measures differently; those two
-tests fail by design rather than silently adjusting the expected values.
-The measured tables live in the module docstrings and the suite reports.
+Every criterion is read off the records of `run_suite`, so the command
+line and these tests share one implementation of each check.  Criteria 5
+and 8 assert tabulated claims whose signs the exact engine (and an
+independent lattice-sum check) measures differently; those two tests fail
+by design rather than silently adjusting the expected values.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 import time
 
 import pytest
 
-from siegelcy import characteristics as chars_mod
-from siegelcy import modforms, numeric, qseries, variety
-from siegelcy.characteristics import even_characteristics, odd_characteristics
-from siegelcy.symplectic import SpMat, Subgroup, theta_character
+from siegelcy.suite import run_suite
 
 
-def _line(num: int, ok: bool, seconds: float, detail: str = "") -> None:
-    status = "PASS" if ok else "FAIL"
-    extra = f"  ({detail})" if detail else ""
-    print(f"criterion {num:2d} [{status}] {seconds:6.2f}s{extra}")
+@functools.lru_cache(maxsize=None)
+def _run(selector: str, truncation: int, seed: int):
+    """Records by check id, and the seconds the battery took."""
+    start = time.perf_counter()
+    report = run_suite(selector, truncation=truncation, seed=seed)
+    return {c.id: c for c in report.checks}, time.perf_counter() - start
+
+
+def _criterion(num: int, selector: str, ids: tuple[str, ...], detail: str,
+               truncation: int = 12, seed: int = 0) -> None:
+    """Print the criterion's line; fail unless every named check passed.
+
+    `detail` is formatted with each record's data under the part of its id
+    after the dot.  A crashed battery fails with its error instead.
+    """
+    records, seconds = _run(selector, truncation, seed)
+    crashed = [f"{cid}: {r.data['error']}" for cid, r in records.items()
+               if cid.endswith(".crashed")]
+    failing = crashed or [cid for cid in ids if records[cid].status != "pass"]
+    detail = "; ".join(crashed) or detail.format_map(
+        {cid.split(".", 1)[1]: r.data for cid, r in records.items()})
+    print(f"criterion {num:2d} [{'FAIL' if failing else 'PASS'}] "
+          f"{seconds:6.2f}s  ({detail})")
+    if failing:
+        pytest.fail(f"{failing}: {detail}")
 
 
 def test_criterion_01_characteristic_combinatorics():
-    start = time.perf_counter()
-    ok = True
-    ok &= len(even_characteristics()) == 10
-    quads = chars_mod.syzygetic_quadruples()
-    ok &= len(quads) == 15
-    orbit = chars_mod.quadruple_orbit(chars_mod.STANDARD_QUADRUPLE)
-    ok &= orbit == set(quads)
-    ok &= len(chars_mod.sp4f2_elements()) == 720
-    _line(1, ok, time.perf_counter() - start, "counts 10/15/15/720")
-    assert ok
+    _criterion(1, "chars", ("chars.even_count", "chars.syzygetic_count",
+                            "chars.orbit_transitive", "chars.group_order"),
+               "counts {even_count[even]}/{syzygetic_count[count]}/"
+               "{orbit_transitive[orbit_size]}/{group_order[order]}")
 
 
 def test_criterion_02_vanishing_orders():
-    start = time.perf_counter()
-    ok = True
-    for m in even_characteristics():
-        s = qseries.theta_qexp(m, 12)
-        ok &= qseries.vanishing_order(s, 0) == m.a1
-        ok &= qseries.vanishing_order(s, 2) == m.a2
-        ok &= qseries.vanishing_order(s, 1) == m.a1 + m.a2 - 2 * m.a1 * m.a2
-    for m in odd_characteristics():
-        ok &= qseries.theta_qexp(m, 12).is_zero()
-    _line(2, ok, time.perf_counter() - start, "10 characteristics x 3 axes at N=12")
-    assert ok
+    _criterion(2, "series", ("series.vanishing_orders", "series.odd_vanish"),
+               "10 characteristics x 3 axes at N=12")
 
 
 def test_criterion_03_boundary_orders():
-    start = time.perf_counter()
-    registry = modforms.FormRegistry(12)
-    dist = modforms.boundary_distribution(registry)
-    ok = dist == modforms.EXPECTED_BOUNDARY_DISTRIBUTION
-    for s in chars_mod.all_sextuples():
-        ks = modforms.boundary_orders(s, registry).as_tuple()
-        ok &= set(ks) <= {0, 1}
-        for axis in range(3):
-            if ks[axis] == 1:
-                ok &= modforms.q_parity_check(s, axis, registry)
-    _line(3, ok, time.perf_counter() - start, "multiset 8/1/2/2/2 with parity")
-    assert ok
+    _criterion(3, "boundary", ("boundary.distribution", "boundary.orders_binary",
+                               "boundary.even_exponent_parity"),
+               "multiset 8/1/2/2/2 of {distribution[total]} sextuples, parity "
+               "on {even_exponent_parity[axes_checked]} axes")
 
 
 def test_criterion_04_ring_relations():
-    start = time.perf_counter()
-    registry = modforms.FormRegistry(16)
-    ok = True
-    for name in modforms.relation_names():
-        ok &= modforms.verify_identity(name, registry).is_zero()
-    for m, residual in modforms.classical_residuals(registry).items():
-        ok &= residual.is_zero()
-    # supplementary depth: past the first window of the doubled-argument
-    # quartic every relation matches nonempty coefficient sets
-    deep = modforms.FormRegistry(32)
-    for name, rel in modforms.RELATIONS.items():
-        lhs, rhs = rel.sides(deep)
-        ok &= (lhs - rhs).is_zero()
-        ok &= bool(set(lhs.terms) | set(rhs.terms))
-    _line(4, ok, time.perf_counter() - start,
-          "8 relations + 16 square relations at N=16, nonvacuous at N=32")
-    assert ok
+    _criterion(4, "relations", tuple(f"relations.{name}" for name in (
+        "igusa_quartic", "product_quadric", "y_quartic", "y_quadric",
+        "classical_squares", "second_kind_quartic", "f6_quadric",
+        "chi5_product", "classical_all_sixteen")),
+               "8 relations + 16 square relations at N=16, quartic matched "
+               "{second_kind_quartic[matched_coefficients]} coefficients at "
+               "N={second_kind_quartic[truncation]}", truncation=16)
 
 
 def test_criterion_05_substitution_table_as_tabulated():
-    start = time.perf_counter()
-    measured = modforms.measured_substitution_table(compare_at=12)
-    mismatches = []
-    for name, row in measured.items():
-        tabulated = modforms.TABULATED_SUBSTITUTION_TABLE[name]
-        for i, (got, want) in enumerate(zip(row, tabulated)):
-            if got != want:
-                mismatches.append((name, f"F{i + 1}", got, want))
-    ok = not mismatches
-    _line(5, ok, time.perf_counter() - start,
-          f"{25 - len(mismatches)}/25 tabulated entries reproduced")
-    if mismatches:
-        # the diagonal translations negate the four-fold product (its
-        # exponent on the translated axis is 4 mod 8); the tabulated row
-        # carries +1 there, and the independent lattice-sum evaluation
-        # agrees with the expansion, not with the table
-        pytest.fail(f"tabulated signed permutations not reproduced: {mismatches}")
+    # the diagonal translations negate the four-fold product (its exponent
+    # on the translated axis is 4 mod 8); the tabulated row carries +1
+    # there, and the independent lattice-sum evaluation agrees with the
+    # expansion, not with the table
+    _criterion(5, "series", ("series.substitution_table",),
+               "tabulated entries not reproduced: {substitution_table[mismatches]}")
 
 
 def test_criterion_06_numeric_laws():
-    start = time.perf_counter()
-    rng = random.Random(6)
-
-    def rand_point(y: float = 1.2) -> numeric.SiegelPoint:
-        return numeric.SiegelPoint(
-            complex(rng.uniform(-0.5, 0.5), rng.uniform(y, y + 0.5)),
-            complex(rng.uniform(-0.25, 0.25), rng.uniform(0.1, 0.3)),
-            complex(rng.uniform(-0.5, 0.5), rng.uniform(y, y + 0.5)),
-        )
-
-    ok = True
-    evens = even_characteristics()
-    mats = numeric.conditioned_samples(Subgroup.full(), 20, seed=600,
-                                       word_length=5, max_entry=3, nonzero_c=10)
-    for M in mats:
-        good, _ = numeric.transform_modulus_check(M, rng.choice(evens),
-                                                  rand_point(), tol=1e-8)
-        ok &= good
-
-    base = numeric.SiegelPoint(1.3j, 0.15j, 1.4j)
-    mats2 = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=700,
-                                        word_length=8, max_entry=5, nonzero_c=8)
-    for M in mats2:
-        z = numeric.pulled_back_point(M, base)
-        ok &= numeric.character_law_check("theta_product", M, z) == theta_character(M)
-
-    mats3 = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=800,
-                                        word_length=8, max_entry=5, nonzero_c=8)
-    for M in mats3:
-        z = numeric.pulled_back_point(M, base)
-        ok &= numeric.character_law_check("cusp_form", M, z) == 1
-
-    low = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
-                            ((2, 2), (2, 2)), ((1, 0), (0, 1)))
-    ok &= numeric.character_law_check("theta_product", low, rand_point()) == -1
-
-    diag_points = [(1j, 2j), (0.5 + 1j, 3j), (0.3 + 1.5j, 1.2j),
-                   (2j, 1j), (-0.4 + 1.1j, 0.25 + 1.3j)]
-    for t1, t2 in diag_points:
-        ok &= numeric.diagonal_vanishing_check(t1, t2, tol=1e-10)
-
-    dual = numeric.SiegelPoint(3j, 0j, 3j)
-    for m in evens:
-        ok &= numeric.series_numeric_consistency(m, dual, 12) < 1e-8
-
-    _line(6, ok, time.perf_counter() - start,
-          "modulus/character/vanishing/dual-engine, 20 samples each")
-    assert ok
+    # seed 500 samples the matrices at seeds 600/700/800
+    _criterion(6, "numeric", ("numeric.modulus_law", "numeric.weight2_character",
+                              "numeric.weight3_trivial_character",
+                              "numeric.lower_triangular_sign",
+                              "numeric.diagonal_vanishing", "numeric.dual_engine"),
+               "{modulus_law[samples]} samples each, worst modulus deviation "
+               "{modulus_law[worst_deviation]}, dual engine "
+               "{dual_engine[worst_deviation]}", seed=500)
 
 
 def test_criterion_07_variety():
-    start = time.perf_counter()
-    ok = True
-    change = variety.coordinate_change_check()  # raises on failure
-    ok &= change.quadric_scalar != 0
-
-    group = variety.group_closure(variety.symmetry_generators())
-    pres = variety.presentation_x()
-    ok &= len(group) == 48
-    ok &= all(variety.equation_invariance(g, pres) == (1, 1) for g in group)
-
-    # all type-1 generators (each permutation with its compensating sign)
-    for perm, parity in (((0, 1, 2, 3, 4, 5), 1), ((0, 2, 1, 3, 4, 5), -1),
-                         ((0, 1, 3, 2, 4, 5), -1), ((0, 3, 2, 1, 4, 5), -1),
-                         ((0, 2, 3, 1, 4, 5), 1), ((0, 3, 1, 2, 4, 5), 1)):
-        sign = tuple(1 if i != 5 else parity for i in range(6))
-        ok &= variety.omega_pullback_sign(variety.SignedMonomialMap(perm, sign)) == 1
-    # all type-2 generators
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        ok &= variety.omega_pullback_sign(
-            variety.SignedMonomialMap.sign_flip(6, *pair)) == 1
-    ok &= variety.omega_pullback_sign(
-        variety.SignedMonomialMap.sign_flip(6, 4, 5)) == 1
-
-    stab = variety.omega_stabilizer()
-    seeds = [variety.curve_to_x(variety.quadric_curve_y()),
-             variety.curve_to_x(variety.line_curve_y())]
-    orbits = variety.curve_orbits(stab.stabilizer, seeds)
-    ok &= sorted(len(o) for o in orbits) == [3, 12]
-    curves = [c for o in orbits for c in o]
-    ok &= len(curves) == 15
-    ok &= all(variety.curve_checks(c, pres).all_ok() for c in curves)
-    _line(7, ok, time.perf_counter() - start,
-          "membership, order 48, pullback signs, 15 curves in orbits 3+12")
-    assert ok
+    _criterion(7, "variety", ("variety.coordinate_change", "variety.symmetry_closure",
+                              "variety.omega_generator_signs",
+                              "variety.singular_curves"),
+               "membership, order {symmetry_closure[order]}, pullback signs "
+               "{omega_generator_signs}, curve orbits {singular_curves[orbit_sizes]}")
 
 
 def test_criterion_08_symbolic_jacobians():
-    start = time.perf_counter()
-    closed_ok = variety.jacobian_identity_check()
-    identity_ok = variety.homogeneous_jacobian_identity()
-    ok = closed_ok and identity_ok
-    sign = variety.bordered_jacobian_sign()
-    _line(8, ok, time.perf_counter() - start,
-          f"closed form {'ok' if closed_ok else 'bad'}, "
-          f"bordered identity sign {sign:+d}")
-    assert closed_ok
-    if not identity_ok:
-        # the bordered determinant with the function row on top equals
-        # minus the fourth power times the affine Jacobian (see the
-        # measured sign); the stated identity asserts plus and fails
-        pytest.fail(f"bordered identity does not hold as stated; "
-                    f"measured sign {sign}")
+    # the bordered determinant with the function row on top equals minus
+    # the fourth power times the affine Jacobian; the stated identity
+    # asserts plus and fails
+    _criterion(8, "variety", ("variety.rational_jacobian", "variety.bordered_jacobian"),
+               "bordered identity sign {bordered_jacobian[measured_sign]:+d}")
 
 
 def test_criterion_09_blowup_charts():
-    start = time.perf_counter()
-    ok = True
-    for chart in (variety.case1_chart(), variety.case3_chart()):
-        result = variety.blowup_chart_check(chart)
-        ok &= result.pullback_matches
-        ok &= result.transformed_group_matches
-        ok &= not result.inverted_identity_holds
-    _line(9, ok, time.perf_counter() - start, "both charts, both group actions")
-    assert ok
+    _criterion(9, "variety", ("variety.blowup_line_blowup", "variety.blowup_axis_blowup"),
+               "both charts, both group actions, inverted identity refuted")
 
 
 def test_criterion_10_falsification_controls():
-    start = time.perf_counter()
-    registry = modforms.FormRegistry(16)
-    undetected = [name for name in modforms.relation_names()
-                  if modforms.verify_identity(name, registry, mutated=True).is_zero()]
-    ok = not undetected
-    _line(10, ok, time.perf_counter() - start,
-          f"8 planted mutations, {8 - len(undetected)} detected")
-    assert ok, undetected
+    _criterion(10, "relations", ("relations.falsification_controls",),
+               "8 planted mutations, undetected: "
+               "{falsification_controls[undetected]}", truncation=16)

@@ -50,6 +50,17 @@ def test_relations_selector_passes_and_controls_detect():
         assert c.status == "pass", c.id
 
 
+def test_relations_are_nonvacuous_at_default_truncation():
+    report = run_suite("relations", truncation=12)
+    relations = [c for c in report.checks if "matched_coefficients" in c.data]
+    assert len(relations) == 8
+    for c in relations:
+        assert c.data["matched_coefficients"] > 0, c.id
+    by_id = {c.id: c for c in relations}
+    assert by_id["relations.second_kind_quartic"].data["truncation"] == 32
+    assert by_id["relations.igusa_quartic"].data["truncation"] == 12
+
+
 def test_series_selector_flags_table_mismatch():
     report = run_suite("series", truncation=12)
     by_id = {c.id: c for c in report.checks}
@@ -102,3 +113,34 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 def test_cli_rejects_bad_selector(capsys):
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "--truncation", "2"],
+    ["numeric", "--tol", "0"],
+    ["numeric", "--tol", "-1"],
+    ["numeric", "--tol", "inf"],
+    ["numeric", "--tol", "nan"],
+])
+def test_cli_refuses_bad_parameters(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--json", str(out)]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+def test_crash_reason_is_on_the_text_line(monkeypatch, capsys):
+    from siegelcy import suite
+
+    def run_broken(report):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setitem(suite.SELECTORS, "chars", [run_broken])
+    report = run_suite("chars")
+    assert [c.id for c in report.checks] == ["run_broken.crashed"]
+    assert main(["chars"]) == 1
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("[FAIL  ] run_broken.crashed")
+    assert line.endswith("RuntimeError: planted failure")
+    assert report.as_dict()["checks"][0]["data"] == {
+        "error": "RuntimeError: planted failure"}

@@ -230,12 +230,12 @@ def test_bordered_jacobian_sign_is_minus_one():
 def test_bordered_jacobian_trivial_case():
     # f = (z0, z1, z2, 1): bordered determinant is -1, affine Jacobian is 1
     from siegelcy.variety import H_VARS
-    from siegelcy.mpoly import mpoly_determinant
+    from siegelcy.mpoly import determinant
 
     gens = {v: MPoly.var(H_VARS, v) for v in H_VARS}
     f = [gens[f"f{j}"] for j in range(1, 5)]
     d = [[gens[f"d{i}{j}"] for j in range(1, 5)] for i in range(3)]
-    bordered = mpoly_determinant([f, d[0], d[1], d[2]])
+    bordered = determinant([f, d[0], d[1], d[2]])
     values = {v: 0 for v in H_VARS}
     values.update({"f4": 1, "d01": 1, "d12": 1, "d23": 1})
     assert bordered.evaluate(values) == Fraction(-1)
@@ -244,12 +244,12 @@ def test_bordered_jacobian_trivial_case():
 def test_homogeneous_jacobian_random_specializations():
     # 20 seeded integer evaluations of bordered = -f4^4 * J
     from siegelcy.variety import H_VARS
-    from siegelcy.mpoly import mpoly_determinant
+    from siegelcy.mpoly import determinant
 
     gens = {v: MPoly.var(H_VARS, v) for v in H_VARS}
     f = [gens[f"f{j}"] for j in range(1, 5)]
     d = [[gens[f"d{i}{j}"] for j in range(1, 5)] for i in range(3)]
-    bordered = mpoly_determinant([f, d[0], d[1], d[2]])
+    bordered = determinant([f, d[0], d[1], d[2]])
     rng = random.Random(20)
     for _ in range(20):
         values = {v: rng.randint(-4, 4) for v in H_VARS}
