@@ -9,6 +9,9 @@ The finite group Sp(4, F_2) of order 720 is built by brute-force closure
 from generators; its affine action on characteristics uses the diagonal
 correction ((C^tD)_0; (A^tB)_0), the variant that preserves parity and
 satisfies the group-action law (the condition the whole suite tests).
+Its sign character is the sign of the permutation it induces on the six
+odd characteristics.  The 4x4 integer matrix helpers below are shared
+with `symplectic`; the mod-2 group is their reduction mod 2.
 """
 
 from __future__ import annotations
@@ -119,24 +122,32 @@ def all_sextuples() -> list[Sextuple]:
     return [complement_sextuple(q) for q in syzygetic_quadruples()]
 
 
-# -- Sp(4, F_2) ---------------------------------------------------------
+# -- 4x4 integer matrices and Sp(4, F_2) ---------------------------------
 
-def _mat_mul_f2(x: Mat2F2, y: Mat2F2) -> Mat2F2:
+Mat4 = tuple[tuple[int, int, int, int], ...]  # 4x4 integer matrix, rows
+
+
+def mat_mul(x: Mat4, y: Mat4) -> Mat4:
     return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(4)) % 2 for j in range(4))
+        tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
         for i in range(4)
     )
 
 
-def _transpose(x: Mat2F2) -> Mat2F2:
+def mat_transpose(x: Mat4) -> Mat4:
     return tuple(tuple(x[j][i] for j in range(4)) for i in range(4))
 
 
-_J_F2: Mat2F2 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+def mod2(x: Mat4) -> Mat2F2:
+    return tuple(tuple(v % 2 for v in row) for row in x)
+
+
+IDENTITY4: Mat4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+J4: Mat4 = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def is_symplectic_f2(x: Mat2F2) -> bool:
-    return _mat_mul_f2(_mat_mul_f2(_transpose(x), _J_F2), x) == _J_F2
+    return mod2(mat_mul(mat_mul(mat_transpose(x), J4), x)) == mod2(J4)
 
 
 def _translation_f2(s11: int, s12: int, s22: int) -> Mat2F2:
@@ -149,7 +160,7 @@ def _translation_f2(s11: int, s12: int, s22: int) -> Mat2F2:
 
 
 SP4F2_GENERATORS: tuple[Mat2F2, ...] = (
-    _J_F2,
+    mod2(J4),
     _translation_f2(1, 0, 0),
     _translation_f2(0, 0, 1),
     _translation_f2(0, 1, 0),
@@ -159,14 +170,13 @@ SP4F2_GENERATORS: tuple[Mat2F2, ...] = (
 @lru_cache(maxsize=1)
 def sp4f2_elements() -> tuple[Mat2F2, ...]:
     """Brute-force closure of the generators; the group has order 720."""
-    identity: Mat2F2 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    seen = {identity}
-    frontier = [identity]
+    seen = {IDENTITY4}
+    frontier = [IDENTITY4]
     while frontier:
         nxt = []
         for m in frontier:
             for g in SP4F2_GENERATORS:
-                p = _mat_mul_f2(m, g)
+                p = mod2(mat_mul(m, g))
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
@@ -174,54 +184,17 @@ def sp4f2_elements() -> tuple[Mat2F2, ...]:
     return tuple(sorted(seen))
 
 
-def _inverse_f2(m: Mat2F2) -> Mat2F2:
-    # in a finite group the inverse is the power just before identity
-    identity = elements_identity()
-    prev, cur = m, _mat_mul_f2(m, m)
-    while cur != identity:
-        prev, cur = cur, _mat_mul_f2(cur, m)
-    return prev
-
-
-@lru_cache(maxsize=1)
-def sp4f2_commutator_subgroup() -> frozenset[Mat2F2]:
-    """Closure of all commutators; the unique index-two subgroup."""
-    elements = sp4f2_elements()
-    inverses = {m: _inverse_f2(m) for m in elements}
-    commutators = set()
-    for m in elements:
-        for n in SP4F2_GENERATORS:
-            c = _mat_mul_f2(_mat_mul_f2(m, n),
-                            _mat_mul_f2(inverses[m], inverses[n]))
-            commutators.add(c)
-    seen = set(commutators) | {elements_identity()}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in commutators:
-                p = _mat_mul_f2(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def elements_identity() -> Mat2F2:
-    return tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-
-
 def sp4f2_sign(x: Mat2F2) -> int:
     """The unique nontrivial character of Sp(4, F_2), valued in {+1, -1}.
 
-    Computed as membership in the commutator subgroup of index two; under
-    the classical identification with the symmetric group S_6 this is the
-    sign character.
+    Sp(4, F_2) permutes the six odd characteristics, which identifies it
+    with the symmetric group S_6; the character is the sign of that
+    permutation.
     """
-    if not is_symplectic_f2(x):
-        raise ValueError("matrix is not symplectic mod 2")
-    return 1 if x in sp4f2_commutator_subgroup() else -1
+    odds = odd_characteristics()
+    image = [odds.index(sp4f2_act(x, m)) for m in odds]
+    inversions = sum(1 for i, j in combinations(range(6), 2) if image[i] > image[j])
+    return -1 if inversions % 2 else 1
 
 
 def _blocks_f2(x: Mat2F2) -> tuple:

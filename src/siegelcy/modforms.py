@@ -283,39 +283,36 @@ TABULATED_SUBSTITUTION_TABLE: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 
-def measured_substitution_table(compare_at: int = 12,
-                                internal: int = 32) -> dict[str, tuple]:
+#: truncation at which the substitution images are compared: every match
+#: among +-F1..F5 is unique there, and the shear keeps generators built at
+#: truncation 32 complete up to it
+SUBSTITUTION_COMPARE_AT = 12
+
+
+def measured_substitution_table(registry: FormRegistry) -> dict[str, tuple]:
     """Identify each transformed generator among +-F_j on expansions.
 
-    The generators are built at a deeper internal truncation because the
-    shear remap lowers the completeness bound; every comparison then runs
-    at exactly `compare_at`.  An entry is None when the image matches no
-    signed generator (which would signal a broken action).
+    The images of the registry's F1..F5 are compared with +-F_j at
+    SUBSTITUTION_COMPARE_AT.  An entry is None unless exactly one of the
+    ten signed generators matches: no match would signal a broken action,
+    several (a generator vanishing at the bound) an undecidable one.
     """
     from .qseries import translate_action, unimodular_action
 
-    registry = FormRegistry(internal)
-    fs = [registry.F[i].restrict(compare_at) if registry.F[i].truncation > compare_at
-          else registry.F[i] for i in range(5)]
+    at = SUBSTITUTION_COMPARE_AT
+    candidates = [(sign, j + 1, sign * registry.F[j].restrict(at))
+                  for j in range(5) for sign in (1, -1)]
     table: dict[str, tuple] = {}
     for name, kind, matrix in SUBSTITUTIONS:
         row = []
-        for i in range(5):
-            source = registry.F[i]
+        for source in registry.F[:5]:
             image = (translate_action(source, matrix) if kind == "translate"
                      else unimodular_action(source, matrix))
-            if image.truncation < compare_at:
-                raise ValueError("internal truncation too small for the remap")
-            image = image.restrict(compare_at)
-            found = None
-            for j in range(5):
-                if image == fs[j]:
-                    found = (1, j + 1)
-                    break
-                if image == -fs[j]:
-                    found = (-1, j + 1)
-                    break
-            row.append(found)
+            if image.truncation < at:
+                raise ValueError("registry truncation too small for the remap")
+            image = image.restrict(at)
+            found = [(sign, j) for sign, j, f in candidates if image == f]
+            row.append(found[0] if len(found) == 1 else None)
         table[name] = tuple(row)
     return table
 

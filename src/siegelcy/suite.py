@@ -10,7 +10,6 @@ parameters, and the JSON form is byte-stable.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -41,6 +40,14 @@ class SuiteReport:
     seed: int
     tol: float
     checks: list[CheckRecord] = field(default_factory=list)
+    #: form registries by truncation, shared by the batteries of one run
+    registries: dict[int, modforms.FormRegistry] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def registry(self, truncation: int) -> modforms.FormRegistry:
+        if truncation not in self.registries:
+            self.registries[truncation] = modforms.FormRegistry(truncation)
+        return self.registries[truncation]
 
     @property
     def summary(self) -> dict:
@@ -164,7 +171,7 @@ def run_series(report: SuiteReport) -> None:
             "off-diagonal negation fixes nine and negates the all-ones one",
             reflect_ok, {})
 
-    measured = modforms.measured_substitution_table(compare_at=min(n, 12))
+    measured = modforms.measured_substitution_table(report.registry(32))
     mismatches = {}
     for name, row in measured.items():
         tabulated = modforms.TABULATED_SUBSTITUTION_TABLE[name]
@@ -175,21 +182,21 @@ def run_series(report: SuiteReport) -> None:
     _record(report, "series.substitution_table",
             "signed permutation table of the five substitutions",
             not mismatches,
-            {"measured": {k: [list(e) for e in v] for k, v in measured.items()},
-             "mismatches": mismatches})
+            {"measured": {k: [list(e or ()) for e in v] for k, v in measured.items()},
+             "mismatches": mismatches,
+             "truncation": modforms.SUBSTITUTION_COMPARE_AT})
 
 
 # -- ring relations ---------------------------------------------------------------
 
 def run_relations(report: SuiteReport) -> None:
     n = report.truncation
-    registry_at = functools.cache(modforms.FormRegistry)  # one per truncation
-    registry = registry_at(n)
+    registry = report.registry(n)
     for name, relation in modforms.RELATIONS.items():
         # below its first nonvacuous truncation a relation compares two
         # zero series, which proves nothing
         at = max(n, relation.nonvacuous_from)
-        lhs, rhs = relation.sides(registry_at(at))
+        lhs, rhs = relation.sides(report.registry(at))
         residual = lhs - rhs
         matched = len(set(lhs.terms) | set(rhs.terms))
         _record(report, f"relations.{name}", f"ring relation {name}",
@@ -205,7 +212,7 @@ def run_relations(report: SuiteReport) -> None:
             "square relation for each of the sixteen characteristics",
             not bad, {"failing": bad})
 
-    control_registry = registry_at(max(n, 16))
+    control_registry = report.registry(max(n, 16))
     undetected = [name for name in modforms.relation_names()
                   if modforms.verify_identity(name, control_registry,
                                               mutated=True).is_zero()]
@@ -226,8 +233,7 @@ def _sextuple_label(sextuple) -> str:
 
 
 def run_boundary(report: SuiteReport) -> None:
-    n = max(report.truncation, 8)
-    registry = modforms.FormRegistry(n)
+    registry = report.registry(max(report.truncation, 8))
     dist = modforms.boundary_distribution(registry)
     per_sextuple = {
         _sextuple_label(s): list(modforms.boundary_orders(s, registry).as_tuple())
@@ -425,14 +431,18 @@ def run_numeric(report: SuiteReport) -> None:
             "the weight-3 product vanishes along the diagonal",
             diag_ok, {"points": len(diag_points)})
 
+    # fixed, not N: the dropped-terms bound at this point certifies from
+    # truncation 9 on
     dual_point = numeric.SiegelPoint(3j, 0j, 3j)
+    dual_truncation = 12
     worst_dual = max(
-        numeric.series_numeric_consistency(m, dual_point, min(report.truncation, 12))
+        numeric.series_numeric_consistency(m, dual_point, dual_truncation)
         for m in evens
     )
     _record(report, "numeric.dual_engine",
             "lattice sums agree with the exact expansions",
-            worst_dual < tol, {"worst_deviation": f"{worst_dual:.3e}"})
+            worst_dual < tol, {"worst_deviation": f"{worst_dual:.3e}",
+                               "truncation": dual_truncation})
 
 
 SELECTORS = {
@@ -461,6 +471,7 @@ def run_suite(selector: str, truncation: int = 12, seed: int = 0,
     for fn in SELECTORS[selector]:
         _guarded(report, f"{fn.__name__}.crashed", fn.__name__,
                  lambda f=fn: f(report))
+    report.registries.clear()  # scratch state of this run, not part of the report
     return report
 
 

@@ -13,20 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .characteristics import Mat2F2, sp4f2_sign
-
-Mat4 = tuple[tuple[int, int, int, int], ...]
-
-
-def _mat_mul(x: Mat4, y: Mat4) -> Mat4:
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
-
-
-def _mat_transpose(x: Mat4) -> Mat4:
-    return tuple(tuple(x[j][i] for j in range(4)) for i in range(4))
+from .characteristics import (
+    IDENTITY4,
+    J4,
+    Mat2F2,
+    mat_mul,
+    mat_transpose,
+    mod2,
+    sp4f2_sign,
+)
 
 
 def _mat2_mul(x, y):
@@ -40,16 +35,12 @@ def _mat2_transpose(x):
     return ((x[0][0], x[1][0]), (x[0][1], x[1][1]))
 
 
-IDENTITY4: Mat4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-J4: Mat4 = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
-
-
 def is_symplectic(rows) -> bool:
     """Exact test of the defining relation tM J M = J."""
     m = tuple(tuple(int(v) for v in row) for row in rows)
     if len(m) != 4 or any(len(r) != 4 for r in m):
         return False
-    return _mat_mul(_mat_mul(_mat_transpose(m), J4), m) == J4
+    return mat_mul(mat_mul(mat_transpose(m), J4), m) == J4
 
 
 class SpMat:
@@ -124,7 +115,7 @@ class SpMat:
         if not isinstance(other, SpMat):
             return NotImplemented
         out = SpMat.__new__(SpMat)
-        out.rows = _mat_mul(self.rows, other.rows)
+        out.rows = mat_mul(self.rows, other.rows)
         return out
 
     def inverse(self) -> SpMat:
@@ -135,7 +126,7 @@ class SpMat:
         return SpMat.from_blocks(td, neg(tb), neg(tc), ta)
 
     def mod2(self) -> Mat2F2:
-        return tuple(tuple(v % 2 for v in row) for row in self.rows)
+        return mod2(self.rows)
 
     def max_entry(self) -> int:
         return max(abs(v) for row in self.rows for v in row)
@@ -293,8 +284,8 @@ def sample_element(tag: Subgroup, word_length: int, seed: int,
     if word_length == 0:
         return SpMat.identity()
     for _ in range(max_tries):
-        m = SpMat.identity()
-        for _ in range(word_length):
+        m = rng.choice(_GENERATORS)
+        for _ in range(word_length - 1):
             m = m * rng.choice(_GENERATORS)
         if subgroup_membership(m, tag):
             return m

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from siegelcy.characteristics import (
+    IDENTITY4,
+    SP4F2_GENERATORS,
     Char,
     STANDARD_QUADRUPLE,
     STANDARD_SEXTUPLE,
@@ -22,8 +24,8 @@ from siegelcy.characteristics import (
     sp4f2_elements,
     sp4f2_sign,
     syzygetic_quadruples,
-    _mat_mul_f2,
-    elements_identity,
+    mat_mul,
+    mod2,
 )
 
 
@@ -91,7 +93,7 @@ def test_group_order_is_720():
 
 def test_identity_acts_trivially():
     for m in all_characteristics():
-        assert sp4f2_act(elements_identity(), m) == m
+        assert sp4f2_act(IDENTITY4, m) == m
 
 
 def test_offdiagonal_block_swaps_halves():
@@ -117,7 +119,7 @@ def test_action_is_a_group_action():
     for _ in range(100):
         x, y = rng.choice(elements), rng.choice(elements)
         m = rng.choice(chars)
-        assert sp4f2_act(_mat_mul_f2(x, y), m) == sp4f2_act(x, sp4f2_act(y, m))
+        assert sp4f2_act(mod2(mat_mul(x, y)), m) == sp4f2_act(x, sp4f2_act(y, m))
 
 
 def test_orbit_of_standard_quadruple_is_everything():
@@ -163,11 +165,18 @@ def test_upper_translation_shifts_lower_half():
 
 
 def test_sign_character_is_multiplicative_and_onto():
-    rng = random.Random(4)
     elements = sp4f2_elements()
-    values = set()
-    for _ in range(100):
-        x, y = rng.choice(elements), rng.choice(elements)
-        assert sp4f2_sign(_mat_mul_f2(x, y)) == sp4f2_sign(x) * sp4f2_sign(y)
-        values.add(sp4f2_sign(x))
-    assert values == {1, -1}
+    signs = {x: sp4f2_sign(x) for x in elements}
+    assert sum(1 for v in signs.values() if v == 1) == 360
+    j, *translations = SP4F2_GENERATORS
+    assert signs[j] == 1
+    assert [signs[t] for t in translations] == [-1, -1, -1]
+    # multiplicative on every element times every generator, hence everywhere
+    for x in elements:
+        for g in SP4F2_GENERATORS:
+            assert signs[mod2(mat_mul(x, g))] == signs[x] * signs[g]
+
+
+def test_sign_character_rejects_non_symplectic():
+    with pytest.raises(ValueError):
+        sp4f2_sign(((1, 1, 0, 0),) + IDENTITY4[1:])

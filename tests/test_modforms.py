@@ -133,7 +133,7 @@ def test_substitution_table_measured_values():
         measured_substitution_table,
     )
 
-    measured = measured_substitution_table()
+    measured = measured_substitution_table(FormRegistry(32))
     # every image is identified as a signed generator
     for row in measured.values():
         assert all(entry is not None for entry in row)

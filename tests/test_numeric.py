@@ -4,10 +4,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from siegelcy.characteristics import Char, even_characteristics, odd_characteristics
+from siegelcy.characteristics import (
+    Char,
+    char_from_index,
+    even_characteristics,
+    odd_characteristics,
+)
 from siegelcy.numeric import (
     SiegelPoint,
+    _summation_radius,
+    _tail_remainder,
     character_law_check,
     conditioned_samples,
     cusp_limit_deviation,
@@ -54,6 +62,27 @@ def test_theta_at_scaled_identity_points():
     val2 = theta_eval(Char(0, 0, 0, 0), SiegelPoint(2j, 0j, 2j), tol=1e-10)
     oracle2 = sum(math.exp(-2 * math.pi * n * n) for n in range(-6, 7)) ** 2
     assert abs(val2.value - oracle2) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(y0=st.floats(0.3, 2.0), y2=st.floats(0.3, 2.0), rho=st.floats(-0.8, 0.8),
+       x=st.tuples(*[st.floats(-0.5, 0.5)] * 3), k=st.integers(1, 3),
+       index=st.integers(0, 15), data=st.data())
+def test_tail_bound_covers_the_terms_past_the_radius(y0, y2, rho, x, k, index, data):
+    Z = SiegelPoint(complex(x[0], y0), complex(x[1], rho * math.sqrt(y0 * y2)),
+                    complex(x[2], y2))
+    lam = Z.min_eigenvalue()
+    # radii whose bound sits far above the rounding of the double-valued sums
+    radius = data.draw(st.sampled_from(
+        [r for r in range(1, 13) if _tail_remainder(lam, r) > 1e-10]))
+    bound = _tail_remainder(lam, radius)
+
+    def summed_to(r: int) -> complex:
+        tol = _tail_remainder(lam, r) * (1 + 1e-9)
+        assert _summation_radius(lam, tol)[0] == r
+        return theta_eval(char_from_index(index), Z, tol=tol).value
+
+    assert abs(summed_to(radius + k) - summed_to(radius)) <= bound
 
 
 def test_odd_characteristics_evaluate_to_zero():

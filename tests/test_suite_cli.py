@@ -74,6 +74,25 @@ def test_series_selector_flags_table_mismatch():
     assert all(c.status == "pass" for c in others)
 
 
+def test_substitution_table_does_not_depend_on_truncation():
+    tables = [next(c for c in run_suite("series", truncation=n).checks
+                   if c.id == "series.substitution_table") for n in (6, 12)]
+    assert tables[0] == tables[1]
+    assert tables[0].data["truncation"] == 12
+    assert set(tables[0].data["mismatches"]) == {"translate_z0[F5]",
+                                                 "translate_z2[F5]"}
+
+
+@pytest.mark.parametrize("truncation", [4, 8])
+def test_numeric_battery_runs_below_the_dual_engine_truncation(truncation):
+    report = run_suite("numeric", truncation=truncation)
+    ids = [c.id for c in report.checks]
+    assert len([i for i in ids if i.startswith("numeric.")]) == 6
+    assert not any(i.endswith(".crashed") for i in ids)
+    dual = next(c for c in report.checks if c.id == "numeric.dual_engine")
+    assert dual.data["truncation"] == 12
+
+
 def test_json_report_is_byte_identical_across_runs(tmp_path):
     a = emit_report(run_suite("chars", seed=3), "json")
     b = emit_report(run_suite("chars", seed=3), "json")
