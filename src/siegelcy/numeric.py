@@ -6,9 +6,10 @@ All lattice sums run in mpmath at 30 significant digits (about 100 bits,
 comfortably past the 64-bit-mantissa floor the tolerances assume).  Each
 evaluation returns the value together with an explicit bound on the
 truncated tail, so comparisons can account for every dropped term.
-Several characteristics at one point share the same power tables: the
-character checks evaluate four or six constants per point and would pay
-the full lattice cost repeatedly otherwise.
+Several characteristics at one point share the same power tables and one
+lattice walk per parity class of their upper halves: the character checks
+evaluate four or six constants per point and would pay the full lattice
+cost repeatedly otherwise.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
 
     The summation window comes from the smallest eigenvalue of Im Z, so
     the neglected Gaussian tail is provably below tol for every
-    characteristic; the power tables of the three exponential generators
-    are shared across the batch.
+    characteristic.  The lattice is walked once per parity class
+    a = (a1, a2) in the batch: with r = 2n + a, the term's phase
+    i^(b.r) is i^(b.a) (-1)^(b.s) for s = n mod 2, so the four partial sums
+    S[s1][s2] over n mod 2 give every b at once.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -115,21 +118,29 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
         u_pow = {r: u ** (r * r) for r in rng_all}
         v_pow = {r: v ** (r * r) for r in rng_all}
         w_pow = {r: w ** r for r in rng_all}
-        for m in chars:
-            r1_values = [r for r in rng_all if r % 2 == m.a1]
-            r2_values = [r for r in rng_all if r % 2 == m.a2]
-            total = mpmath.mpc(0)
-            for r1 in r1_values:
+        # partial[a][s1][s2]: u^(r1^2) v^(r2^2) w^(r1 r2) summed over the
+        # window's r = a mod 2 with ((r - a)/2) mod 2 = s
+        partial = {}
+        for a1, a2 in {(m.a1, m.a2) for m in chars}:
+            sums = [[mpmath.mpc(0), mpmath.mpc(0)], [mpmath.mpc(0), mpmath.mpc(0)]]
+            r2_values = [r for r in rng_all if r % 2 == a2]
+            for r1 in (r for r in rng_all if r % 2 == a1):
+                row = sums[(r1 - a1) // 2 % 2]
                 w_r1 = w_pow[r1]
                 base = u_pow[r1]
                 cross = w_r1 ** r2_values[0]
                 step = w_r1 * w_r1  # r2 advances in steps of two
                 for r2 in r2_values:
-                    term = base * v_pow[r2] * cross
-                    k = (m.b1 * r1 + m.b2 * r2) % 4
-                    total += term if k == 0 else term * i_pow[k]
+                    row[(r2 - a2) // 2 % 2] += base * v_pow[r2] * cross
                     cross = cross * step
-            results.append(EvalResult(complex(total), bound))
+            partial[a1, a2] = sums
+        for m in chars:
+            total = mpmath.mpc(0)
+            for s1, row in enumerate(partial[m.a1, m.a2]):
+                for s2, part in enumerate(row):
+                    total += -part if (m.b1 * s1 + m.b2 * s2) % 2 else part
+            k = (m.b1 * m.a1 + m.b2 * m.a2) % 4
+            results.append(EvalResult(complex(total * i_pow[k]), bound))
     return results
 
 

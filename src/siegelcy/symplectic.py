@@ -5,13 +5,16 @@ congruence and diagonal conditions; the two index-two kernels cut out by
 the quadratic character use the closed formula (-1)^((alpha+beta+gamma)/2)
 on C*tD, combined on the Hecke-type group with the sign character of the
 mod-2 quotient.  Elements are sampled as pseudo-random words in a fixed
-generator set and rejection-filtered by the membership predicate.
+generator set and rejection-filtered by the membership predicate; a walk
+of each word through Sp(4, F_2) first drops the words whose reduction mod 2
+no member can have, so only the survivors are multiplied out.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .characteristics import (
     IDENTITY4,
@@ -78,12 +81,6 @@ class SpMat:
         if s[0][1] != s[1][0]:
             raise ValueError("translation matrix must be symmetric")
         return cls.from_blocks(((1, 0), (0, 1)), s, ((0, 0), (0, 0)), ((1, 0), (0, 1)))
-
-    @classmethod
-    def lower_translation(cls, s) -> SpMat:
-        if s[0][1] != s[1][0]:
-            raise ValueError("translation matrix must be symmetric")
-        return cls.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)), s, ((1, 0), (0, 1)))
 
     @classmethod
     def embed_unimodular(cls, u) -> SpMat:
@@ -270,23 +267,93 @@ def _generators() -> list[SpMat]:
 
 
 _GENERATORS = _generators()
+_GENERATOR_INDICES = range(len(_GENERATORS))
+
+
+# -- the mod-2 walk -------------------------------------------------------
+#
+# A word's reduction mod 2 is a walk in Sp(4, F_2), of order 720.  Classes
+# are numbered in the order the walk from the identity (class 0) finds
+# them; a class is kept as its four rows, each a 4-bit mask with column j
+# at bit 3 - j.
+
+def _row_masks(m) -> tuple[int, ...]:
+    return tuple(sum((v % 2) << (3 - j) for j, v in enumerate(row)) for row in m)
+
+
+@cache
+def _f2_walk() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(step, classes): step[c][g] is the class of classes[c] times the
+    mod-2 image of _GENERATORS[g]."""
+    # combos[g][mask]: XOR of the rows of generator g that mask selects,
+    # which is row i of x * g when mask is row i of x
+    combos = []
+    for g in _GENERATORS:
+        rows = _row_masks(g.rows)
+        combos.append([
+            rows[0] * (mask >> 3 & 1) ^ rows[1] * (mask >> 2 & 1)
+            ^ rows[2] * (mask >> 1 & 1) ^ rows[3] * (mask & 1)
+            for mask in range(16)
+        ])
+    classes = [_row_masks(IDENTITY4)]
+    index = {classes[0]: 0}
+    step = []
+    for x in classes:  # grows while it is walked
+        out = []
+        for comb in combos:
+            y = (comb[x[0]], comb[x[1]], comb[x[2]], comb[x[3]])
+            if y not in index:
+                index[y] = len(classes)
+                classes.append(y)
+            out.append(index[y])
+        step.append(tuple(out))
+    return step, classes
+
+
+@cache
+def _passing_classes(tag: Subgroup) -> tuple[bool, ...] | None:
+    """Which mod-2 classes a member of `tag` can reduce to; None if all.
+
+    A necessary condition only: members of an even-level principal or
+    Igusa group and of Gamma_n are the identity mod 2, members of an
+    even-level Hecke group and of its cusp-form kernel have C = 0 mod 2.
+    """
+    even = tag.level % 2 == 0
+    if tag.kind == "chi_kernel" or (tag.kind in ("principal", "igusa") and even):
+        return tuple(c == 0 for c in range(len(_f2_walk()[1])))
+    if tag.kind == "hecke_chi_kernel" or (tag.kind == "hecke" and even):
+        return tuple((x[2] | x[3]) & 0b1100 == 0 for x in _f2_walk()[1])
+    return None
 
 
 def sample_element(tag: Subgroup, word_length: int, seed: int,
                    max_tries: int = 20000) -> SpMat:
     """Deterministic member of the subgroup, found by filtered random words.
 
-    Each try multiplies `word_length` generators chosen by the seeded RNG
-    and keeps the product iff the membership predicate accepts it.  Raises
-    when the try budget runs out (longer words mix better mod small levels).
+    Each try draws `word_length` generators with the seeded RNG.  Where
+    membership forces a condition mod 2, the word is first walked through
+    the mod-2 table and dropped unless its class can pass; every word that
+    survives is multiplied out exactly and kept iff the membership
+    predicate accepts it.  Raises when the try budget runs out (longer
+    words mix better mod small levels).
     """
     rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
     if word_length == 0:
         return SpMat.identity()
+    choice = rng.choice
+    passing = _passing_classes(tag)
+    step = _f2_walk()[0] if passing is not None else None
     for _ in range(max_tries):
-        m = rng.choice(_GENERATORS)
-        for _ in range(word_length - 1):
-            m = m * rng.choice(_GENERATORS)
+        word = [choice(_GENERATOR_INDICES) for _ in range(word_length)]
+        if step is not None:
+            c = 0
+            for g in word:
+                c = step[c][g]
+            if not passing[c]:
+                continue
+        m = _GENERATORS[word[0]]
+        for g in word[1:]:
+            m = m * _GENERATORS[g]
         if subgroup_membership(m, tag):
             return m
     raise RuntimeError(

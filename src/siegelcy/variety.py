@@ -620,12 +620,6 @@ def bordered_jacobian_sign() -> int | None:
     return None
 
 
-def homogeneous_jacobian_identity() -> bool:
-    """Literal check of 'bordered = f4^4 * affine Jacobian' with the
-    function row on top; see bordered_jacobian_sign for the measured sign."""
-    return bordered_jacobian_sign() == 1
-
-
 def homogeneous_jacobian_specialization_sign() -> int | None:
     """Scalar relating the bordered determinant to the plain 3x3 Jacobian
     after setting f4 = 1 with vanishing partials."""

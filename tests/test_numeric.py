@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegelcy.characteristics import (
     Char,
+    all_characteristics,
     char_from_index,
     even_characteristics,
     odd_characteristics,
@@ -101,13 +103,35 @@ def test_tail_bound_is_honest():
     assert abs(coarse.value - fine.value) <= coarse.tail_bound
 
 
-def test_batch_matches_single():
-    Z = SiegelPoint(1.1j, 0.2j, 0.9j)
-    chars = even_characteristics()[:4]
-    batch = theta_eval_batch(chars, Z, tol=1e-12)
-    for m, r in zip(chars, batch):
-        single = theta_eval(m, Z, tol=1e-12)
-        assert abs(r.value - single.value) < 1e-20
+def theta_by_definition(m: Char, Z: SiegelPoint, window: int = 8):
+    """theta[a; b](Z) = sum over n in Z^2 of exp(pi i x^T Z x + pi i x^T b),
+    x = n + a/2, summed term by term over |n_i| <= window."""
+    with mpmath.workdps(40):
+        z0, z1, z2 = Z.as_mpc()
+        total = mpmath.mpc(0)
+        for n1 in range(-window, window + 1):
+            for n2 in range(-window, window + 1):
+                x1 = n1 + mpmath.mpf(m.a1) / 2
+                x2 = n2 + mpmath.mpf(m.a2) / 2
+                quad = z0 * x1 * x1 + 2 * z1 * x1 * x2 + z2 * x2 * x2
+                total += mpmath.exp(mpmath.pi * 1j * (quad + x1 * m.b1 + x2 * m.b2))
+        return total
+
+
+def test_batch_matches_the_defining_sum():
+    # Im Z has smallest eigenvalue above 0.7 at these points, so terms past
+    # the window are below exp(-pi * 0.7 * 81 / 4) in modulus; the kernel
+    # returns a double, whose rounding adds at most 2^-52 |theta|
+    rng = random.Random(11)
+    for tol in (1e-6, 1e-12, 1e-16):
+        Z = rand_point(rng)
+        results = theta_eval_batch(all_characteristics(), Z, tol=tol)
+        for m, r in zip(all_characteristics(), results):
+            with mpmath.workdps(40):
+                exact = theta_by_definition(m, Z)
+                diff = abs(exact - r.value)
+            rounding = 2.0 ** -52 * float(abs(exact))
+            assert diff <= r.tail_bound + rounding + 1e-20, (m, diff)
 
 
 def test_dual_engine_consistency_all_even():

@@ -163,3 +163,13 @@ def test_crash_reason_is_on_the_text_line(monkeypatch, capsys):
     assert line.endswith("RuntimeError: planted failure")
     assert report.as_dict()["checks"][0]["data"] == {
         "error": "RuntimeError: planted failure"}
+
+
+def test_rational_jacobian_records_the_measured_falsification(monkeypatch):
+    from siegelcy import variety
+
+    monkeypatch.setattr(variety, "jacobian_identity_check", lambda scale=4: True)
+    record = next(c for c in run_suite("variety").checks
+                  if c.id == "variety.rational_jacobian")
+    assert record.status == "fail"
+    assert record.data == {"falsification_scale_5_detected": False}

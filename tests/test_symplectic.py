@@ -4,10 +4,15 @@ import random
 
 import pytest
 
+from siegelcy.characteristics import mat_mul, mod2, sp4f2_elements
 from siegelcy.numeric import conditioned_samples
 from siegelcy.symplectic import (
+    _GENERATORS,
     SpMat,
     Subgroup,
+    _f2_walk,
+    _passing_classes,
+    _row_masks,
     cusp_form_character,
     is_symplectic,
     sample_element,
@@ -119,6 +124,65 @@ def test_sampling_returns_members_and_is_deterministic():
         assert m == again
 
 
+def unfiltered_sample(tag, word_length, seed, max_tries):
+    """The sampler without the mod-2 pre-filter: every word is multiplied
+    out and tested with the exact predicate."""
+    rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
+    for _ in range(max_tries):
+        m = rng.choice(_GENERATORS)
+        for _ in range(word_length - 1):
+            m = m * rng.choice(_GENERATORS)
+        if subgroup_membership(m, tag):
+            return m
+    return None
+
+
+EVERY_KIND = [
+    Subgroup.full(),
+    Subgroup.principal(2),
+    Subgroup.principal(3),
+    Subgroup.igusa(1),
+    Subgroup.igusa(2),
+    Subgroup.hecke(2),
+    Subgroup.hecke(3),
+    Subgroup.chi_kernel(),
+    Subgroup.hecke_chi_kernel(),
+]
+
+
+@pytest.mark.parametrize("tag", EVERY_KIND, ids=str)
+def test_prefilter_keeps_the_unfiltered_samples(tag):
+    # a budget of 300 words keeps the unfiltered reference affordable and
+    # still finds a member in at least 33 of the 80 cases of every kind
+    classes = _f2_walk()[1]
+    passing = _passing_classes(tag)
+    found = 0
+    for word_length in (5, 8):
+        for seed in range(40):
+            expected = unfiltered_sample(tag, word_length, seed, max_tries=300)
+            try:
+                got = sample_element(tag, word_length, seed, max_tries=300)
+            except RuntimeError:
+                got = None
+            assert got == expected, (word_length, seed)
+            if got is not None:
+                found += 1
+                if passing is not None:
+                    assert passing[classes.index(_row_masks(got.mod2()))]
+    assert found >= 20
+
+
+def test_mod2_walk_is_the_multiplication_table_of_sp4f2():
+    step, classes = _f2_walk()
+    assert sorted(classes) == sorted(_row_masks(x) for x in sp4f2_elements())
+    assert classes[0] == _row_masks(SpMat.identity().rows)
+    matrices = {_row_masks(x): x for x in sp4f2_elements()}
+    for c, x in enumerate(classes):
+        for g, gen in enumerate(_GENERATORS):
+            image = mod2(mat_mul(matrices[x], gen.rows))
+            assert classes[step[c][g]] == _row_masks(image)
+
+
 def test_word_length_zero_gives_identity():
     assert sample_element(Subgroup.full(), 0, seed=3) == SpMat.identity()
 
@@ -149,7 +213,7 @@ def test_igusa_subgroup_membership_and_closure():
     assert not subgroup_membership(SpMat.translation(((2, 0), (0, 2))), tag)
     members = [
         SpMat.translation(((4, 2), (2, 4))),
-        SpMat.lower_translation(((4, 0), (0, 8))),
+        lower(((4, 0), (0, 8))),
         SpMat.translation(((0, 2), (2, 4))),
         SpMat.identity(),
     ]

@@ -22,7 +22,6 @@ from siegelcy.variety import (
     curve_to_x,
     equation_invariance,
     group_closure,
-    homogeneous_jacobian_identity,
     jacobian_closed_form,
     jacobian_identity_check,
     jacobian_rank_at,
@@ -223,7 +222,6 @@ def test_bordered_jacobian_sign_is_minus_one():
     )
 
     assert bordered_jacobian_sign() == -1
-    assert not homogeneous_jacobian_identity()
     assert homogeneous_jacobian_specialization_sign() == -1
 
 
