@@ -2,16 +2,16 @@
 expansions, the associated modular-form relations, and the projective
 Calabi-Yau threefold they cut out.
 
-The exact engine (cyclotomic integers, sparse polynomials, q-series) never
-touches floating point; the numeric engine evaluates the same objects by
-lattice summation with explicit tail bounds, so every analytic claim is
-checked by two independent routes.
+The exact engine (q-series with integer coefficients, sparse polynomials
+over the rationals) never touches floating point; 8th roots of unity enter
+only where a translation gives a series a non-real phase.  The numeric
+engine evaluates the same objects by lattice summation with explicit tail
+bounds, so every analytic claim is checked by two independent routes.
 """
 
 __version__ = "0.1.0"
 
 from .characteristics import Char  # noqa: F401
-from .cyclotomic import CycInt8  # noqa: F401
 from .mpoly import MPoly, RatFn, ThreeForm  # noqa: F401
 from .qseries import QSeries  # noqa: F401
 from .symplectic import SpMat, Subgroup  # noqa: F401

@@ -3,8 +3,9 @@
 An element is stored as the integer 4-tuple (c0, c1, c2, c3) representing
 c0 + c1*zeta + c2*zeta**2 + c3*zeta**3, reduced by zeta**4 = -1.  This
 representation is canonical: two elements are equal iff their tuples agree.
-All Fourier-term phases produced on the level-8 exponent grid live in this
-ring, so no floating point enters the exact engine.
+Series coefficients are plain integers; an element of this ring appears
+only where a translation leaves a phase that is not real.  Elements add,
+multiply and compare with plain integers, so a series can mix both kinds.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ class CycInt8:
         self.c3 = c3
 
     @classmethod
-    def from_int(cls, n: int) -> CycInt8:
-        return cls(n, 0, 0, 0)
-
-    @classmethod
     def zeta_power(cls, k: int) -> CycInt8:
         """zeta**k as a ring element (k arbitrary, reduced mod 8)."""
         k %= 8
@@ -35,43 +32,28 @@ class CycInt8:
     def coords(self) -> tuple[int, int, int, int]:
         return (self.c0, self.c1, self.c2, self.c3)
 
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0 and self.c3 == 0
-
-    def is_rational_integer(self) -> bool:
-        return self.c1 == 0 and self.c2 == 0 and self.c3 == 0
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coords())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = CycInt8.from_int(other)
+            return self.coords() == (other, 0, 0, 0)
         if not isinstance(other, CycInt8):
             return NotImplemented
         return self.coords() == other.coords()
-
-    def __hash__(self) -> int:
-        return hash(self.coords())
 
     def __neg__(self) -> CycInt8:
         return CycInt8(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __add__(self, other: CycInt8 | int) -> CycInt8:
         if isinstance(other, int):
-            other = CycInt8.from_int(other)
+            return CycInt8(self.c0 + other, self.c1, self.c2, self.c3)
         if not isinstance(other, CycInt8):
             return NotImplemented
         return CycInt8(self.c0 + other.c0, self.c1 + other.c1,
                        self.c2 + other.c2, self.c3 + other.c3)
 
     __radd__ = __add__
-
-    def __sub__(self, other: CycInt8 | int) -> CycInt8:
-        return self + (-other if isinstance(other, CycInt8) else CycInt8.from_int(-other))
-
-    def __rsub__(self, other: int) -> CycInt8:
-        return CycInt8.from_int(other) + (-self)
 
     def __mul__(self, other: CycInt8 | int) -> CycInt8:
         if isinstance(other, int):
@@ -97,56 +79,5 @@ class CycInt8:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> CycInt8:
-        if n < 0:
-            raise ValueError("negative powers are not defined in Z[zeta]")
-        result = CycInt8.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def times_zeta_power(self, k: int) -> CycInt8:
-        """Multiply by zeta**k via coordinate rotation (no full product)."""
-        k %= 8
-        c = list(self.coords())
-        for _ in range(k):
-            c = [-c[3], c[0], c[1], c[2]]
-        return CycInt8(*c)
-
-    def conjugate(self) -> CycInt8:
-        """Complex conjugation: zeta -> zeta**-1 = -zeta**3."""
-        return CycInt8(self.c0, -self.c3, -self.c2, -self.c1)
-
-    def to_complex(self) -> complex:
-        r = 0.7071067811865475244  # sqrt(2)/2
-        zeta = complex(r, r)
-        return self.c0 + self.c1 * zeta + self.c2 * 1j + self.c3 * zeta * 1j
-
     def __repr__(self) -> str:
         return f"CycInt8{self.coords()}"
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coords()):
-            if c == 0:
-                continue
-            unit = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            if k == 0:
-                parts.append(f"{c}")
-            elif c == 1:
-                parts.append(unit)
-            elif c == -1:
-                parts.append(f"-{unit}")
-            else:
-                parts.append(f"{c}*{unit}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-ZERO = CycInt8()
-ONE = CycInt8.from_int(1)

@@ -24,7 +24,6 @@ from .characteristics import (
     Char,
     STANDARD_SEXTUPLE,
     all_sextuples,
-    complement_sextuple,
     even_characteristics,
     is_syzygetic,
 )
@@ -91,14 +90,6 @@ class FormRegistry:
 
     def cusp_form(self, sextuple=STANDARD_SEXTUPLE) -> QSeries:
         return self.sextuple_products[frozenset(sextuple)]
-
-
-def sextuple_form(sextuple, registry: FormRegistry) -> QSeries:
-    """Product of the six theta expansions of a complementary sextuple."""
-    key = frozenset(sextuple)
-    if key not in registry.sextuple_products:
-        raise ValueError("not a sextuple complementary to a syzygetic quadruple")
-    return registry.sextuple_products[key]
 
 
 # -- relations ------------------------------------------------------------

@@ -167,20 +167,17 @@ def theta_product_eval(chars: Sequence[Char], Z: SiegelPoint,
 
 
 def evaluate_qseries(s: QSeries, Z: SiegelPoint) -> complex:
-    """Evaluate a truncated expansion at Z on the level-8 grid."""
+    """Evaluate a truncated expansion with integer coefficients at Z on the
+    level-8 grid."""
     with mp.workdps(WORKING_DPS):
         z0, z1, z2 = Z.as_mpc()
         two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
         q0 = mpmath.exp(two_pi_i * (z0 + z1) / 8)
         q1 = mpmath.exp(-two_pi_i * z1 / 8)
         q2 = mpmath.exp(two_pi_i * (z2 + z1) / 8)
-        zeta = mpmath.exp(mpmath.mpc(0, mpmath.pi) / 4)
-        zeta_pow = [zeta ** k for k in range(4)]
         total = mpmath.mpc(0)
         for (n0, n1, n2), c in s.terms.items():
-            coeff = (c.c0 * zeta_pow[0] + c.c1 * zeta_pow[1]
-                     + c.c2 * zeta_pow[2] + c.c3 * zeta_pow[3])
-            total += coeff * (q0 ** n0) * (q1 ** n1) * (q2 ** n2)
+            total += c * (q0 ** n0) * (q1 ** n1) * (q2 ** n2)
         return complex(total)
 
 

@@ -10,7 +10,10 @@ lattice point g in Z^2 and with r = 2g + a, the monomial
     q0^(r1^2) * q1^((r1-r2)^2) * q2^(r2^2)
 
 with coefficient zeta^(2*(b1*r1 + b2*r2)), zeta a primitive 8th root of
-unity.  Exponent triples correspond to half-integral index matrices via
+unity.  Coefficients are plain integers wherever the phases sum to a real
+number, which they do for every even theta constant; only a translation
+can leave a non-real coefficient, an element of Z[zeta].  Exponent triples
+correspond to half-integral index matrices via
 (8t0, 16t1, 8t2) = (n0, n0+n2-n1, n2), so semipositivity reads
 4*n0*n2 >= (n0+n2-n1)^2 and n0+n2 is (a rescaling of) the trace.
 
@@ -29,19 +32,21 @@ from .cyclotomic import CycInt8
 
 ExpTriple = tuple[int, int, int]
 
+Coeff = int | CycInt8
+
 Sym2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 class QSeries:
     __slots__ = ("terms", "truncation")
 
-    def __init__(self, terms: dict[ExpTriple, CycInt8], truncation: int) -> None:
+    def __init__(self, terms: dict[ExpTriple, Coeff], truncation: int) -> None:
         if truncation < 0:
             raise ValueError("truncation bound must be nonnegative")
         self.truncation = truncation
         self.terms = {}
         for n, c in terms.items():
-            if c.is_zero():
+            if not c:
                 continue
             if min(n) < 0:
                 raise ValueError(f"negative exponent {n}")
@@ -56,12 +61,12 @@ class QSeries:
 
     @classmethod
     def one(cls, truncation: int) -> QSeries:
-        return cls({(0, 0, 0): CycInt8.from_int(1)}, truncation)
+        return cls({(0, 0, 0): 1}, truncation)
 
     # -- basic queries -----------------------------------------------------
 
-    def coefficient(self, n: ExpTriple) -> CycInt8:
-        return self.terms.get(tuple(n), CycInt8())
+    def coefficient(self, n: ExpTriple) -> Coeff:
+        return self.terms.get(tuple(n), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -95,8 +100,8 @@ class QSeries:
         terms = {k: v for k, v in self.terms.items() if k[0] + k[2] <= n}
         for k, v in other.terms.items():
             if k[0] + k[2] <= n:
-                s = terms.get(k, CycInt8()) + v
-                if s.is_zero():
+                s = terms.get(k, 0) + v
+                if not s:
                     terms.pop(k, None)
                 else:
                     terms[k] = s
@@ -108,17 +113,15 @@ class QSeries:
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
 
-    def __mul__(self, other: QSeries | CycInt8 | int) -> QSeries:
+    def __mul__(self, other: QSeries | int) -> QSeries:
         if isinstance(other, int):
-            other = CycInt8.from_int(other)
-        if isinstance(other, CycInt8):
             return QSeries({k: v * other for k, v in self.terms.items()}, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        terms: dict[ExpTriple, CycInt8] = {}
+        terms: dict[ExpTriple, Coeff] = {}
         # group the right factor by n0+n2 so hopeless pairs are skipped early
-        by_weight: dict[int, list[tuple[ExpTriple, CycInt8]]] = {}
+        by_weight: dict[int, list[tuple[ExpTriple, Coeff]]] = {}
         for k, v in other.terms.items():
             by_weight.setdefault(k[0] + k[2], []).append((k, v))
         weights = sorted(by_weight)
@@ -171,8 +174,9 @@ def theta_qexp(m: Char, truncation: int) -> QSeries:
     """Exact q-expansion of the theta constant with characteristic m.
 
     The lattice range |2g + a| <= sqrt(N) is exhaustive for the bound
-    n0 + n2 <= N: squares only grow.  Odd characteristics cancel to the
-    zero series.
+    n0 + n2 <= N: squares only grow.  Every phase is computed in Z[zeta];
+    a coefficient whose phases sum to a real number is stored as an int.
+    Odd characteristics cancel to the zero series.
     """
     root = math.isqrt(truncation)
     terms: dict[ExpTriple, CycInt8] = {}
@@ -190,7 +194,8 @@ def theta_qexp(m: Char, truncation: int) -> QSeries:
             phase = CycInt8.zeta_power(2 * (m.b1 * r1 + m.b2 * r2))
             s = terms.get(key)
             terms[key] = phase if s is None else s + phase
-    return QSeries(terms, truncation)
+    return QSeries({key: c.c0 if c == c.c0 else c for key, c in terms.items()},
+                   truncation)
 
 
 def second_kind_qexp(a: tuple[int, int], truncation: int) -> QSeries:
@@ -222,7 +227,8 @@ def translate_action(s: QSeries, S: Sym2) -> QSeries:
     """Action of Z -> Z + S (S integer symmetric) on the expansion.
 
     Each term picks up the root-of-unity phase zeta^(n0*s0 + (n0+n2-n1)*s1
-    + n2*s2); the support is unchanged.
+    + n2*s2); the support is unchanged.  A phase of +-1 keeps an integer
+    coefficient an integer.
     """
     if S[0][1] != S[1][0]:
         raise ValueError("translation matrix must be symmetric")
@@ -230,7 +236,10 @@ def translate_action(s: QSeries, S: Sym2) -> QSeries:
     terms = {}
     for n, c in s.terms.items():
         k = n[0] * s0 + (n[0] + n[2] - n[1]) * s1 + n[2] * s2
-        terms[n] = c.times_zeta_power(k)
+        if k % 4:
+            terms[n] = c * CycInt8.zeta_power(k)
+        else:
+            terms[n] = -c if k % 8 else c
     return QSeries(terms, s.truncation)
 
 
@@ -269,7 +278,7 @@ def unimodular_action(s: QSeries, U: Sym2) -> QSeries:
         raise ValueError("substitution matrix must be unimodular")
     u_inv = ((U[1][1] * det, -U[0][1] * det), (-U[1][0] * det, U[0][0] * det))
     new_trunc = _exact_trace_bound(u_inv, s.truncation)
-    terms: dict[ExpTriple, CycInt8] = {}
+    terms: dict[ExpTriple, Coeff] = {}
     for n, c in s.terms.items():
         off = n[0] + n[2] - n[1]
         if off % 2 != 0:

@@ -102,10 +102,12 @@ def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
 @dataclass(frozen=True)
 class CoordinateChangeReport:
     quadric_scalar: Fraction
-    quartic_certificate: MembershipCertificate
+    quartic_certificate: MembershipCertificate | None
     inverse_quadric_scalar: Fraction
-    inverse_quartic_certificate: MembershipCertificate
+    inverse_quartic_certificate: MembershipCertificate | None
     matrix_determinant: Fraction
+    #: name of the first step that does not hold, None when all four hold
+    failed_step: str | None
 
 
 def coordinate_change_check() -> CoordinateChangeReport:
@@ -114,7 +116,8 @@ def coordinate_change_check() -> CoordinateChangeReport:
     The y-quadric lands exactly on a rational multiple of the x-quadric
     (the scalar is pinned by the x5^2 coefficient); the y-quartic lands in
     the degree-4 piece of the x-ideal, and both statements hold in the
-    inverse direction with the inverse matrix.
+    inverse direction with the inverse matrix.  Every step is computed;
+    the report names the first one that fails.
     """
     pres_y = presentation_y()
     pres_x = presentation_x()
@@ -122,27 +125,31 @@ def coordinate_change_check() -> CoordinateChangeReport:
     sub_quadric = substitute_linear(pres_y.quadric, COORD_MATRIX, Y_VARS, X_VARS)
     x5_sq = tuple(2 if v == "x5" else 0 for v in X_VARS)
     scalar = sub_quadric.coefficient(x5_sq) / pres_x.quadric.coefficient(x5_sq)
-    if sub_quadric != scalar * pres_x.quadric or scalar == 0:
-        raise ArithmeticError("substituted quadric is not a scalar multiple")
 
     sub_quartic = substitute_linear(pres_y.quartic, COORD_MATRIX, Y_VARS, X_VARS)
     cert = graded_membership(sub_quartic, pres_x.gens())
-    if cert is None or cert.reexpand(pres_x.gens()) != sub_quartic:
-        raise ArithmeticError("substituted quartic is not in the target ideal")
 
     inverse = _invert_fraction_matrix(COORD_MATRIX)
     inv_quadric = substitute_linear(pres_x.quadric, inverse, X_VARS, Y_VARS)
     y5_sq = tuple(2 if v == "y5" else 0 for v in Y_VARS)
     inv_scalar = inv_quadric.coefficient(y5_sq) / pres_y.quadric.coefficient(y5_sq)
-    if inv_quadric != inv_scalar * pres_y.quadric or inv_scalar == 0:
-        raise ArithmeticError("inverse-substituted quadric is not a scalar multiple")
 
     inv_quartic = substitute_linear(pres_x.quartic, inverse, X_VARS, Y_VARS)
     inv_cert = graded_membership(inv_quartic, pres_y.gens())
-    if inv_cert is None or inv_cert.reexpand(pres_y.gens()) != inv_quartic:
-        raise ArithmeticError("inverse-substituted quartic is not in the source ideal")
 
-    return CoordinateChangeReport(scalar, cert, inv_scalar, inv_cert, coord_matrix_det())
+    steps = (
+        ("quadric_scalar_multiple",
+         scalar != 0 and sub_quadric == scalar * pres_x.quadric),
+        ("quartic_membership",
+         cert is not None and cert.reexpand(pres_x.gens()) == sub_quartic),
+        ("inverse_quadric_scalar_multiple",
+         inv_scalar != 0 and inv_quadric == inv_scalar * pres_y.quadric),
+        ("inverse_quartic_membership",
+         inv_cert is not None and inv_cert.reexpand(pres_y.gens()) == inv_quartic),
+    )
+    failed = next((name for name, ok in steps if not ok), None)
+    return CoordinateChangeReport(scalar, cert, inv_scalar, inv_cert,
+                                  coord_matrix_det(), failed)
 
 
 # -- signed monomial maps ---------------------------------------------------

@@ -10,13 +10,13 @@ def zeta() -> CycInt8:
 
 
 def test_zeta_times_zeta_cubed_is_minus_one():
-    assert zeta() * CycInt8.zeta_power(3) == CycInt8.from_int(-1)
+    assert zeta() * CycInt8.zeta_power(3) == -1
 
 
 def test_difference_of_squares():
-    one = CycInt8.from_int(1)
     z2 = CycInt8.zeta_power(2)
-    assert (one + z2) * (one - z2) == CycInt8.from_int(2)
+    assert (1 + z2) * (1 + -z2) == 2
+    assert (z2 + 1) * 3 == CycInt8(3, 0, 3, 0)
 
 
 def test_zeta_has_order_eight():
@@ -24,17 +24,16 @@ def test_zeta_has_order_eight():
     w = z * z  # zeta^2
     w = w * w  # zeta^4
     w = w * w  # zeta^8
-    assert w == CycInt8.from_int(1)
+    assert w == 1
     assert CycInt8.zeta_power(8) == 1
-    assert zeta() ** 8 == 1
 
 
 def test_zeta_power_table():
     z = zeta()
-    acc = CycInt8.from_int(1)
+    acc = CycInt8(1)
     for k in range(17):
         assert acc == CycInt8.zeta_power(k)
-        assert acc == CycInt8.from_int(1).times_zeta_power(k)
+        assert -acc == CycInt8.zeta_power(k + 4)
         acc = acc * z
 
 
@@ -51,27 +50,16 @@ def test_ring_axioms_on_seeded_triples():
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert a + b == b + a
+        n = rng.randint(-9, 9)
+        assert a * (b + n) == a * b + a * n
+        assert n * a == a * n == a * CycInt8(n)
+        assert n + a == a + n == a + CycInt8(n)
 
 
 def test_canonical_representation():
     assert CycInt8(1, 0, 0, 0) == 1
     assert CycInt8(1, 0, 0, 0) != CycInt8(1, 1, 0, 0)
-    assert hash(CycInt8(2, 3, -1, 0)) == hash(CycInt8(2, 3, -1, 0))
+    assert CycInt8(1, 1, 0, 0) != 1
+    assert not CycInt8() and CycInt8() == 0
+    assert CycInt8(0, 0, 0, -2)
 
-
-def test_conjugation_gives_norm_like_products():
-    rng = random.Random(11)
-    for _ in range(50):
-        a = _random_element(rng)
-        n = a * a.conjugate()
-        # the product with the complex conjugate is fixed by conjugation
-        assert n == n.conjugate()
-
-
-def test_to_complex_matches_root_of_unity():
-    import cmath
-
-    for k in range(8):
-        expected = cmath.exp(1j * cmath.pi * k / 4)
-        got = CycInt8.zeta_power(k).to_complex()
-        assert abs(got - expected) < 1e-12

@@ -8,7 +8,6 @@ from siegelcy.characteristics import (
     all_sextuples,
     even_characteristics,
 )
-from siegelcy.cyclotomic import CycInt8
 from siegelcy.modforms import (
     EXPECTED_BOUNDARY_DISTRIBUTION,
     FormRegistry,
@@ -17,7 +16,6 @@ from siegelcy.modforms import (
     classical_residuals,
     q_parity_check,
     relation_names,
-    sextuple_form,
     verify_identity,
 )
 from siegelcy.qseries import koecher_check, negate_offdiag
@@ -33,13 +31,13 @@ def registry() -> FormRegistry:
 def test_constant_terms_of_y_generators(registry):
     expected = [1, 1, 1, -1, -1, 1]
     got = [s.coefficient((0, 0, 0)) for s in registry.y]
-    assert got == [CycInt8.from_int(v) for v in expected]
+    assert got == expected
 
 
 def test_constant_terms_of_f_generators(registry):
     expected = [1, 0, 0, 0, 0, 1]
     got = [s.coefficient((0, 0, 0)) for s in registry.F]
-    assert got == [CycInt8.from_int(v) for v in expected]
+    assert got == expected
 
 
 def test_chi5_is_product_of_all_ten(registry):
@@ -62,10 +60,25 @@ def test_unknown_relation_is_an_error(registry):
         verify_identity("nonexistent", registry)
 
 
-def test_relations_stay_zero_and_nonvacuous_at_deeper_truncation():
+@pytest.fixture(scope="module")
+def deep_registry() -> FormRegistry:
+    return FormRegistry(32)
+
+
+def test_named_forms_have_integer_coefficients(deep_registry):
+    reg = deep_registry
+    forms = [*reg.theta.values(), *reg.y, *reg.f, *reg.F,
+             *reg.sextuple_products.values(), reg.chi5]
+    assert len(forms) == 10 + 6 + 4 + 6 + 15 + 1
+    for s in forms:
+        assert s.terms
+        assert all(isinstance(c, int) for c in s.terms.values())
+
+
+def test_relations_stay_zero_and_nonvacuous_at_deeper_truncation(deep_registry):
     # the doubled-argument quartic has no support below combined weight 32,
     # so probe past it and insist every relation matches real coefficients
-    deep = FormRegistry(32)
+    deep = deep_registry
     from siegelcy.modforms import RELATIONS
 
     for name, rel in RELATIONS.items():
@@ -85,16 +98,17 @@ def test_igusa_quartic_constant_term_spot_check(registry):
     # (1 + 1 + 1 - 1)^2 = 4 = 4 * 1 * (1 + 1 + 1 - 1 - 1)
     y = registry.y
     lhs = (y[0] * y[1] + y[0] * y[2] + y[1] * y[2] - y[3] * y[4]) ** 2
-    assert lhs.coefficient((0, 0, 0)) == CycInt8.from_int(4)
+    assert lhs.coefficient((0, 0, 0)) == 4
 
 
 def test_sextuple_products(registry):
-    t_std = sextuple_form(STANDARD_SEXTUPLE, registry)
+    t_std = registry.cusp_form(STANDARD_SEXTUPLE)
+    assert t_std is registry.cusp_form()
     assert negate_offdiag(t_std) == -t_std
     for s in all_sextuples():
-        assert koecher_check(sextuple_form(s, registry))
+        assert koecher_check(registry.cusp_form(s))
     with pytest.raises(ValueError):
-        sextuple_form(frozenset(list(even_characteristics())[:6]), registry)
+        boundary_orders(frozenset(list(even_characteristics())[:6]), registry)
 
 
 def test_standard_sextuple_boundary_orders(registry):

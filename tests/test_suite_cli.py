@@ -173,3 +173,32 @@ def test_rational_jacobian_records_the_measured_falsification(monkeypatch):
                   if c.id == "variety.rational_jacobian")
     assert record.status == "fail"
     assert record.data == {"falsification_scale_5_detected": False}
+
+
+def test_failed_coordinate_change_is_a_fail_record(monkeypatch):
+    from siegelcy import variety
+
+    rows = [list(row) for row in variety.COORD_MATRIX]
+    rows[0][3] = 3
+    monkeypatch.setattr(variety, "COORD_MATRIX", tuple(map(tuple, rows)))
+    assert variety.coord_matrix_det() != 0  # still invertible
+    checks = run_suite("variety").checks
+    record = next(c for c in checks if c.id == "variety.coordinate_change")
+    assert record.status == "fail"
+    assert record.data["failed_step"] == "quadric_scalar_multiple"
+    assert not any(c.id.endswith(".crashed") for c in checks)
+
+
+def test_integral_coefficients_fails_on_a_non_real_phase(monkeypatch):
+    from siegelcy import qseries
+
+    theta_qexp = qseries.theta_qexp
+
+    def translated_theta(m, truncation):
+        # Z -> Z + diag(1, 0) gives the a1 = 1 thetas odd powers of zeta
+        return qseries.translate_action(theta_qexp(m, truncation), ((1, 0), (0, 0)))
+
+    monkeypatch.setattr(qseries, "theta_qexp", translated_theta)
+    record = next(c for c in run_suite("series").checks
+                  if c.id == "series.integral_coefficients")
+    assert record.status == "fail"

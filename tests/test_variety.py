@@ -52,6 +52,7 @@ def test_presentations_are_homogeneous():
 
 def test_coordinate_change():
     report = coordinate_change_check()
+    assert report.failed_step is None
     assert report.matrix_determinant != 0
     # 2*y5^2 maps to 2*x5^2, and both quadrics carry the squared last
     # coordinate with coefficient +-(1 resp. 2), so the scalar is exactly 2
