@@ -310,18 +310,6 @@ def measured_substitution_table(registry: FormRegistry) -> dict[str, tuple]:
 
 # -- boundary orders ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryOrders:
-    """Vanishing orders of the weight-3 differential form along q_nu = 0."""
-
-    k0: int
-    k1: int
-    k2: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.k0, self.k1, self.k2)
-
-
 def _axis_bit(m: Char, axis: int) -> int:
     if axis == 0:
         return m.a1
@@ -330,8 +318,8 @@ def _axis_bit(m: Char, axis: int) -> int:
     return m.a1 + m.a2 - 2 * m.a1 * m.a2
 
 
-def boundary_orders(sextuple, registry: FormRegistry) -> BoundaryOrders:
-    """Form orders from the characteristic bits, cross-checked on the series.
+def boundary_orders(sextuple, registry: FormRegistry) -> tuple[int, int, int]:
+    """Form orders along q_nu = 0 from the characteristic bits, cross-checked.
 
     On the level-8 grid the product of six thetas vanishes along q_nu to
     the summed bit order; that sum is even, halving moves to the level-4
@@ -354,12 +342,7 @@ def boundary_orders(sextuple, registry: FormRegistry) -> BoundaryOrders:
         if measured % 2 != 0:
             raise ArithmeticError("level-8 order is odd; level-4 rescaling invalid")
         ks.append(measured // 2 - 1)
-    return BoundaryOrders(*ks)
-
-
-def boundary_distribution(registry: FormRegistry) -> Counter:
-    """Multiset of order triples over all 15 sextuples."""
-    return Counter(boundary_orders(s, registry).as_tuple() for s in all_sextuples())
+    return tuple(ks)
 
 
 EXPECTED_BOUNDARY_DISTRIBUTION = Counter({
@@ -378,8 +361,7 @@ def q_parity_check(sextuple, axis: int, registry: FormRegistry) -> bool:
     divisible by 4; the series is then invariant under negating that
     coordinate on the level-4 grid.
     """
-    orders = boundary_orders(sextuple, registry)
-    if orders.as_tuple()[axis] != 1:
-        raise ValueError(f"axis {axis} does not have form order one")
     series = registry.sextuple_products[frozenset(sextuple)]
+    if vanishing_order(series, axis) != 4:  # level-8 order 4 is form order one
+        raise ValueError(f"axis {axis} does not have form order one")
     return all(n[axis] % 4 == 0 for n in series.terms)

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 Exponent = tuple[int, ...]
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
+def perm_sign(perm: tuple[int, ...]) -> int:
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):
@@ -498,7 +498,7 @@ def determinant(matrix: list[list[MPoly | RatFn]]) -> MPoly | RatFn:
     permutation expansion (intended for n <= 4)."""
     total = matrix[0][0] * 0
     for perm in permutations(range(len(matrix))):
-        prod = matrix[0][perm[0]] * _perm_sign(perm)
+        prod = matrix[0][perm[0]] * perm_sign(perm)
         for i in range(1, len(matrix)):
             prod = prod * matrix[i][perm[i]]
         total = total + prod
@@ -541,7 +541,7 @@ class ThreeForm:
             idx = [order[w] for w in wedge]
             sorted_idx = sorted(idx)
             perm = tuple(sorted_idx.index(i) for i in idx)
-            coeff = coeff * _perm_sign(perm)
+            coeff = coeff * perm_sign(perm)
             wedge = tuple(variables[i] for i in sorted_idx)  # type: ignore[assignment]
         self.vars = tuple(variables)
         self.coeff = coeff

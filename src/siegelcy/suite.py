@@ -6,14 +6,24 @@ and "fail" are reserved for checks with a definite expected outcome;
 "report" marks measured quantities that are surfaced for inspection
 without affecting the exit code.  Reports are deterministic for fixed
 parameters, and the JSON form is byte-stable.
+
+`CHECKS` lists the checks of each battery in report order.  A check maps
+the report to `(ok, data)`, with `ok = None` for a "report" record.  Each
+check runs under its own guard: one that raises is recorded under its own
+id as "fail" with `data["error"]`, and the checks after it still run.
+Setup that several checks share (form registries, theta expansions,
+boundary orders, the 3-form stabilizer) goes through `SuiteReport.once`,
+so a setup that raises fails exactly the checks that need it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import characteristics as chars_mod
@@ -40,14 +50,17 @@ class SuiteReport:
     seed: int
     tol: float
     checks: list[CheckRecord] = field(default_factory=list)
-    #: form registries by truncation, shared by the batteries of one run
-    registries: dict[int, modforms.FormRegistry] = field(
-        default_factory=dict, repr=False, compare=False)
+    #: values shared by the checks of one run, keyed by (function, arguments)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def once(self, fn, *args):
+        """`fn(*args)`, computed once per `run_suite` call."""
+        if (fn, args) not in self.memo:
+            self.memo[fn, args] = fn(*args)
+        return self.memo[fn, args]
 
     def registry(self, truncation: int) -> modforms.FormRegistry:
-        if truncation not in self.registries:
-            self.registries[truncation] = modforms.FormRegistry(truncation)
-        return self.registries[truncation]
+        return self.once(modforms.FormRegistry, truncation)
 
     @property
     def summary(self) -> dict:
@@ -68,111 +81,123 @@ class SuiteReport:
         }
 
 
-def _record(report: SuiteReport, check_id: str, ref: str, ok: bool | None,
-            data: dict) -> None:
-    status = "report" if ok is None else ("pass" if ok else "fail")
-    report.checks.append(CheckRecord(check_id, ref, status, data))
+#: battery -> [(check id, reference label, check)], in report order
+CHECKS: dict[str, list] = {battery: [] for battery in (
+    "chars", "series", "relations", "boundary", "variety", "numeric")}
 
 
-def _guarded(report: SuiteReport, check_id: str, ref: str, fn) -> None:
-    try:
-        fn()
-    except Exception as exc:  # a crash is a failed check, not a dead suite
-        _record(report, check_id, ref, False,
-                {"error": f"{type(exc).__name__}: {exc}"})
+def _check(check_id: str, ref: str):
+    """Append the decorated check to its battery in `CHECKS`."""
+    def add(check):
+        CHECKS[check_id.split(".")[0]].append((check_id, ref, check))
+        return check
+    return add
+
+
+def _label(m: Char) -> str:
+    return f"{m.a1}{m.a2}{m.b1}{m.b2}"
 
 
 # -- characteristic combinatorics ---------------------------------------------
 
-def run_chars(report: SuiteReport) -> None:
-    evens = even_characteristics()
-    _record(report, "chars.even_count", "ten even characteristics",
-            len(evens) == 10 and len(odd_characteristics()) == 6,
-            {"even": len(evens), "odd": len(odd_characteristics())})
+@_check("chars.even_count", "ten even characteristics")
+def _even_count(report):
+    even, odd = len(even_characteristics()), len(odd_characteristics())
+    return even == 10 and odd == 6, {"even": even, "odd": odd}
 
-    quads = chars_mod.syzygetic_quadruples()
-    _record(report, "chars.syzygetic_count", "fifteen syzygetic quadruples",
-            len(quads) == 15, {"count": len(quads)})
 
-    sextuples = {chars_mod.complement_sextuple(q) for q in quads}
-    _record(report, "chars.complement_sextuples",
-            "complementary sextuples are distinct",
-            len(sextuples) == 15, {"count": len(sextuples)})
+@_check("chars.syzygetic_count", "fifteen syzygetic quadruples")
+def _syzygetic_count(report):
+    count = len(chars_mod.syzygetic_quadruples())
+    return count == 15, {"count": count}
 
+
+@_check("chars.complement_sextuples", "complementary sextuples are distinct")
+def _complement_sextuples(report):
+    count = len({chars_mod.complement_sextuple(q)
+                 for q in chars_mod.syzygetic_quadruples()})
+    return count == 15, {"count": count}
+
+
+@_check("chars.group_order", "symplectic group order mod two")
+def _group_order(report):
     order = len(chars_mod.sp4f2_elements())
-    _record(report, "chars.group_order", "symplectic group order mod two",
-            order == 720, {"order": order})
+    return order == 720, {"order": order}
 
+
+@_check("chars.orbit_transitive", "orbit of the standard quadruple covers all fifteen")
+def _orbit_transitive(report):
     orbit = chars_mod.quadruple_orbit(chars_mod.STANDARD_QUADRUPLE)
-    _record(report, "chars.orbit_transitive",
-            "orbit of the standard quadruple covers all fifteen",
-            orbit == set(quads), {"orbit_size": len(orbit)})
+    return orbit == set(chars_mod.syzygetic_quadruples()), {"orbit_size": len(orbit)}
 
-    stab = chars_mod.quadruple_stabilizer_order(chars_mod.STANDARD_QUADRUPLE)
-    _record(report, "chars.stabilizer", "stabilizer order of the standard quadruple",
-            stab == 48, {"order": stab})
 
+@_check("chars.stabilizer", "stabilizer order of the standard quadruple")
+def _stabilizer(report):
+    order = chars_mod.quadruple_stabilizer_order(chars_mod.STANDARD_QUADRUPLE)
+    return order == 48, {"order": order}
+
+
+@_check("chars.parity_preserved", "the affine action preserves parity")
+def _parity_preserved(report):
     rng = random.Random(report.seed)
     elements = chars_mod.sp4f2_elements()
     all_chars = chars_mod.all_characteristics()
-    parity_ok = all(
-        chars_mod.parity(chars_mod.sp4f2_act(rng.choice(elements), m))
-        == chars_mod.parity(m)
-        for m in all_chars for _ in range(4)
-    )
-    _record(report, "chars.parity_preserved", "the affine action preserves parity",
-            parity_ok, {"samples": len(all_chars) * 4})
+    ok = all(chars_mod.parity(chars_mod.sp4f2_act(rng.choice(elements), m))
+             == chars_mod.parity(m) for m in all_chars for _ in range(4))
+    return ok, {"samples": len(all_chars) * 4}
 
 
 # -- series-level checks --------------------------------------------------------
 
-def run_series(report: SuiteReport) -> None:
-    n = report.truncation
-    orders_ok = True
-    table = {}
-    for m in even_characteristics():
-        s = qseries.theta_qexp(m, n)
-        got = (qseries.vanishing_order(s, 0), qseries.vanishing_order(s, 1),
-               qseries.vanishing_order(s, 2))
-        want = (m.a1, m.a1 + m.a2 - 2 * m.a1 * m.a2, m.a2)
-        table[f"{m.a1}{m.a2}{m.b1}{m.b2}"] = list(got)
-        if got != want:
-            orders_ok = False
-    _record(report, "series.vanishing_orders",
-            "order table a1, a2, a1+a2-2a1a2 along the three divisors",
-            orders_ok, {"orders_by_char": table})
+def _thetas(truncation: int) -> dict[Char, qseries.QSeries]:
+    return {m: qseries.theta_qexp(m, truncation)
+            for m in chars_mod.all_characteristics()}
 
-    odd_ok = all(qseries.theta_qexp(m, n).is_zero() for m in odd_characteristics())
-    _record(report, "series.odd_vanish", "odd characteristics give the zero series",
-            odd_ok, {})
 
-    koecher_ok = all(qseries.koecher_check(qseries.theta_qexp(m, n))
-                     for m in even_characteristics())
-    _record(report, "series.semipositive_support", "semipositive index support",
-            koecher_ok, {})
+@_check("series.vanishing_orders",
+        "order table a1, a2, a1+a2-2a1a2 along the three divisors")
+def _vanishing_orders(report):
+    thetas = report.once(_thetas, report.truncation)
+    table = {_label(m): [qseries.vanishing_order(thetas[m], axis) for axis in range(3)]
+             for m in even_characteristics()}
+    ok = all(table[_label(m)] == [m.a1, m.a1 + m.a2 - 2 * m.a1 * m.a2, m.a2]
+             for m in even_characteristics())
+    return ok, {"orders_by_char": table}
 
+
+@_check("series.odd_vanish", "odd characteristics give the zero series")
+def _odd_vanish(report):
+    thetas = report.once(_thetas, report.truncation)
+    return all(thetas[m].is_zero() for m in odd_characteristics()), {}
+
+
+@_check("series.semipositive_support", "semipositive index support")
+def _semipositive_support(report):
+    thetas = report.once(_thetas, report.truncation)
+    return all(qseries.koecher_check(thetas[m]) for m in even_characteristics()), {}
+
+
+@_check("series.integral_coefficients",
+        "even expansions have rational integer coefficients")
+def _integral_coefficients(report):
     # theta_qexp sums the phases in Z[zeta] and keeps an int only where the
     # sum is real, so a surviving non-real phase fails this check
-    integral_ok = all(
-        isinstance(c, int)
-        for m in even_characteristics()
-        for c in qseries.theta_qexp(m, n).terms.values()
-    )
-    _record(report, "series.integral_coefficients",
-            "even expansions have rational integer coefficients",
-            integral_ok, {})
+    thetas = report.once(_thetas, report.truncation)
+    return all(isinstance(c, int) for m in even_characteristics()
+               for c in thetas[m].terms.values()), {}
 
-    reflect_ok = True
-    for m in even_characteristics():
-        s = qseries.theta_qexp(m, n)
-        image = qseries.negate_offdiag(s)
-        expected = -s if m == Char(1, 1, 1, 1) else s
-        if image != expected:
-            reflect_ok = False
-    _record(report, "series.reflection_symmetry",
-            "off-diagonal negation fixes nine and negates the all-ones one",
-            reflect_ok, {})
 
+@_check("series.reflection_symmetry",
+        "off-diagonal negation fixes nine and negates the all-ones one")
+def _reflection_symmetry(report):
+    thetas = report.once(_thetas, report.truncation)
+    return all(qseries.negate_offdiag(thetas[m])
+               == (-thetas[m] if m == Char(1, 1, 1, 1) else thetas[m])
+               for m in even_characteristics()), {}
+
+
+@_check("series.substitution_table", "signed permutation table of the five substitutions")
+def _substitution_table(report):
     measured = modforms.measured_substitution_table(report.registry(32))
     mismatches = {}
     for name, row in measured.items():
@@ -181,113 +206,122 @@ def run_series(report: SuiteReport) -> None:
             if a != b:
                 mismatches[f"{name}[F{i + 1}]"] = {"measured": list(a or ()),
                                                    "tabulated": list(b)}
-    _record(report, "series.substitution_table",
-            "signed permutation table of the five substitutions",
-            not mismatches,
-            {"measured": {k: [list(e or ()) for e in v] for k, v in measured.items()},
-             "mismatches": mismatches,
-             "truncation": modforms.SUBSTITUTION_COMPARE_AT})
+    return not mismatches, {
+        "measured": {k: [list(e or ()) for e in v] for k, v in measured.items()},
+        "mismatches": mismatches,
+        "truncation": modforms.SUBSTITUTION_COMPARE_AT}
 
 
 # -- ring relations ---------------------------------------------------------------
 
-def run_relations(report: SuiteReport) -> None:
-    n = report.truncation
-    registry = report.registry(n)
-    for name, relation in modforms.RELATIONS.items():
-        # below its first nonvacuous truncation a relation compares two
-        # zero series, which proves nothing
-        at = max(n, relation.nonvacuous_from)
-        lhs, rhs = relation.sides(report.registry(at))
-        residual = lhs - rhs
-        matched = len(set(lhs.terms) | set(rhs.terms))
-        _record(report, f"relations.{name}", f"ring relation {name}",
-                residual.is_zero() and matched > 0,
-                {"matched_coefficients": matched,
-                 "residual_terms": len(residual.terms),
-                 "truncation": at})
+def _relation(relation: modforms.Relation, report):
+    # below its first nonvacuous truncation a relation compares two
+    # zero series, which proves nothing
+    at = max(report.truncation, relation.nonvacuous_from)
+    lhs, rhs = relation.sides(report.registry(at))
+    residual = lhs - rhs
+    matched = len(set(lhs.terms) | set(rhs.terms))
+    return residual.is_zero() and matched > 0, {
+        "matched_coefficients": matched, "residual_terms": len(residual.terms),
+        "truncation": at}
 
-    per_char = modforms.classical_residuals(registry)
-    bad = [f"{m.a1}{m.a2}{m.b1}{m.b2}" for m, r in per_char.items()
-           if not r.is_zero()]
-    _record(report, "relations.classical_all_sixteen",
-            "square relation for each of the sixteen characteristics",
-            not bad, {"failing": bad})
 
-    control_registry = report.registry(max(n, 16))
+CHECKS["relations"] += [(f"relations.{name}", f"ring relation {name}",
+                         functools.partial(_relation, relation))
+                        for name, relation in modforms.RELATIONS.items()]
+
+
+@_check("relations.classical_all_sixteen",
+        "square relation for each of the sixteen characteristics")
+def _classical_all_sixteen(report):
+    per_char = modforms.classical_residuals(report.registry(report.truncation))
+    bad = [_label(m) for m, r in per_char.items() if not r.is_zero()]
+    return not bad, {"failing": bad}
+
+
+@_check("relations.falsification_controls",
+        "each planted coefficient mutation produces a nonzero residual")
+def _falsification_controls(report):
+    control_registry = report.registry(max(report.truncation, 16))
     undetected = [name for name in modforms.relation_names()
                   if modforms.verify_identity(name, control_registry,
                                               mutated=True).is_zero()]
-    _record(report, "relations.falsification_controls",
-            "each planted coefficient mutation produces a nonzero residual",
-            not undetected,
-            {"mutations": {name: modforms.RELATIONS[name].mutation_note
-                           for name in modforms.relation_names()},
-             "undetected": undetected,
-             "control_truncation": control_registry.truncation})
+    return not undetected, {
+        "mutations": {name: modforms.RELATIONS[name].mutation_note
+                      for name in modforms.relation_names()},
+        "undetected": undetected,
+        "control_truncation": control_registry.truncation}
 
 
 # -- boundary orders ----------------------------------------------------------------
 
+def _boundary_registry(report) -> modforms.FormRegistry:
+    return report.registry(max(report.truncation, 8))
+
+
+def _boundary_orders(report) -> dict:
+    """Order triple of every sextuple, each computed once per run."""
+    registry = _boundary_registry(report)
+    return {s: report.once(modforms.boundary_orders, s, registry)
+            for s in chars_mod.all_sextuples()}
+
+
 def _sextuple_label(sextuple) -> str:
-    return ".".join(f"{m.a1}{m.a2}{m.b1}{m.b2}"
-                    for m in sorted(sextuple, key=chars_mod.char_index))
+    return ".".join(_label(m) for m in sorted(sextuple, key=chars_mod.char_index))
 
 
-def run_boundary(report: SuiteReport) -> None:
-    registry = report.registry(max(report.truncation, 8))
-    dist = modforms.boundary_distribution(registry)
-    per_sextuple = {
-        _sextuple_label(s): list(modforms.boundary_orders(s, registry).as_tuple())
-        for s in chars_mod.all_sextuples()
-    }
-    _record(report, "boundary.distribution",
-            "order triples: eight zero rows, one all-ones, three mixed pairs",
-            dist == modforms.EXPECTED_BOUNDARY_DISTRIBUTION,
-            {"distribution": {str(k): v for k, v in sorted(dist.items())},
-             "orders_by_sextuple": dict(sorted(per_sextuple.items())),
-             "total": sum(dist.values())})
+@_check("boundary.distribution",
+        "order triples: eight zero rows, one all-ones, three mixed pairs")
+def _distribution(report):
+    orders = _boundary_orders(report)
+    dist = Counter(orders.values())
+    return dist == modforms.EXPECTED_BOUNDARY_DISTRIBUTION, {
+        "distribution": {str(k): v for k, v in sorted(dist.items())},
+        "orders_by_sextuple": dict(sorted((_sextuple_label(s), list(ks))
+                                          for s, ks in orders.items())),
+        "total": sum(dist.values())}
 
-    binary_ok = all(set(modforms.boundary_orders(s, registry).as_tuple()) <= {0, 1}
-                    for s in chars_mod.all_sextuples())
-    _record(report, "boundary.orders_binary", "every multiplicity is zero or one",
-            binary_ok, {})
 
-    parity_ok = True
-    checked = 0
-    for s in chars_mod.all_sextuples():
-        ks = modforms.boundary_orders(s, registry).as_tuple()
-        for axis in range(3):
-            if ks[axis] == 1:
-                checked += 1
-                if not modforms.q_parity_check(s, axis, registry):
-                    parity_ok = False
-    _record(report, "boundary.even_exponent_parity",
-            "only even rescaled exponents on unit-order axes",
-            parity_ok, {"axes_checked": checked})
+@_check("boundary.orders_binary", "every multiplicity is zero or one")
+def _orders_binary(report):
+    return all(set(ks) <= {0, 1} for ks in _boundary_orders(report).values()), {}
+
+
+@_check("boundary.even_exponent_parity", "only even rescaled exponents on unit-order axes")
+def _even_exponent_parity(report):
+    unit_axes = [(s, axis) for s, ks in _boundary_orders(report).items()
+                 for axis in range(3) if ks[axis] == 1]
+    registry = _boundary_registry(report)
+    ok = all(modforms.q_parity_check(s, axis, registry) for s, axis in unit_axes)
+    return ok, {"axes_checked": len(unit_axes)}
 
 
 # -- the threefold --------------------------------------------------------------------
 
-def run_variety(report: SuiteReport) -> None:
+@_check("variety.coordinate_change",
+        "bidirectional ideal membership under the tabulated change matrix")
+def _coordinate_change(report):
     change = variety.coordinate_change_check()
     data = {"quadric_scalar": str(change.quadric_scalar),
             "inverse_quadric_scalar": str(change.inverse_quadric_scalar),
             "matrix_determinant": str(change.matrix_determinant)}
     if change.failed_step is not None:
         data["failed_step"] = change.failed_step
-    _record(report, "variety.coordinate_change",
-            "bidirectional ideal membership under the tabulated change matrix",
-            change.failed_step is None, data)
+    return change.failed_step is None, data
 
+
+@_check("variety.symmetry_closure",
+        "closure of the three generator families fixes both equations")
+def _symmetry_closure(report):
     group = variety.group_closure(variety.symmetry_generators())
     pres = variety.presentation_x()
     fixing = all(variety.equation_invariance(g, pres) == (1, 1) for g in group)
-    _record(report, "variety.symmetry_closure",
-            "closure of the three generator families fixes both equations",
-            len(group) == 48 and fixing,
-            {"order": len(group), "all_signs_plus_one": fixing})
+    return len(group) == 48 and fixing, {"order": len(group),
+                                         "all_signs_plus_one": fixing}
 
+
+@_check("variety.omega_generator_signs", "pullback signs of the 3-form on the generator families")
+def _omega_generator_signs(report):
     smm = variety.SignedMonomialMap
     maps = {
         "swap_with_last_flip": smm((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1)),
@@ -304,64 +338,71 @@ def run_variety(report: SuiteReport) -> None:
         parity = smm(perm, (1,) * 6).perm_parity_on((1, 2, 3))
         maps["permutation_%d%d%d" % p] = smm(perm, (1,) * 5 + (parity,))
     signs = {key: variety.omega_pullback_sign(g) for key, g in maps.items()}
-    _record(report, "variety.omega_generator_signs",
-            "pullback signs of the 3-form on the generator families",
-            all(sign == 1 for key, sign in signs.items() if key != "flip_4_alone"),
-            signs)
+    return all(sign == 1 for key, sign in signs.items() if key != "flip_4_alone"), signs
 
-    stab = variety.omega_stabilizer()
-    _record(report, "variety.omega_stabilizer",
-            "stabilizer of the 3-form inside the ambient signed group",
-            None,
-            {"ambient_order": stab.ambient_order,
-             "equation_fixing_order": stab.equation_fixing_order,
-             "stabilizer_order": stab.stabilizer_order,
-             "x4_flip_sign": stab.x4_flip_sign,
-             "x4_x5_flip_sign": stab.x4_x5_flip_sign,
-             "x4_coset": stab.x4_coset_description,
-             "projective_order": stab.projective_order})
 
+@_check("variety.omega_stabilizer", "stabilizer of the 3-form inside the ambient signed group")
+def _omega_stabilizer(report):
+    stab = report.once(variety.omega_stabilizer)
+    return None, {"ambient_order": stab.ambient_order,
+                  "equation_fixing_order": stab.equation_fixing_order,
+                  "stabilizer_order": stab.stabilizer_order,
+                  "x4_flip_sign": stab.x4_flip_sign,
+                  "x4_x5_flip_sign": stab.x4_x5_flip_sign,
+                  "x4_coset": stab.x4_coset_description,
+                  "projective_order": stab.projective_order}
+
+
+@_check("variety.singular_curves",
+        "fifteen singular curves in two orbits of sizes three and twelve")
+def _singular_curves(report):
     seeds = [variety.curve_to_x(variety.quadric_curve_y()),
              variety.curve_to_x(variety.line_curve_y())]
-    orbits = variety.curve_orbits(stab.stabilizer, seeds)
+    orbits = variety.curve_orbits(report.once(variety.omega_stabilizer).stabilizer, seeds)
     sizes = sorted(len(o) for o in orbits)
     all_curves = [c for o in orbits for c in o]
+    pres = variety.presentation_x()
     curves_ok = all(variety.curve_checks(c, pres).all_ok() for c in all_curves)
-    _record(report, "variety.singular_curves",
-            "fifteen singular curves in two orbits of sizes three and twelve",
-            sizes == [3, 12] and len(all_curves) == 15 and curves_ok,
-            {"orbit_sizes": sizes, "total": len(all_curves),
-             "all_checks_pass": curves_ok})
+    return sizes == [3, 12] and len(all_curves) == 15 and curves_ok, {
+        "orbit_sizes": sizes, "total": len(all_curves), "all_checks_pass": curves_ok}
 
+
+@_check("variety.smooth_control", "generic rational point has Jacobian rank two")
+def _smooth_control(report):
     pres_y = variety.presentation_y()
     rank = variety.jacobian_rank_at(pres_y, variety.SMOOTH_CONTROL_POINT_Y)
     on_x = variety.point_on_variety(pres_y, variety.SMOOTH_CONTROL_POINT_Y)
-    _record(report, "variety.smooth_control",
-            "generic rational point has Jacobian rank two",
-            on_x and rank == 2, {"rank": rank})
+    return on_x and rank == 2, {"rank": rank}
 
+
+@_check("variety.rational_jacobian", "closed form of the rational-map Jacobian")
+def _rational_jacobian(report):
     detected = not variety.jacobian_identity_check(scale=5)
-    _record(report, "variety.rational_jacobian",
-            "closed form of the rational-map Jacobian",
-            variety.jacobian_identity_check() and detected,
-            {"falsification_scale_5_detected": detected})
+    return variety.jacobian_identity_check() and detected, {
+        "falsification_scale_5_detected": detected}
 
+
+@_check("variety.bordered_jacobian",
+        "bordered determinant equals the fourth power times the Jacobian")
+def _bordered_jacobian(report):
     sign = variety.bordered_jacobian_sign()
-    _record(report, "variety.bordered_jacobian",
-            "bordered determinant equals the fourth power times the Jacobian",
-            sign == 1,
-            {"measured_sign": sign,
-             "note": "the function-row-on-top determinant equals minus the "
-                     "fourth power times the affine Jacobian"})
+    return sign == 1, {"measured_sign": sign,
+                       "note": "the function-row-on-top determinant equals minus the "
+                               "fourth power times the affine Jacobian"}
 
-    for chart in (variety.case1_chart(), variety.case3_chart()):
-        result = variety.blowup_chart_check(chart)
-        _record(report, f"variety.blowup_{chart.name}",
-                "chart pullback and transported group action",
-                result.pullback_matches and result.transformed_group_matches
-                and not result.inverted_identity_holds,
-                {"zero_divisors": list(result.zero_divisors),
-                 "inverted_identity_holds": result.inverted_identity_holds})
+
+def _blowup(chart: variety.BlowupChart, report):
+    result = variety.blowup_chart_check(chart)
+    return (result.pullback_matches and result.transformed_group_matches
+            and not result.inverted_identity_holds), {
+        "zero_divisors": list(result.zero_divisors),
+        "inverted_identity_holds": result.inverted_identity_holds}
+
+
+CHECKS["variety"] += [(f"variety.blowup_{chart.name}",
+                       "chart pullback and transported group action",
+                       functools.partial(_blowup, chart))
+                      for chart in (variety.case1_chart(), variety.case3_chart())]
 
 
 # -- numeric laws ------------------------------------------------------------------------
@@ -374,92 +415,93 @@ def _rand_point(rng: random.Random, y: float = 1.2) -> numeric.SiegelPoint:
     )
 
 
-def run_numeric(report: SuiteReport) -> None:
-    tol = report.tol
-    seed = report.seed
-    rng = random.Random(seed + 1)
+_BASE = numeric.SiegelPoint(1.3j, 0.15j, 1.4j)
 
-    evens = even_characteristics()
-    mats = numeric.conditioned_samples(Subgroup.full(), 20, seed=seed + 100,
+
+@_check("numeric.modulus_law", "square-root automorphy law, moduli only")
+def _modulus_law(report):
+    rng = random.Random(report.seed + 1)
+    mats = numeric.conditioned_samples(Subgroup.full(), 20, seed=report.seed + 100,
                                        word_length=5, max_entry=3, nonzero_c=10)
-    worst = 0.0
-    ok = True
-    for m in mats:
-        char = rng.choice(evens)
-        good, dev = numeric.transform_modulus_check(m, char, _rand_point(rng),
-                                                    tol=tol)
-        worst = max(worst, dev)
-        ok = ok and good
-    _record(report, "numeric.modulus_law",
-            "square-root automorphy law, moduli only",
-            ok, {"samples": len(mats), "worst_deviation": f"{worst:.3e}"})
+    # each sample draws its characteristic, then its point
+    results = [numeric.transform_modulus_check(m, rng.choice(even_characteristics()),
+                                               _rand_point(rng), tol=report.tol)
+               for m in mats]
+    worst = max((dev for _, dev in results), default=0.0)
+    return all(good for good, _ in results), {"samples": len(mats),
+                                              "worst_deviation": f"{worst:.3e}"}
 
-    base = numeric.SiegelPoint(1.3j, 0.15j, 1.4j)
-    mats2 = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=seed + 200,
-                                        word_length=8, max_entry=5, nonzero_c=8)
-    formula_ok = True
-    values = set()
-    for m in mats2:
-        z = numeric.pulled_back_point(m, base)
-        measured = numeric.character_law_check("theta_product", m, z)
-        values.add(measured)
-        if measured != theta_character(m):
-            formula_ok = False
-    _record(report, "numeric.weight2_character",
-            "measured weight-2 character equals the diagonal-sum formula",
-            formula_ok and values == {1, -1},
-            {"samples": len(mats2), "values_seen": sorted(values)})
 
-    mats3 = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=seed + 300,
-                                        word_length=8, max_entry=5, nonzero_c=8)
-    trivial_ok = all(
-        numeric.character_law_check("cusp_form", m, numeric.pulled_back_point(m, base)) == 1
-        for m in mats3
-    )
-    _record(report, "numeric.weight3_trivial_character",
-            "weight-3 law with trivial character on the index-two kernel",
-            trivial_ok, {"samples": len(mats3)})
+@_check("numeric.weight2_character",
+        "measured weight-2 character equals the diagonal-sum formula")
+def _weight2_character(report):
+    mats = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=report.seed + 200,
+                                       word_length=8, max_entry=5, nonzero_c=8)
+    measured = [numeric.character_law_check("theta_product", m,
+                                            numeric.pulled_back_point(m, _BASE))
+                for m in mats]
+    formula_ok = all(v == theta_character(m) for v, m in zip(measured, mats))
+    return formula_ok and set(measured) == {1, -1}, {
+        "samples": len(mats), "values_seen": sorted(set(measured))}
 
+
+@_check("numeric.weight3_trivial_character",
+        "weight-3 law with trivial character on the index-two kernel")
+def _weight3_trivial_character(report):
+    mats = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=report.seed + 300,
+                                       word_length=8, max_entry=5, nonzero_c=8)
+    ok = all(numeric.character_law_check("cusp_form", m,
+                                         numeric.pulled_back_point(m, _BASE)) == 1
+             for m in mats)
+    return ok, {"samples": len(mats)}
+
+
+@_check("numeric.lower_triangular_sign",
+        "the all-twos lower translation negates the weight-2 product")
+def _lower_triangular_sign(report):
     low = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
                             ((2, 2), (2, 2)), ((1, 0), (0, 1)))
-    low_sign = numeric.character_law_check("theta_product", low, _rand_point(rng))
-    _record(report, "numeric.lower_triangular_sign",
-            "the all-twos lower translation negates the weight-2 product",
-            low_sign == -1, {"measured": low_sign})
+    point = _rand_point(random.Random(report.seed + 400))
+    sign = numeric.character_law_check("theta_product", low, point)
+    return sign == -1, {"measured": sign}
 
-    diag_points = [(1j, 2j), (0.5 + 1j, 3j), (0.3 + 1.5j, 1.2j),
-                   (2j, 1j), (-0.4 + 1.1j, 0.25 + 1.3j)]
-    diag_ok = all(numeric.diagonal_vanishing_check(t1, t2, tol=1e-10)
-                  for t1, t2 in diag_points)
-    _record(report, "numeric.diagonal_vanishing",
-            "the weight-3 product vanishes along the diagonal",
-            diag_ok, {"points": len(diag_points)})
 
+@_check("numeric.diagonal_vanishing", "the weight-3 product vanishes along the diagonal")
+def _diagonal_vanishing(report):
+    points = [(1j, 2j), (0.5 + 1j, 3j), (0.3 + 1.5j, 1.2j),
+              (2j, 1j), (-0.4 + 1.1j, 0.25 + 1.3j)]
+    ok = all(numeric.diagonal_vanishing_check(t1, t2, tol=1e-10) for t1, t2 in points)
+    return ok, {"points": len(points)}
+
+
+@_check("numeric.dual_engine", "lattice sums agree with the exact expansions")
+def _dual_engine(report):
     # fixed, not N: the dropped-terms bound at this point certifies from
     # truncation 9 on
-    dual_point = numeric.SiegelPoint(3j, 0j, 3j)
-    dual_truncation = 12
-    worst_dual = max(
-        numeric.series_numeric_consistency(m, dual_point, dual_truncation)
-        for m in evens
-    )
-    _record(report, "numeric.dual_engine",
-            "lattice sums agree with the exact expansions",
-            worst_dual < tol, {"worst_deviation": f"{worst_dual:.3e}",
-                               "truncation": dual_truncation})
+    point = numeric.SiegelPoint(3j, 0j, 3j)
+    truncation = 12
+    worst = max(numeric.series_numeric_consistency(m, point, truncation)
+                for m in even_characteristics())
+    return worst < report.tol, {"worst_deviation": f"{worst:.3e}",
+                                "truncation": truncation}
 
 
-SELECTORS = {
-    "chars": [run_chars],
-    "series": [run_series],
-    "relations": [run_relations],
-    "boundary": [run_boundary],
-    "variety": [run_variety],
-    "numeric": [run_numeric],
-}
-SELECTORS["all"] = [fn for key in
-                    ("chars", "series", "relations", "boundary", "variety", "numeric")
-                    for fn in SELECTORS[key]]
+def _runner(battery: str):
+    """The battery's checks in order, each guarded on its own."""
+    def run(report: SuiteReport) -> None:
+        for check_id, ref, check in CHECKS[battery]:
+            try:
+                ok, data = check(report)
+            except Exception as exc:  # a crash fails its check, not the battery
+                ok, data = False, {"error": f"{type(exc).__name__}: {exc}"}
+            status = "report" if ok is None else ("pass" if ok else "fail")
+            report.checks.append(CheckRecord(check_id, ref, status, data))
+    run.__name__ = run.__qualname__ = f"run_{battery}"
+    return run
+
+
+SELECTORS = {battery: [_runner(battery)] for battery in CHECKS}
+SELECTORS["all"] = [fn for fns in SELECTORS.values() for fn in fns]
 
 
 def run_suite(selector: str, truncation: int = 12, seed: int = 0,
@@ -472,10 +514,9 @@ def run_suite(selector: str, truncation: int = 12, seed: int = 0,
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     report = SuiteReport(truncation=truncation, seed=seed, tol=tol)
-    for fn in SELECTORS[selector]:
-        _guarded(report, f"{fn.__name__}.crashed", fn.__name__,
-                 lambda f=fn: f(report))
-    report.registries.clear()  # scratch state of this run, not part of the report
+    for run in SELECTORS[selector]:
+        run(report)
+    report.memo.clear()  # scratch state of this run, not part of the report
     return report
 
 

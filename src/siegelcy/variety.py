@@ -23,6 +23,7 @@ from .mpoly import (
     ThreeForm,
     determinant,
     graded_membership,
+    perm_sign,
     rational_jacobian,
     row_reduce,
     threeform_pullback,
@@ -195,20 +196,8 @@ class SignedMonomialMap:
 
     def perm_parity_on(self, indices: tuple[int, ...]) -> int:
         """Sign of the permutation restricted to an invariant index set."""
-        parity = 1
-        seen: set[int] = set()
-        for start in indices:
-            if start in seen:
-                continue
-            length = 0
-            j = start
-            while j not in seen:
-                seen.add(j)
-                j = self.perm[j]
-                length += 1
-            if length % 2 == 0:
-                parity = -parity
-        return parity
+        position = {i: k for k, i in enumerate(indices)}
+        return perm_sign(tuple(position[self.perm[i]] for i in indices))
 
     def negate_all(self) -> SignedMonomialMap:
         return SignedMonomialMap(self.perm, tuple(-s for s in self.sign))
@@ -324,8 +313,6 @@ class OmegaStabilizerReport:
     ambient_order: int
     equation_fixing_order: int
     stabilizer_order: int
-    contains_swap_generators: bool
-    contains_double_flip_generators: bool
     x4_flip_sign: int
     x4_x5_flip_sign: int
     x4_coset_description: str
@@ -346,14 +333,6 @@ def omega_stabilizer() -> OmegaStabilizerReport:
     fixing = [g for g in ambient if equation_invariance(g, pres) == (1, 1)]
     stab = [g for g in fixing if omega_pullback_sign(g) == 1]
 
-    swap12 = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1))
-    cycle = SignedMonomialMap((0, 2, 3, 1, 4, 5), (1,) * 6)
-    flips = [SignedMonomialMap.sign_flip(6, 1, 2), SignedMonomialMap.sign_flip(6, 2, 3),
-             SignedMonomialMap.sign_flip(6, 1, 3)]
-    stab_set = set(stab)
-    contains_swaps = swap12 in stab_set and cycle in stab_set
-    contains_flips = all(f in stab_set for f in flips)
-
     x4_flip = SignedMonomialMap.sign_flip(6, 4)
     x4_x5_flip = SignedMonomialMap.sign_flip(6, 4, 5)
 
@@ -368,14 +347,12 @@ def omega_stabilizer() -> OmegaStabilizerReport:
                    if compensated else "no uniform description found")
 
     neg_id = SignedMonomialMap.identity(6).negate_all()
-    projective_order = len(stab) // 2 if neg_id in stab_set else len(stab)
+    projective_order = len(stab) // 2 if neg_id in stab else len(stab)
 
     return OmegaStabilizerReport(
         ambient_order=len(ambient),
         equation_fixing_order=len(fixing),
         stabilizer_order=len(stab),
-        contains_swap_generators=contains_swaps,
-        contains_double_flip_generators=contains_flips,
         x4_flip_sign=omega_pullback_sign(x4_flip),
         x4_x5_flip_sign=omega_pullback_sign(x4_x5_flip),
         x4_coset_description=description,

@@ -30,13 +30,13 @@ def _criterion(num: int, selector: str, ids: tuple[str, ...], detail: str,
     """Print the criterion's line; fail unless every named check passed.
 
     `detail` is formatted with each record's data under the part of its id
-    after the dot.  A crashed battery fails with its error instead.
+    after the dot.  A named check that raised fails with its error instead.
     """
     records, seconds = _run(selector, truncation, seed)
-    crashed = [f"{cid}: {r.data['error']}" for cid, r in records.items()
-               if cid.endswith(".crashed")]
-    failing = crashed or [cid for cid in ids if records[cid].status != "pass"]
-    detail = "; ".join(crashed) or detail.format_map(
+    failing = [cid for cid in ids if records[cid].status != "pass"]
+    errors = [f"{cid}: {records[cid].data['error']}" for cid in failing
+              if "error" in records[cid].data]
+    detail = "; ".join(errors) or detail.format_map(
         {cid.split(".", 1)[1]: r.data for cid, r in records.items()})
     print(f"criterion {num:2d} [{'FAIL' if failing else 'PASS'}] "
           f"{seconds:6.2f}s  ({detail})")

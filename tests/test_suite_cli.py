@@ -88,7 +88,7 @@ def test_numeric_battery_runs_below_the_dual_engine_truncation(truncation):
     report = run_suite("numeric", truncation=truncation)
     ids = [c.id for c in report.checks]
     assert len([i for i in ids if i.startswith("numeric.")]) == 6
-    assert not any(i.endswith(".crashed") for i in ids)
+    assert not any("error" in c.data for c in report.checks)
     dual = next(c for c in report.checks if c.id == "numeric.dual_engine")
     assert dual.data["truncation"] == 12
 
@@ -149,20 +149,45 @@ def test_cli_refuses_bad_parameters(argv, tmp_path, capsys):
 
 
 def test_crash_reason_is_on_the_text_line(monkeypatch, capsys):
-    from siegelcy import suite
+    from siegelcy import characteristics
 
-    def run_broken(report):
+    def broken(quadruple):
         raise RuntimeError("planted failure")
 
-    monkeypatch.setitem(suite.SELECTORS, "chars", [run_broken])
+    monkeypatch.setattr(characteristics, "quadruple_stabilizer_order", broken)
     report = run_suite("chars")
-    assert [c.id for c in report.checks] == ["run_broken.crashed"]
+    by_id = {c.id: c for c in report.checks}
+    assert len(by_id) == 7
+    assert by_id["chars.stabilizer"].status == "fail"
+    assert by_id["chars.stabilizer"].data == {"error": "RuntimeError: planted failure"}
+    assert all(c.status == "pass" for c in report.checks if c.id != "chars.stabilizer")
     assert main(["chars"]) == 1
-    line = capsys.readouterr().out.splitlines()[1]
-    assert line.startswith("[FAIL  ] run_broken.crashed")
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "chars.stabilizer" in line)
+    assert line.startswith("[FAIL  ] chars.stabilizer")
     assert line.endswith("RuntimeError: planted failure")
-    assert report.as_dict()["checks"][0]["data"] == {
-        "error": "RuntimeError: planted failure"}
+
+
+def test_a_crashing_check_hides_no_other_check(monkeypatch):
+    from siegelcy import variety
+
+    def broken():
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(variety, "omega_stabilizer", broken)
+    checks = run_suite("variety").checks
+    assert [c.id for c in checks] == [f"variety.{name}" for name in (
+        "coordinate_change", "symmetry_closure", "omega_generator_signs",
+        "omega_stabilizer", "singular_curves", "smooth_control", "rational_jacobian",
+        "bordered_jacobian", "blowup_line_blowup", "blowup_axis_blowup")]
+    for c in checks:
+        if c.id in ("variety.omega_stabilizer", "variety.singular_curves"):
+            assert c.status == "fail"
+            assert c.data == {"error": "RuntimeError: planted failure"}
+        else:
+            usual = "fail" if c.id == "variety.bordered_jacobian" else "pass"
+            assert c.status == usual, c.id
+            assert "error" not in c.data, c.id
 
 
 def test_rational_jacobian_records_the_measured_falsification(monkeypatch):
@@ -186,7 +211,7 @@ def test_failed_coordinate_change_is_a_fail_record(monkeypatch):
     record = next(c for c in checks if c.id == "variety.coordinate_change")
     assert record.status == "fail"
     assert record.data["failed_step"] == "quadric_scalar_multiple"
-    assert not any(c.id.endswith(".crashed") for c in checks)
+    assert not any("error" in c.data for c in checks)
 
 
 def test_integral_coefficients_fails_on_a_non_real_phase(monkeypatch):

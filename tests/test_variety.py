@@ -113,6 +113,18 @@ def test_group_composition_and_inverse():
 
 # -- omega -------------------------------------------------------------------
 
+def test_perm_parity_on_an_invariant_index_set():
+    swap = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1,) * 6)
+    cycle = SignedMonomialMap((0, 2, 3, 1, 4, 5), (1,) * 6)
+    outside = SignedMonomialMap((4, 1, 2, 3, 0, 5), (1,) * 6)
+    assert swap.perm_parity_on((1, 2, 3)) == -1
+    assert cycle.perm_parity_on((1, 2, 3)) == 1
+    assert (swap * cycle).perm_parity_on((1, 2, 3)) == -1
+    assert (outside * swap).perm_parity_on((1, 2, 3)) == -1
+    assert outside.perm_parity_on((1, 2, 3)) == 1
+    assert outside.perm_parity_on((0, 4)) == -1
+
+
 def test_omega_signs_of_named_generators():
     swap_with_flip = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1))
     assert omega_pullback_sign(swap_with_flip) == 1
@@ -126,8 +138,12 @@ def test_omega_stabilizer_report():
     assert report.ambient_order == 192
     assert report.equation_fixing_order == 96
     assert report.stabilizer_order == 48
-    assert report.contains_swap_generators
-    assert report.contains_double_flip_generators
+    # the coordinate swap (with the last flip), the 3-cycle and the double
+    # flips inside x1..x3 all fix the form
+    assert SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1)) in report.stabilizer
+    assert SignedMonomialMap((0, 2, 3, 1, 4, 5), (1,) * 6) in report.stabilizer
+    for i, j in ((1, 2), (2, 3), (1, 3)):
+        assert SignedMonomialMap.sign_flip(6, i, j) in report.stabilizer
     assert report.x4_flip_sign == -1
     assert report.x4_x5_flip_sign == 1
     assert report.projective_order == 48
