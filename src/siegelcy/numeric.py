@@ -2,14 +2,19 @@
 half-space, with rigorous Gaussian tail bounds, and the numeric side of the
 transformation-law and character checks that q-expansions cannot see.
 
-All lattice sums run in mpmath at 30 significant digits (about 100 bits,
-comfortably past the 64-bit-mantissa floor the tolerances assume).  Each
-evaluation returns the value together with an explicit bound on the
-truncated tail, so comparisons can account for every dropped term.
-Several characteristics at one point share the same power tables and one
-lattice walk per parity class of their upper halves: the character checks
-evaluate four or six constants per point and would pay the full lattice
-cost repeatedly otherwise.
+Lattice sums run in fixed point, as Python integers scaled by 2^140 (the
+idea of mpmath's own Jacobi theta sums): each row of the lattice is walked
+outward from its Gaussian peak, so every multiplier has modulus at most
+one and roundings add up without growing.  At most three values per row,
+the start term and its two step ratios, come from mpmath, at 164 bits
+plus the size of their exponents.  Each evaluation returns the value together
+with an explicit bound on the truncated Gaussian tail plus the fixed-point
+rounding (below 1e-25), so comparisons can account for every dropped
+term.  Several characteristics at one point share one lattice walk per
+parity class of their upper halves: the character checks evaluate four or
+six constants per point and would pay the full lattice cost repeatedly
+otherwise.  Transport and q-series evaluation run in mpmath at 30
+significant digits.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .characteristics import Char, sp4f2_act
 from .modforms import PRODUCT_FORM_CHARS
@@ -27,6 +33,8 @@ from .qseries import QSeries
 from .symplectic import SpMat
 
 WORKING_DPS = 30
+#: scale of the fixed-point lattice walk: values are integers times 2^-FIXED_BITS
+FIXED_BITS = 140
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,36 @@ def _summation_radius(lam: float, tol: float) -> tuple[int, float]:
                      "the imaginary part is too small")
 
 
+def _fixed(z: mpmath.mpc) -> tuple[int, int]:
+    """z as a pair of integers scaled by 2^FIXED_BITS (rounded down)."""
+    return to_fixed(z.real._mpf_, FIXED_BITS), to_fixed(z.imag._mpf_, FIXED_BITS)
+
+
+def _walk(x: tuple[int, int], rho: tuple[int, int], step: tuple[int, int],
+          count: int) -> tuple[int, int, int, int]:
+    """Fixed-point sums over the first `count` steps of a row walk from the
+    term x, split by parity: (odd re, odd im, even re, even im).
+
+    Each step multiplies the term by rho, then rho by `step`.  With every
+    factor of modulus at most one, each rounding (under one unit in the
+    last place per shift) is carried forward and never amplified.
+    """
+    xr, xi = x
+    rr, ri = rho
+    sr, si = step
+    odd_re = odd_im = even_re = even_im = 0
+    for k in range(count):
+        xr, xi = (xr * rr - xi * ri) >> FIXED_BITS, (xr * ri + xi * rr) >> FIXED_BITS
+        rr, ri = (rr * sr - ri * si) >> FIXED_BITS, (rr * si + ri * sr) >> FIXED_BITS
+        if k & 1:
+            even_re += xr
+            even_im += xi
+        else:
+            odd_re += xr
+            odd_im += xi
+    return odd_re, odd_im, even_re, even_im
+
+
 def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
                      tol: float = 1e-12) -> list[EvalResult]:
     """Lattice sums for several characteristics at one point.
@@ -100,47 +138,72 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     a = (a1, a2) in the batch: with r = 2n + a, the term's phase
     i^(b.r) is i^(b.a) (-1)^(b.s) for s = n mod 2, so the four partial sums
     S[s1][s2] over n mod 2 give every b at once.
+
+    Each row r1 of a class is summed in fixed point, as integers scaled by
+    2^FIXED_BITS.  The term is exp(pi i Q(r)/4) with
+    Q(r) = z0 r1^2 + 2 z1 r1 r2 + z2 r2^2, and its modulus is a Gaussian in
+    r2 peaking at -y1 r1 / y2.  So the row starts at the window's r2
+    nearest the peak: the start term and its ratios to the neighbours
+    r2 +- 2 come from mpmath (24 guard bits past FIXED_BITS, plus the
+    bits of the largest exponent), and the walk goes outward both ways,
+    each next ratio being the last times exp(2 pi i z2).  Walking away
+    from the peak, every multiplier has modulus at most one, so a term k
+    steps from the start carries at most 4(k+1)^2 units of 2^-FIXED_BITS
+    of rounding.  With at most `terms` lattice points in a class, the sum
+    is then off by less than (4 terms)^2 2^-FIXED_BITS, below 1e-25 for
+    every radius `_summation_radius` allows; tail_bound adds that to the
+    Gaussian tail.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lam = Z.min_eigenvalue()
     radius, bound = _summation_radius(lam, tol)
-    results: list[EvalResult] = []
-    with mp.workdps(WORKING_DPS):
+    terms = (radius + 1) ** 2  # lattice points of one parity class, at most
+    bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS
+    y1, y2 = complex(Z.z1).imag, complex(Z.z2).imag
+    # the exponents below reach |z0| + 2|z1| + |z2| times (radius + 1)^2;
+    # their rounding must stay far below 2^-FIXED_BITS
+    size = abs(complex(Z.z0)) + 2 * abs(complex(Z.z1)) + abs(complex(Z.z2))
+    extra_bits = math.ceil(size * (radius + 1) ** 2).bit_length()
+    # partial[a][s1]: (re, im) of S[s1][0], then of S[s1][1]
+    partial = {}
+    with mp.workprec(FIXED_BITS + 24 + extra_bits):
         z0, z1, z2 = Z.as_mpc()
-        pi_i = mpmath.mpc(0, mpmath.pi)
-        u = mpmath.exp(pi_i * z0 / 4)   # exponent r1^2
-        w = mpmath.exp(pi_i * z1 / 2)   # exponent r1*r2
-        v = mpmath.exp(pi_i * z2 / 4)   # exponent r2^2
-        i_unit = mpmath.mpc(0, 1)
-        i_pow = [mpmath.mpc(1), i_unit, mpmath.mpc(-1), -i_unit]
-        rng_all = range(-radius, radius + 1)
-        u_pow = {r: u ** (r * r) for r in rng_all}
-        v_pow = {r: v ** (r * r) for r in rng_all}
-        w_pow = {r: w ** r for r in rng_all}
-        # partial[a][s1][s2]: u^(r1^2) v^(r2^2) w^(r1 r2) summed over the
-        # window's r = a mod 2 with ((r - a)/2) mod 2 = s
-        partial = {}
+        step = _fixed(mpmath.expjpi(2 * z2))  # ratio of successive ratios
         for a1, a2 in {(m.a1, m.a2) for m in chars}:
-            sums = [[mpmath.mpc(0), mpmath.mpc(0)], [mpmath.mpc(0), mpmath.mpc(0)]]
-            r2_values = [r for r in rng_all if r % 2 == a2]
-            for r1 in (r for r in rng_all if r % 2 == a1):
+            sums = [[0, 0, 0, 0], [0, 0, 0, 0]]
+            lo = -radius + (radius + a2) % 2  # window ends with r2 = a2 mod 2
+            hi = radius - (radius + a2) % 2
+            for r1 in range(-radius + (radius + a1) % 2, radius + 1, 2):
+                peak = -y1 * r1 / y2
+                s = min(max(a2 + 2 * math.floor((peak - a2) / 2 + 0.5), lo), hi)
+                x = _fixed(mpmath.expjpi((z0 * (r1 * r1) + z1 * (2 * r1 * s)
+                                          + z2 * (s * s)) / 4))
+                # the start's cell s2 is row[at:at + 2], the other cell
+                # (odd steps away) row[2 - at:4 - at]
                 row = sums[(r1 - a1) // 2 % 2]
-                w_r1 = w_pow[r1]
-                base = u_pow[r1]
-                cross = w_r1 ** r2_values[0]
-                step = w_r1 * w_r1  # r2 advances in steps of two
-                for r2 in r2_values:
-                    row[(r2 - a2) // 2 % 2] += base * v_pow[r2] * cross
-                    cross = cross * step
+                at = 2 * ((s - a2) // 2 % 2)
+                row[at] += x[0]
+                row[at + 1] += x[1]
+                for count, ratio in (((hi - s) // 2, z1 * r1 + z2 * (s + 1)),
+                                     ((s - lo) // 2, z2 * (1 - s) - z1 * r1)):
+                    if count:
+                        walk = _walk(x, _fixed(mpmath.expjpi(ratio)), step, count)
+                        for j, part in enumerate(walk):
+                            row[(at + 2 + j) % 4] += part
             partial[a1, a2] = sums
-        for m in chars:
-            total = mpmath.mpc(0)
-            for s1, row in enumerate(partial[m.a1, m.a2]):
-                for s2, part in enumerate(row):
-                    total += -part if (m.b1 * s1 + m.b2 * s2) % 2 else part
-            k = (m.b1 * m.a1 + m.b2 * m.a2) % 4
-            results.append(EvalResult(complex(total * i_pow[k]), bound))
+    results: list[EvalResult] = []
+    for m in chars:
+        re = im = 0
+        for s1, row in enumerate(partial[m.a1, m.a2]):
+            for s2 in (0, 1):
+                sign = -1 if (m.b1 * s1 + m.b2 * s2) % 2 else 1
+                re += sign * row[2 * s2]
+                im += sign * row[2 * s2 + 1]
+        for _ in range((m.b1 * m.a1 + m.b2 * m.a2) % 4):  # times i^(b.a)
+            re, im = -im, re
+        results.append(EvalResult(complex(re / (1 << FIXED_BITS),
+                                          im / (1 << FIXED_BITS)), bound))
     return results
 
 
@@ -152,7 +215,10 @@ def theta_eval(m: Char, Z: SiegelPoint, tol: float = 1e-12) -> EvalResult:
 def theta_product_eval(chars: Sequence[Char], Z: SiegelPoint,
                        tol: float = 1e-14) -> EvalResult:
     """Product of several theta constants with a combined error bound."""
-    results = theta_eval_batch(chars, Z, tol)
+    return _product(theta_eval_batch(chars, Z, tol))
+
+
+def _product(results: Sequence[EvalResult]) -> EvalResult:
     value = complex(1)
     for r in results:
         value *= r.value
@@ -253,30 +319,38 @@ def _standard_sextuple_chars() -> tuple[Char, ...]:
     return tuple(sorted(STANDARD_SEXTUPLE, key=char_index))
 
 
+def _law(kind: str) -> tuple[tuple[Char, ...], int]:
+    """The theta product of a character law and its weight."""
+    if kind == "theta_product":
+        return PRODUCT_FORM_CHARS, 2
+    if kind == "cusp_form":
+        return _standard_sextuple_chars(), 3
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def law_form_value(kind: str, Z: SiegelPoint) -> complex:
+    """The theta product of the character law `kind` at Z."""
+    return theta_product_eval(_law(kind)[0], Z, tol=1e-13).value
+
+
 def character_law_check(kind: str, M: SpMat, Z: SiegelPoint,
-                        tol: float = 1e-6) -> int:
+                        tol: float = 1e-6,
+                        image_value: complex | None = None) -> int:
     """Measured sign in form(M<Z>) = sign * det(CZ+D)^k * form(Z).
 
     kind "theta_product": the weight-2 product of the four upper-zero
     constants (k = 2).  kind "cusp_form": the weight-3 sextuple product
     (k = 3).  The ratio must sit within tol of +1 or -1; anything else
-    raises.
+    raises.  `image_value` stands in for form(M<Z>) when the caller has
+    it: samples pulled back from one base point share the base's value.
     """
-    if kind == "theta_product":
-        chars: tuple[Char, ...] = PRODUCT_FORM_CHARS
-        weight = 2
-    elif kind == "cusp_form":
-        chars = _standard_sextuple_chars()
-        weight = 3
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    weight = _law(kind)[1]
     image, det = siegel_transform(M, Z)
-    top = theta_product_eval(chars, image, tol=1e-13)
-    bottom = theta_product_eval(chars, Z, tol=1e-13)
-    denom = det ** weight * bottom.value
+    top = law_form_value(kind, image) if image_value is None else image_value
+    denom = det ** weight * law_form_value(kind, Z)
     if abs(denom) < 1e-20:
         raise ArithmeticError("form vanishes at the sample point")
-    ratio = top.value / denom
+    ratio = top / denom
     for sign in (1, -1):
         if abs(ratio - sign) <= tol:
             return sign
@@ -285,13 +359,15 @@ def character_law_check(kind: str, M: SpMat, Z: SiegelPoint,
 
 def diagonal_vanishing_check(tau1: complex, tau2: complex,
                              tol: float = 1e-10) -> bool:
-    """The sextuple product and the all-ones theta vanish on the diagonal."""
+    """The sextuple product and the all-ones theta vanish on the diagonal;
+    the all-ones constant [11;11] is one of the sextuple's six."""
     if not (complex(tau1).imag > 0 and complex(tau2).imag > 0):
         raise ValueError("diagonal moduli must lie in the upper half plane")
     Z = SiegelPoint(complex(tau1), 0j, complex(tau2))
-    t_val = theta_product_eval(_standard_sextuple_chars(), Z, tol=1e-14)
-    odd_diag = theta_eval(Char(1, 1, 1, 1), Z, tol=1e-14)
-    return abs(t_val.value) < tol and abs(odd_diag.value) < tol
+    chars = _standard_sextuple_chars()
+    results = theta_eval_batch(chars, Z, tol=1e-14)
+    all_ones = results[chars.index(Char(1, 1, 1, 1))]
+    return abs(_product(results).value) < tol and abs(all_ones.value) < tol
 
 
 def cusp_limit_deviation(m: Char, scale: float, truncation: int = 0) -> float:

@@ -432,14 +432,22 @@ def _modulus_law(report):
                                               "worst_deviation": f"{worst:.3e}"}
 
 
+def _law_at_base(report, kind: str, mats):
+    """Measured signs, lazily, with each sample's Z = M^-1<_BASE>: every
+    M<Z> is _BASE up to rounding, so the form there is evaluated once per
+    law."""
+    at_base = report.once(numeric.law_form_value, kind, _BASE)
+    return (numeric.character_law_check(kind, m, numeric.pulled_back_point(m, _BASE),
+                                        image_value=at_base)
+            for m in mats)
+
+
 @_check("numeric.weight2_character",
         "measured weight-2 character equals the diagonal-sum formula")
 def _weight2_character(report):
     mats = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=report.seed + 200,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    measured = [numeric.character_law_check("theta_product", m,
-                                            numeric.pulled_back_point(m, _BASE))
-                for m in mats]
+    measured = list(_law_at_base(report, "theta_product", mats))
     formula_ok = all(v == theta_character(m) for v, m in zip(measured, mats))
     return formula_ok and set(measured) == {1, -1}, {
         "samples": len(mats), "values_seen": sorted(set(measured))}
@@ -450,9 +458,7 @@ def _weight2_character(report):
 def _weight3_trivial_character(report):
     mats = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=report.seed + 300,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    ok = all(numeric.character_law_check("cusp_form", m,
-                                         numeric.pulled_back_point(m, _BASE)) == 1
-             for m in mats)
+    ok = all(v == 1 for v in _law_at_base(report, "cusp_form", mats))
     return ok, {"samples": len(mats)}
 
 

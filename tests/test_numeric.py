@@ -23,6 +23,7 @@ from siegelcy.numeric import (
     cusp_limit_deviation,
     diagonal_vanishing_check,
     evaluate_qseries,
+    law_form_value,
     pulled_back_point,
     series_numeric_consistency,
     siegel_transform,
@@ -134,6 +135,30 @@ def test_batch_matches_the_defining_sum():
             assert diff <= r.tail_bound + rounding + 1e-20, (m, diff)
 
 
+@pytest.mark.parametrize("Z", [
+    # a small eigenvalue (0.025) with y1 < 0: radius 42 at tol 1e-13, where
+    # the character laws' pulled-back points sit
+    SiegelPoint(0.21 + 0.169j, -0.13 - 0.357j, 0.37 + 0.911j),
+    SiegelPoint(-0.3 + 0.45j, 0.2 + 0.38j, 0.1 + 0.52j),  # y1 > 0
+    SiegelPoint(0.5 + 1j, 1e-6j, 1.5j),  # near the diagonal: [11;11] is near 0
+])
+def test_batch_matches_the_defining_sum_at_skewed_points(Z):
+    # one even characteristic per parity class of the upper half; rows whose
+    # Gaussian peak sits far from r2 = 0 are where a fixed-point walk in the
+    # wrong direction amplifies its rounding
+    chars = [Char(0, 0, 0, 0), Char(0, 1, 1, 0), Char(1, 0, 0, 1), Char(1, 1, 1, 1)]
+    radius = _summation_radius(Z.min_eigenvalue(), 1e-13)[0]
+    results = theta_eval_batch(chars, Z, tol=1e-13)
+    for m, r in zip(chars, results):
+        with mpmath.workdps(40):
+            # |2n + a| <= 2 window + a covers the kernel's window, and the
+            # tail bound covers every term outside that
+            exact = theta_by_definition(m, Z, window=radius // 2 + 1)
+            diff = abs(exact - r.value)
+        rounding = 2.0 ** -52 * float(abs(exact))
+        assert diff <= r.tail_bound + rounding + 1e-25, (m, diff)
+
+
 def test_dual_engine_consistency_all_even():
     Z = SiegelPoint(3j, 0j, 3j)
     for m in even_characteristics():
@@ -200,11 +225,14 @@ def test_theta_product_character_matches_formula():
     base = SiegelPoint(1.3j, 0.15j, 1.4j)
     mats = conditioned_samples(Subgroup.hecke(2), 20, seed=200,
                                word_length=8, max_entry=5, nonzero_c=8)
+    at_base = law_form_value("theta_product", base)
     values = set()
     for M in mats:
         Z = pulled_back_point(M, base)
         measured = character_law_check("theta_product", M, Z)
         assert measured == theta_character(M)
+        # M<Z> is base up to rounding, so the base's value stands in for it
+        assert character_law_check("theta_product", M, Z, image_value=at_base) == measured
         values.add(measured)
     assert values == {1, -1}
 
