@@ -1,11 +1,14 @@
 """Sparse multivariate polynomials over Q, rational functions, and 3-forms.
 
 A polynomial fixes an ordered tuple of variable names and maps exponent
-tuples to nonzero Fractions.  Rational functions are unreduced quotients
-(equality by cross-multiplication); in every computation done here the
-denominators stay monomial-like, so the missing gcd never hurts.  Ideal
-membership is decided degree by degree with sparse exact row reduction,
-which covers everything needed in a 6-variable ring up to degree 4.
+tuples to nonzero coefficients: an `int` when the coefficient is integral,
+as almost every one here is, and a `Fraction` only when it is not.
+Rational functions are unreduced quotients (equality by
+cross-multiplication); in every computation done here the denominators
+stay monomial-like, so the missing gcd never hurts.  Ideal membership is
+decided degree by degree with sparse exact row reduction, fraction-free
+over the integers, which covers everything needed in a 6-variable ring up
+to degree 4.
 """
 
 from __future__ import annotations
@@ -13,8 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 Exponent = tuple[int, ...]
+
+
+def _exact(value: int | Fraction) -> int | Fraction:
+    """The value as an `int` when it is integral, else as a `Fraction`."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -37,9 +50,10 @@ def perm_sign(perm: tuple[int, ...]) -> int:
 class MPoly:
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> None:
+    def __init__(self, variables: tuple[str, ...],
+                 terms: dict[Exponent, int | Fraction]) -> None:
         self.vars = tuple(variables)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: _exact(c) for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -49,17 +63,14 @@ class MPoly:
 
     @classmethod
     def const(cls, variables: tuple[str, ...], value: int | Fraction) -> MPoly:
-        c = Fraction(value)
-        if c == 0:
-            return cls.zero(variables)
-        return cls(variables, {(0,) * len(variables): c})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: tuple[str, ...], name: str) -> MPoly:
         idx = variables.index(name)
         e = [0] * len(variables)
         e[idx] = 1
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls(variables, {tuple(e): 1})
 
     @classmethod
     def ring(cls, variables: tuple[str, ...]) -> list[MPoly]:
@@ -78,7 +89,7 @@ class MPoly:
         self._check_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return MPoly(self.vars, terms)
 
     __radd__ = __add__
@@ -96,14 +107,14 @@ class MPoly:
 
     def __mul__(self, other: MPoly | int | Fraction) -> MPoly:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             return MPoly(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check_ring(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MPoly(self.vars, terms)
 
     __rmul__ = __mul__
@@ -150,8 +161,8 @@ class MPoly:
             raise ValueError("polynomial is not homogeneous")
         return self.total_degree()
 
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
+    def coefficient(self, exponent: Exponent) -> int | Fraction:
+        return self.terms.get(tuple(exponent), 0)
 
     def used_variables(self) -> set[str]:
         used: set[str] = set()
@@ -165,14 +176,13 @@ class MPoly:
 
     def partial(self, name: str) -> MPoly:
         idx = self.vars.index(name)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, int | Fraction] = {}
         for e, c in self.terms.items():
             if e[idx] == 0:
                 continue
             new_e = list(e)
             new_e[idx] -= 1
-            key = tuple(new_e)
-            terms[key] = terms.get(key, Fraction(0)) + c * e[idx]
+            terms[tuple(new_e)] = c * e[idx]
         return MPoly(self.vars, terms)
 
     def substitute(self, assignment: dict[str, MPoly]) -> MPoly:
@@ -250,18 +260,32 @@ def monomials_of_degree(variables: tuple[str, ...], degree: int) -> list[Exponen
     return out
 
 
-def _subtract_multiple(row: dict[int, Fraction], factor: Fraction,
-                       other: dict[int, Fraction]) -> None:
-    """row -= factor * other, in place, dropping entries that cancel."""
+def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
+    """The row divided by its content, signed to a positive pivot entry."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], p: int, other: dict[int, int]) -> None:
+    """row <- a*row - b*other, in place, with a/b = other[p]/row[p] in lowest
+    terms, so that the entry at p cancels; entries that cancel are dropped."""
+    g = gcd(other[p], row[p])
+    a, b = other[p] // g, row[p] // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, v in other.items():
-        x = row.get(c, 0) - factor * v
+        x = row.get(c, 0) - b * v
         if x:
             row[c] = x
         else:
             del row[c]
 
 
-def row_reduce(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+def row_reduce(rows: list[dict[int, int | Fraction]]
+               ) -> list[tuple[int, dict[int, Fraction]]]:
     """Reduced row echelon form of sparse rational rows.
 
     A row maps column indices to entries.  Returns the nonzero rows of the
@@ -270,23 +294,30 @@ def row_reduce(rows: list[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fra
     row's pivot.  That form is unique, so it does not depend on the order
     of the input rows.  Rows are reduced one at a time against the basis
     built so far, touching only their nonzero entries.
+
+    The elimination is fraction-free: each row is scaled to integers, and
+    each basis row is kept primitive (content divided out, positive pivot
+    entry), a multiple of its echelon row.  Entries become Fractions only
+    in the returned rows, divided by their pivot entry.
     """
-    basis: dict[int, dict[int, Fraction]] = {}
+    basis: dict[int, dict[int, int]] = {}
     for given in rows:
-        row = {c: Fraction(v) for c, v in given.items() if v}
+        scale = lcm(*(v.denominator for v in given.values()))
+        row = {c: v.numerator * (scale // v.denominator) for c, v in given.items() if v}
         # basis rows vanish at each other's pivots, so one pass clears them all
         for p in [c for c in row if c in basis]:
-            _subtract_multiple(row, row[p], basis[p])
+            _eliminate(row, p, basis[p])
         if not row:
             continue
         pivot = min(row)
-        lead = row[pivot]
-        row = {c: v / lead for c, v in row.items()}
-        for other in basis.values():
+        row = _primitive(row, pivot)
+        for q, other in basis.items():
             if pivot in other:
-                _subtract_multiple(other, other[pivot], row)
+                _eliminate(other, pivot, row)
+                basis[q] = _primitive(other, q)
         basis[pivot] = row
-    return sorted(basis.items())
+    return [(p, {c: Fraction(v, row[p]) for c, v in row.items()})
+            for p, row in sorted(basis.items())]
 
 
 def solve_exact(columns: list[dict[int, Fraction]],
@@ -355,7 +386,7 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | No
             columns.append({row_index[tuple(a + b for a, b in zip(e, mono))]: c
                             for e, c in g.terms.items()})
             labels.append((gi, mono))
-    target = [f.terms.get(e, Fraction(0)) for e in rows]
+    target = [f.terms.get(e, 0) for e in rows]
     solution = solve_exact(columns, target)
     if solution is None:
         return None
@@ -495,12 +526,16 @@ def substitute_ratfn(f: MPoly, assignment: dict[str, RatFn]) -> RatFn:
 
 def determinant(matrix: list[list[MPoly | RatFn]]) -> MPoly | RatFn:
     """Exact determinant of a square matrix of MPoly or RatFn entries, by
-    permutation expansion (intended for n <= 4)."""
+    permutation expansion (intended for n <= 4); permutations through a
+    zero entry are skipped."""
     total = matrix[0][0] * 0
     for perm in permutations(range(len(matrix))):
-        prod = matrix[0][perm[0]] * perm_sign(perm)
-        for i in range(1, len(matrix)):
-            prod = prod * matrix[i][perm[i]]
+        factors = [matrix[i][j] for i, j in enumerate(perm)]
+        if any(f.is_zero() for f in factors):
+            continue
+        prod = factors[0] * perm_sign(perm)
+        for f in factors[1:]:
+            prod = prod * f
         total = total + prod
     return total
 

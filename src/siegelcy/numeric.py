@@ -247,16 +247,17 @@ def evaluate_qseries(s: QSeries, Z: SiegelPoint) -> complex:
         return complex(total)
 
 
-def series_numeric_consistency(m: Char, Z: SiegelPoint, truncation: int,
-                               certify: float = 1e-8) -> float:
-    """|lattice sum - truncated expansion| at Z.
+def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
+                               truncation: int, certify: float = 1e-8) -> list[float]:
+    """|lattice sum - truncated expansion| at Z, for each characteristic.
 
     The terms the expansion drops are exactly the lattice terms with
     squared norm past the truncation: each is at most exp(-c*(N+1)), and
     there are fewer than 4N of them inside the shell radius isqrt(N), with
     the standard Gaussian tail covering everything beyond.  If the
     combined bound exceeds `certify` the point sits too low for the
-    comparison and the call refuses it.
+    comparison and the call refuses it.  The lattice sums come from one
+    batch, which walks each parity class once.
     """
     lam = Z.min_eigenvalue()
     c = math.pi * lam / 4.0
@@ -269,9 +270,9 @@ def series_numeric_consistency(m: Char, Z: SiegelPoint, truncation: int,
             "increase Im Z or the truncation")
     from .qseries import theta_qexp
 
-    series_value = evaluate_qseries(theta_qexp(m, truncation), Z)
-    lattice = theta_eval(m, Z, tol=1e-16)
-    return abs(lattice.value - series_value)
+    lattice = theta_eval_batch(chars, Z, tol=1e-16)
+    return [abs(r.value - evaluate_qseries(theta_qexp(m, truncation), Z))
+            for m, r in zip(chars, lattice)]
 
 
 # -- symplectic transport ----------------------------------------------------

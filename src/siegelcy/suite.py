@@ -486,8 +486,8 @@ def _dual_engine(report):
     # truncation 9 on
     point = numeric.SiegelPoint(3j, 0j, 3j)
     truncation = 12
-    worst = max(numeric.series_numeric_consistency(m, point, truncation)
-                for m in even_characteristics())
+    worst = max(numeric.series_numeric_consistency(even_characteristics(), point,
+                                                   truncation))
     return worst < report.tol, {"worst_deviation": f"{worst:.3e}",
                                 "truncation": truncation}
 

@@ -81,7 +81,7 @@ def _invert_fraction_matrix(rows) -> list[list[Fraction]]:
     return [[row.get(n + j, Fraction(0)) for j in range(n)] for _, row in reduced]
 
 
-def coord_matrix_det() -> Fraction:
+def coord_matrix_det() -> int:
     mat = [[MPoly.const(("t",), COORD_MATRIX[i][j]) for j in range(6)] for i in range(6)]
     det = determinant(mat)
     return det.coefficient((0,))
@@ -95,7 +95,7 @@ def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
         expr = MPoly.zero(target_vars)
         for j in range(len(target_vars)):
             if matrix[i][j]:
-                expr = expr + Fraction(matrix[i][j]) * gens[j]
+                expr = expr + matrix[i][j] * gens[j]
         assignment[v] = expr
     return f.substitute(assignment)
 
@@ -106,7 +106,7 @@ class CoordinateChangeReport:
     quartic_certificate: MembershipCertificate | None
     inverse_quadric_scalar: Fraction
     inverse_quartic_certificate: MembershipCertificate | None
-    matrix_determinant: Fraction
+    matrix_determinant: int
     #: name of the first step that does not hold, None when all four hold
     failed_step: str | None
 
@@ -125,7 +125,7 @@ def coordinate_change_check() -> CoordinateChangeReport:
 
     sub_quadric = substitute_linear(pres_y.quadric, COORD_MATRIX, Y_VARS, X_VARS)
     x5_sq = tuple(2 if v == "x5" else 0 for v in X_VARS)
-    scalar = sub_quadric.coefficient(x5_sq) / pres_x.quadric.coefficient(x5_sq)
+    scalar = Fraction(sub_quadric.coefficient(x5_sq), pres_x.quadric.coefficient(x5_sq))
 
     sub_quartic = substitute_linear(pres_y.quartic, COORD_MATRIX, Y_VARS, X_VARS)
     cert = graded_membership(sub_quartic, pres_x.gens())
@@ -133,7 +133,7 @@ def coordinate_change_check() -> CoordinateChangeReport:
     inverse = _invert_fraction_matrix(COORD_MATRIX)
     inv_quadric = substitute_linear(pres_x.quadric, inverse, X_VARS, Y_VARS)
     y5_sq = tuple(2 if v == "y5" else 0 for v in Y_VARS)
-    inv_scalar = inv_quadric.coefficient(y5_sq) / pres_y.quadric.coefficient(y5_sq)
+    inv_scalar = Fraction(inv_quadric.coefficient(y5_sq), pres_y.quadric.coefficient(y5_sq))
 
     inv_quartic = substitute_linear(pres_x.quartic, inverse, X_VARS, Y_VARS)
     inv_cert = graded_membership(inv_quartic, pres_y.gens())
@@ -203,13 +203,19 @@ class SignedMonomialMap:
         return SignedMonomialMap(self.perm, tuple(-s for s in self.sign))
 
     def apply(self, f: MPoly) -> MPoly:
-        """Substitute x_i -> sign[i] * x_perm[i]; the pullback f o sigma."""
-        gens = MPoly.ring(f.vars)
-        assignment = {
-            v: Fraction(self.sign[i]) * gens[self.perm[i]]
-            for i, v in enumerate(f.vars)
-        }
-        return f.substitute(assignment)
+        """Substitute x_i -> sign[i] * x_perm[i]; the pullback f o sigma.
+
+        The monomial prod x_i^e_i goes to prod x_perm[i]^e_i, times -1 when
+        the exponents of the negated variables have an odd sum.
+        """
+        if len(f.vars) != len(self.perm):
+            raise ValueError("map and polynomial have different numbers of variables")
+        source = sorted(range(len(self.perm)), key=self.perm.__getitem__)
+        negated = [i for i, s in enumerate(self.sign) if s < 0]
+        return MPoly(f.vars, {
+            tuple(e[i] for i in source): -c if sum(e[i] for i in negated) % 2 else c
+            for e, c in f.terms.items()
+        })
 
 
 def group_closure(generators: list[SignedMonomialMap],
@@ -293,7 +299,7 @@ def chart_substitution(g: SignedMonomialMap) -> dict[str, RatFn]:
         target = g.perm[i]
         if target not in _CHART_INDEX:
             raise ValueError("map mixes chart variables with the 5th coordinate")
-        factor = Fraction(g.sign[i] * s4)
+        factor = g.sign[i] * s4
         subs[name] = RatFn(factor * MPoly.var(OMEGA_CHART, _CHART_INDEX[target]))
     return subs
 
@@ -412,7 +418,7 @@ def act_on_curve(g: SignedMonomialMap, curve: CurveRep) -> CurveRep:
     ginv = g.inverse()
     ideal = tuple(g.apply(f) for f in curve.ideal)
     param = tuple(
-        Fraction(ginv.sign[i]) * curve.param[ginv.perm[i]] for i in range(6)
+        ginv.sign[i] * curve.param[ginv.perm[i]] for i in range(6)
     )
     return CurveRep(curve.name, ideal, param)
 
@@ -451,7 +457,7 @@ def canonical_curve_key(curve: CurveRep):
     if reduced.is_zero():
         return (rref, None)
     lead = min(reduced.terms)
-    normalized = reduced * (1 / reduced.terms[lead])
+    normalized = reduced * Fraction(1, reduced.terms[lead])
     return (rref, tuple(sorted(normalized.terms.items())))
 
 
@@ -686,7 +692,7 @@ def blowup_chart_check(chart: BlowupChart) -> BlowupReport:
     gens = MPoly.ring(tv)
     subs = {}
     for zname, expo in chart.substitution_monomials.items():
-        mono = MPoly(tv, {tuple(expo): Fraction(1)})
+        mono = MPoly(tv, {tuple(expo): 1})
         subs[zname] = RatFn(mono)
     pulled = threeform_pullback(source, subs, tv)
     divisor = MPoly.const(tv, 1)

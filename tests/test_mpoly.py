@@ -262,3 +262,37 @@ def test_pullback_contravariant_functorial():
             fog[v] = num / den
         direct = threeform_pullback(omega, fog, Z3)
         assert twice == direct
+
+
+# -- integer coefficients --------------------------------------------------------
+
+def _all_int(f: MPoly) -> bool:
+    return all(type(c) is int for c in f.terms.values())
+
+
+def test_integral_fraction_is_stored_as_int():
+    f = MPoly(XY, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+    assert type(f.terms[(1, 0)]) is int and f.terms[(1, 0)] == 2
+    assert f.terms[(0, 1)] == Fraction(1, 2)
+    assert _all_int(MPoly.const(XY, Fraction(6, 3)) * Fraction(3))
+    assert _all_int(f * 2 - MPoly(XY, {(0, 1): 1}))
+
+
+def test_variety_polynomials_have_int_coefficients():
+    from siegelcy.variety import (
+        OMEGA_CHART,
+        _bordered_and_affine,
+        ambient_group,
+        chart_substitution,
+        omega_form,
+        presentation_x,
+        presentation_y,
+    )
+
+    for pres in (presentation_x(), presentation_y()):
+        assert all(_all_int(f) for f in pres.gens())
+    assert all(_all_int(f) for f in _bordered_and_affine())
+    omega = omega_form()
+    for g in ambient_group():
+        pulled = threeform_pullback(omega, chart_substitution(g), OMEGA_CHART)
+        assert _all_int(pulled.coeff.num) and _all_int(pulled.coeff.den)

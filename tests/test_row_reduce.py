@@ -15,12 +15,18 @@ from siegelcy.mpoly import row_reduce, solve_exact
 ENTRIES = st.one_of(st.just(Fraction(0)),
                     st.fractions(min_value=-3, max_value=3, max_denominator=3))
 
+#: integers up to 10^6 in size, some of them as Fractions of denominator 1:
+#: the integer rows then carry large contents and negative leads
+LARGE_INTEGERS = st.integers(-10 ** 6, 10 ** 6)
+INTEGER_ENTRIES = st.one_of(st.just(0), LARGE_INTEGERS, LARGE_INTEGERS.map(Fraction))
+
 
 @st.composite
-def matrices(draw, max_rows: int = 6, max_cols: int = 6) -> list[list[Fraction]]:
+def matrices(draw, max_rows: int = 6, max_cols: int = 6,
+             entries=ENTRIES) -> list[list[Fraction]]:
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(1, max_cols))
-    return [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    return [draw(st.lists(entries, min_size=ncols, max_size=ncols))
             for _ in range(nrows)]
 
 
@@ -38,9 +44,7 @@ def sympy_rref(sympy, matrix: list[list[Fraction]]):
     return list(pivots), rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_row_reduce_matches_sympy(matrix):
+def assert_matches_sympy(matrix):
     sympy = pytest.importorskip("sympy")
     ncols = len(matrix[0])
     result = row_reduce(sparse(matrix))
@@ -48,6 +52,18 @@ def test_row_reduce_matches_sympy(matrix):
     assert [p for p, _ in result] == pivots
     assert [[row.get(j, 0) for j in range(ncols)] for _, row in result] == rows
     assert all(all(v != 0 for v in row.values()) for _, row in result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_row_reduce_matches_sympy(matrix):
+    assert_matches_sympy(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(entries=INTEGER_ENTRIES))
+def test_row_reduce_matches_sympy_on_large_integers(matrix):
+    assert_matches_sympy(matrix)
 
 
 @settings(max_examples=200, deadline=None)

@@ -58,6 +58,9 @@ def test_coordinate_change():
     # coordinate with coefficient +-(1 resp. 2), so the scalar is exactly 2
     assert report.quadric_scalar == Fraction(2)
     assert report.inverse_quadric_scalar == Fraction(1, 2)
+    # exact division: a float would print as "2.0" in the report
+    assert [str(report.quadric_scalar), str(report.inverse_quadric_scalar),
+            str(report.matrix_determinant)] == ["2", "1/2", "1024"]
     pres_x = presentation_x()
     pres_y = presentation_y()
     from siegelcy.variety import substitute_linear, X_VARS, Y_VARS, _invert_fraction_matrix
@@ -109,6 +112,18 @@ def test_group_composition_and_inverse():
         assert (g * g.inverse()) == SignedMonomialMap.identity(6)
         f = MPoly.var(("x0", "x1", "x2", "x3", "x4", "x5"), "x1")
         assert g.apply(h.apply(f)) == gh.apply(f)
+
+
+def test_apply_is_the_defining_substitution():
+    # f o sigma with x_i -> sign[i] * x_perm[i], on every ambient element
+    polys = [f for pres in (presentation_x(), presentation_y()) for f in pres.gens()]
+    for curve in (quadric_curve_y(), line_curve_y()):
+        polys += curve.ideal + curve_to_x(curve).ideal
+    for g in ambient_group():
+        for f in polys:
+            gens = MPoly.ring(f.vars)
+            assignment = {v: g.sign[i] * gens[g.perm[i]] for i, v in enumerate(f.vars)}
+            assert g.apply(f) == f.substitute(assignment)
 
 
 # -- omega -------------------------------------------------------------------
