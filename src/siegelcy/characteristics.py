@@ -5,18 +5,19 @@ parity a1*b1 + a2*b2.  Ten of the sixteen are even; the 15 syzygetic
 quadruples of even characteristics and their complementary sextuples drive
 everything downstream (cusp forms, boundary orders, singular curves).
 
-The finite group Sp(4, F_2) of order 720 is built by brute-force closure
-from generators; its affine action on characteristics uses the diagonal
-correction ((C^tD)_0; (A^tB)_0), the variant that preserves parity and
-satisfies the group-action law (the condition the whole suite tests).
-Its sign character is the sign of the permutation it induces on the six
-odd characteristics.  The 4x4 integer matrix helpers below are shared
-with `symplectic`; the mod-2 group is their reduction mod 2.
+The finite group Sp(4, F_2) of order 720 is held once, as the classes of
+a walk from the identity through four generators; `symplectic` walks its
+sampling words on the same classes.  Its affine action on characteristics
+uses the diagonal correction ((C^tD)_0; (A^tB)_0), the variant that
+preserves parity and satisfies the group-action law (the condition the
+whole suite tests).  Its sign character is the sign of the permutation it
+induces on the six odd characteristics.  The 4x4 integer matrix helpers
+below are shared with `symplectic`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -146,10 +147,6 @@ IDENTITY4: Mat4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 J4: Mat4 = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
-def is_symplectic_f2(x: Mat2F2) -> bool:
-    return mod2(mat_mul(mat_mul(mat_transpose(x), J4), x)) == mod2(J4)
-
-
 def _translation_f2(s11: int, s12: int, s22: int) -> Mat2F2:
     return (
         (1, 0, s11 % 2, s12 % 2),
@@ -167,21 +164,86 @@ SP4F2_GENERATORS: tuple[Mat2F2, ...] = (
 )
 
 
-@lru_cache(maxsize=1)
+# -- the mod-2 walk ---------------------------------------------------------
+#
+# Sp(4, F_2) is held once, as the classes a walk from the identity (class 0)
+# through SP4F2_GENERATORS finds, numbered in that order.  A class is kept as
+# the four rows of its matrix mod 2, each a 4-bit mask with column j at bit
+# 3 - j; a matrix is symplectic mod 2 iff its masks are a class.
+
+def _masks(x: Mat4) -> tuple[int, ...]:
+    return tuple(sum((v % 2) << (3 - j) for j, v in enumerate(row)) for row in x)
+
+
+def _right_product(g: Mat4) -> list[int]:
+    """combo[mask]: XOR of the rows of g that mask selects, which is row i
+    of x * g mod 2 when mask is row i of x."""
+    rows = _masks(g)
+    return [
+        rows[0] * (mask >> 3 & 1) ^ rows[1] * (mask >> 2 & 1)
+        ^ rows[2] * (mask >> 1 & 1) ^ rows[3] * (mask & 1)
+        for mask in range(16)
+    ]
+
+
+@cache
+def sp4f2_walk() -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """(classes, index): the 720 classes as row masks, and mask -> class."""
+    combos = [_right_product(g) for g in SP4F2_GENERATORS]
+    classes = [_masks(IDENTITY4)]
+    index = {classes[0]: 0}
+    for x in classes:  # grows while it is walked
+        for comb in combos:
+            y = (comb[x[0]], comb[x[1]], comb[x[2]], comb[x[3]])
+            if y not in index:
+                index[y] = len(classes)
+                classes.append(y)
+    return tuple(classes), index
+
+
+def sp4f2_class(x: Mat4) -> int:
+    """The class of a 4x4 integer matrix mod 2; ValueError if it has none."""
+    c = sp4f2_walk()[1].get(_masks(x))
+    if c is None:
+        raise ValueError("matrix is not symplectic mod 2")
+    return c
+
+
+@cache
+def sp4f2_steps(generators: tuple[Mat4, ...]) -> tuple[tuple[int, ...], ...]:
+    """step[c][g]: the class of classes[c] times generators[g] mod 2."""
+    classes, index = sp4f2_walk()
+    combos = [_right_product(g) for g in generators]
+    return tuple(
+        tuple(index[comb[x[0]], comb[x[1]], comb[x[2]], comb[x[3]]] for comb in combos)
+        for x in classes
+    )
+
+
+@cache
 def sp4f2_elements() -> tuple[Mat2F2, ...]:
-    """Brute-force closure of the generators; the group has order 720."""
-    seen = {IDENTITY4}
-    frontier = [IDENTITY4]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in SP4F2_GENERATORS:
-                p = mod2(mat_mul(m, g))
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return tuple(sorted(seen))
+    """The 720 classes as 0/1 matrices, sorted."""
+    return tuple(sorted(
+        tuple(tuple(mask >> (3 - j) & 1 for j in range(4)) for mask in x)
+        for x in sp4f2_walk()[0]
+    ))
+
+
+def sp4f2_act(x: Mat2F2, m: Char) -> Char:
+    """The affine action of Sp(4, F_2) on characteristics.
+
+    The linear part is transpose-inverse, which mod 2 has block form
+    (D C; B A); the affine correction adds the diagonals of C^tD and A^tB
+    to the a- and b-halves respectively: entry i of the image is row r of
+    x (rows 2, 3, 0, 1 in turn) dotted with (b; a), plus r0 r2 + r1 r3.
+    This variant preserves parity and obeys (MN){m} = M{N{m}}.
+    """
+    sp4f2_class(x)
+    a1, a2, b1, b2 = m
+    return Char(*(
+        (r[0] * (b1 + r[2]) + r[1] * (b2 + r[3]) + r[2] * a1 + r[3] * a2) % 2
+        for r in (x[2], x[3], x[0], x[1])
+    ))
 
 
 def sp4f2_sign(x: Mat2F2) -> int:
@@ -197,54 +259,13 @@ def sp4f2_sign(x: Mat2F2) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _blocks_f2(x: Mat2F2) -> tuple:
-    a = ((x[0][0], x[0][1]), (x[1][0], x[1][1]))
-    b = ((x[0][2], x[0][3]), (x[1][2], x[1][3]))
-    c = ((x[2][0], x[2][1]), (x[3][0], x[3][1]))
-    d = ((x[2][2], x[2][3]), (x[3][2], x[3][3]))
-    return a, b, c, d
-
-
-def sp4f2_act(x: Mat2F2, m: Char) -> Char:
-    """The affine action of Sp(4, F_2) on characteristics.
-
-    The linear part is transpose-inverse, which mod 2 has block form
-    (D C; B A); the affine correction adds the diagonals of C^tD and A^tB
-    to the a- and b-halves respectively.  This variant preserves parity
-    and obeys (MN){m} = M{N{m}}.
-    """
-    if not is_symplectic_f2(x):
-        raise ValueError("matrix is not symplectic mod 2")
-    a, b, c, d = _blocks_f2(x)
-    av = (m.a1, m.a2)
-    bv = (m.b1, m.b2)
-    new_a = [
-        (d[i][0] * av[0] + d[i][1] * av[1] + c[i][0] * bv[0] + c[i][1] * bv[1]) % 2
-        for i in range(2)
-    ]
-    new_b = [
-        (b[i][0] * av[0] + b[i][1] * av[1] + a[i][0] * bv[0] + a[i][1] * bv[1]) % 2
-        for i in range(2)
-    ]
-    # diagonal corrections: (C^tD)_0 on the a-part, (A^tB)_0 on the b-part
-    for i in range(2):
-        ctd_ii = sum(c[i][k] * d[i][k] for k in range(2)) % 2
-        atb_ii = sum(a[i][k] * b[i][k] for k in range(2)) % 2
-        new_a[i] = (new_a[i] + ctd_ii) % 2
-        new_b[i] = (new_b[i] + atb_ii) % 2
-    return Char(new_a[0], new_a[1], new_b[0], new_b[1])
-
-
-def act_on_set(x: Mat2F2, chars: Iterable[Char]) -> frozenset[Char]:
-    return frozenset(sp4f2_act(x, m) for m in chars)
-
-
 def quadruple_orbit(q: Iterable[Char]) -> set[Quadruple]:
     """Orbit of a 4-set of characteristics under the whole group."""
     start = frozenset(q)
-    return {act_on_set(x, start) for x in sp4f2_elements()}
+    return {frozenset(sp4f2_act(x, m) for m in start) for x in sp4f2_elements()}
 
 
 def quadruple_stabilizer_order(q: Iterable[Char]) -> int:
     start = frozenset(q)
-    return sum(1 for x in sp4f2_elements() if act_on_set(x, start) == start)
+    return sum(1 for x in sp4f2_elements()
+               if frozenset(sp4f2_act(x, m) for m in start) == start)

@@ -5,9 +5,10 @@ congruence and diagonal conditions; the two index-two kernels cut out by
 the quadratic character use the closed formula (-1)^((alpha+beta+gamma)/2)
 on C*tD, combined on the Hecke-type group with the sign character of the
 mod-2 quotient.  Elements are sampled as pseudo-random words in a fixed
-generator set and rejection-filtered by the membership predicate; a walk
-of each word through Sp(4, F_2) first drops the words whose reduction mod 2
-no member can have, so only the survivors are multiplied out.
+generator set and rejection-filtered by the membership predicate.  Each
+word is first walked through Sp(4, F_2), on the classes and step table
+that `characteristics` builds, and dropped if no member can have its
+reduction mod 2, so only the survivors are multiplied out.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .characteristics import (
     mat_transpose,
     mod2,
     sp4f2_sign,
+    sp4f2_steps,
+    sp4f2_walk,
 )
 
 
@@ -131,9 +134,6 @@ class SpMat:
     def c_td(self):
         return _mat2_mul(self.C, _mat2_transpose(self.D))
 
-    def a_tb(self):
-        return _mat2_mul(self.A, _mat2_transpose(self.B))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpMat) and self.rows == other.rows
 
@@ -162,11 +162,6 @@ class Subgroup:
         return cls("principal", level)
 
     @classmethod
-    def igusa(cls, level: int) -> Subgroup:
-        """The subgroup of the principal group with even diagonal conditions."""
-        return cls("igusa", level)
-
-    @classmethod
     def hecke(cls, level: int) -> Subgroup:
         """C = 0 mod level."""
         return cls("hecke", level)
@@ -185,7 +180,6 @@ class Subgroup:
         return {
             "full": "Sp(4,Z)",
             "principal": f"Gamma2[{self.level}]",
-            "igusa": f"Gamma2[{self.level},{2 * self.level}]",
             "hecke": f"Gamma2,0[{self.level}]",
             "chi_kernel": "Gamma_n",
             "hecke_chi_kernel": "Gamma2,0[2]_n",
@@ -206,13 +200,6 @@ def subgroup_membership(m: SpMat, tag: Subgroup) -> bool:
             (m.rows[i][j] - IDENTITY4[i][j]) % l == 0
             for i in range(4) for j in range(4)
         )
-    if tag.kind == "igusa":
-        if not subgroup_membership(m, Subgroup.principal(l)):
-            return False
-        atb = m.a_tb()
-        ctd = m.c_td()
-        diag = (atb[0][0], atb[1][1], ctd[0][0], ctd[1][1])
-        return all(x % l == 0 and (x // l) % 2 == 0 for x in diag)
     if tag.kind == "hecke":
         return all(v % l == 0 for row in m.C for v in row)
     if tag.kind == "chi_kernel":
@@ -267,62 +254,24 @@ def _generators() -> list[SpMat]:
 
 
 _GENERATORS = _generators()
+_GENERATOR_ROWS = tuple(g.rows for g in _GENERATORS)
 _GENERATOR_INDICES = range(len(_GENERATORS))
-
-
-# -- the mod-2 walk -------------------------------------------------------
-#
-# A word's reduction mod 2 is a walk in Sp(4, F_2), of order 720.  Classes
-# are numbered in the order the walk from the identity (class 0) finds
-# them; a class is kept as its four rows, each a 4-bit mask with column j
-# at bit 3 - j.
-
-def _row_masks(m) -> tuple[int, ...]:
-    return tuple(sum((v % 2) << (3 - j) for j, v in enumerate(row)) for row in m)
-
-
-@cache
-def _f2_walk() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(step, classes): step[c][g] is the class of classes[c] times the
-    mod-2 image of _GENERATORS[g]."""
-    # combos[g][mask]: XOR of the rows of generator g that mask selects,
-    # which is row i of x * g when mask is row i of x
-    combos = []
-    for g in _GENERATORS:
-        rows = _row_masks(g.rows)
-        combos.append([
-            rows[0] * (mask >> 3 & 1) ^ rows[1] * (mask >> 2 & 1)
-            ^ rows[2] * (mask >> 1 & 1) ^ rows[3] * (mask & 1)
-            for mask in range(16)
-        ])
-    classes = [_row_masks(IDENTITY4)]
-    index = {classes[0]: 0}
-    step = []
-    for x in classes:  # grows while it is walked
-        out = []
-        for comb in combos:
-            y = (comb[x[0]], comb[x[1]], comb[x[2]], comb[x[3]])
-            if y not in index:
-                index[y] = len(classes)
-                classes.append(y)
-            out.append(index[y])
-        step.append(tuple(out))
-    return step, classes
 
 
 @cache
 def _passing_classes(tag: Subgroup) -> tuple[bool, ...] | None:
     """Which mod-2 classes a member of `tag` can reduce to; None if all.
 
-    A necessary condition only: members of an even-level principal or
-    Igusa group and of Gamma_n are the identity mod 2, members of an
+    A necessary condition only: members of an even-level principal group
+    and of Gamma_n are the identity mod 2 (class 0), members of an
     even-level Hecke group and of its cusp-form kernel have C = 0 mod 2.
     """
     even = tag.level % 2 == 0
-    if tag.kind == "chi_kernel" or (tag.kind in ("principal", "igusa") and even):
-        return tuple(c == 0 for c in range(len(_f2_walk()[1])))
+    classes = sp4f2_walk()[0]
+    if tag.kind == "chi_kernel" or (tag.kind == "principal" and even):
+        return tuple(c == 0 for c in range(len(classes)))
     if tag.kind == "hecke_chi_kernel" or (tag.kind == "hecke" and even):
-        return tuple((x[2] | x[3]) & 0b1100 == 0 for x in _f2_walk()[1])
+        return tuple((x[2] | x[3]) & 0b1100 == 0 for x in classes)
     return None
 
 
@@ -342,7 +291,7 @@ def sample_element(tag: Subgroup, word_length: int, seed: int,
         return SpMat.identity()
     choice = rng.choice
     passing = _passing_classes(tag)
-    step = _f2_walk()[0] if passing is not None else None
+    step = sp4f2_steps(_GENERATOR_ROWS) if passing is not None else None
     for _ in range(max_tries):
         word = [choice(_GENERATOR_INDICES) for _ in range(word_length)]
         if step is not None:

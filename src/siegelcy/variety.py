@@ -610,23 +610,6 @@ def bordered_jacobian_sign() -> int | None:
     return None
 
 
-def homogeneous_jacobian_specialization_sign() -> int | None:
-    """Scalar relating the bordered determinant to the plain 3x3 Jacobian
-    after setting f4 = 1 with vanishing partials."""
-    gens = {v: MPoly.var(H_VARS, v) for v in H_VARS}
-    one = MPoly.const(H_VARS, 1)
-    zero = MPoly.zero(H_VARS)
-    f = [gens["f1"], gens["f2"], gens["f3"], one]
-    d = [[gens[f"d{i}{j}"] for j in range(1, 4)] + [zero] for i in range(3)]
-    bordered = determinant([f, d[0], d[1], d[2]])
-    plain = determinant([[d[i][j] for j in range(3)] for i in range(3)])
-    if bordered == plain:
-        return 1
-    if bordered == -plain:
-        return -1
-    return None
-
-
 # -- blow-up charts -----------------------------------------------------------
 
 Z_VARS = ("z1", "z2", "z3")

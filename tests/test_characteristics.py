@@ -6,6 +6,7 @@ import pytest
 
 from siegelcy.characteristics import (
     IDENTITY4,
+    J4,
     SP4F2_GENERATORS,
     Char,
     STANDARD_QUADRUPLE,
@@ -21,10 +22,12 @@ from siegelcy.characteristics import (
     quadruple_orbit,
     quadruple_stabilizer_order,
     sp4f2_act,
+    sp4f2_class,
     sp4f2_elements,
     sp4f2_sign,
     syzygetic_quadruples,
     mat_mul,
+    mat_transpose,
     mod2,
 )
 
@@ -89,6 +92,63 @@ def test_complement_rejects_non_syzygetic():
 
 def test_group_order_is_720():
     assert len(sp4f2_elements()) == 720
+
+
+def test_every_element_is_symplectic_mod_2():
+    for x in sp4f2_elements():
+        assert mod2(mat_mul(mat_mul(mat_transpose(x), J4), x)) == mod2(J4)
+
+
+def block_formula(x, m):
+    """x{m} for x = (A B; C D), from 4x4 products: the linear part is the
+    transpose-inverse J x J^-1 = (D C; B A) mod 2, and the correction
+    (diag C tD; diag A tB) is read off x S tx = (A tB  A tD; C tB  C tD)
+    with S = (0 E; 0 0)."""
+    s = (IDENTITY4[2], IDENTITY4[3], (0, 0, 0, 0), (0, 0, 0, 0))
+    lin = mat_mul(mat_mul(J4, x), mat_transpose(J4))
+    p = mat_mul(mat_mul(x, s), mat_transpose(x))
+    shift = (p[2][2], p[3][3], p[0][0], p[1][1])
+    return Char(*((sum(lin[i][k] * m[k] for k in range(4)) + shift[i]) % 2
+                  for i in range(4)))
+
+
+def permutation_sign(image):
+    seen, sign = set(), 1
+    for start in range(len(image)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = image[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_action_and_sign_match_the_block_formula_everywhere():
+    odds = odd_characteristics()
+    for x in sp4f2_elements():
+        for m in all_characteristics():
+            assert sp4f2_act(x, m) == block_formula(x, m)
+        image = [odds.index(block_formula(x, m)) for m in odds]
+        assert sp4f2_sign(x) == permutation_sign(image)
+
+
+NOT_SYMPLECTIC = [
+    ((1, 1, 0, 0),) + IDENTITY4[1:],                          # singular
+    ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # D is not tA^-1
+    ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # B not symmetric
+]
+
+
+@pytest.mark.parametrize("x", NOT_SYMPLECTIC)
+def test_non_symplectic_matrix_is_refused(x):
+    with pytest.raises(ValueError, match="not symplectic mod 2"):
+        sp4f2_class(x)
+    with pytest.raises(ValueError, match="not symplectic mod 2"):
+        sp4f2_act(x, Char(0, 0, 0, 0))
+    with pytest.raises(ValueError, match="not symplectic mod 2"):
+        sp4f2_sign(x)
 
 
 def test_identity_acts_trivially():

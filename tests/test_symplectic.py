@@ -4,15 +4,20 @@ import random
 
 import pytest
 
-from siegelcy.characteristics import mat_mul, mod2, sp4f2_elements
+from siegelcy.characteristics import (
+    mat_mul,
+    mod2,
+    sp4f2_class,
+    sp4f2_elements,
+    sp4f2_steps,
+    sp4f2_walk,
+)
 from siegelcy.numeric import conditioned_samples
 from siegelcy.symplectic import (
     _GENERATORS,
     SpMat,
     Subgroup,
-    _f2_walk,
     _passing_classes,
-    _row_masks,
     cusp_form_character,
     is_symplectic,
     sample_element,
@@ -64,7 +69,7 @@ def test_membership_examples():
 
     ident = SpMat.identity()
     for tag in (Subgroup.full(), Subgroup.principal(2), Subgroup.principal(4),
-                Subgroup.igusa(2), Subgroup.hecke(2), Subgroup.chi_kernel(),
+                Subgroup.hecke(2), Subgroup.chi_kernel(),
                 Subgroup.hecke_chi_kernel()):
         assert subgroup_membership(ident, tag)
 
@@ -141,8 +146,6 @@ EVERY_KIND = [
     Subgroup.full(),
     Subgroup.principal(2),
     Subgroup.principal(3),
-    Subgroup.igusa(1),
-    Subgroup.igusa(2),
     Subgroup.hecke(2),
     Subgroup.hecke(3),
     Subgroup.chi_kernel(),
@@ -154,7 +157,6 @@ EVERY_KIND = [
 def test_prefilter_keeps_the_unfiltered_samples(tag):
     # a budget of 300 words keeps the unfiltered reference affordable and
     # still finds a member in at least 33 of the 80 cases of every kind
-    classes = _f2_walk()[1]
     passing = _passing_classes(tag)
     found = 0
     for word_length in (5, 8):
@@ -168,19 +170,21 @@ def test_prefilter_keeps_the_unfiltered_samples(tag):
             if got is not None:
                 found += 1
                 if passing is not None:
-                    assert passing[classes.index(_row_masks(got.mod2()))]
+                    assert passing[sp4f2_class(got.rows)]
     assert found >= 20
 
 
 def test_mod2_walk_is_the_multiplication_table_of_sp4f2():
-    step, classes = _f2_walk()
-    assert sorted(classes) == sorted(_row_masks(x) for x in sp4f2_elements())
-    assert classes[0] == _row_masks(SpMat.identity().rows)
-    matrices = {_row_masks(x): x for x in sp4f2_elements()}
-    for c, x in enumerate(classes):
+    classes = sp4f2_walk()[0]
+    step = sp4f2_steps(tuple(g.rows for g in _GENERATORS))
+    assert sp4f2_class(SpMat.identity().rows) == 0
+    matrices = {sp4f2_class(x): x for x in sp4f2_elements()}
+    assert sorted(matrices) == list(range(720))
+    for c, x in matrices.items():
+        # a class is the rows of its matrix read as binary numbers
+        assert classes[c] == tuple(int("".join(map(str, row)), 2) for row in x)
         for g, gen in enumerate(_GENERATORS):
-            image = mod2(mat_mul(matrices[x], gen.rows))
-            assert classes[step[c][g]] == _row_masks(image)
+            assert step[c][g] == sp4f2_class(mod2(mat_mul(x, gen.rows)))
 
 
 def test_word_length_zero_gives_identity():
@@ -203,25 +207,6 @@ def test_chi_kernel_has_index_two():
     for _ in range(50):
         a, b = rng.choice(nonmembers), rng.choice(nonmembers)
         assert subgroup_membership(a * b, kernel)
-
-
-def test_igusa_subgroup_membership_and_closure():
-    tag = Subgroup.igusa(2)
-    # upper translation by 2S lies in the level-2 group for any symmetric S,
-    # but in the even-diagonal refinement only when S has even diagonal
-    assert subgroup_membership(SpMat.translation(((4, 2), (2, 4))), tag)
-    assert not subgroup_membership(SpMat.translation(((2, 0), (0, 2))), tag)
-    members = [
-        SpMat.translation(((4, 2), (2, 4))),
-        lower(((4, 0), (0, 8))),
-        SpMat.translation(((0, 2), (2, 4))),
-        SpMat.identity(),
-    ]
-    rng = random.Random(14)
-    for _ in range(100):
-        a, b = rng.choice(members), rng.choice(members)
-        assert subgroup_membership(a * b, tag)
-        assert subgroup_membership(a.inverse(), tag)
 
 
 def test_chi_kernel_is_hecke_kernel_restricted_to_level_two():

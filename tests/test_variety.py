@@ -248,13 +248,9 @@ def test_bordered_jacobian_sign_is_minus_one():
     # with the function row on top the bordered determinant is minus
     # f4^4 times the affine Jacobian; the plain-stated identity is the
     # +1 case and is therefore false with this row placement
-    from siegelcy.variety import (
-        bordered_jacobian_sign,
-        homogeneous_jacobian_specialization_sign,
-    )
+    from siegelcy.variety import bordered_jacobian_sign
 
     assert bordered_jacobian_sign() == -1
-    assert homogeneous_jacobian_specialization_sign() == -1
 
 
 def test_bordered_jacobian_trivial_case():
