@@ -239,6 +239,11 @@ def sp4f2_act(x: Mat2F2, m: Char) -> Char:
     This variant preserves parity and obeys (MN){m} = M{N{m}}.
     """
     sp4f2_class(x)
+    return _act(x, m)
+
+
+def _act(x: Mat2F2, m: Char) -> Char:
+    """`sp4f2_act` without the check that x is symplectic mod 2."""
     a1, a2, b1, b2 = m
     return Char(*(
         (r[0] * (b1 + r[2]) + r[1] * (b2 + r[3]) + r[2] * a1 + r[3] * a2) % 2
@@ -262,10 +267,10 @@ def sp4f2_sign(x: Mat2F2) -> int:
 def quadruple_orbit(q: Iterable[Char]) -> set[Quadruple]:
     """Orbit of a 4-set of characteristics under the whole group."""
     start = frozenset(q)
-    return {frozenset(sp4f2_act(x, m) for m in start) for x in sp4f2_elements()}
+    return {frozenset(_act(x, m) for m in start) for x in sp4f2_elements()}
 
 
 def quadruple_stabilizer_order(q: Iterable[Char]) -> int:
     start = frozenset(q)
     return sum(1 for x in sp4f2_elements()
-               if frozenset(sp4f2_act(x, m) for m in start) == start)
+               if frozenset(_act(x, m) for m in start) == start)

@@ -5,14 +5,16 @@ transformation-law and character checks that q-expansions cannot see.
 Lattice sums run in fixed point, as Python integers scaled by 2^140 (the
 idea of mpmath's own Jacobi theta sums): each row of the lattice is walked
 outward from its Gaussian peak, so every multiplier has modulus at most
-one and roundings add up without growing.  At most three values per row,
-the start term and its two step ratios, come from mpmath, at 164 bits
-plus the size of their exponents.  Each evaluation returns the value together
-with an explicit bound on the truncated Gaussian tail plus the fixed-point
-rounding (below 1e-25), so comparisons can account for every dropped
-term.  Several characteristics at one point share one lattice walk per
-parity class of their upper halves: the character checks evaluate four or
-six constants per point and would pay the full lattice cost repeatedly
+one and roundings add up without growing.  A row's start term and its two
+step ratios follow from the last row's by fixed factors, in 164-bit
+floating point on Python integers, so a batch takes five exponentials per
+point and four per parity class from mpmath, whatever the radius.  Each
+evaluation returns the value together with an explicit bound on the
+truncated Gaussian tail plus the rounding of the walk and the recurrence
+(below 1e-25), so comparisons can account for every dropped term.
+Several characteristics at one point share one lattice walk per parity
+class of their upper halves: the character checks evaluate four or six
+constants per point and would pay the full lattice cost repeatedly
 otherwise.  Transport and q-series evaluation run in mpmath at 30
 significant digits.
 """
@@ -35,6 +37,9 @@ from .symplectic import SpMat
 WORKING_DPS = 30
 #: scale of the fixed-point lattice walk: values are integers times 2^-FIXED_BITS
 FIXED_BITS = 140
+#: a Float (re, im, e) is (re + i im) 2^e, the larger part of MANTISSA_BITS bits
+MANTISSA_BITS = FIXED_BITS + 24
+Float = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,29 @@ def _summation_radius(lam: float, tol: float) -> tuple[int, float]:
                      "the imaginary part is too small")
 
 
-def _fixed(z: mpmath.mpc) -> tuple[int, int]:
-    """z as a pair of integers scaled by 2^FIXED_BITS (rounded down)."""
-    return to_fixed(z.real._mpf_, FIXED_BITS), to_fixed(z.imag._mpf_, FIXED_BITS)
+def _float(z: mpmath.mpc) -> Float:
+    """z, nonzero, rounded down to a Float whose larger part has
+    MANTISSA_BITS bits."""
+    parts = (z.real._mpf_, z.imag._mpf_)
+    e = max(exp + bc for _, man, exp, bc in parts if man) - MANTISSA_BITS
+    return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
+
+
+def _mul(u: Float, v: Float) -> Float:
+    """u v, rounded down like `_float`: each part loses under 2^shift while
+    the larger is at least 2^(MANTISSA_BITS - 1 + shift), so the product is
+    off by under 2^(1.5 - MANTISSA_BITS) |u v|."""
+    (ur, ui, ue), (vr, vi, ve) = u, v
+    re, im = ur * vr - ui * vi, ur * vi + ui * vr
+    shift = max(abs(re), abs(im)).bit_length() - MANTISSA_BITS
+    return re >> shift, im >> shift, ue + ve + shift
+
+
+def _fixed(u: Float) -> tuple[int, int]:
+    """u as a pair of integers scaled by 2^FIXED_BITS (rounded down)."""
+    re, im, e = u
+    e += FIXED_BITS
+    return (re << e, im << e) if e >= 0 else (re >> -e, im >> -e)
 
 
 def _walk(x: tuple[int, int], rho: tuple[int, int], step: tuple[int, int],
@@ -142,17 +167,31 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     Each row r1 of a class is summed in fixed point, as integers scaled by
     2^FIXED_BITS.  The term is exp(pi i Q(r)/4) with
     Q(r) = z0 r1^2 + 2 z1 r1 r2 + z2 r2^2, and its modulus is a Gaussian in
-    r2 peaking at -y1 r1 / y2.  So the row starts at the window's r2
-    nearest the peak: the start term and its ratios to the neighbours
-    r2 +- 2 come from mpmath (24 guard bits past FIXED_BITS, plus the
-    bits of the largest exponent), and the walk goes outward both ways,
-    each next ratio being the last times exp(2 pi i z2).  Walking away
-    from the peak, every multiplier has modulus at most one, so a term k
-    steps from the start carries at most 4(k+1)^2 units of 2^-FIXED_BITS
-    of rounding.  With at most `terms` lattice points in a class, the sum
-    is then off by less than (4 terms)^2 2^-FIXED_BITS, below 1e-25 for
-    every radius `_summation_radius` allows; tail_bound adds that to the
-    Gaussian tail.
+    r2 peaking at -y1 r1 / y2.  So the row starts at the window's r2 = s
+    nearest the peak, and the walk goes outward both ways from the start
+    term and its ratios to the neighbours s +- 2, each next ratio being
+    the last times exp(2 pi i z2).  Walking away from the peak, every
+    multiplier has modulus at most one, so a term k steps from the start
+    carries at most 4(k+1)^2 units of 2^-FIXED_BITS of rounding.  With at
+    most `terms` lattice points in a class, the sum is then off by less
+    than (4 terms)^2 2^-FIXED_BITS.
+
+    Q has constant second differences, so mpmath gives the start term, its
+    two ratios and its ratio to row r1 + 2 only on a class's first row
+    (with guard bits for the size of the exponents), besides q0, q1^+-1
+    and q2^+-1, qj = exp(2 pi i zj).  Each next row multiplies the term by
+    the row ratio, that by q0 and the two ratios by q1^+-1; each shift of
+    the start by +-2 multiplies the term by a ratio, the two ratios by
+    q2^+-1 and the row ratio by q1^+-1.  This runs on `Float` values: with
+    u = 2^-MANTISSA_BITS, each exponential is within 16u of exact,
+    relative, and each product adds under 3u whatever the modulus of its
+    factors (above one for far rows and for y1 < 0).  After T steps, one
+    per row and at most `radius` shifts as the start moves monotonically,
+    a ratio is within 19(T+1)u and a start term within 19(T+1)^2 u.  A
+    term k steps along its row, of modulus at most one, is then off by
+    19(T+1)(T+1+k)u < 2^7 terms u: 2^7 terms^2 u per class.  tail_bound
+    adds both roundings to the Gaussian tail; they stay below 1e-25 for
+    every radius `_summation_radius` allows.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -160,6 +199,7 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     radius, bound = _summation_radius(lam, tol)
     terms = (radius + 1) ** 2  # lattice points of one parity class, at most
     bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS
+    bound += terms ** 2 * 2.0 ** (7 - MANTISSA_BITS)
     y1, y2 = complex(Z.z1).imag, complex(Z.z2).imag
     # the exponents below reach |z0| + 2|z1| + |z2| times (radius + 1)^2;
     # their rounding must stay far below 2^-FIXED_BITS
@@ -167,28 +207,47 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     extra_bits = math.ceil(size * (radius + 1) ** 2).bit_length()
     # partial[a][s1]: (re, im) of S[s1][0], then of S[s1][1]
     partial = {}
-    with mp.workprec(FIXED_BITS + 24 + extra_bits):
+    with mp.workprec(MANTISSA_BITS + extra_bits):
         z0, z1, z2 = Z.as_mpc()
-        step = _fixed(mpmath.expjpi(2 * z2))  # ratio of successive ratios
+        q0, q1, q1_inv, q2, q2_inv = (_float(mpmath.expjpi(2 * z))
+                                      for z in (z0, z1, -z1, z2, -z2))
+        step = _fixed(q2)  # ratio of successive ratios
         for a1, a2 in {(m.a1, m.a2) for m in chars}:
             sums = [[0, 0, 0, 0], [0, 0, 0, 0]]
             lo = -radius + (radius + a2) % 2  # window ends with r2 = a2 mod 2
             hi = radius - (radius + a2) % 2
-            for r1 in range(-radius + (radius + a1) % 2, radius + 1, 2):
+            first = -radius + (radius + a1) % 2
+            for r1 in range(first, radius + 1, 2):
                 peak = -y1 * r1 / y2
-                s = min(max(a2 + 2 * math.floor((peak - a2) / 2 + 0.5), lo), hi)
-                x = _fixed(mpmath.expjpi((z0 * (r1 * r1) + z1 * (2 * r1 * s)
-                                          + z2 * (s * s)) / 4))
+                target = min(max(a2 + 2 * math.floor((peak - a2) / 2 + 0.5), lo), hi)
+                if r1 == first:
+                    s = target
+                    # the start term, its ratios to r2 = s +- 2 and to row r1 + 2
+                    x, up, down, col = (_float(mpmath.expjpi(w)) for w in (
+                        (z0 * (r1 * r1) + z1 * (2 * r1 * s) + z2 * (s * s)) / 4,
+                        z1 * r1 + z2 * (s + 1), z2 * (1 - s) - z1 * r1,
+                        z0 * (r1 + 1) + z1 * s))
+                else:
+                    x, col = _mul(x, col), _mul(col, q0)
+                    up, down = _mul(up, q1), _mul(down, q1_inv)
+                    while s < target:
+                        x, col = _mul(x, up), _mul(col, q1)
+                        up, down = _mul(up, q2), _mul(down, q2_inv)
+                        s += 2
+                    while s > target:
+                        x, col = _mul(x, down), _mul(col, q1_inv)
+                        up, down = _mul(up, q2_inv), _mul(down, q2)
+                        s -= 2
+                start = _fixed(x)
                 # the start's cell s2 is row[at:at + 2], the other cell
                 # (odd steps away) row[2 - at:4 - at]
                 row = sums[(r1 - a1) // 2 % 2]
                 at = 2 * ((s - a2) // 2 % 2)
-                row[at] += x[0]
-                row[at + 1] += x[1]
-                for count, ratio in (((hi - s) // 2, z1 * r1 + z2 * (s + 1)),
-                                     ((s - lo) // 2, z2 * (1 - s) - z1 * r1)):
+                row[at] += start[0]
+                row[at + 1] += start[1]
+                for count, ratio in (((hi - s) // 2, up), ((s - lo) // 2, down)):
                     if count:
-                        walk = _walk(x, _fixed(mpmath.expjpi(ratio)), step, count)
+                        walk = _walk(start, _fixed(ratio), step, count)
                         for j, part in enumerate(walk):
                             row[(at + 2 + j) % 4] += part
             partial[a1, a2] = sums
@@ -278,19 +337,17 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
 # -- symplectic transport ----------------------------------------------------
 
 def siegel_transform(M: SpMat, Z: SiegelPoint) -> tuple[SiegelPoint, complex]:
-    """(M<Z>, det(CZ+D)) computed in extended precision."""
+    """(M<Z>, det(CZ+D)) computed in extended precision, as
+    (AZ+B) adj(CZ+D) / det(CZ+D) with the 2x2 blocks written out."""
     with mp.workdps(WORKING_DPS):
         z0, z1, z2 = Z.as_mpc()
-        zm = mpmath.matrix([[z0, z1], [z1, z2]])
-        a, b, c, d = (mpmath.matrix([[blk[0][0], blk[0][1]],
-                                     [blk[1][0], blk[1][1]]])
-                      for blk in (M.A, M.B, M.C, M.D))
-        denom = c * zm + d
-        det = denom[0, 0] * denom[1, 1] - denom[0, 1] * denom[1, 0]
-        image = (a * zm + b) * (denom ** -1)
-        off = (image[0, 1] + image[1, 0]) / 2
-        point = SiegelPoint(complex(image[0, 0]), complex(off),
-                            complex(image[1, 1]))
+        # rows 0-1 of M give AZ+B, rows 2-3 give CZ+D
+        (n00, n01), (n10, n11), (d00, d01), (d10, d11) = (
+            (r[0] * z0 + r[1] * z1 + r[2], r[0] * z1 + r[1] * z2 + r[3]) for r in M.rows)
+        det = d00 * d11 - d01 * d10
+        off = (n01 * d00 - n00 * d01 + n10 * d11 - n11 * d10) / 2
+        point = SiegelPoint(complex((n00 * d11 - n01 * d10) / det), complex(off / det),
+                            complex((n11 * d00 - n10 * d01) / det))
         return point, complex(det)
 
 

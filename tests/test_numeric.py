@@ -141,6 +141,10 @@ def test_batch_matches_the_defining_sum():
     SiegelPoint(0.21 + 0.169j, -0.13 - 0.357j, 0.37 + 0.911j),
     SiegelPoint(-0.3 + 0.45j, 0.2 + 0.38j, 0.1 + 0.52j),  # y1 > 0
     SiegelPoint(0.5 + 1j, 1e-6j, 1.5j),  # near the diagonal: [11;11] is near 0
+    # |y1 / y2| = 3: each next row starts three steps further from the last
+    # row's start, downward for y1 > 0 and upward for y1 < 0
+    SiegelPoint(0.1 + 6j, 0.2 + 1.8j, -0.3 + 0.6j),
+    SiegelPoint(0.1 + 6j, 0.2 - 1.8j, -0.3 + 0.6j),
 ])
 def test_batch_matches_the_defining_sum_at_skewed_points(Z):
     # one even characteristic per parity class of the upper half; rows whose
@@ -157,6 +161,27 @@ def test_batch_matches_the_defining_sum_at_skewed_points(Z):
             diff = abs(exact - r.value)
         rounding = 2.0 ** -52 * float(abs(exact))
         assert diff <= r.tail_bound + rounding + 1e-25, (m, diff)
+
+
+def test_mpmath_exponentials_per_batch_do_not_grow_with_the_radius(monkeypatch):
+    calls = []
+    expjpi = mpmath.expjpi
+
+    def counted(z):
+        calls.append(z)
+        return expjpi(z)
+
+    monkeypatch.setattr(mpmath, "expjpi", counted)
+    # one characteristic per parity class of the upper half
+    chars = [Char(0, 0, 0, 0), Char(0, 1, 1, 0), Char(1, 0, 0, 1), Char(1, 1, 1, 1)]
+    counts = []
+    for Z, radius in ((SiegelPoint(2j, 0.2j, 2j), 4),
+                      (SiegelPoint(0.21 + 0.169j, -0.13 - 0.357j, 0.37 + 0.911j), 42)):
+        assert _summation_radius(Z.min_eigenvalue(), 1e-13)[0] == radius
+        calls.clear()
+        theta_eval_batch(chars, Z, tol=1e-13)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 5 + 4 * len(chars)
 
 
 def test_dual_engine_consistency_all_even():
