@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .suite import SELECTORS, emit_report, run_suite
@@ -30,6 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.json is not None and (os.path.isdir(args.json) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(args.json)))):
+        print(f"error: cannot write the JSON report to {args.json!r}", file=sys.stderr)
+        return 2
     try:
         report = run_suite(args.selector, truncation=args.truncation,
                            seed=args.seed, tol=args.tol)

@@ -185,29 +185,37 @@ class MPoly:
             terms[tuple(new_e)] = c * e[idx]
         return MPoly(self.vars, terms)
 
-    def substitute(self, assignment: dict[str, MPoly]) -> MPoly:
-        """Substitute a polynomial for every variable that occurs in self.
+    def substitute(self, assignment: dict[str, MPoly] | dict[str, RatFn]
+                   ) -> MPoly | RatFn:
+        """Compose: substitute a value for every variable that occurs in self.
 
-        All assigned values must live in one common target ring.  An
-        occurring variable without an assignment is an error, named.
+        The values are all polynomials or all rational functions of one
+        common ring, and the result lives in that ring.  An occurring
+        variable without an assignment is an error, named.  The powers of
+        each variable are built once per call.
         """
         for name in sorted(self.used_variables()):
             if name not in assignment:
                 raise KeyError(f"no assignment for variable {name!r}")
-        target_vars = None
-        for value in assignment.values():
-            if target_vars is None:
-                target_vars = value.vars
-            elif value.vars != target_vars:
-                raise ValueError("assignment values live in different rings")
-        if target_vars is None:
-            target_vars = self.vars
-        result = MPoly.zero(target_vars)
+        values = list(assignment.values())
+        if len({type(v) for v in values}) > 1 or len({v.vars for v in values}) > 1:
+            raise ValueError("assignment values must be all MPoly or all RatFn "
+                             "of one ring")
+        target = values[0].vars if values else self.vars
+        one = (RatFn.from_const(target, 1) if values and isinstance(values[0], RatFn)
+               else MPoly.const(target, 1))
+        powers = []
+        for i, name in enumerate(self.vars):
+            row = [one]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                row.append(row[-1] * assignment[name])
+            powers.append(row)
+        result = one * 0
         for e, c in self.terms.items():
-            term = MPoly.const(target_vars, c)
+            term = one * c
             for i, k in enumerate(e):
                 if k:
-                    term = term * (assignment[self.vars[i]] ** k)
+                    term = term * powers[i][k]
             result = result + term
         return result
 
@@ -501,29 +509,6 @@ class RatFn:
         return f"({self.num}) / ({self.den})"
 
 
-def substitute_ratfn(f: MPoly, assignment: dict[str, RatFn]) -> RatFn:
-    """Compose a polynomial with rational functions of a new chart."""
-    for name in sorted(f.used_variables()):
-        if name not in assignment:
-            raise KeyError(f"no assignment for variable {name!r}")
-    target_vars = None
-    for value in assignment.values():
-        if target_vars is None:
-            target_vars = value.vars
-        elif value.vars != target_vars:
-            raise ValueError("assignment values live in different rings")
-    if target_vars is None:
-        target_vars = f.vars
-    result = RatFn.from_const(target_vars, 0)
-    for e, c in f.terms.items():
-        term = RatFn.from_const(target_vars, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * (assignment[f.vars[i]] ** k)
-        result = result + term
-    return result
-
-
 def determinant(matrix: list[list[MPoly | RatFn]]) -> MPoly | RatFn:
     """Exact determinant of a square matrix of MPoly or RatFn entries, by
     permutation expansion (intended for n <= 4); permutations through a
@@ -616,8 +601,8 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, RatFn],
             raise KeyError(f"no substitution for chart variable {v!r}")
         if substitution[v].vars != tuple(target_vars):
             raise ValueError("substitution values must live on the target chart")
-    num = substitute_ratfn(omega.coeff.num, substitution)
-    den = substitute_ratfn(omega.coeff.den, substitution)
+    num = omega.coeff.num.substitute(substitution)
+    den = omega.coeff.den.substitute(substitution)
     if den.is_zero():
         raise ZeroDivisionError("substitution collapses the coefficient denominator")
     coeff = num / den

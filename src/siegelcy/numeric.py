@@ -428,15 +428,6 @@ def diagonal_vanishing_check(tau1: complex, tau2: complex,
     return abs(_product(results).value) < tol and abs(all_ones.value) < tol
 
 
-def cusp_limit_deviation(m: Char, scale: float, truncation: int = 0) -> float:
-    """|lattice sum - constant term| at Z = diag(scale*i, scale*i)."""
-    from .qseries import theta_qexp
-
-    Z = SiegelPoint(complex(0, scale), 0j, complex(0, scale))
-    series = theta_qexp(m, truncation)
-    return abs(theta_eval(m, Z, tol=1e-14).value - evaluate_qseries(series, Z))
-
-
 # -- conditioned sampling ------------------------------------------------------
 
 def conditioned_samples(tag, count: int, seed: int, word_length: int = 6,

@@ -4,10 +4,14 @@ singular curves, and the symbolic Jacobian identities.
 
 Two coordinate systems are carried: the y-system from the even-weight ring
 generators and the x-system from the doubled-argument generators, linked by
-an explicit integer matrix (y5 = x5).  All checks are exact: ideal
-membership by graded linear algebra, form pullbacks by the chain rule on
-rational functions, curve singularity by identical vanishing of every 2x2
-minor of the Jacobian along a parametrization.
+an explicit integer matrix (y5 = x5).  Every linear change of coordinates
+goes through `substitute_linear`, and every composition through
+`MPoly.substitute`; the x-side curve parametrizations use the inverse
+matrix times its common denominator, so they keep integer coefficients.
+All checks are exact: ideal membership by graded linear algebra, form
+pullbacks by the chain rule on rational functions, curve singularity by
+identical vanishing of every 2x2 minor of the Jacobian along a
+parametrization, formed from the Jacobian entries after substitution.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .mpoly import (
     MPoly,
@@ -89,15 +94,10 @@ def coord_matrix_det() -> int:
 
 def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
     """Compose f(source) with source_i = sum_j matrix[i][j] * target_j."""
-    gens = MPoly.ring(target_vars)
-    assignment = {}
-    for i, v in enumerate(source_vars):
-        expr = MPoly.zero(target_vars)
-        for j in range(len(target_vars)):
-            if matrix[i][j]:
-                expr = expr + matrix[i][j] * gens[j]
-        assignment[v] = expr
-    return f.substitute(assignment)
+    units = [tuple(int(k == j) for k in range(len(target_vars)))
+             for j in range(len(target_vars))]
+    return f.substitute({v: MPoly(target_vars, dict(zip(units, row)))
+                         for v, row in zip(source_vars, matrix)})
 
 
 @dataclass(frozen=True)
@@ -399,18 +399,21 @@ def line_curve_y() -> CurveRep:
 
 
 def curve_to_x(curve: CurveRep) -> CurveRep:
-    """Transport a y-curve to x-coordinates through the tabulated matrix."""
+    """Transport a y-curve to x-coordinates through the tabulated matrix.
+
+    The parametrization goes through the inverse matrix times its common
+    denominator: a parametrization is projective, so the points stay the
+    same and the x-side parameters keep integer coefficients.
+    """
     ideal = tuple(substitute_linear(f, COORD_MATRIX, Y_VARS, X_VARS)
                   for f in curve.ideal)
     inverse = _invert_fraction_matrix(COORD_MATRIX)
-    param = []
-    for i in range(6):
-        expr = MPoly.zero(PARAM_VARS)
-        for j in range(6):
-            if inverse[i][j]:
-                expr = expr + inverse[i][j] * curve.param[j]
-        param.append(expr)
-    return CurveRep(curve.name, ideal, tuple(param))
+    scale = lcm(*(a.denominator for row in inverse for a in row))
+    scaled = [[scale * a for a in row] for row in inverse]
+    on_param = dict(zip(Y_VARS, curve.param))
+    param = tuple(substitute_linear(x, scaled, X_VARS, Y_VARS).substitute(on_param)
+                  for x in MPoly.ring(X_VARS))
+    return CurveRep(curve.name, ideal, param)
 
 
 def act_on_curve(g: SignedMonomialMap, curve: CurveRep) -> CurveRep:
@@ -443,17 +446,12 @@ def canonical_curve_key(curve: CurveRep):
         return (rref, None)
     if len(higher) != 1:
         raise ValueError("expected at most one non-linear generator")
-    # eliminate pivot variables from the quadric
-    gens = MPoly.ring(variables)
-    assignment = {v: gens[i] for i, v in enumerate(variables)}
-    for r in rref:
-        pivot = next(i for i, v in enumerate(r) if v != 0)
-        expr = MPoly.zero(variables)
-        for j in range(pivot + 1, 6):
-            if r[j]:
-                expr = expr - r[j] * gens[j]
-        assignment[variables[pivot]] = expr
-    reduced = higher[0].substitute(assignment)
+    # eliminate the pivot variables from the quadric: x_p -> x_p - row_p(x)
+    pivot_rows = {min(j for j, v in enumerate(r) if v): r for r in rref}
+    zero = (0,) * 6
+    eliminate = [[int(i == j) - pivot_rows.get(i, zero)[j] for j in range(6)]
+                 for i in range(6)]
+    reduced = substitute_linear(higher[0], eliminate, variables, variables)
     if reduced.is_zero():
         return (rref, None)
     lead = min(reduced.terms)
@@ -473,10 +471,6 @@ class CurveCheckReport:
                 and self.minors_vanish)
 
 
-def jacobian_rows(pres: Presentation) -> list[list[MPoly]]:
-    return [[f.partial(v) for v in pres.variables] for f in pres.gens()]
-
-
 def _certified_member(f: MPoly, gens: list[MPoly]) -> bool:
     """Ideal membership, with the certificate re-expanded rather than trusted."""
     cert = graded_membership(f, gens)
@@ -484,17 +478,19 @@ def _certified_member(f: MPoly, gens: list[MPoly]) -> bool:
 
 
 def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
-    """Containment and singularity certificates along one curve."""
-    assignment = {v: curve.param[i] for i, v in enumerate(pres.variables)}
+    """Containment and singularity certificates along one curve.
+
+    Substitution is a ring map, so the 2x2 minors of the Jacobian along the
+    parametrization are the minors of its entries along it: the entries are
+    substituted first and the minors formed in the parameter ring.
+    """
+    assignment = dict(zip(pres.variables, curve.param))
     param_ok = all(f.substitute(assignment).is_zero() for f in curve.ideal)
     member_ok = all(_certified_member(f, list(curve.ideal)) for f in pres.gens())
-    rows = jacobian_rows(pres)
-    minors_ok = True
-    for i, j in combinations(range(6), 2):
-        minor = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
-        if not minor.substitute(assignment).is_zero():
-            minors_ok = False
-            break
+    rows = [[f.partial(v).substitute(assignment) for v in pres.variables]
+            for f in pres.gens()]
+    minors_ok = all((rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]).is_zero()
+                    for i, j in combinations(range(len(pres.variables)), 2))
     return CurveCheckReport(curve.name, param_ok, member_ok, minors_ok)
 
 

@@ -12,7 +12,6 @@ from siegelcy.mpoly import (
     graded_membership,
     monomials_of_degree,
     rational_jacobian,
-    substitute_ratfn,
     threeform_pullback,
 )
 
@@ -37,6 +36,15 @@ def test_unassigned_variable_is_named():
     x, y = MPoly.ring(XY)
     with pytest.raises(KeyError, match="y"):
         (x * y).substitute({"x": MPoly.var(UV, "u")})
+
+
+def test_values_from_two_rings_or_kinds_are_refused():
+    x, y = MPoly.ring(XY)
+    u, v = MPoly.ring(UV)
+    with pytest.raises(ValueError):
+        (x * y).substitute({"x": u, "y": MPoly.var(XY, "y")})
+    with pytest.raises(ValueError):
+        (x * y).substitute({"x": u, "y": RatFn(v)})
 
 
 def _random_poly(rng: random.Random, variables) -> MPoly:
@@ -173,13 +181,13 @@ def test_jacobian_multiplicative_under_composition():
         # compose: (f o g)_i = f_i(g1, g2, g3)
         comp = []
         for fi in f:
-            num = substitute_ratfn(fi.num, {v: g[j] for j, v in enumerate(vars3)})
-            den = substitute_ratfn(fi.den, {v: g[j] for j, v in enumerate(vars3)})
+            num = fi.num.substitute({v: g[j] for j, v in enumerate(vars3)})
+            den = fi.den.substitute({v: g[j] for j, v in enumerate(vars3)})
             comp.append(num / den)
         jf = rational_jacobian(f, list(vars3))
         jg = rational_jacobian(g, list(vars3))
-        jf_at_g_num = substitute_ratfn(jf.num, {v: g[j] for j, v in enumerate(vars3)})
-        jf_at_g_den = substitute_ratfn(jf.den, {v: g[j] for j, v in enumerate(vars3)})
+        jf_at_g_num = jf.num.substitute({v: g[j] for j, v in enumerate(vars3)})
+        jf_at_g_den = jf.den.substitute({v: g[j] for j, v in enumerate(vars3)})
         lhs = rational_jacobian(comp, list(vars3))
         rhs = (jf_at_g_num / jf_at_g_den) * jg
         assert lhs == rhs
@@ -257,8 +265,8 @@ def test_pullback_contravariant_functorial():
         # compose f after g as a single substitution: (f o g)(v) = f(v) evaluated at g
         fog = {}
         for v in Z3:
-            num = substitute_ratfn(f[v].num, g)
-            den = substitute_ratfn(f[v].den, g)
+            num = f[v].num.substitute(g)
+            den = f[v].den.substitute(g)
             fog[v] = num / den
         direct = threeform_pullback(omega, fog, Z3)
         assert twice == direct

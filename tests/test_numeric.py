@@ -20,7 +20,6 @@ from siegelcy.numeric import (
     _tail_remainder,
     character_law_check,
     conditioned_samples,
-    cusp_limit_deviation,
     diagonal_vanishing_check,
     evaluate_qseries,
     law_form_value,
@@ -219,11 +218,6 @@ def test_dual_engine_higher_point():
 def test_dual_engine_rejects_low_points():
     with pytest.raises(ValueError, match="dropped-terms"):
         series_numeric_consistency([Char(0, 0, 0, 0)], SiegelPoint(0.6j, 0j, 0.6j), 4)
-
-
-def test_cusp_limit_shrinks():
-    devs = [cusp_limit_deviation(Char(0, 0, 0, 0), s) for s in (2.0, 3.0, 4.0)]
-    assert devs[0] > devs[1] > devs[2]
 
 
 def test_identity_transform_is_exact():

@@ -140,12 +140,17 @@ def test_cli_rejects_bad_selector(capsys):
     ["numeric", "--tol", "-1"],
     ["numeric", "--tol", "inf"],
     ["numeric", "--tol", "nan"],
+    ["chars", "--json", "/nonexistent/dir/r.json"],
+    ["chars", "--json", "."],
 ])
 def test_cli_refuses_bad_parameters(argv, tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main(argv + ["--json", str(out)]) == 2
+    # a --json of the case itself comes later and wins
+    assert main([argv[0], "--json", str(out), *argv[1:]]) == 2
     assert not out.exists()
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert not captured.out  # and no text report either
 
 
 def test_crash_reason_is_on_the_text_line(monkeypatch, capsys):

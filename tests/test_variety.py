@@ -9,7 +9,10 @@ from siegelcy.mpoly import MPoly, rational_jacobian
 from siegelcy.variety import (
     COORD_MATRIX,
     G_VARS,
+    PARAM_VARS,
     SMOOTH_CONTROL_POINT_Y,
+    Y_VARS,
+    CurveRep,
     SignedMonomialMap,
     ambient_group,
     blowup_chart_check,
@@ -196,6 +199,25 @@ def test_transported_curves_check_in_x():
     for seed in (quadric_curve_y(), line_curve_y()):
         report = curve_checks(curve_to_x(seed), pres)
         assert report.all_ok(), seed.name
+
+
+def test_transported_parametrizations_are_integral():
+    for seed in (quadric_curve_y(), line_curve_y()):
+        for p in curve_to_x(seed).param:
+            assert all(type(c) is int for c in p.terms.values()), seed.name
+
+
+def test_minors_catch_a_line_through_a_smooth_point():
+    # the cone over the smooth control point lies on the threefold and in
+    # its linear ideal, but the Jacobian has rank two along it
+    point = [int(2 * c) for c in SMOOTH_CONTROL_POINT_Y]
+    y = MPoly.ring(Y_VARS)
+    t, _ = MPoly.ring(PARAM_VARS)
+    ideal = tuple(point[0] * y[i] - point[i] * y[0] for i in range(1, 6))
+    curve = CurveRep("smooth_point", ideal, tuple(c * t for c in point))
+    report = curve_checks(curve, presentation_y())
+    assert report.param_satisfies_ideal and report.equations_in_ideal
+    assert not report.minors_vanish
 
 
 def test_curve_orbits_sizes():
