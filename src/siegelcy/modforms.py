@@ -5,12 +5,17 @@ the five Igusa generators y0..y4 of the even-weight level-2 ring, the
 extra weight-2 form y5 (the product of the four theta constants with upper
 characteristic zero), the doubled-argument generators f1..f4 and their
 symmetric combinations F1..F6, the fifteen weight-3 sextuple products, and
-the weight-5 product of all ten theta constants.
+the weight-5 product of all ten theta constants.  Only the thetas are
+built with the registry; every other series is built the first time it is
+read, once per registry.
 
 Every relation is stored with the declared weight of both sides and with a
 deliberately broken variant (one perturbed coefficient) used as a
 falsification control: the suite must see a zero residual on the genuine
-relation and a nonzero residual on the mutation.
+relation and a nonzero residual on the mutation.  Each side is a sum of
+scalar multiples of registry members, so the products behind it are made
+once per registry, and a mutated side costs a scalar multiple and a
+subtraction.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .characteristics import (
     Char,
     STANDARD_SEXTUPLE,
+    all_characteristics,
     all_sextuples,
     even_characteristics,
     is_syzygetic,
@@ -51,7 +58,29 @@ SECOND_KIND_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 class FormRegistry:
-    """All named series at one truncation bound, built once and shared."""
+    """All named series at one truncation bound, each built once and shared.
+
+    Only the ten even thetas (`theta`) are built in `__init__`.  Every
+    other member is built on first read and then kept, so a battery pays
+    only for the series it reads:
+
+    - the named forms `theta_product` (y5 = F6, shared by `y` and `F`),
+      `y`, `f`, `F` and `chi5`;
+    - the sextuple products: `cusp_form(s)` builds the sextuple s alone,
+      and `sextuple_products` fills all fifteen from the same memo, so the
+      boundary orders never build `y` or `F`;
+    - the products that several relation sides read: `igusa_quadric`
+      (igusa_quartic through `igusa_quadric_square`, product_quadric,
+      y_quadric), `quartic_product` (igusa_quartic, y_quartic),
+      `f_products` (F and every classical square relation),
+      `theta_squares` (the classical squares and `product_of_squares`),
+      `F_squares` and `F_square_product(i, j)` (second_kind_quartic and
+      f6_quadric), and `y5_square`, `y5_fourth`, `F_product`,
+      `cusp_times_theta_product`, each read by both sides of one relation.
+
+    Members are never changed after they are built; a side that needs a
+    multiple of one builds a new series.
+    """
 
     def __init__(self, truncation: int) -> None:
         if truncation < 4:
@@ -59,37 +88,123 @@ class FormRegistry:
         self.truncation = truncation
         self.theta = {m: qseries.theta_qexp(m, truncation)
                       for m in even_characteristics()}
-        th = self.theta
-        self.y = [
-            th[THETA_FOURTH_00_11] ** 4,
-            th[THETA_FOURTH_00_01] ** 4,
-            th[THETA_FOURTH_00_00] ** 4,
-            -(th[THETA_FOURTH_10_00] ** 4) - th[THETA_FOURTH_00_11] ** 4,
-            -(th[THETA_FOURTH_10_01] ** 4) - th[THETA_FOURTH_00_11] ** 4,
-            product(th[m] for m in PRODUCT_FORM_CHARS),
-        ]
-        self.f = [second_kind_qexp(a, truncation) for a in SECOND_KIND_ORDER]
-        f1, f2, f3, f4 = self.f
-        self.F = [
-            f1 ** 4 + f2 ** 4 + f3 ** 4 + f4 ** 4,
-            f1 ** 2 * f2 ** 2 + f3 ** 2 * f4 ** 2,
-            f1 ** 2 * f3 ** 2 + f2 ** 2 * f4 ** 2,
-            f1 ** 2 * f4 ** 2 + f2 ** 2 * f3 ** 2,
-            f1 * f2 * f3 * f4,
-            self.y[5],
-        ]
-        self.sextuple_products = {
-            s: product(th[m] for m in sorted(s)) for s in all_sextuples()
-        }
-        self.chi5 = product(th[m] for m in even_characteristics())
+        self._sextuples: dict[frozenset, QSeries] = {}
+        self._F_square_products: dict[tuple[int, int], QSeries] = {}
 
-    @property
+    # -- the named forms ---------------------------------------------------
+
+    @cached_property
     def theta_product(self) -> QSeries:
         """The weight-2 form y5 = F6, product of the four a = 0 thetas."""
-        return self.y[5]
+        return product(self.theta[m] for m in PRODUCT_FORM_CHARS)
+
+    @cached_property
+    def y(self) -> list[QSeries]:
+        y0, y1, y2, t10_00, t10_01 = (
+            self.theta[m] ** 4 for m in (THETA_FOURTH_00_11, THETA_FOURTH_00_01,
+                                         THETA_FOURTH_00_00, THETA_FOURTH_10_00,
+                                         THETA_FOURTH_10_01))
+        return [y0, y1, y2, -t10_00 - y0, -t10_01 - y0, self.theta_product]
+
+    @cached_property
+    def f(self) -> list[QSeries]:
+        return [second_kind_qexp(a, self.truncation) for a in SECOND_KIND_ORDER]
+
+    @cached_property
+    def f_products(self) -> dict[tuple[int, int], QSeries]:
+        """f_i * f_j for i <= j (indices from 0): the squares behind F and
+        the products of every classical square relation."""
+        f = self.f
+        return {(i, j): f[i] * f[j] for i in range(4) for j in range(i, 4)}
+
+    @cached_property
+    def F(self) -> list[QSeries]:
+        sq = [self.f_products[i, i] for i in range(4)]
+        return [
+            sq[0] ** 2 + sq[1] ** 2 + sq[2] ** 2 + sq[3] ** 2,
+            sq[0] * sq[1] + sq[2] * sq[3],
+            sq[0] * sq[2] + sq[1] * sq[3],
+            sq[0] * sq[3] + sq[1] * sq[2],
+            self.f_products[0, 1] * self.f_products[2, 3],
+            self.theta_product,
+        ]
+
+    @cached_property
+    def chi5(self) -> QSeries:
+        """The weight-5 form, product of all ten even thetas."""
+        return product(self.theta[m] for m in even_characteristics())
 
     def cusp_form(self, sextuple=STANDARD_SEXTUPLE) -> QSeries:
-        return self.sextuple_products[frozenset(sextuple)]
+        """The weight-3 product of the six thetas of a sextuple."""
+        key = frozenset(sextuple)
+        if key not in self._sextuples:
+            self._sextuples[key] = product(self.theta[m] for m in sorted(key))
+        return self._sextuples[key]
+
+    @property
+    def sextuple_products(self) -> dict[frozenset, QSeries]:
+        return {s: self.cusp_form(s) for s in all_sextuples()}
+
+    # -- products that several relation sides read ---------------------------
+
+    @cached_property
+    def theta_squares(self) -> dict[Char, QSeries]:
+        """theta[m]^2 for all sixteen characteristics; an odd theta is
+        expanded (to the zero series), not assumed to vanish."""
+        return {m: (self.theta[m] if m in self.theta
+                    else qseries.theta_qexp(m, self.truncation)) ** 2
+                for m in all_characteristics()}
+
+    @cached_property
+    def igusa_quadric(self) -> QSeries:
+        """y0y1 + y0y2 + y1y2 - y3y4."""
+        y0, y1, y2, y3, y4, _ = self.y
+        return y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4
+
+    @cached_property
+    def igusa_quadric_square(self) -> QSeries:
+        return self.igusa_quadric ** 2
+
+    @cached_property
+    def quartic_product(self) -> QSeries:
+        """y0y1y2(y0 + y1 + y2 + y3 + y4)."""
+        y0, y1, y2, y3, y4, _ = self.y
+        return y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
+
+    @cached_property
+    def product_of_squares(self) -> QSeries:
+        """The product of the squares of the four a = 0 thetas."""
+        return product(self.theta_squares[m] for m in PRODUCT_FORM_CHARS)
+
+    @cached_property
+    def y5_square(self) -> QSeries:
+        return self.theta_product ** 2
+
+    @cached_property
+    def y5_fourth(self) -> QSeries:
+        return self.y5_square ** 2
+
+    @cached_property
+    def F_squares(self) -> list[QSeries]:
+        """F_i^2; F6^2 is y5^2."""
+        return [F ** 2 for F in self.F[:5]] + [self.y5_square]
+
+    def F_square_product(self, i: int, j: int) -> QSeries:
+        """F_i^2 * F_j^2 (indices from 0), built on first read."""
+        key = (min(i, j), max(i, j))
+        if key not in self._F_square_products:
+            self._F_square_products[key] = self.F_squares[i] * self.F_squares[j]
+        return self._F_square_products[key]
+
+    @cached_property
+    def F_product(self) -> QSeries:
+        """F1 * F2 * F3 * F4."""
+        return product(self.F[:4])
+
+    @cached_property
+    def cusp_times_theta_product(self) -> QSeries:
+        """The standard sextuple product times y5, which should be chi5."""
+        return self.cusp_form() * self.theta_product
 
 
 # -- relations ------------------------------------------------------------
@@ -107,27 +222,19 @@ class Relation:
 
 
 def _igusa_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    y0, y1, y2, y3, y4, _ = reg.y
-    lhs = (y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4) ** 2
-    rhs = c * (y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4))
-    return lhs, rhs
+    return reg.igusa_quadric_square, c * reg.quartic_product
 
 
 def _product_quadric(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    th = reg.theta
-    squares = product(th[m] ** 2 for m in PRODUCT_FORM_CHARS)
-    y0, y1, y2, y3, y4, _ = reg.y
-    return c * squares, y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4
+    return c * reg.product_of_squares, reg.igusa_quadric
 
 
 def _y_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    y0, y1, y2, y3, y4, y5 = reg.y
-    return c * (y5 ** 4), y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
+    return c * reg.y5_fourth, reg.quartic_product
 
 
 def _y_quadric(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    y0, y1, y2, y3, y4, y5 = reg.y
-    return c * (y5 ** 2), y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4
+    return c * reg.y5_square, reg.igusa_quadric
 
 
 def classical_relation_sides(reg: FormRegistry, m: Char,
@@ -137,13 +244,12 @@ def classical_relation_sides(reg: FormRegistry, m: Char,
     For odd m the left side is the zero series, so the relation asserts
     that the alternating sum of f-products cancels.
     """
-    lhs = scale * (qseries.theta_qexp(m, reg.truncation) ** 2
-                   if m not in reg.theta else reg.theta[m] ** 2)
+    lhs = scale * reg.theta_squares[m]
     rhs = QSeries.zero(reg.truncation)
     index = {a: i for i, a in enumerate(SECOND_KIND_ORDER)}
     for x in SECOND_KIND_ORDER:
         ax = ((m.a1 + x[0]) % 2, (m.a2 + x[1]) % 2)
-        term = reg.f[index[ax]] * reg.f[index[x]]
+        term = reg.f_products[tuple(sorted((index[ax], index[x])))]
         sign = (-1) ** (m.b1 * x[0] + m.b2 * x[1])
         rhs = rhs + (term if sign > 0 else -term)
     return lhs, rhs
@@ -151,8 +257,6 @@ def classical_relation_sides(reg: FormRegistry, m: Char,
 
 def classical_residuals(reg: FormRegistry) -> dict[Char, QSeries]:
     """Residual of the square relation for each of the 16 characteristics."""
-    from .characteristics import all_characteristics
-
     out = {}
     for m in all_characteristics():
         lhs, rhs = classical_relation_sides(reg, m)
@@ -166,8 +270,6 @@ def _classical_all(reg: FormRegistry, scale: int) -> tuple[QSeries, QSeries]:
     # mutation doubles one square and is caught immediately
     lhs_total = QSeries.zero(reg.truncation)
     rhs_total = QSeries.zero(reg.truncation)
-    from .characteristics import all_characteristics
-
     for k, m in enumerate(all_characteristics()):
         lhs, rhs = classical_relation_sides(reg, m, scale if k == 0 else 1)
         lhs_total = lhs_total + lhs
@@ -179,24 +281,21 @@ def _second_kind_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
     # c perturbs the F1*F2*F3*F4 coefficient: the 16*F5^4 term only starts
     # at combined weight 32, so a mutation there would be invisible at any
     # practical truncation, while this one shows up from weight 16 on
-    F1, F2, F3, F4, F5, _ = reg.F
-    lhs = 16 * (F5 ** 4)
-    rhs = (-(F1 ** 2 * F5 ** 2) + c * (F1 * F2 * F3 * F4)
-           - F2 ** 2 * F3 ** 2 - F2 ** 2 * F4 ** 2 + 4 * (F2 ** 2 * F5 ** 2)
-           - F3 ** 2 * F4 ** 2 + 4 * (F3 ** 2 * F5 ** 2) + 4 * (F4 ** 2 * F5 ** 2))
+    P = reg.F_square_product  # P(i, j) = F_{i+1}^2 F_{j+1}^2
+    lhs = 16 * P(4, 4)
+    rhs = (-P(0, 4) + c * reg.F_product
+           - P(1, 2) - P(1, 3) + 4 * P(1, 4)
+           - P(2, 3) + 4 * P(2, 4) + 4 * P(3, 4))
     return lhs, rhs
 
 
 def _f6_quadric(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    F1, F2, F3, F4, F5, F6 = reg.F
-    rhs = (F1 ** 2 - 4 * (F2 ** 2) - 4 * (F3 ** 2) - 4 * (F4 ** 2)
-           + c * (F5 ** 2))
-    return F6 ** 2, rhs
+    S1, S2, S3, S4, S5, S6 = reg.F_squares
+    return S6, S1 - 4 * S2 - 4 * S3 - 4 * S4 + c * S5
 
 
 def _chi5_product(reg: FormRegistry, sign: int) -> tuple[QSeries, QSeries]:
-    t_std = reg.cusp_form()
-    return sign * (t_std * reg.theta_product), reg.chi5
+    return sign * reg.cusp_times_theta_product, reg.chi5
 
 
 RELATIONS: dict[str, Relation] = {
@@ -330,7 +429,7 @@ def boundary_orders(sextuple, registry: FormRegistry) -> tuple[int, int, int]:
     key = frozenset(sextuple)
     if not is_syzygetic([m for m in even_characteristics() if m not in key]):
         raise ValueError("not a sextuple complementary to a syzygetic quadruple")
-    series = registry.sextuple_products[key]
+    series = registry.cusp_form(key)
     ks = []
     for axis in (0, 1, 2):
         bit_sum = sum(_axis_bit(m, axis) for m in key)
@@ -361,7 +460,7 @@ def q_parity_check(sextuple, axis: int, registry: FormRegistry) -> bool:
     divisible by 4; the series is then invariant under negating that
     coordinate on the level-4 grid.
     """
-    series = registry.sextuple_products[frozenset(sextuple)]
+    series = registry.cusp_form(sextuple)
     if vanishing_order(series, axis) != 4:  # level-8 order 4 is form order one
         raise ValueError(f"axis {axis} does not have form order one")
     return all(n[axis] % 4 == 0 for n in series.terms)

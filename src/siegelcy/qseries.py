@@ -56,6 +56,16 @@ class QSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _exact(cls, terms: dict[ExpTriple, Coeff], truncation: int) -> QSeries:
+        """A series on terms already known to have nonnegative exponents
+        within the bound, as the results of the ring operations do; only
+        zero coefficients are dropped."""
+        s = cls.__new__(cls)
+        s.truncation = truncation
+        s.terms = {k: c for k, c in terms.items() if c}
+        return s
+
+    @classmethod
     def zero(cls, truncation: int) -> QSeries:
         return cls({}, truncation)
 
@@ -105,17 +115,18 @@ class QSeries:
                     terms.pop(k, None)
                 else:
                     terms[k] = s
-        return QSeries(terms, n)
+        return QSeries._exact(terms, n)
 
     def __neg__(self) -> QSeries:
-        return QSeries({k: -v for k, v in self.terms.items()}, self.truncation)
+        return QSeries._exact({k: -v for k, v in self.terms.items()}, self.truncation)
 
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
 
     def __mul__(self, other: QSeries | int) -> QSeries:
         if isinstance(other, int):
-            return QSeries({k: v * other for k, v in self.terms.items()}, self.truncation)
+            return QSeries._exact({k: v * other for k, v in self.terms.items()},
+                                  self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
@@ -138,21 +149,24 @@ class QSeries:
                         terms[key] = p
                     else:
                         terms[key] = s + p
-        return QSeries(terms, n)
+        return QSeries._exact(terms, n)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QSeries:
         if n < 0:
             raise ValueError("negative power of a series")
-        result = QSeries.one(self.truncation)
+        if n == 0:
+            return QSeries.one(self.truncation)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __repr__(self) -> str:
         return f"QSeries({len(self.terms)} terms, N={self.truncation})"

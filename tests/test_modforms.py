@@ -7,11 +7,14 @@ import pytest
 from siegelcy.characteristics import (
     Char,
     STANDARD_SEXTUPLE,
+    all_characteristics,
     all_sextuples,
     even_characteristics,
+    odd_characteristics,
 )
 from siegelcy.modforms import (
     EXPECTED_BOUNDARY_DISTRIBUTION,
+    PRODUCT_FORM_CHARS,
     FormRegistry,
     boundary_orders,
     classical_residuals,
@@ -19,7 +22,7 @@ from siegelcy.modforms import (
     relation_names,
     verify_identity,
 )
-from siegelcy.qseries import koecher_check, negate_offdiag
+from siegelcy.qseries import QSeries, koecher_check, negate_offdiag, product
 
 N = 16
 
@@ -71,9 +74,138 @@ def test_named_forms_have_integer_coefficients(deep_registry):
     forms = [*reg.theta.values(), *reg.y, *reg.f, *reg.F,
              *reg.sextuple_products.values(), reg.chi5]
     assert len(forms) == 10 + 6 + 4 + 6 + 15 + 1
-    for s in forms:
-        assert s.terms
-        assert all(isinstance(c, int) for c in s.terms.values())
+    shared = shared_members(reg)
+    assert len(shared) == 9 + 10 + 16 + 6 + 15
+    for name, s in [*enumerate(forms), *shared.items()]:
+        if name in [f"theta_squares[{_label(m)}]" for m in odd_characteristics()]:
+            assert s.is_zero(), name
+            continue
+        assert s.terms, name
+        assert all(isinstance(c, int) for c in s.terms.values()), name
+
+
+def _label(m: Char) -> str:
+    return f"{m.a1}{m.a2}{m.b1}{m.b2}"
+
+
+def shared_members(reg: FormRegistry) -> dict[str, QSeries]:
+    """Every product that relation sides share, by name; reading them
+    builds them."""
+    out = {name: getattr(reg, name) for name in (
+        "theta_product", "igusa_quadric", "igusa_quadric_square",
+        "quartic_product", "product_of_squares", "y5_square", "y5_fourth",
+        "F_product", "cusp_times_theta_product")}
+    out.update({f"f_products{k}": s for k, s in reg.f_products.items()})
+    out.update({f"theta_squares[{_label(m)}]": s
+                for m, s in reg.theta_squares.items()})
+    out.update({f"F_squares[{i}]": s for i, s in enumerate(reg.F_squares)})
+    out.update({f"F_square_product({i}, {j})": reg.F_square_product(i, j)
+                for i in range(5) for j in range(i, 5)})
+    return out
+
+
+def _count_products(monkeypatch) -> list:
+    """Record every series-by-series product from now on."""
+    seen = []
+    mul = QSeries.__mul__
+
+    def counting(a, b):
+        if isinstance(b, QSeries):
+            seen.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    return seen
+
+
+def test_cusp_form_builds_only_its_own_sextuple(monkeypatch):
+    reg = FormRegistry(N)
+    seen = _count_products(monkeypatch)
+    t_std = reg.cusp_form()
+    assert len(seen) == 5
+    assert reg.cusp_form(STANDARD_SEXTUPLE) is t_std
+    assert len(seen) == 5
+    for member in ("y", "F", "f", "theta_product", "chi5"):
+        assert member not in vars(reg), member
+
+
+def test_boundary_orders_build_only_the_sextuples(monkeypatch):
+    reg = FormRegistry(N)
+    seen = _count_products(monkeypatch)
+    for s in all_sextuples():
+        boundary_orders(s, reg)
+    assert len(seen) == 15 * 5
+    assert "y" not in vars(reg) and "F" not in vars(reg)
+
+
+def _same(a: QSeries, b: QSeries) -> bool:
+    return a.truncation == b.truncation and a.terms == b.terms
+
+
+def test_shared_members_match_their_definitions(registry):
+    reg = registry
+    th, f = reg.theta, reg.f
+    y5 = product(th[m] for m in PRODUCT_FORM_CHARS)
+    fourth = {m: product([th[m], th[m], th[m], th[m]]) for m in th}
+    y0, y1, y2 = (fourth[Char(0, 0, 1, 1)], fourth[Char(0, 0, 0, 1)],
+                  fourth[Char(0, 0, 0, 0)])
+    y3 = -fourth[Char(1, 0, 0, 0)] - fourth[Char(0, 0, 1, 1)]
+    y4 = -fourth[Char(1, 0, 0, 1)] - fourth[Char(0, 0, 1, 1)]
+    quadric = y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4
+    f1, f2, f3, f4 = f
+    F = [product([f1, f1, f1, f1]) + product([f2, f2, f2, f2])
+         + product([f3, f3, f3, f3]) + product([f4, f4, f4, f4]),
+         product([f1, f1, f2, f2]) + product([f3, f3, f4, f4]),
+         product([f1, f1, f3, f3]) + product([f2, f2, f4, f4]),
+         product([f1, f1, f4, f4]) + product([f2, f2, f3, f3]),
+         product([f1, f2, f3, f4]), y5]
+    expected = {
+        "theta_product": y5,
+        "igusa_quadric": quadric,
+        "igusa_quadric_square": quadric * quadric,
+        "quartic_product": product([y0, y1, y2, y0 + y1 + y2 + y3 + y4]),
+        "product_of_squares": product(th[m] * th[m] for m in PRODUCT_FORM_CHARS),
+        "y5_square": y5 * y5,
+        "y5_fourth": product([y5, y5, y5, y5]),
+        "F_product": product(F[:4]),
+        "cusp_times_theta_product": product(
+            [*(th[m] for m in sorted(STANDARD_SEXTUPLE)), y5]),
+    }
+    expected.update({f"f_products{(i, j)}": f[i] * f[j]
+                     for i in range(4) for j in range(i, 4)})
+    for m in all_characteristics():
+        t = th.get(m, QSeries.zero(N))
+        expected[f"theta_squares[{_label(m)}]"] = t * t
+    expected.update({f"F_squares[{i}]": F[i] * F[i] for i in range(6)})
+    expected.update({f"F_square_product({i}, {j})": product([F[i], F[i], F[j], F[j]])
+                     for i in range(5) for j in range(i, 5)})
+    got = shared_members(reg)
+    assert set(got) == set(expected)
+    for name, series in expected.items():
+        assert _same(got[name], series), name
+    assert all(_same(a, b) for a, b in zip(reg.y, [y0, y1, y2, y3, y4, y5]))
+    assert all(_same(a, b) for a, b in zip(reg.F, F))
+    assert reg.y[5] is reg.F[5] is reg.theta_product
+    assert reg.F_squares[5] is reg.y5_square
+
+
+def test_relations_leave_the_shared_members_unchanged():
+    reg = FormRegistry(N)
+    for name in relation_names():
+        verify_identity(name, reg)
+        verify_identity(name, reg, mutated=True)
+    classical_residuals(reg)
+    for s in all_sextuples():
+        boundary_orders(s, reg)
+    fresh = FormRegistry(N)
+    used, clean = shared_members(reg), shared_members(fresh)
+    for name in clean:
+        assert _same(used[name], clean[name]), name
+    for name in ("y", "f", "F"):
+        assert all(_same(a, b) for a, b in zip(getattr(reg, name), getattr(fresh, name)))
+    assert _same(reg.chi5, fresh.chi5)
+    for s in all_sextuples():
+        assert _same(reg.cusp_form(s), fresh.cusp_form(s))
 
 
 def test_relations_stay_zero_and_nonvacuous_at_deeper_truncation(deep_registry):

@@ -173,3 +173,36 @@ def test_truncation_equality_semantics():
     b = theta_qexp(Char(0, 0, 0, 0), 4)
     assert a == b  # compared up to the smaller bound
     assert a.restrict(4).truncation == 4
+
+
+def test_ring_results_store_no_zero_and_nothing_past_the_bound():
+    x = (1, 1, 0)
+    plus = QSeries({(0, 0, 0): 1, x: 1}, 4)
+    minus = QSeries({(0, 0, 0): 1, x: -1}, 4)
+    # (1 + x)(1 - x) = 1 - x^2: the x terms cancel and are not stored
+    assert (plus * minus).terms == {(0, 0, 0): 1, (2, 2, 0): -1}
+    assert (plus + minus).terms == {(0, 0, 0): 2}
+    assert (plus - plus).terms == {}
+    assert (0 * plus).terms == {}
+    # 1 + u + u^2 at bound 4 times 1 - u at bound 6, with u of weight
+    # n0 + n2 = 2: the product 1 - u^3 has its u^3 past bound 4
+    u = (1, 0, 1)
+    geometric = QSeries({(k, 0, k): 1 for k in range(3)}, 4)
+    step = QSeries({(0, 0, 0): 1, u: -1}, 6)
+    for result in (geometric * step, step * geometric):
+        assert result.truncation == 4
+        assert result.terms == {(0, 0, 0): 1}
+    assert all(n[0] + n[2] <= 4 and c for s in (geometric + step, geometric - step)
+               for n, c in s.terms.items())
+
+
+def test_powers_match_repeated_products():
+    s = theta_qexp(Char(1, 0, 0, 1), 12) + QSeries.one(12)
+    expected = QSeries.one(12)
+    for n in range(6):
+        power = s ** n
+        assert power.truncation == 12
+        assert power.terms == expected.terms
+        expected = expected * s
+    with pytest.raises(ValueError):
+        s ** -1
