@@ -9,20 +9,18 @@ the weight-5 product of all ten theta constants.  Only the thetas are
 built with the registry; every other series is built the first time it is
 read, once per registry.
 
-Every relation is stored with the declared weight of both sides and with a
-deliberately broken variant (one perturbed coefficient) used as a
-falsification control: the suite must see a zero residual on the genuine
-relation and a nonzero residual on the mutation.  Each side is a sum of
-scalar multiples of registry members, so the products behind it are made
-once per registry, and a mutated side costs a scalar multiple and a
-subtraction.
+Every relation is stored with a deliberately broken variant (one perturbed
+coefficient) used as a falsification control: the suite must see a zero
+residual on the genuine relation and a nonzero residual on the mutation.
+Each side is a sum of scalar multiples of registry members, so the
+products behind it are made once per registry, and a mutated side costs a
+scalar multiple and a subtraction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -212,7 +210,6 @@ class FormRegistry:
 @dataclass(frozen=True)
 class Relation:
     name: str
-    weight: Fraction  # declared weight of both sides
     sides: Callable[[FormRegistry], tuple[QSeries, QSeries]]
     mutated: Callable[[FormRegistry], tuple[QSeries, QSeries]]
     mutation_note: str
@@ -301,44 +298,40 @@ def _chi5_product(reg: FormRegistry, sign: int) -> tuple[QSeries, QSeries]:
 RELATIONS: dict[str, Relation] = {
     r.name: r
     for r in [
-        Relation("igusa_quartic", Fraction(8),
+        Relation("igusa_quartic",
                  lambda reg: _igusa_quartic(reg, 4),
                  lambda reg: _igusa_quartic(reg, 5),
                  "quartic coefficient 4 -> 5"),
-        Relation("product_quadric", Fraction(4),
+        Relation("product_quadric",
                  lambda reg: _product_quadric(reg, 2),
                  lambda reg: _product_quadric(reg, 3),
                  "product coefficient 2 -> 3"),
-        Relation("y_quartic", Fraction(8),
+        Relation("y_quartic",
                  lambda reg: _y_quartic(reg, 1),
                  lambda reg: _y_quartic(reg, 2),
                  "left side doubled"),
-        Relation("y_quadric", Fraction(4),
+        Relation("y_quadric",
                  lambda reg: _y_quadric(reg, 2),
                  lambda reg: _y_quadric(reg, 3),
                  "quadric coefficient 2 -> 3"),
-        Relation("classical_squares", Fraction(1),
+        Relation("classical_squares",
                  lambda reg: _classical_all(reg, 1),
                  lambda reg: _classical_all(reg, 2),
                  "one square doubled"),
-        Relation("second_kind_quartic", Fraction(8),
+        Relation("second_kind_quartic",
                  lambda reg: _second_kind_quartic(reg, 1),
                  lambda reg: _second_kind_quartic(reg, 2),
                  "four-fold product coefficient 1 -> 2", 32),
-        Relation("f6_quadric", Fraction(4),
+        Relation("f6_quadric",
                  lambda reg: _f6_quadric(reg, 32),
                  lambda reg: _f6_quadric(reg, 33),
                  "quadric coefficient 32 -> 33"),
-        Relation("chi5_product", Fraction(5),
+        Relation("chi5_product",
                  lambda reg: _chi5_product(reg, 1),
                  lambda reg: _chi5_product(reg, -1),
                  "product sign flipped", 8),
     ]
 }
-
-
-def relation_names() -> list[str]:
-    return list(RELATIONS)
 
 
 def verify_identity(name: str, registry: FormRegistry, mutated: bool = False) -> QSeries:

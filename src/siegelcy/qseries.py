@@ -81,9 +81,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> list[ExpTriple]:
-        return sorted(self.terms)
-
     def restrict(self, truncation: int) -> QSeries:
         if truncation > self.truncation:
             raise ValueError("cannot raise a truncation bound")

@@ -243,12 +243,12 @@ def _classical_all_sixteen(report):
         "each planted coefficient mutation produces a nonzero residual")
 def _falsification_controls(report):
     control_registry = report.registry(max(report.truncation, 16))
-    undetected = [name for name in modforms.relation_names()
+    undetected = [name for name in modforms.RELATIONS
                   if modforms.verify_identity(name, control_registry,
                                               mutated=True).is_zero()]
     return not undetected, {
         "mutations": {name: modforms.RELATIONS[name].mutation_note
-                      for name in modforms.relation_names()},
+                      for name in modforms.RELATIONS},
         "undetected": undetected,
         "control_truncation": control_registry.truncation}
 

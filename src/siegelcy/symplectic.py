@@ -4,11 +4,13 @@ Matrices are exact (Python integers).  Subgroup membership is decided by
 congruence and diagonal conditions; the two index-two kernels cut out by
 the quadratic character use the closed formula (-1)^((alpha+beta+gamma)/2)
 on C*tD, combined on the Hecke-type group with the sign character of the
-mod-2 quotient.  Elements are sampled as pseudo-random words in a fixed
-generator set and rejection-filtered by the membership predicate.  Each
-word is first walked through Sp(4, F_2), on the classes and step table
-that `characteristics` builds, and dropped if no member can have its
-reduction mod 2, so only the survivors are multiplied out.
+mod-2 quotient.  Members of the full group and of the level-2 groups are
+sampled without search: a pseudo-random word in a fixed generator set is
+walked through Sp(4, F_2), on the classes and step table that
+`characteristics` builds, and the shortest word that carries its class
+to a member's reduction mod 2 is appended.  In the two index-two kernels
+a product outside the kernel is multiplied by one fixed coset
+representative.
 """
 
 from __future__ import annotations
@@ -28,17 +30,6 @@ from .characteristics import (
     sp4f2_steps,
     sp4f2_walk,
 )
-
-
-def _mat2_mul(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
-def _mat2_transpose(x):
-    return ((x[0][0], x[1][0]), (x[0][1], x[1][1]))
 
 
 def is_symplectic(rows) -> bool:
@@ -70,13 +61,8 @@ class SpMat:
 
     @classmethod
     def from_blocks(cls, a, b, c, d) -> SpMat:
-        rows = [
-            [a[0][0], a[0][1], b[0][0], b[0][1]],
-            [a[1][0], a[1][1], b[1][0], b[1][1]],
-            [c[0][0], c[0][1], d[0][0], d[0][1]],
-            [c[1][0], c[1][1], d[1][0], d[1][1]],
-        ]
-        return cls(rows)
+        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = a, b, c, d
+        return cls(((*a0, *b0), (*a1, *b1), (*c0, *d0), (*c1, *d1)))
 
     @classmethod
     def translation(cls, s) -> SpMat:
@@ -91,25 +77,12 @@ class SpMat:
         det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
         if det not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        inv = ((u[1][1] * det, -u[0][1] * det), (-u[1][0] * det, u[0][0] * det))
-        tinv = _mat2_transpose(inv)
+        tinv = ((u[1][1] * det, -u[1][0] * det), (-u[0][1] * det, u[0][0] * det))
         return cls.from_blocks(u, ((0, 0), (0, 0)), ((0, 0), (0, 0)), tinv)
-
-    @property
-    def A(self):
-        return ((self.rows[0][0], self.rows[0][1]), (self.rows[1][0], self.rows[1][1]))
-
-    @property
-    def B(self):
-        return ((self.rows[0][2], self.rows[0][3]), (self.rows[1][2], self.rows[1][3]))
 
     @property
     def C(self):
         return ((self.rows[2][0], self.rows[2][1]), (self.rows[3][0], self.rows[3][1]))
-
-    @property
-    def D(self):
-        return ((self.rows[2][2], self.rows[2][3]), (self.rows[3][2], self.rows[3][3]))
 
     def __mul__(self, other: SpMat) -> SpMat:
         if not isinstance(other, SpMat):
@@ -119,20 +92,16 @@ class SpMat:
         return out
 
     def inverse(self) -> SpMat:
-        a, b, c, d = self.A, self.B, self.C, self.D
-        ta, tb = _mat2_transpose(a), _mat2_transpose(b)
-        tc, td = _mat2_transpose(c), _mat2_transpose(d)
-        neg = lambda m: ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
-        return SpMat.from_blocks(td, neg(tb), neg(tc), ta)
+        """-J tM J = t(M J) J, since tM J M = J and tJ = J^-1 = -J."""
+        out = SpMat.__new__(SpMat)
+        out.rows = mat_mul(mat_transpose(mat_mul(self.rows, J4)), J4)
+        return out
 
     def mod2(self) -> Mat2F2:
         return mod2(self.rows)
 
     def max_entry(self) -> int:
         return max(abs(v) for row in self.rows for v in row)
-
-    def c_td(self):
-        return _mat2_mul(self.C, _mat2_transpose(self.D))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpMat) and self.rows == other.rows
@@ -187,8 +156,9 @@ class Subgroup:
 
 
 def _diag_sum_mod(m: SpMat) -> tuple[int, int, int]:
-    ctd = m.c_td()
-    return ctd[0][0], ctd[0][1], ctd[1][1]
+    """(alpha, beta, gamma) with C tD = (alpha beta; beta gamma), off rows 2-3."""
+    (c00, c01, d00, d01), (c10, c11, d10, d11) = m.rows[2:]
+    return c00 * d00 + c01 * d01, c00 * d10 + c01 * d11, c10 * d10 + c11 * d11
 
 
 def subgroup_membership(m: SpMat, tag: Subgroup) -> bool:
@@ -258,54 +228,64 @@ _GENERATOR_ROWS = tuple(g.rows for g in _GENERATORS)
 _GENERATOR_INDICES = range(len(_GENERATORS))
 
 
+# In Gamma2[2], so its sign character is 1, and of theta character -1: it
+# carries a product outside either index-two kernel into that kernel.
+_KERNEL_COSET = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
+                                  ((2, 2), (2, 2)), ((1, 0), (0, 1)))
+
+
 @cache
-def _passing_classes(tag: Subgroup) -> tuple[bool, ...] | None:
-    """Which mod-2 classes a member of `tag` can reduce to; None if all.
+def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """corrections[c]: a shortest generator word w such that class c times w
+    is a class that members of `tag` reduce to mod 2.
 
-    A necessary condition only: members of an even-level principal group
-    and of Gamma_n are the identity mod 2 (class 0), members of an
-    even-level Hecke group and of its cusp-form kernel have C = 0 mod 2.
+    Members of Gamma2[2] and Gamma_n are the identity mod 2 (class 0), and
+    members of the level-2 Hecke group and of its cusp-form kernel have
+    C = 0 mod 2; every class passes for the full group.  ValueError for any
+    other tag.
     """
-    even = tag.level % 2 == 0
     classes = sp4f2_walk()[0]
-    if tag.kind == "chi_kernel" or (tag.kind == "principal" and even):
-        return tuple(c == 0 for c in range(len(classes)))
-    if tag.kind == "hecke_chi_kernel" or (tag.kind == "hecke" and even):
-        return tuple((x[2] | x[3]) & 0b1100 == 0 for x in classes)
-    return None
+    if tag.kind == "full":
+        word = {c: () for c in range(len(classes))}
+    elif tag.level == 2 and tag.kind in ("principal", "chi_kernel"):
+        word = {0: ()}
+    elif tag.level == 2 and tag.kind in ("hecke", "hecke_chi_kernel"):
+        word = {c: () for c, x in enumerate(classes) if (x[2] | x[3]) & 0b1100 == 0}
+    else:
+        raise ValueError(f"cannot sample {tag}: only the full group and level 2")
+    step = sp4f2_steps(_GENERATOR_ROWS)
+    while len(word) < len(classes):  # one more generator per round
+        reached = dict(word)
+        for c in range(len(classes)):
+            if c not in reached:
+                g = next((g for g in _GENERATOR_INDICES if step[c][g] in reached), None)
+                if g is not None:
+                    word[c] = (g, *reached[step[c][g]])
+    return tuple(word[c] for c in range(len(classes)))
 
 
-def sample_element(tag: Subgroup, word_length: int, seed: int,
-                   max_tries: int = 20000) -> SpMat:
-    """Deterministic member of the subgroup, found by filtered random words.
+def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
+    """Deterministic member of the subgroup, built from one random word.
 
-    Each try draws `word_length` generators with the seeded RNG.  Where
-    membership forces a condition mod 2, the word is first walked through
-    the mod-2 table and dropped unless its class can pass; every word that
-    survives is multiplied out exactly and kept iff the membership
-    predicate accepts it.  Raises when the try budget runs out (longer
-    words mix better mod small levels).
+    The seeded RNG draws `word_length` generators; the word's class mod 2
+    is read off the step table and the shortest word to a member's class
+    (`_corrections`) is appended, so a sample of the full group is the
+    word itself.  In the two index-two kernels a product outside the
+    kernel is multiplied by `_KERNEL_COSET`.  Every returned matrix has
+    passed `subgroup_membership`; ArithmeticError if one does not.
     """
+    corrections = _corrections(tag)
     rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
-    if word_length == 0:
-        return SpMat.identity()
-    choice = rng.choice
-    passing = _passing_classes(tag)
-    step = sp4f2_steps(_GENERATOR_ROWS) if passing is not None else None
-    for _ in range(max_tries):
-        word = [choice(_GENERATOR_INDICES) for _ in range(word_length)]
-        if step is not None:
-            c = 0
-            for g in word:
-                c = step[c][g]
-            if not passing[c]:
-                continue
-        m = _GENERATORS[word[0]]
-        for g in word[1:]:
-            m = m * _GENERATORS[g]
-        if subgroup_membership(m, tag):
-            return m
-    raise RuntimeError(
-        f"no member of {tag} found in {max_tries} words of length {word_length}; "
-        "try a larger word_length"
-    )
+    word = [rng.choice(_GENERATOR_INDICES) for _ in range(word_length)]
+    step = sp4f2_steps(_GENERATOR_ROWS)
+    c = 0
+    for g in word:
+        c = step[c][g]
+    m = SpMat.identity()
+    for g in (*word, *corrections[c]):
+        m = m * _GENERATORS[g]
+    if tag.kind in ("chi_kernel", "hecke_chi_kernel") and not subgroup_membership(m, tag):
+        m = m * _KERNEL_COSET
+    if not subgroup_membership(m, tag):
+        raise ArithmeticError(f"sample {m} is not a member of {tag}")
+    return m

@@ -15,11 +15,11 @@ from siegelcy.characteristics import (
 from siegelcy.modforms import (
     EXPECTED_BOUNDARY_DISTRIBUTION,
     PRODUCT_FORM_CHARS,
+    RELATIONS,
     FormRegistry,
     boundary_orders,
     classical_residuals,
     q_parity_check,
-    relation_names,
     verify_identity,
 )
 from siegelcy.qseries import QSeries, koecher_check, negate_offdiag, product
@@ -50,12 +50,12 @@ def test_chi5_is_product_of_all_ten(registry):
 
 
 def test_all_relations_have_zero_residual(registry):
-    for name in relation_names():
+    for name in RELATIONS:
         assert verify_identity(name, registry).is_zero(), name
 
 
 def test_all_mutations_are_detected(registry):
-    for name in relation_names():
+    for name in RELATIONS:
         assert not verify_identity(name, registry, mutated=True).is_zero(), name
 
 
@@ -191,7 +191,7 @@ def test_shared_members_match_their_definitions(registry):
 
 def test_relations_leave_the_shared_members_unchanged():
     reg = FormRegistry(N)
-    for name in relation_names():
+    for name in RELATIONS:
         verify_identity(name, reg)
         verify_identity(name, reg, mutated=True)
     classical_residuals(reg)
@@ -212,8 +212,6 @@ def test_relations_stay_zero_and_nonvacuous_at_deeper_truncation(deep_registry):
     # the doubled-argument quartic has no support below combined weight 32,
     # so probe past it and insist every relation matches real coefficients
     deep = deep_registry
-    from siegelcy.modforms import RELATIONS
-
     for name, rel in RELATIONS.items():
         lhs, rhs = rel.sides(deep)
         assert (lhs - rhs).is_zero(), name
@@ -297,21 +295,3 @@ def test_substitution_table_measured_values():
         assert got[:4] == tabulated[:4]
         assert got[4] == (-1, 5)
         assert tabulated[4] == (1, 5)
-
-
-def test_weight_declarations_are_consistent():
-    from fractions import Fraction
-
-    from siegelcy.modforms import RELATIONS
-
-    expected = {
-        "igusa_quartic": Fraction(8),
-        "product_quadric": Fraction(4),
-        "y_quartic": Fraction(8),
-        "y_quadric": Fraction(4),
-        "classical_squares": Fraction(1),
-        "second_kind_quartic": Fraction(8),
-        "f6_quadric": Fraction(4),
-        "chi5_product": Fraction(5),
-    }
-    assert {name: rel.weight for name, rel in RELATIONS.items()} == expected

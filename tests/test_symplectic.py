@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -17,7 +18,7 @@ from siegelcy.symplectic import (
     _GENERATORS,
     SpMat,
     Subgroup,
-    _passing_classes,
+    _corrections,
     cusp_form_character,
     is_symplectic,
     sample_element,
@@ -27,7 +28,8 @@ from siegelcy.symplectic import (
 
 
 # Every sampling generator has absolute row sums at most 2, so a word of
-# length L has entries at most 2 ** L and that cap never rejects a sample.
+# length L has entries at most 2 ** L.  That cap keeps every full-group
+# sample; a level-2 sample appends a correction to its word and may exceed it.
 
 
 def lower(c) -> SpMat:
@@ -122,56 +124,88 @@ def test_membership_closed_under_product_and_inverse(tag):
 
 
 def test_sampling_returns_members_and_is_deterministic():
+    for tag in MEMBER_TAGS:
+        for word_length in (0, 5, 8):
+            for seed in range(40):
+                m = sample_element(tag, word_length, seed)
+                assert subgroup_membership(m, tag), (tag, word_length, seed)
     for seed in range(1, 21):
         m = sample_element(Subgroup.chi_kernel(), word_length=8, seed=seed)
-        assert subgroup_membership(m, Subgroup.chi_kernel())
-        again = sample_element(Subgroup.chi_kernel(), word_length=8, seed=seed)
-        assert m == again
+        assert m == sample_element(Subgroup.chi_kernel(), word_length=8, seed=seed)
 
 
-def unfiltered_sample(tag, word_length, seed, max_tries):
-    """The sampler without the mod-2 pre-filter: every word is multiplied
-    out and tested with the exact predicate."""
-    rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
-    for _ in range(max_tries):
-        m = rng.choice(_GENERATORS)
-        for _ in range(word_length - 1):
-            m = m * rng.choice(_GENERATORS)
-        if subgroup_membership(m, tag):
-            return m
-    return None
-
-
-EVERY_KIND = [
-    Subgroup.full(),
-    Subgroup.principal(2),
-    Subgroup.principal(3),
-    Subgroup.hecke(2),
-    Subgroup.hecke(3),
-    Subgroup.chi_kernel(),
-    Subgroup.hecke_chi_kernel(),
-]
-
-
-@pytest.mark.parametrize("tag", EVERY_KIND, ids=str)
-def test_prefilter_keeps_the_unfiltered_samples(tag):
-    # a budget of 300 words keeps the unfiltered reference affordable and
-    # still finds a member in at least 33 of the 80 cases of every kind
-    passing = _passing_classes(tag)
-    found = 0
-    for word_length in (5, 8):
+def test_full_group_sample_is_the_first_word():
+    # the bytes of numeric.modulus_law rest on these samples
+    for word_length in (0, 5, 8):
         for seed in range(40):
-            expected = unfiltered_sample(tag, word_length, seed, max_tries=300)
-            try:
-                got = sample_element(tag, word_length, seed, max_tries=300)
-            except RuntimeError:
-                got = None
-            assert got == expected, (word_length, seed)
-            if got is not None:
-                found += 1
-                if passing is not None:
-                    assert passing[sp4f2_class(got.rows)]
-    assert found >= 20
+            rng = random.Random(f"{seed}:{word_length}:full:1")
+            m = SpMat.identity()
+            for _ in range(word_length):
+                m = m * rng.choice(_GENERATORS)
+            assert sample_element(Subgroup.full(), word_length, seed) == m
+
+
+def _target_classes(tag) -> set[int]:
+    """Classes of the matrices mod 2 that members of a level-2 tag reduce to."""
+    if tag.kind in ("principal", "chi_kernel"):
+        return {sp4f2_class(SpMat.identity().rows)}
+    return {sp4f2_class(x) for x in sp4f2_elements() if x[2][:2] == x[3][:2] == (0, 0)}
+
+
+@pytest.mark.parametrize("tag, longest", [
+    (Subgroup.principal(2), 7),
+    (Subgroup.chi_kernel(), 7),
+    (Subgroup.hecke(2), 3),
+    (Subgroup.hecke_chi_kernel(), 3),
+], ids=str)
+def test_corrections_are_shortest_words_into_the_target(tag, longest):
+    step = sp4f2_steps(tuple(g.rows for g in _GENERATORS))
+    target = _target_classes(tag)
+    # breadth-first distance to the target along reversed steps
+    into = [[] for _ in step]
+    for c, row in enumerate(step):
+        for d in row:
+            into[d].append(c)
+    distance = dict.fromkeys(target, 0)
+    queue = deque(target)
+    while queue:
+        d = queue.popleft()
+        for c in into[d]:
+            if c not in distance:
+                distance[c] = distance[d] + 1
+                queue.append(c)
+    corrections = _corrections(tag)
+    assert len(corrections) == len(distance) == 720
+    for c, word in enumerate(corrections):
+        end = c
+        for g in word:
+            end = step[end][g]
+        assert end in target, (c, word)
+        assert len(word) == distance[c], (c, word)
+    assert max(map(len, corrections)) == longest
+
+
+@pytest.mark.parametrize("tag", [Subgroup.principal(3), Subgroup.principal(4),
+                                 Subgroup.hecke(3)], ids=str)
+def test_sampling_refuses_other_levels(tag):
+    with pytest.raises(ValueError, match="level 2"):
+        sample_element(tag, word_length=5, seed=0)
+
+
+def test_inverse_is_the_block_formula():
+    def block_inverse(m):
+        """(tD -tB; -tC tA) for m = (A B; C D)."""
+        r = m.rows
+
+        def t(i, j, sign=1):  # the transposed 2x2 block at (i, j)
+            return ((sign * r[i][j], sign * r[i + 1][j]),
+                    (sign * r[i][j + 1], sign * r[i + 1][j + 1]))
+
+        return SpMat.from_blocks(t(2, 2), t(0, 2, -1), t(2, 0, -1), t(0, 0))
+
+    products = [sample_element(Subgroup.full(), 8, seed) for seed in range(50)]
+    for m in _GENERATORS + products:
+        assert m.inverse() == block_inverse(m)
 
 
 def test_mod2_walk_is_the_multiplication_table_of_sp4f2():
@@ -189,11 +223,6 @@ def test_mod2_walk_is_the_multiplication_table_of_sp4f2():
 
 def test_word_length_zero_gives_identity():
     assert sample_element(Subgroup.full(), 0, seed=3) == SpMat.identity()
-
-
-def test_budget_exhaustion_raises():
-    with pytest.raises(RuntimeError, match="word_length"):
-        sample_element(Subgroup.principal(4), word_length=1, seed=0, max_tries=5)
 
 
 def test_chi_kernel_has_index_two():
