@@ -3,12 +3,15 @@
 A polynomial fixes an ordered tuple of variable names and maps exponent
 tuples to nonzero coefficients: an `int` when the coefficient is integral,
 as almost every one here is, and a `Fraction` only when it is not.
-Rational functions are unreduced quotients (equality by
-cross-multiplication); in every computation done here the denominators
-stay monomial-like, so the missing gcd never hurts.  Ideal membership is
-decided degree by degree with sparse exact row reduction, fraction-free
-over the integers, which covers everything needed in a 6-variable ring up
-to degree 4.
+Composition substitutes polynomials only.  Rational functions are
+unreduced quotients (equality by cross-multiplication); they carry the
+rational Jacobian of the coordinate-change maps and the coefficients of
+3-forms, and the denominators stay monomial-like, so the missing gcd
+never hurts.  A 3-form is pulled back along a polynomial chart map: its
+differentials and their minors are polynomials, and only its coefficient
+is rational.  Ideal membership is decided degree by degree with sparse
+exact row reduction, fraction-free over the integers, which covers
+everything needed in a 6-variable ring up to degree 4.
 """
 
 from __future__ import annotations
@@ -185,25 +188,23 @@ class MPoly:
             terms[tuple(new_e)] = c * e[idx]
         return MPoly(self.vars, terms)
 
-    def substitute(self, assignment: dict[str, MPoly] | dict[str, RatFn]
-                   ) -> MPoly | RatFn:
-        """Compose: substitute a value for every variable that occurs in self.
+    def substitute(self, assignment: dict[str, MPoly]) -> MPoly:
+        """Compose: substitute a polynomial for every variable that occurs in self.
 
-        The values are all polynomials or all rational functions of one
-        common ring, and the result lives in that ring.  An occurring
-        variable without an assignment is an error, named.  The powers of
-        each variable are built once per call.
+        The values are polynomials of one common ring, and the result lives
+        in that ring; values from two rings, or anything that is not a
+        polynomial (a rational function included), are refused.  An
+        occurring variable without an assignment is an error, named.  The
+        powers of each variable are built once per call.
         """
         for name in sorted(self.used_variables()):
             if name not in assignment:
                 raise KeyError(f"no assignment for variable {name!r}")
         values = list(assignment.values())
-        if len({type(v) for v in values}) > 1 or len({v.vars for v in values}) > 1:
-            raise ValueError("assignment values must be all MPoly or all RatFn "
-                             "of one ring")
-        target = values[0].vars if values else self.vars
-        one = (RatFn.from_const(target, 1) if values and isinstance(values[0], RatFn)
-               else MPoly.const(target, 1))
+        if (any(type(v) is not MPoly for v in values)
+                or len({v.vars for v in values}) > 1):
+            raise ValueError("assignment values must be polynomials of one ring")
+        one = MPoly.const(values[0].vars if values else self.vars, 1)
         powers = []
         for i, name in enumerate(self.vars):
             row = [one]
@@ -460,9 +461,6 @@ class RatFn:
     def __sub__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
         o = self._coerce(other)
         return RatFn(self.num * o.num, self.den * o.den)
@@ -474,14 +472,6 @@ class RatFn:
         if o.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RatFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> RatFn:
-        if n < 0:
-            return RatFn.from_const(self.vars, 1) / (self ** (-n))
-        return RatFn(self.num ** n, self.den ** n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (MPoly, int, Fraction)):
@@ -585,43 +575,39 @@ class ThreeForm:
         return f"({self.coeff!r}) d{self.wedge[0]}^d{self.wedge[1]}^d{self.wedge[2]}{d}"
 
 
-def threeform_pullback(omega: ThreeForm, substitution: dict[str, RatFn],
+def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
                        target_vars: tuple[str, ...]) -> ThreeForm:
-    """Pull a 3-form back along a chart substitution.
+    """Pull a 3-form back along a polynomial chart map.
 
-    Each source chart variable must be assigned a rational function of the
-    target chart.  The coefficient is composed with the substitution and
-    each wedge differential is expanded by the chain rule.  The expansion
+    Each source chart variable must be assigned a polynomial on the target
+    chart.  The wedge differentials are expanded by the chain rule, so the
+    pulled-back wedge is a sum of 3x3 polynomial minors of the map's
+    partials, and the coefficient num/den becomes (num o phi) * minor over
+    den o phi: only the form's own coefficient is rational.  The expansion
     must collapse to a single wedge term on the target chart (true for all
     charts used here); a substitution with identically zero Jacobian yields
     the zero form flagged as degenerate rather than an error.
     """
+    tv = tuple(target_vars)
     for v in omega.vars:
         if v not in substitution:
             raise KeyError(f"no substitution for chart variable {v!r}")
-        if substitution[v].vars != tuple(target_vars):
+        if substitution[v].vars != tv:
             raise ValueError("substitution values must live on the target chart")
     num = omega.coeff.num.substitute(substitution)
     den = omega.coeff.den.substitute(substitution)
     if den.is_zero():
         raise ZeroDivisionError("substitution collapses the coefficient denominator")
-    coeff = num / den
-    differentials = [
-        {v: substitution[w].partial(v) for v in target_vars}
-        for w in omega.wedge
-    ]
-    components: dict[tuple[str, str, str], RatFn] = {}
-    tv = list(target_vars)
-    for i, j, k in combinations(range(len(tv)), 3):
-        sub = [[differentials[r][tv[c]] for c in (i, j, k)] for r in range(3)]
-        det = determinant(sub)
+    differentials = [[substitution[w].partial(v) for v in tv] for w in omega.wedge]
+    components: dict[tuple[str, str, str], MPoly] = {}
+    for cols in combinations(range(len(tv)), 3):
+        det = determinant([[row[c] for c in cols] for row in differentials])
         if not det.is_zero():
-            components[(tv[i], tv[j], tv[k])] = det
+            components[tuple(tv[c] for c in cols)] = det
     if not components:
-        zero = RatFn.from_const(tuple(target_vars), 0)
-        wedge = tuple(tv[:3])
-        return ThreeForm(tuple(target_vars), zero, wedge, degenerate=not omega.is_zero())
+        zero = RatFn.from_const(tv, 0)
+        return ThreeForm(tv, zero, tv[:3], degenerate=not omega.is_zero())
     if len(components) > 1:
         raise ValueError("pullback does not collapse to a single wedge term")
     (wedge, jac), = components.items()
-    return ThreeForm(tuple(target_vars), coeff * jac, wedge)
+    return ThreeForm(tv, RatFn(num * jac, den), wedge)

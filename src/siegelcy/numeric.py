@@ -437,6 +437,10 @@ def conditioned_samples(tag, count: int, seed: int, word_length: int = 6,
 
     `nonzero_c` forces at least that many samples to have C != 0, so the
     character and automorphy checks see genuinely nontrivial factors.
+    Offset k draws one word at `seed + k`; words above the `max_entry` cap,
+    or without C when the `nonzero_c` quota still needs one, are skipped.
+    The 100,000-offset budget guarantees termination when the caller's
+    `max_entry` and `nonzero_c` admit almost no word.
     """
     from .symplectic import sample_element
 

@@ -9,9 +9,10 @@ goes through `substitute_linear`, and every composition through
 `MPoly.substitute`; the x-side curve parametrizations use the inverse
 matrix times its common denominator, so they keep integer coefficients.
 All checks are exact: ideal membership by graded linear algebra, form
-pullbacks by the chain rule on rational functions, curve singularity by
-identical vanishing of every 2x2 minor of the Jacobian along a
-parametrization, formed from the Jacobian entries after substitution.
+pullbacks by the chain rule along polynomial chart maps, curve
+singularity by identical vanishing of every 2x2 minor of the Jacobian
+along a parametrization, formed from the Jacobian entries after
+substitution.
 """
 
 from __future__ import annotations
@@ -289,19 +290,13 @@ def omega_form() -> ThreeForm:
 _CHART_INDEX = {0: "u0", 1: "u1", 2: "u2", 3: "u3", 5: "u5"}
 
 
-def chart_substitution(g: SignedMonomialMap) -> dict[str, RatFn]:
-    """The induced substitution on the affine chart (requires x4 -> ±x4)."""
+def chart_substitution(g: SignedMonomialMap) -> dict[str, MPoly]:
+    """The induced substitution on the affine chart (requires x4 -> ±x4):
+    u_i -> sign[i] * sign[4] * u_perm[i]."""
     if g.perm[4] != 4:
         raise ValueError("map must fix the 5th coordinate up to sign")
-    s4 = g.sign[4]
-    subs = {}
-    for i, name in _CHART_INDEX.items():
-        target = g.perm[i]
-        if target not in _CHART_INDEX:
-            raise ValueError("map mixes chart variables with the 5th coordinate")
-        factor = g.sign[i] * s4
-        subs[name] = RatFn(factor * MPoly.var(OMEGA_CHART, _CHART_INDEX[target]))
-    return subs
+    return {name: g.sign[i] * g.sign[4] * MPoly.var(OMEGA_CHART, _CHART_INDEX[g.perm[i]])
+            for i, name in _CHART_INDEX.items()}
 
 
 def omega_pullback_sign(g: SignedMonomialMap) -> int:
@@ -610,6 +605,9 @@ def bordered_jacobian_sign() -> int | None:
 
 Z_VARS = ("z1", "z2", "z3")
 
+#: dz1 ^ dz2 ^ dz3, the form both blow-up charts pull back
+DZ = ThreeForm(Z_VARS, RatFn.from_const(Z_VARS, 1), Z_VARS)
+
 SignVector = tuple[int, int, int]
 
 
@@ -617,12 +615,11 @@ SignVector = tuple[int, int, int]
 class BlowupChart:
     name: str
     target_vars: tuple[str, str, str]
-    #: substitution expressing the source coordinates on the blow-up chart
+    #: substitution expressing the source coordinates on the blow-up chart;
+    #: z1 = w * z2^e2 * z3^e3 for the new coordinate w, z2 and z3 kept
     substitution_monomials: dict[str, tuple[int, ...]]
     expected_zero_divisors: tuple[str, ...]
     group: tuple[SignVector, ...]
-    #: how a sign vector on (z1, z2, z3) transports to the chart
-    transform: str  # "first_ratio" (w = z1/z2) or "double_ratio" (w = z1/(z2 z3))
     expected_transformed: frozenset[SignVector]
 
 
@@ -633,7 +630,6 @@ def case1_chart() -> BlowupChart:
         substitution_monomials={"z1": (1, 1, 0), "z2": (0, 1, 0), "z3": (0, 0, 1)},
         expected_zero_divisors=("z2",),
         group=((1, 1, 1), (-1, -1, 1)),
-        transform="first_ratio",
         expected_transformed=frozenset({(1, 1, 1), (1, -1, 1)}),
     )
 
@@ -645,7 +641,6 @@ def case3_chart() -> BlowupChart:
         substitution_monomials={"z1": (1, 1, 1), "z2": (0, 1, 0), "z3": (0, 0, 1)},
         expected_zero_divisors=("z2", "z3"),
         group=((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)),
-        transform="double_ratio",
         expected_transformed=frozenset({(1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1)}),
     )
 
@@ -664,30 +659,19 @@ def blowup_chart_check(chart: BlowupChart) -> BlowupReport:
 
     Also checks the inverted reading of the chart identity (the divisor
     coefficient moved to the source side), which the chain rule refutes;
-    the report records that it fails rather than silently fixing it.
+    the report records that it fails rather than silently fixing it.  A
+    sign vector (s1, s2, s3) acts on the new coordinate w = z1 / (z2^e2
+    z3^e3) by s1 * s2^e2 * s3^e3.
     """
-    source = ThreeForm(Z_VARS, RatFn.from_const(Z_VARS, 1), Z_VARS)
     tv = chart.target_vars
-    gens = MPoly.ring(tv)
-    subs = {}
-    for zname, expo in chart.substitution_monomials.items():
-        mono = MPoly(tv, {tuple(expo): 1})
-        subs[zname] = RatFn(mono)
-    pulled = threeform_pullback(source, subs, tv)
-    divisor = MPoly.const(tv, 1)
-    for name in chart.expected_zero_divisors:
-        divisor = divisor * MPoly.var(tv, name)
-    expected = ThreeForm(tv, RatFn(divisor), tv)
-    matches = pulled == expected
-    inverted = ThreeForm(tv, RatFn(MPoly.const(tv, 1), divisor), tv)
-    inverted_holds = pulled == inverted
+    subs = {z: MPoly(tv, {expo: 1}) for z, expo in chart.substitution_monomials.items()}
+    pulled = threeform_pullback(DZ, subs, tv)
+    divisor = MPoly(tv, {tuple(int(v in chart.expected_zero_divisors) for v in tv): 1})
+    matches = pulled.coeff == divisor
+    inverted_holds = pulled.coeff * divisor == 1
 
-    transformed = set()
-    for s1, s2, s3 in chart.group:
-        if chart.transform == "first_ratio":
-            transformed.add((s1 * s2, s2, s3))
-        else:
-            transformed.add((s1 * s2 * s3, s2, s3))
+    _, e2, e3 = chart.substitution_monomials["z1"]
+    transformed = {(s1 * s2 ** e2 * s3 ** e3, s2, s3) for s1, s2, s3 in chart.group}
     group_ok = transformed == set(chart.expected_transformed)
     return BlowupReport(chart.name, matches, chart.expected_zero_divisors,
                         group_ok, inverted_holds)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,17 @@ def test_omega_sign_is_multiplicative_on_equation_fixers():
         assert omega_pullback_sign(g * h) == omega_pullback_sign(g) * omega_pullback_sign(h)
 
 
+def test_omega_sign_matches_its_closed_form_on_every_equation_fixer():
+    # u_i -> s_i s4 u_pi(i) multiplies du1^du2^du3 by s1 s2 s3 s4 * parity;
+    # quartic invariance forces s1 s2 s3 = 1, so u1 u2 u3 - 2 u0 and u5 go to
+    # s4 and s4 s5 times themselves, and the coefficient picks up s5
+    pres = presentation_x()
+    fixers = [g for g in ambient_group() if equation_invariance(g, pres) == (1, 1)]
+    assert len(fixers) == 96
+    for g in fixers:
+        assert omega_pullback_sign(g) == g.sign[4] * g.sign[5] * g.perm_parity_on((1, 2, 3))
+
+
 # -- curves -------------------------------------------------------------------
 
 def test_quadric_curve_checks_in_y():
@@ -332,3 +344,10 @@ def test_case3_blowup_chart():
     assert report.zero_divisors == ("z2", "z3")
     assert report.transformed_group_matches
     assert not report.inverted_identity_holds
+
+
+def test_group_transport_follows_the_chart_exponents():
+    chart = case3_chart()
+    first_ratio = {**chart.substitution_monomials, "z1": (1, 1, 0)}
+    report = blowup_chart_check(replace(chart, substitution_monomials=first_ratio))
+    assert not report.transformed_group_matches
