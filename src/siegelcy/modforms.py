@@ -1,13 +1,14 @@
 """Named modular forms and the ring relations between them.
 
-The registry holds, at one truncation bound, the ten even theta constants,
-the five Igusa generators y0..y4 of the even-weight level-2 ring, the
-extra weight-2 form y5 (the product of the four theta constants with upper
-characteristic zero), the doubled-argument generators f1..f4 and their
-symmetric combinations F1..F6, the fifteen weight-3 sextuple products, and
-the weight-5 product of all ten theta constants.  Only the thetas are
-built with the registry; every other series is built the first time it is
-read, once per registry.
+The registry holds, at one truncation bound, the sixteen theta constants
+(the six odd ones expand to the zero series), the five Igusa generators
+y0..y4 of the even-weight level-2 ring, the extra weight-2 form y5 (the
+product of the four theta constants with upper characteristic zero), the
+doubled-argument generators f1..f4 and their symmetric combinations
+F1..F6, the fifteen weight-3 sextuple products, and the weight-5 product
+of the ten even theta constants.  Only the thetas are built with the
+registry; every other series is built the first time it is read, once per
+registry.
 
 Every relation is stored with a deliberately broken variant (one perturbed
 coefficient) used as a falsification control: the suite must see a zero
@@ -33,7 +34,14 @@ from .characteristics import (
     is_syzygetic,
 )
 from . import qseries
-from .qseries import QSeries, product, second_kind_qexp, vanishing_order
+from .qseries import (
+    QSeries,
+    product,
+    second_kind_qexp,
+    translate_action,
+    unimodular_action,
+    vanishing_order,
+)
 
 THETA_FOURTH_00_11 = Char(0, 0, 1, 1)
 THETA_FOURTH_00_01 = Char(0, 0, 0, 1)
@@ -58,9 +66,10 @@ SECOND_KIND_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 class FormRegistry:
     """All named series at one truncation bound, each built once and shared.
 
-    Only the ten even thetas (`theta`) are built in `__init__`.  Every
-    other member is built on first read and then kept, so a battery pays
-    only for the series it reads:
+    Only the thetas (`theta`) are built in `__init__`, for all sixteen
+    characteristics: the six odd ones are expanded to the zero series, not
+    assumed to vanish.  Every other member is built on first read and then
+    kept, so a battery pays only for the series it reads:
 
     - the named forms `theta_product` (y5 = F6, shared by `y` and `F`),
       `y`, `f`, `F` and `chi5`;
@@ -85,7 +94,7 @@ class FormRegistry:
             raise ValueError("registry needs truncation at least 4")
         self.truncation = truncation
         self.theta = {m: qseries.theta_qexp(m, truncation)
-                      for m in even_characteristics()}
+                      for m in all_characteristics()}
         self._sextuples: dict[frozenset, QSeries] = {}
         self._F_square_products: dict[tuple[int, int], QSeries] = {}
 
@@ -147,11 +156,8 @@ class FormRegistry:
 
     @cached_property
     def theta_squares(self) -> dict[Char, QSeries]:
-        """theta[m]^2 for all sixteen characteristics; an odd theta is
-        expanded (to the zero series), not assumed to vanish."""
-        return {m: (self.theta[m] if m in self.theta
-                    else qseries.theta_qexp(m, self.truncation)) ** 2
-                for m in all_characteristics()}
+        """theta[m]^2 for all sixteen characteristics."""
+        return {m: theta ** 2 for m, theta in self.theta.items()}
 
     @cached_property
     def igusa_quadric(self) -> QSeries:
@@ -380,8 +386,6 @@ def measured_substitution_table(registry: FormRegistry) -> dict[str, tuple]:
     ten signed generators matches: no match would signal a broken action,
     several (a generator vanishing at the bound) an undecidable one.
     """
-    from .qseries import translate_action, unimodular_action
-
     at = SUBSTITUTION_COMPARE_AT
     candidates = [(sign, j + 1, sign * registry.F[j].restrict(at))
                   for j in range(5) for sign in (1, -1)]

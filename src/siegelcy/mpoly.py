@@ -1,17 +1,17 @@
-"""Sparse multivariate polynomials over Q, rational functions, and 3-forms.
+"""Sparse multivariate polynomials over Q and single-term rational 3-forms.
 
 A polynomial fixes an ordered tuple of variable names and maps exponent
 tuples to nonzero coefficients: an `int` when the coefficient is integral,
 as almost every one here is, and a `Fraction` only when it is not.
-Composition substitutes polynomials only.  Rational functions are
-unreduced quotients (equality by cross-multiplication); they carry the
-rational Jacobian of the coordinate-change maps and the coefficients of
-3-forms, and the denominators stay monomial-like, so the missing gcd
-never hurts.  A 3-form is pulled back along a polynomial chart map: its
-differentials and their minors are polynomials, and only its coefficient
-is rational.  Ideal membership is decided degree by degree with sparse
-exact row reduction, fraction-free over the integers, which covers
-everything needed in a 6-variable ring up to degree 4.
+Composition substitutes polynomials only.  A rational quantity (a 3-form's
+coefficient, the Jacobian of maps sharing one denominator) is carried as
+an unreduced numerator/denominator pair of polynomials and compared by
+cross-multiplication; the denominators stay monomial-like, so the missing
+gcd never hurts.  A 3-form is pulled back along a polynomial chart map:
+its differentials and their minors are polynomials.  Ideal membership is
+decided degree by degree with sparse exact row reduction, fraction-free
+over the integers, which covers everything needed in a 6-variable ring up
+to degree 4.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ class MPoly:
 
         The values are polynomials of one common ring, and the result lives
         in that ring; values from two rings, or anything that is not a
-        polynomial (a rational function included), are refused.  An
-        occurring variable without an assignment is an error, named.  The
-        powers of each variable are built once per call.
+        polynomial (a `Fraction` included), are refused.  An occurring
+        variable without an assignment is an error, named.  The powers of
+        each variable are built once per call.
         """
         for name in sorted(self.used_variables()):
             if name not in assignment:
@@ -406,103 +406,10 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | No
     return MembershipCertificate(tuple(cofactors))
 
 
-class RatFn:
-    """Quotient of two polynomials in one ring; denominator nonzero.
-
-    Not kept in lowest terms by design: equality is decided by
-    cross-multiplication, which is exact and avoids multivariate gcd.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den: MPoly | None = None) -> None:
-        if den is None:
-            den = MPoly.const(num.vars, 1)
-        if num.vars != den.vars:
-            raise ValueError("numerator and denominator in different rings")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = MPoly.const(num.vars, 1)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_const(cls, variables: tuple[str, ...], value: int | Fraction) -> RatFn:
-        return cls(MPoly.const(variables, value))
-
-    @classmethod
-    def var(cls, variables: tuple[str, ...], name: str) -> RatFn:
-        return cls(MPoly.var(variables, name))
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.num.vars
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, MPoly):
-            return RatFn(other)
-        return RatFn.from_const(self.vars, other)
-
-    def __add__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        o = self._coerce(other)
-        return RatFn(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RatFn:
-        return RatFn(-self.num, self.den)
-
-    def __sub__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        o = self._coerce(other)
-        return RatFn(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatFn | MPoly | int | Fraction) -> RatFn:
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self.num * o.den, self.den * o.num)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (MPoly, int, Fraction)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:  # pragma: no cover - unreduced forms hash poorly
-        raise TypeError("RatFn is unhashable (equality is by cross-multiplication)")
-
-    def partial(self, name: str) -> RatFn:
-        """Quotient-rule derivative, denominator squared (no reduction)."""
-        dn = self.num.partial(name)
-        dd = self.den.partial(name)
-        return RatFn(dn * self.den - self.num * dd, self.den * self.den)
-
-    def evaluate(self, values: dict[str, Fraction | int]) -> Fraction:
-        den = self.den.evaluate(values)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate(values) / den
-
-    def __repr__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-
-def determinant(matrix: list[list[MPoly | RatFn]]) -> MPoly | RatFn:
-    """Exact determinant of a square matrix of MPoly or RatFn entries, by
-    permutation expansion (intended for n <= 4); permutations through a
-    zero entry are skipped."""
+def determinant(matrix: list[list[MPoly]]) -> MPoly:
+    """Exact determinant of a square matrix of MPoly entries, by permutation
+    expansion (intended for n <= 4); permutations through a zero entry are
+    skipped."""
     total = matrix[0][0] * 0
     for perm in permutations(range(len(matrix))):
         factors = [matrix[i][j] for i, j in enumerate(perm)]
@@ -515,64 +422,78 @@ def determinant(matrix: list[list[MPoly | RatFn]]) -> MPoly | RatFn:
     return total
 
 
-def rational_jacobian(maps: list[RatFn], variables: list[str]) -> RatFn:
-    """Determinant of the 3x3 matrix of partials d maps[i] / d variables[j]."""
-    if len(maps) != 3 or len(variables) != 3:
-        raise ValueError("expected three maps and three variables")
-    for m in maps:
-        if set(variables) != set(m.vars):
+def rational_jacobian(numerators: list[MPoly], denominator: MPoly,
+                      variables: list[str]) -> tuple[MPoly, MPoly]:
+    """Jacobian determinant of the maps N_i / D with respect to `variables`,
+    as an unreduced (numerator, denominator) pair.
+
+    By the quotient rule each entry d(N_i/D)/dv_j is (dN_i D - N_i dD) / D^2,
+    so the determinant is det(dN_i D - N_i dD) / D^(2n).
+    """
+    if len(numerators) != len(variables):
+        raise ValueError("expected one map per variable")
+    for p in (*numerators, denominator):
+        if set(variables) != set(p.vars):
             raise ValueError("maps must be rational functions of exactly the given variables")
-    rows = [[m.partial(v) for v in variables] for m in maps]
-    return determinant(rows)
+    rows = [[n.partial(v) * denominator - n * denominator.partial(v) for v in variables]
+            for n in numerators]
+    return determinant(rows), denominator ** (2 * len(variables))
 
 
 class ThreeForm:
-    """A single-term rational 3-form f * dv_a ^ dv_b ^ dv_c on a chart.
+    """A single-term rational 3-form (num / den) * dv_a ^ dv_b ^ dv_c on a chart.
 
-    The wedge order is normalized to the chart's variable order; permuting
-    it multiplies the coefficient by the permutation sign, and a repeated
-    differential collapses the form to zero.
+    The coefficient is an unreduced pair of polynomials: two forms are equal
+    when their wedges agree and their coefficients cross-multiply equal,
+    which is exact and avoids a multivariate gcd.  The wedge order is
+    normalized to the chart's variable order; permuting it multiplies the
+    numerator by the permutation sign, and a repeated differential collapses
+    the form to zero.
     """
 
-    __slots__ = ("vars", "coeff", "wedge", "degenerate")
+    __slots__ = ("vars", "num", "den", "wedge", "degenerate")
 
-    def __init__(self, variables: tuple[str, ...], coeff: RatFn,
+    def __init__(self, variables: tuple[str, ...], num: MPoly, den: MPoly,
                  wedge: tuple[str, str, str], degenerate: bool = False) -> None:
-        if coeff.vars != tuple(variables):
+        if num.vars != tuple(variables) or den.vars != tuple(variables):
             raise ValueError("coefficient lives in a different chart")
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
         order = {v: i for i, v in enumerate(variables)}
         for w in wedge:
             if w not in order:
                 raise ValueError(f"wedge variable {w!r} is not a chart variable")
         if len(set(wedge)) < 3:
-            coeff = RatFn.from_const(tuple(variables), 0)
+            num = num * 0
             wedge = tuple(sorted(set(wedge) | set(variables), key=order.get)[:3])  # type: ignore[assignment]
         else:
             idx = [order[w] for w in wedge]
             sorted_idx = sorted(idx)
             perm = tuple(sorted_idx.index(i) for i in idx)
-            coeff = coeff * perm_sign(perm)
+            num = num * perm_sign(perm)
             wedge = tuple(variables[i] for i in sorted_idx)  # type: ignore[assignment]
         self.vars = tuple(variables)
-        self.coeff = coeff
+        self.num = num
+        self.den = den
         self.wedge = wedge
         self.degenerate = degenerate
 
     def is_zero(self) -> bool:
-        return self.coeff.is_zero()
+        return self.num.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ThreeForm):
             return NotImplemented
         return (self.vars == other.vars and self.wedge == other.wedge
-                and self.coeff == other.coeff)
+                and self.num * other.den == other.num * self.den)
 
     def __neg__(self) -> ThreeForm:
-        return ThreeForm(self.vars, -self.coeff, self.wedge)
+        return ThreeForm(self.vars, -self.num, self.den, self.wedge)
 
     def __repr__(self) -> str:
         d = " [degenerate]" if self.degenerate else ""
-        return f"({self.coeff!r}) d{self.wedge[0]}^d{self.wedge[1]}^d{self.wedge[2]}{d}"
+        return (f"(({self.num}) / ({self.den})) "
+                f"d{self.wedge[0]}^d{self.wedge[1]}^d{self.wedge[2]}{d}")
 
 
 def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
@@ -582,9 +503,10 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
     Each source chart variable must be assigned a polynomial on the target
     chart.  The wedge differentials are expanded by the chain rule, so the
     pulled-back wedge is a sum of 3x3 polynomial minors of the map's
-    partials, and the coefficient num/den becomes (num o phi) * minor over
-    den o phi: only the form's own coefficient is rational.  The expansion
-    must collapse to a single wedge term on the target chart (true for all
+    partials, taken only over the target columns that some differential
+    touches (a minor through an all-zero column vanishes).  The coefficient
+    num/den becomes (num o phi) * minor over den o phi.  The expansion must
+    collapse to a single wedge term on the target chart (true for all
     charts used here); a substitution with identically zero Jacobian yields
     the zero form flagged as degenerate rather than an error.
     """
@@ -594,20 +516,21 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
             raise KeyError(f"no substitution for chart variable {v!r}")
         if substitution[v].vars != tv:
             raise ValueError("substitution values must live on the target chart")
-    num = omega.coeff.num.substitute(substitution)
-    den = omega.coeff.den.substitute(substitution)
+    num = omega.num.substitute(substitution)
+    den = omega.den.substitute(substitution)
     if den.is_zero():
         raise ZeroDivisionError("substitution collapses the coefficient denominator")
     differentials = [[substitution[w].partial(v) for v in tv] for w in omega.wedge]
+    touched = [c for c in range(len(tv)) if any(not row[c].is_zero() for row in differentials)]
     components: dict[tuple[str, str, str], MPoly] = {}
-    for cols in combinations(range(len(tv)), 3):
+    for cols in combinations(touched, 3):
         det = determinant([[row[c] for c in cols] for row in differentials])
         if not det.is_zero():
             components[tuple(tv[c] for c in cols)] = det
     if not components:
-        zero = RatFn.from_const(tv, 0)
-        return ThreeForm(tv, zero, tv[:3], degenerate=not omega.is_zero())
+        return ThreeForm(tv, MPoly.zero(tv), MPoly.const(tv, 1), tv[:3],
+                         degenerate=not omega.is_zero())
     if len(components) > 1:
         raise ValueError("pullback does not collapse to a single wedge term")
     (wedge, jac), = components.items()
-    return ThreeForm(tv, RatFn(num * jac, den), wedge)
+    return ThreeForm(tv, num * jac, den, wedge)

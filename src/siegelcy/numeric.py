@@ -29,7 +29,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .characteristics import Char, sp4f2_act
+from . import qseries, symplectic
+from .characteristics import STANDARD_SEXTUPLE, Char, char_index, sp4f2_act
 from .modforms import PRODUCT_FORM_CHARS
 from .qseries import QSeries
 from .symplectic import SpMat
@@ -327,10 +328,8 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
         raise ValueError(
             f"dropped-terms bound {dropped:.2e} exceeds {certify:.0e}; "
             "increase Im Z or the truncation")
-    from .qseries import theta_qexp
-
     lattice = theta_eval_batch(chars, Z, tol=1e-16)
-    return [abs(r.value - evaluate_qseries(theta_qexp(m, truncation), Z))
+    return [abs(r.value - evaluate_qseries(qseries.theta_qexp(m, truncation), Z))
             for m, r in zip(chars, lattice)]
 
 
@@ -372,8 +371,6 @@ def transform_modulus_check(M: SpMat, m: Char, Z: SiegelPoint,
 
 
 def _standard_sextuple_chars() -> tuple[Char, ...]:
-    from .characteristics import STANDARD_SEXTUPLE, char_index
-
     return tuple(sorted(STANDARD_SEXTUPLE, key=char_index))
 
 
@@ -442,14 +439,12 @@ def conditioned_samples(tag, count: int, seed: int, word_length: int = 6,
     The 100,000-offset budget guarantees termination when the caller's
     `max_entry` and `nonzero_c` admit almost no word.
     """
-    from .symplectic import sample_element
-
     out: list[SpMat] = []
     nontrivial = 0
     offset = 0
     while len(out) < count and offset < 100_000:
         need_nontrivial = (count - len(out)) <= (nonzero_c - nontrivial)
-        m = sample_element(tag, word_length, seed + offset)
+        m = symplectic.sample_element(tag, word_length, seed + offset)
         offset += 1
         if m.max_entry() > max_entry:
             continue

@@ -11,9 +11,10 @@ parameters, and the JSON form is byte-stable.
 the report to `(ok, data)`, with `ok = None` for a "report" record.  Each
 check runs under its own guard: one that raises is recorded under its own
 id as "fail" with `data["error"]`, and the checks after it still run.
-Setup that several checks share (form registries, theta expansions,
-boundary orders, the 3-form stabilizer) goes through `SuiteReport.once`,
-so a setup that raises fails exactly the checks that need it.
+Setup that several checks share (form registries with their theta
+expansions, boundary orders, the 3-form stabilizer) goes through
+`SuiteReport.once`, so a setup that raises fails exactly the checks that
+need it.
 """
 
 from __future__ import annotations
@@ -149,15 +150,10 @@ def _parity_preserved(report):
 
 # -- series-level checks --------------------------------------------------------
 
-def _thetas(truncation: int) -> dict[Char, qseries.QSeries]:
-    return {m: qseries.theta_qexp(m, truncation)
-            for m in chars_mod.all_characteristics()}
-
-
 @_check("series.vanishing_orders",
         "order table a1, a2, a1+a2-2a1a2 along the three divisors")
 def _vanishing_orders(report):
-    thetas = report.once(_thetas, report.truncation)
+    thetas = report.registry(report.truncation).theta
     table = {_label(m): [qseries.vanishing_order(thetas[m], axis) for axis in range(3)]
              for m in even_characteristics()}
     ok = all(table[_label(m)] == [m.a1, m.a1 + m.a2 - 2 * m.a1 * m.a2, m.a2]
@@ -167,13 +163,13 @@ def _vanishing_orders(report):
 
 @_check("series.odd_vanish", "odd characteristics give the zero series")
 def _odd_vanish(report):
-    thetas = report.once(_thetas, report.truncation)
+    thetas = report.registry(report.truncation).theta
     return all(thetas[m].is_zero() for m in odd_characteristics()), {}
 
 
 @_check("series.semipositive_support", "semipositive index support")
 def _semipositive_support(report):
-    thetas = report.once(_thetas, report.truncation)
+    thetas = report.registry(report.truncation).theta
     return all(qseries.koecher_check(thetas[m]) for m in even_characteristics()), {}
 
 
@@ -182,7 +178,7 @@ def _semipositive_support(report):
 def _integral_coefficients(report):
     # theta_qexp sums the phases in Z[zeta] and keeps an int only where the
     # sum is real, so a surviving non-real phase fails this check
-    thetas = report.once(_thetas, report.truncation)
+    thetas = report.registry(report.truncation).theta
     return all(isinstance(c, int) for m in even_characteristics()
                for c in thetas[m].terms.values()), {}
 
@@ -190,7 +186,7 @@ def _integral_coefficients(report):
 @_check("series.reflection_symmetry",
         "off-diagonal negation fixes nine and negates the all-ones one")
 def _reflection_symmetry(report):
-    thetas = report.once(_thetas, report.truncation)
+    thetas = report.registry(report.truncation).theta
     return all(qseries.negate_offdiag(thetas[m])
                == (-thetas[m] if m == Char(1, 1, 1, 1) else thetas[m])
                for m in even_characteristics()), {}

@@ -25,7 +25,6 @@ from math import lcm
 from .mpoly import (
     MPoly,
     MembershipCertificate,
-    RatFn,
     ThreeForm,
     determinant,
     graded_membership,
@@ -283,8 +282,8 @@ def omega_form() -> ThreeForm:
     with u_i = x_i / x_4 the coefficient is 1 / ((u1*u2*u3 - 2*u0) * u5).
     """
     u0, u1, u2, u3, u5 = MPoly.ring(OMEGA_CHART)
-    coeff = RatFn(MPoly.const(OMEGA_CHART, 1), (u1 * u2 * u3 - 2 * u0) * u5)
-    return ThreeForm(OMEGA_CHART, coeff, ("u1", "u2", "u3"))
+    return ThreeForm(OMEGA_CHART, MPoly.const(OMEGA_CHART, 1),
+                     (u1 * u2 * u3 - 2 * u0) * u5, ("u1", "u2", "u3"))
 
 
 _CHART_INDEX = {0: "u0", 1: "u1", 2: "u2", 3: "u3", 5: "u5"}
@@ -533,28 +532,27 @@ def point_on_variety(pres: Presentation, point) -> bool:
 G_VARS = ("g1", "g2", "g3")
 
 
-def nested_radical_maps() -> list[RatFn]:
-    """The three symmetric combinations driving the coordinate change."""
-    g1, g2, g3 = (RatFn.var(G_VARS, v) for v in G_VARS)
-    return [
-        g1 * g2 / g3 + g3 / (g1 * g2),
-        g1 * g3 / g2 + g2 / (g1 * g3),
-        g2 * g3 / g1 + g1 / (g2 * g3),
-    ]
+def nested_radical_maps() -> tuple[list[MPoly], MPoly]:
+    """The three symmetric combinations driving the coordinate change,
+    g1g2/g3 + g3/(g1g2) and its two relabellings, as numerators over their
+    common denominator g1g2g3."""
+    g1, g2, g3 = MPoly.ring(G_VARS)
+    return ([(g1 * g2) ** 2 + g3 ** 2, (g1 * g3) ** 2 + g2 ** 2, (g2 * g3) ** 2 + g1 ** 2],
+            g1 * g2 * g3)
 
 
-def jacobian_closed_form(scale: int = 4) -> RatFn:
+def jacobian_closed_form(scale: int = 4) -> tuple[MPoly, MPoly]:
     g1, g2, g3 = MPoly.ring(G_VARS)
     num = (scale * (g3 ** 2 - g1 ** 2 * g2 ** 2)
            * (g2 ** 2 - g1 ** 2 * g3 ** 2)
            * (g1 ** 2 - g2 ** 2 * g3 ** 2))
-    den = (g1 * g2 * g3) ** 4
-    return RatFn(num, den)
+    return num, (g1 * g2 * g3) ** 4
 
 
 def jacobian_identity_check(scale: int = 4) -> bool:
-    jac = rational_jacobian(nested_radical_maps(), list(G_VARS))
-    return jac == jacobian_closed_form(scale)
+    num, den = rational_jacobian(*nested_radical_maps(), list(G_VARS))
+    closed_num, closed_den = jacobian_closed_form(scale)
+    return num * closed_den == closed_num * den
 
 
 H_VARS = ("f1", "f2", "f3", "f4",
@@ -606,7 +604,7 @@ def bordered_jacobian_sign() -> int | None:
 Z_VARS = ("z1", "z2", "z3")
 
 #: dz1 ^ dz2 ^ dz3, the form both blow-up charts pull back
-DZ = ThreeForm(Z_VARS, RatFn.from_const(Z_VARS, 1), Z_VARS)
+DZ = ThreeForm(Z_VARS, MPoly.const(Z_VARS, 1), MPoly.const(Z_VARS, 1), Z_VARS)
 
 SignVector = tuple[int, int, int]
 
@@ -667,8 +665,8 @@ def blowup_chart_check(chart: BlowupChart) -> BlowupReport:
     subs = {z: MPoly(tv, {expo: 1}) for z, expo in chart.substitution_monomials.items()}
     pulled = threeform_pullback(DZ, subs, tv)
     divisor = MPoly(tv, {tuple(int(v in chart.expected_zero_divisors) for v in tv): 1})
-    matches = pulled.coeff == divisor
-    inverted_holds = pulled.coeff * divisor == 1
+    matches = pulled.num == divisor * pulled.den
+    inverted_holds = pulled.num * divisor == pulled.den
 
     _, e2, e3 = chart.substitution_monomials["z1"]
     transformed = {(s1 * s2 ** e2 * s3 ** e3, s2, s3) for s1, s2, s3 in chart.group}

@@ -71,9 +71,11 @@ def deep_registry() -> FormRegistry:
 
 def test_named_forms_have_integer_coefficients(deep_registry):
     reg = deep_registry
-    forms = [*reg.theta.values(), *reg.y, *reg.f, *reg.F,
+    forms = [*(reg.theta[m] for m in even_characteristics()), *reg.y, *reg.f, *reg.F,
              *reg.sextuple_products.values(), reg.chi5]
     assert len(forms) == 10 + 6 + 4 + 6 + 15 + 1
+    assert set(reg.theta) == set(all_characteristics())
+    assert all(reg.theta[m].is_zero() for m in odd_characteristics())
     shared = shared_members(reg)
     assert len(shared) == 9 + 10 + 16 + 6 + 15
     for name, s in [*enumerate(forms), *shared.items()]:
@@ -173,9 +175,8 @@ def test_shared_members_match_their_definitions(registry):
     }
     expected.update({f"f_products{(i, j)}": f[i] * f[j]
                      for i in range(4) for j in range(i, 4)})
-    for m in all_characteristics():
-        t = th.get(m, QSeries.zero(N))
-        expected[f"theta_squares[{_label(m)}]"] = t * t
+    expected.update({f"theta_squares[{_label(m)}]": th[m] * th[m]
+                     for m in all_characteristics()})
     expected.update({f"F_squares[{i}]": F[i] * F[i] for i in range(6)})
     expected.update({f"F_square_product({i}, {j})": product([F[i], F[i], F[j], F[j]])
                      for i in range(5) for j in range(i, 5)})

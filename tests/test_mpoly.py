@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from siegelcy import mpoly
 from siegelcy.mpoly import (
     MPoly,
-    RatFn,
     ThreeForm,
     graded_membership,
     monomials_of_degree,
@@ -44,9 +44,9 @@ def test_values_from_two_rings_or_kinds_are_refused():
     with pytest.raises(ValueError):
         (x * y).substitute({"x": u, "y": MPoly.var(XY, "y")})
     with pytest.raises(ValueError):
-        (x * y).substitute({"x": u, "y": RatFn(v)})
+        (x * y).substitute({"x": u, "y": Fraction(1, 2)})
     with pytest.raises(ValueError):
-        x.substitute({"x": RatFn(u)})
+        x.substitute({"x": Fraction(1, 2)})
 
 
 def _random_poly(rng: random.Random, variables) -> MPoly:
@@ -120,53 +120,35 @@ def test_membership_certificate_iff_reexpansion():
     assert graded_membership(x ** 3, [x ** 2 + y ** 2]) is None
 
 
-# -- rational functions ------------------------------------------------------
-
-def test_ratfn_equality_by_cross_multiplication():
-    x, y = MPoly.ring(XY)
-    a = RatFn(x * y, x)          # y with a spurious factor
-    b = RatFn(y)
-    assert a == b
-    assert RatFn(x) != RatFn(y)
-
-
-def test_ratfn_arithmetic():
-    x, y = MPoly.ring(XY)
-    f = RatFn(x) / RatFn(y)
-    g = RatFn(y) / RatFn(x)
-    assert f * g == RatFn.from_const(XY, 1)
-    assert f + g == RatFn(x ** 2 + y ** 2, x * y)
-    assert (f - f).is_zero()
-
-
-def test_ratfn_partial_quotient_rule():
-    x, y = MPoly.ring(XY)
-    f = RatFn(x ** 2, y)
-    df = f.partial("x")
-    assert df == RatFn(2 * x, y)
-    dfy = f.partial("y")
-    assert dfy == RatFn(-(x ** 2), y ** 2)
-
-
 # -- jacobians ------------------------------------------------------------
 
 G3 = ("g1", "g2", "g3")
 
 
 def test_identity_map_jacobian():
-    maps = [RatFn.var(G3, v) for v in G3]
-    assert rational_jacobian(maps, list(G3)) == RatFn.from_const(G3, 1)
+    one = MPoly.const(G3, 1)
+    num, den = rational_jacobian(MPoly.ring(G3), one, list(G3))
+    assert num == den == one
 
 
 def test_diagonal_jacobian():
-    g1 = RatFn.var(G3, "g1")
-    maps = [g1 * g1, RatFn.var(G3, "g2"), RatFn.var(G3, "g3")]
-    assert rational_jacobian(maps, list(G3)) == 2 * g1
+    g1, g2, g3 = MPoly.ring(G3)
+    num, den = rational_jacobian([g1 * g1, g2, g3], MPoly.const(G3, 1), list(G3))
+    assert num == 2 * g1 * den
+
+
+def test_jacobian_of_maps_over_a_common_denominator():
+    # (g1/g3, g2/g3, 1/g3) has Jacobian -1/g3^4; the pair is -g3^2 over g3^6
+    g1, g2, g3 = MPoly.ring(G3)
+    num, den = rational_jacobian([g1, g2, MPoly.const(G3, 1)], g3, list(G3))
+    assert den == g3 ** 6
+    assert num * g3 ** 4 == -den
 
 
 def test_jacobian_multiplicative_under_composition():
     rng = random.Random(17)
     vars3 = G3
+    one = MPoly.const(vars3, 1)
 
     def random_map(rng) -> list[MPoly]:
         gens = [MPoly.var(vars3, v) for v in vars3]
@@ -182,11 +164,11 @@ def test_jacobian_multiplicative_under_composition():
         at_g = dict(zip(vars3, g))
         # compose: (f o g)_i = f_i(g1, g2, g3)
         comp = [fi.substitute(at_g) for fi in f]
-        jf = rational_jacobian([RatFn(fi) for fi in f], list(vars3))
-        jg = rational_jacobian([RatFn(gi) for gi in g], list(vars3))
-        lhs = rational_jacobian([RatFn(ci) for ci in comp], list(vars3))
-        rhs = RatFn(jf.num.substitute(at_g), jf.den.substitute(at_g)) * jg
-        assert lhs == rhs
+        jf, jf_den = rational_jacobian(f, one, list(vars3))
+        jg, jg_den = rational_jacobian(g, one, list(vars3))
+        lhs, lhs_den = rational_jacobian(comp, one, list(vars3))
+        rhs, rhs_den = jf.substitute(at_g) * jg, jf_den.substitute(at_g) * jg_den
+        assert lhs * rhs_den == rhs * lhs_den
 
 
 # -- three-forms --------------------------------------------------------------
@@ -195,15 +177,29 @@ Z3 = ("z1", "z2", "z3")
 
 
 def _dz() -> ThreeForm:
-    return ThreeForm(Z3, RatFn.from_const(Z3, 1), ("z1", "z2", "z3"))
+    one = MPoly.const(Z3, 1)
+    return ThreeForm(Z3, one, one, ("z1", "z2", "z3"))
 
 
 def test_wedge_normalization_sign():
-    c = RatFn.from_const(Z3, 1)
-    swapped = ThreeForm(Z3, c, ("z2", "z1", "z3"))
+    one = MPoly.const(Z3, 1)
+    swapped = ThreeForm(Z3, one, one, ("z2", "z1", "z3"))
     assert swapped.wedge == ("z1", "z2", "z3")
-    assert swapped.coeff == RatFn.from_const(Z3, -1)
-    assert ThreeForm(Z3, c, ("z1", "z1", "z2")).is_zero()
+    assert swapped.num == -one and swapped.den == one
+    assert ThreeForm(Z3, one, one, ("z1", "z1", "z2")).is_zero()
+
+
+def test_threeform_equality_by_cross_multiplication():
+    z1, z2, z3 = MPoly.ring(Z3)
+    one = MPoly.const(Z3, 1)
+    wedge = ("z1", "z2", "z3")
+    spurious = ThreeForm(Z3, z1 * z2, z1 * (z3 + 1), wedge)   # z2/(z3 + 1)
+    assert spurious == ThreeForm(Z3, z2, z3 + 1, wedge)
+    assert spurious != ThreeForm(Z3, z2, one, wedge)
+    assert spurious != ThreeForm(Z3, z2, z3 + 1, ("z2", "z1", "z3"))
+    assert -spurious == ThreeForm(Z3, -z2, z3 + 1, wedge)
+    with pytest.raises(ZeroDivisionError):
+        ThreeForm(Z3, one, MPoly.zero(Z3), wedge)
 
 
 def test_pullback_identity():
@@ -219,7 +215,7 @@ def test_pullback_first_blowup_chart():
     subs = {"z1": w1 * z2, "z2": z2, "z3": z3}
     pulled = threeform_pullback(omega, subs, w_vars)
     assert pulled.wedge == ("w1", "z2", "z3")
-    assert pulled.coeff == z2
+    assert pulled.num == z2 * pulled.den
 
 
 def test_pullback_second_blowup_chart():
@@ -228,7 +224,7 @@ def test_pullback_second_blowup_chart():
     u1, z2, z3 = MPoly.ring(u_vars)
     subs = {"z1": u1 * z2 * z3, "z2": z2, "z3": z3}
     pulled = threeform_pullback(omega, subs, u_vars)
-    assert pulled.coeff == z2 * z3
+    assert pulled.num == z2 * z3 * pulled.den
 
 
 def test_pullback_degenerate_map_is_flagged():
@@ -238,6 +234,24 @@ def test_pullback_degenerate_map_is_flagged():
     pulled = threeform_pullback(omega, subs, Z3)
     assert pulled.is_zero()
     assert pulled.degenerate
+
+
+def test_signed_chart_map_forms_one_minor(monkeypatch):
+    # u_i -> +-u_j touches only three target columns, so one of the C(5, 3)
+    # minors is formed
+    u_vars = ("u0", "u1", "u2", "u3", "u5")
+    u0, u1, u2, u3, u5 = MPoly.ring(u_vars)
+    omega = ThreeForm(u_vars, MPoly.const(u_vars, 1), (u1 * u2 * u3 - 2 * u0) * u5,
+                      ("u1", "u2", "u3"))
+    subs = {"u0": -u1, "u1": u0, "u2": u3, "u3": -u2, "u5": u5}
+    minors = []
+    determinant = mpoly.determinant
+    monkeypatch.setattr(mpoly, "determinant", lambda m: minors.append(m) or determinant(m))
+    pulled = threeform_pullback(omega, subs, u_vars)
+    assert len(minors) == 1
+    # du0 ^ du3 ^ d(-u2) = du0 ^ du2 ^ du3
+    assert pulled == ThreeForm(u_vars, MPoly.const(u_vars, 1), (2 * u1 - u0 * u2 * u3) * u5,
+                               ("u0", "u2", "u3"))
 
 
 def test_pullback_contravariant_functorial():
@@ -253,7 +267,7 @@ def test_pullback_contravariant_functorial():
 
         f = rand_subs()
         g = rand_subs()
-        omega = ThreeForm(Z3, RatFn(gens[0] + 1), ("z1", "z2", "z3"))
+        omega = ThreeForm(Z3, gens[0] + 1, gens[1] + 2, ("z1", "z2", "z3"))
         # pull back along f, then along g
         step = threeform_pullback(omega, f, Z3)
         twice = threeform_pullback(step, g, Z3)
@@ -294,4 +308,4 @@ def test_variety_polynomials_have_int_coefficients():
     omega = omega_form()
     for g in ambient_group():
         pulled = threeform_pullback(omega, chart_substitution(g), OMEGA_CHART)
-        assert _all_int(pulled.coeff.num) and _all_int(pulled.coeff.den)
+        assert _all_int(pulled.num) and _all_int(pulled.den)

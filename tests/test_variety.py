@@ -273,9 +273,25 @@ def test_jacobian_identity_falsification_control():
 
 def test_jacobian_closed_form_vanishes_at_unit_point():
     values = {"g1": 1, "g2": 1, "g3": 1}
-    assert jacobian_closed_form().evaluate(values) == 0
-    jac = rational_jacobian(nested_radical_maps(), list(G_VARS))
-    assert jac.evaluate(values) == 0
+    for num, den in (jacobian_closed_form(),
+                     rational_jacobian(*nested_radical_maps(), list(G_VARS))):
+        assert num.evaluate(values) == 0
+        assert den.evaluate(values) != 0
+
+
+def test_nested_radical_maps_are_the_papers_combinations():
+    # N_i / (g1 g2 g3) against g1g2/g3 + g3/(g1g2) and its two relabellings
+    numerators, den = nested_radical_maps()
+    rng = random.Random(11)
+    for _ in range(20):
+        g1, g2, g3 = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                      for _ in range(3))
+        values = {"g1": g1, "g2": g2, "g3": g3}
+        paper = [g1 * g2 / g3 + g3 / (g1 * g2),
+                 g1 * g3 / g2 + g2 / (g1 * g3),
+                 g2 * g3 / g1 + g1 / (g2 * g3)]
+        d = den.evaluate(values)
+        assert [n.evaluate(values) / d for n in numerators] == paper
 
 
 def test_bordered_jacobian_sign_is_minus_one():
