@@ -29,7 +29,6 @@ from .characteristics import (
     Char,
     STANDARD_SEXTUPLE,
     all_characteristics,
-    all_sextuples,
     even_characteristics,
     is_syzygetic,
 )
@@ -74,8 +73,7 @@ class FormRegistry:
     - the named forms `theta_product` (y5 = F6, shared by `y` and `F`),
       `y`, `f`, `F` and `chi5`;
     - the sextuple products: `cusp_form(s)` builds the sextuple s alone,
-      and `sextuple_products` fills all fifteen from the same memo, so the
-      boundary orders never build `y` or `F`;
+      so the boundary orders never build `y` or `F`;
     - the products that several relation sides read: `igusa_quadric`
       (igusa_quartic through `igusa_quadric_square`, product_quadric,
       y_quadric), `quartic_product` (igusa_quartic, y_quartic),
@@ -148,10 +146,6 @@ class FormRegistry:
             self._sextuples[key] = product(self.theta[m] for m in sorted(key))
         return self._sextuples[key]
 
-    @property
-    def sextuple_products(self) -> dict[frozenset, QSeries]:
-        return {s: self.cusp_form(s) for s in all_sextuples()}
-
     # -- products that several relation sides read ---------------------------
 
     @cached_property
@@ -216,8 +210,11 @@ class FormRegistry:
 @dataclass(frozen=True)
 class Relation:
     name: str
-    sides: Callable[[FormRegistry], tuple[QSeries, QSeries]]
-    mutated: Callable[[FormRegistry], tuple[QSeries, QSeries]]
+    #: sides(registry, c): the two sides with one coefficient set to c
+    sides: Callable[[FormRegistry, int], tuple[QSeries, QSeries]]
+    #: c in the genuine relation, and its falsification control
+    coefficient: int
+    planted: int
     mutation_note: str
     #: smallest truncation at which the two sides have any coefficients;
     #: a comparison below it holds vacuously
@@ -304,38 +301,15 @@ def _chi5_product(reg: FormRegistry, sign: int) -> tuple[QSeries, QSeries]:
 RELATIONS: dict[str, Relation] = {
     r.name: r
     for r in [
-        Relation("igusa_quartic",
-                 lambda reg: _igusa_quartic(reg, 4),
-                 lambda reg: _igusa_quartic(reg, 5),
-                 "quartic coefficient 4 -> 5"),
-        Relation("product_quadric",
-                 lambda reg: _product_quadric(reg, 2),
-                 lambda reg: _product_quadric(reg, 3),
-                 "product coefficient 2 -> 3"),
-        Relation("y_quartic",
-                 lambda reg: _y_quartic(reg, 1),
-                 lambda reg: _y_quartic(reg, 2),
-                 "left side doubled"),
-        Relation("y_quadric",
-                 lambda reg: _y_quadric(reg, 2),
-                 lambda reg: _y_quadric(reg, 3),
-                 "quadric coefficient 2 -> 3"),
-        Relation("classical_squares",
-                 lambda reg: _classical_all(reg, 1),
-                 lambda reg: _classical_all(reg, 2),
-                 "one square doubled"),
-        Relation("second_kind_quartic",
-                 lambda reg: _second_kind_quartic(reg, 1),
-                 lambda reg: _second_kind_quartic(reg, 2),
+        Relation("igusa_quartic", _igusa_quartic, 4, 5, "quartic coefficient 4 -> 5"),
+        Relation("product_quadric", _product_quadric, 2, 3, "product coefficient 2 -> 3"),
+        Relation("y_quartic", _y_quartic, 1, 2, "left side doubled"),
+        Relation("y_quadric", _y_quadric, 2, 3, "quadric coefficient 2 -> 3"),
+        Relation("classical_squares", _classical_all, 1, 2, "one square doubled"),
+        Relation("second_kind_quartic", _second_kind_quartic, 1, 2,
                  "four-fold product coefficient 1 -> 2", 32),
-        Relation("f6_quadric",
-                 lambda reg: _f6_quadric(reg, 32),
-                 lambda reg: _f6_quadric(reg, 33),
-                 "quadric coefficient 32 -> 33"),
-        Relation("chi5_product",
-                 lambda reg: _chi5_product(reg, 1),
-                 lambda reg: _chi5_product(reg, -1),
-                 "product sign flipped", 8),
+        Relation("f6_quadric", _f6_quadric, 32, 33, "quadric coefficient 32 -> 33"),
+        Relation("chi5_product", _chi5_product, 1, -1, "product sign flipped", 8),
     ]
 }
 
@@ -345,7 +319,8 @@ def verify_identity(name: str, registry: FormRegistry, mutated: bool = False) ->
     if name not in RELATIONS:
         raise KeyError(f"unknown relation {name!r}")
     relation = RELATIONS[name]
-    lhs, rhs = (relation.mutated if mutated else relation.sides)(registry)
+    lhs, rhs = relation.sides(registry,
+                              relation.planted if mutated else relation.coefficient)
     return lhs - rhs
 
 

@@ -16,7 +16,6 @@ to degree 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -350,26 +349,15 @@ def solve_exact(columns: list[dict[int, Fraction]],
     return solution
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Cofactors q_i with f = sum q_i * g_i, all in one graded degree."""
-
-    cofactors: tuple[MPoly, ...]
-
-    def reexpand(self, gens: list[MPoly]) -> MPoly:
-        total = MPoly.zero(gens[0].vars)
-        for q, g in zip(self.cofactors, gens):
-            total = total + q * g
-        return total
-
-
-def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | None:
+def graded_membership(f: MPoly, gens: list[MPoly]) -> tuple[MPoly, ...] | None:
     """Decide membership of f in the ideal (gens) within f's graded degree.
 
     All inputs must be homogeneous.  The degree-d piece of the ideal is
     spanned by {g_i * m : m monomial of degree d - deg g_i}; membership is
-    an exact linear solve against that span.  Returns the combination on
-    success, None if f is not a member.
+    an exact linear solve against that span.  Returns cofactors q_i with
+    sum q_i * g_i == f, None if f is not a member.  The cofactors are
+    re-expanded here rather than trusted from the solver: a combination
+    that does not re-expand to f raises `ArithmeticError`.
     """
     if not f.is_homogeneous():
         raise ValueError("membership input is not homogeneous")
@@ -378,8 +366,6 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | No
             raise ValueError("ideal generator is not homogeneous")
         if g.vars != f.vars:
             raise ValueError("generator lives in a different ring")
-    if f.is_zero():
-        return MembershipCertificate(tuple(MPoly.zero(f.vars) for _ in gens))
     d = f.homogeneous_degree()
     rows = monomials_of_degree(f.vars, d)
     row_index = {e: i for i, e in enumerate(rows)}
@@ -399,11 +385,16 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> MembershipCertificate | No
     solution = solve_exact(columns, target)
     if solution is None:
         return None
-    cofactors = [MPoly.zero(f.vars) for _ in gens]
+    terms: list[dict[Exponent, Fraction]] = [{} for _ in gens]
     for coeff, (gi, mono) in zip(solution, labels):
-        if coeff != 0:
-            cofactors[gi] = cofactors[gi] + MPoly(f.vars, {mono: coeff})
-    return MembershipCertificate(tuple(cofactors))
+        terms[gi][mono] = coeff
+    cofactors = tuple(MPoly(f.vars, t) for t in terms)
+    total = MPoly.zero(f.vars)
+    for q, g in zip(cofactors, gens):
+        total = total + q * g
+    if total != f:
+        raise ArithmeticError("membership cofactors do not re-expand to the polynomial")
+    return cofactors
 
 
 def determinant(matrix: list[list[MPoly]]) -> MPoly:
@@ -451,10 +442,10 @@ class ThreeForm:
     the form to zero.
     """
 
-    __slots__ = ("vars", "num", "den", "wedge", "degenerate")
+    __slots__ = ("vars", "num", "den", "wedge")
 
     def __init__(self, variables: tuple[str, ...], num: MPoly, den: MPoly,
-                 wedge: tuple[str, str, str], degenerate: bool = False) -> None:
+                 wedge: tuple[str, str, str]) -> None:
         if num.vars != tuple(variables) or den.vars != tuple(variables):
             raise ValueError("coefficient lives in a different chart")
         if den.is_zero():
@@ -476,7 +467,6 @@ class ThreeForm:
         self.num = num
         self.den = den
         self.wedge = wedge
-        self.degenerate = degenerate
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -491,9 +481,8 @@ class ThreeForm:
         return ThreeForm(self.vars, -self.num, self.den, self.wedge)
 
     def __repr__(self) -> str:
-        d = " [degenerate]" if self.degenerate else ""
         return (f"(({self.num}) / ({self.den})) "
-                f"d{self.wedge[0]}^d{self.wedge[1]}^d{self.wedge[2]}{d}")
+                f"d{self.wedge[0]}^d{self.wedge[1]}^d{self.wedge[2]}")
 
 
 def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
@@ -508,7 +497,7 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
     num/den becomes (num o phi) * minor over den o phi.  The expansion must
     collapse to a single wedge term on the target chart (true for all
     charts used here); a substitution with identically zero Jacobian yields
-    the zero form flagged as degenerate rather than an error.
+    the zero form rather than an error.
     """
     tv = tuple(target_vars)
     for v in omega.vars:
@@ -528,8 +517,7 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
         if not det.is_zero():
             components[tuple(tv[c] for c in cols)] = det
     if not components:
-        return ThreeForm(tv, MPoly.zero(tv), MPoly.const(tv, 1), tv[:3],
-                         degenerate=not omega.is_zero())
+        return ThreeForm(tv, MPoly.zero(tv), MPoly.const(tv, 1), tv[:3])
     if len(components) > 1:
         raise ValueError("pullback does not collapse to a single wedge term")
     (wedge, jac), = components.items()

@@ -95,9 +95,6 @@ class QSeries:
         b = {k: v for k, v in other.terms.items() if k[0] + k[2] <= n}
         return a == b
 
-    def __hash__(self) -> int:
-        raise TypeError("QSeries is unhashable")
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: QSeries) -> QSeries:

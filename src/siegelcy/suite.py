@@ -214,7 +214,7 @@ def _relation(relation: modforms.Relation, report):
     # below its first nonvacuous truncation a relation compares two
     # zero series, which proves nothing
     at = max(report.truncation, relation.nonvacuous_from)
-    lhs, rhs = relation.sides(report.registry(at))
+    lhs, rhs = relation.sides(report.registry(at), relation.coefficient)
     residual = lhs - rhs
     matched = len(set(lhs.terms) | set(rhs.terms))
     return residual.is_zero() and matched > 0, {
@@ -298,9 +298,10 @@ def _even_exponent_parity(report):
         "bidirectional ideal membership under the tabulated change matrix")
 def _coordinate_change(report):
     change = variety.coordinate_change_check()
-    data = {"quadric_scalar": str(change.quadric_scalar),
-            "inverse_quadric_scalar": str(change.inverse_quadric_scalar),
-            "matrix_determinant": str(change.matrix_determinant)}
+    scalars = {"quadric_scalar": change.quadric_scalar,
+               "inverse_quadric_scalar": change.inverse_quadric_scalar}
+    data = {key: None if c is None else str(c) for key, c in scalars.items()}
+    data["matrix_determinant"] = str(change.matrix_determinant)
     if change.failed_step is not None:
         data["failed_step"] = change.failed_step
     return change.failed_step is None, data
@@ -403,11 +404,11 @@ CHECKS["variety"] += [(f"variety.blowup_{chart.name}",
 
 # -- numeric laws ------------------------------------------------------------------------
 
-def _rand_point(rng: random.Random, y: float = 1.2) -> numeric.SiegelPoint:
+def _rand_point(rng: random.Random) -> numeric.SiegelPoint:
     return numeric.SiegelPoint(
-        complex(rng.uniform(-0.5, 0.5), rng.uniform(y, y + 0.5)),
+        complex(rng.uniform(-0.5, 0.5), rng.uniform(1.2, 1.7)),
         complex(rng.uniform(-0.25, 0.25), rng.uniform(0.1, 0.3)),
-        complex(rng.uniform(-0.5, 0.5), rng.uniform(y, y + 0.5)),
+        complex(rng.uniform(-0.5, 0.5), rng.uniform(1.2, 1.7)),
     )
 
 
@@ -428,11 +429,11 @@ def _modulus_law(report):
                                               "worst_deviation": f"{worst:.3e}"}
 
 
-def _law_at_base(report, kind: str, mats):
+def _law_at_base(kind: str, mats):
     """Measured signs, lazily, with each sample's Z = M^-1<_BASE>: every
     M<Z> is _BASE up to rounding, so the form there is evaluated once per
     law."""
-    at_base = report.once(numeric.law_form_value, kind, _BASE)
+    at_base = numeric.law_form_value(kind, _BASE)
     return (numeric.character_law_check(kind, m, numeric.pulled_back_point(m, _BASE),
                                         image_value=at_base)
             for m in mats)
@@ -443,7 +444,7 @@ def _law_at_base(report, kind: str, mats):
 def _weight2_character(report):
     mats = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=report.seed + 200,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    measured = list(_law_at_base(report, "theta_product", mats))
+    measured = list(_law_at_base("theta_product", mats))
     formula_ok = all(v == theta_character(m) for v, m in zip(measured, mats))
     return formula_ok and set(measured) == {1, -1}, {
         "samples": len(mats), "values_seen": sorted(set(measured))}
@@ -454,7 +455,7 @@ def _weight2_character(report):
 def _weight3_trivial_character(report):
     mats = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=report.seed + 300,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    ok = all(v == 1 for v in _law_at_base(report, "cusp_form", mats))
+    ok = all(v == 1 for v in _law_at_base("cusp_form", mats))
     return ok, {"samples": len(mats)}
 
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, permutations
+from math import lcm, prod
 
 from .mpoly import (
     MPoly,
-    MembershipCertificate,
     ThreeForm,
     determinant,
     graded_membership,
@@ -87,9 +86,8 @@ def _invert_fraction_matrix(rows) -> list[list[Fraction]]:
 
 
 def coord_matrix_det() -> int:
-    mat = [[MPoly.const(("t",), COORD_MATRIX[i][j]) for j in range(6)] for i in range(6)]
-    det = determinant(mat)
-    return det.coefficient((0,))
+    return sum(perm_sign(p) * prod(row[j] for row, j in zip(COORD_MATRIX, p))
+               for p in permutations(range(len(COORD_MATRIX))))
 
 
 def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
@@ -102,10 +100,9 @@ def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
 
 @dataclass(frozen=True)
 class CoordinateChangeReport:
-    quadric_scalar: Fraction
-    quartic_certificate: MembershipCertificate | None
-    inverse_quadric_scalar: Fraction
-    inverse_quartic_certificate: MembershipCertificate | None
+    #: c with image = c * quadric in each direction, None where that fails
+    quadric_scalar: Fraction | None
+    inverse_quadric_scalar: Fraction | None
     matrix_determinant: int
     #: name of the first step that does not hold, None when all four hold
     failed_step: str | None
@@ -114,43 +111,29 @@ class CoordinateChangeReport:
 def coordinate_change_check() -> CoordinateChangeReport:
     """Both presentations define the same ideal under the tabulated matrix.
 
-    The y-quadric lands exactly on a rational multiple of the x-quadric
-    (the scalar is pinned by the x5^2 coefficient); the y-quartic lands in
-    the degree-4 piece of the x-ideal, and both statements hold in the
-    inverse direction with the inverse matrix.  Every step is computed;
-    the report names the first one that fails.
+    In each direction (y = COORD_MATRIX x, then x = COORD_MATRIX^-1 y) the
+    image of each generator is a nonzero graded member of the other
+    presentation's ideal.  In degree 2 that ideal is spanned by its quadric
+    alone, so the quadric's image has one constant cofactor, the reported
+    scalar.  Every step is computed; the report names the first one that
+    fails.
     """
-    pres_y = presentation_y()
-    pres_x = presentation_x()
-
-    sub_quadric = substitute_linear(pres_y.quadric, COORD_MATRIX, Y_VARS, X_VARS)
-    x5_sq = tuple(2 if v == "x5" else 0 for v in X_VARS)
-    scalar = Fraction(sub_quadric.coefficient(x5_sq), pres_x.quadric.coefficient(x5_sq))
-
-    sub_quartic = substitute_linear(pres_y.quartic, COORD_MATRIX, Y_VARS, X_VARS)
-    cert = graded_membership(sub_quartic, pres_x.gens())
-
-    inverse = _invert_fraction_matrix(COORD_MATRIX)
-    inv_quadric = substitute_linear(pres_x.quadric, inverse, X_VARS, Y_VARS)
-    y5_sq = tuple(2 if v == "y5" else 0 for v in Y_VARS)
-    inv_scalar = Fraction(inv_quadric.coefficient(y5_sq), pres_y.quadric.coefficient(y5_sq))
-
-    inv_quartic = substitute_linear(pres_x.quartic, inverse, X_VARS, Y_VARS)
-    inv_cert = graded_membership(inv_quartic, pres_y.gens())
-
-    steps = (
-        ("quadric_scalar_multiple",
-         scalar != 0 and sub_quadric == scalar * pres_x.quadric),
-        ("quartic_membership",
-         cert is not None and cert.reexpand(pres_x.gens()) == sub_quartic),
-        ("inverse_quadric_scalar_multiple",
-         inv_scalar != 0 and inv_quadric == inv_scalar * pres_y.quadric),
-        ("inverse_quartic_membership",
-         inv_cert is not None and inv_cert.reexpand(pres_y.gens()) == inv_quartic),
-    )
-    failed = next((name for name, ok in steps if not ok), None)
-    return CoordinateChangeReport(scalar, cert, inv_scalar, inv_cert,
-                                  coord_matrix_det(), failed)
+    pres_y, pres_x = presentation_y(), presentation_x()
+    scalars: dict[str, Fraction] = {}
+    failed: list[str] = []
+    for prefix, matrix, source, target in (
+            ("", COORD_MATRIX, pres_y, pres_x),
+            ("inverse_", _invert_fraction_matrix(COORD_MATRIX), pres_x, pres_y)):
+        for step, f in (("quadric_scalar_multiple", source.quadric),
+                        ("quartic_membership", source.quartic)):
+            image = substitute_linear(f, matrix, source.variables, target.variables)
+            cofactors = graded_membership(image, target.gens())
+            if cofactors is None or image.is_zero():
+                failed.append(prefix + step)
+            elif f is source.quadric:
+                scalars[prefix] = cofactors[1].coefficient((0,) * len(target.variables))
+    return CoordinateChangeReport(scalars.get(""), scalars.get("inverse_"),
+                                  coord_matrix_det(), failed[0] if failed else None)
 
 
 # -- signed monomial maps ---------------------------------------------------
@@ -465,12 +448,6 @@ class CurveCheckReport:
                 and self.minors_vanish)
 
 
-def _certified_member(f: MPoly, gens: list[MPoly]) -> bool:
-    """Ideal membership, with the certificate re-expanded rather than trusted."""
-    cert = graded_membership(f, gens)
-    return cert is not None and cert.reexpand(gens) == f
-
-
 def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
     """Containment and singularity certificates along one curve.
 
@@ -480,7 +457,8 @@ def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
     """
     assignment = dict(zip(pres.variables, curve.param))
     param_ok = all(f.substitute(assignment).is_zero() for f in curve.ideal)
-    member_ok = all(_certified_member(f, list(curve.ideal)) for f in pres.gens())
+    member_ok = all(graded_membership(f, list(curve.ideal)) is not None
+                    for f in pres.gens())
     rows = [[f.partial(v).substitute(assignment) for v in pres.variables]
             for f in pres.gens()]
     minors_ok = all((rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]).is_zero()

@@ -72,7 +72,7 @@ def deep_registry() -> FormRegistry:
 def test_named_forms_have_integer_coefficients(deep_registry):
     reg = deep_registry
     forms = [*(reg.theta[m] for m in even_characteristics()), *reg.y, *reg.f, *reg.F,
-             *reg.sextuple_products.values(), reg.chi5]
+             *(reg.cusp_form(s) for s in all_sextuples()), reg.chi5]
     assert len(forms) == 10 + 6 + 4 + 6 + 15 + 1
     assert set(reg.theta) == set(all_characteristics())
     assert all(reg.theta[m].is_zero() for m in odd_characteristics())
@@ -214,7 +214,7 @@ def test_relations_stay_zero_and_nonvacuous_at_deeper_truncation(deep_registry):
     # so probe past it and insist every relation matches real coefficients
     deep = deep_registry
     for name, rel in RELATIONS.items():
-        lhs, rhs = rel.sides(deep)
+        lhs, rhs = rel.sides(deep, rel.coefficient)
         assert (lhs - rhs).is_zero(), name
         assert set(lhs.terms) | set(rhs.terms), f"{name} is vacuous at N=32"
 

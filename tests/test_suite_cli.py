@@ -216,7 +216,44 @@ def test_failed_coordinate_change_is_a_fail_record(monkeypatch):
     record = next(c for c in checks if c.id == "variety.coordinate_change")
     assert record.status == "fail"
     assert record.data["failed_step"] == "quadric_scalar_multiple"
+    assert record.data["quadric_scalar"] is None
     assert not any("error" in c.data for c in checks)
+
+
+def test_changed_x_quartic_fails_the_quartic_membership(monkeypatch):
+    from siegelcy import variety
+
+    presentation_x = variety.presentation_x
+
+    def changed():
+        pres = presentation_x()
+        x4 = variety.MPoly.var(variety.X_VARS, "x4")
+        return variety.Presentation(pres.variables, pres.quartic + x4 ** 4, pres.quadric)
+
+    monkeypatch.setattr(variety, "presentation_x", changed)
+    record = next(c for c in run_suite("variety").checks
+                  if c.id == "variety.coordinate_change")
+    assert record.status == "fail"
+    assert record.data["failed_step"] == "quartic_membership"
+    assert record.data["quadric_scalar"] == "2"
+
+
+def test_solver_fault_is_a_fail_record_not_a_non_member(monkeypatch):
+    from siegelcy import mpoly
+
+    solve_exact = mpoly.solve_exact
+
+    def perturbed(columns, target):
+        solution = solve_exact(columns, target)
+        if solution is not None:
+            solution[0] += 1
+        return solution
+
+    monkeypatch.setattr(mpoly, "solve_exact", perturbed)
+    record = next(c for c in run_suite("variety").checks
+                  if c.id == "variety.coordinate_change")
+    assert record.status == "fail"
+    assert record.data["error"].startswith("ArithmeticError")
 
 
 def test_integral_coefficients_fails_on_a_non_real_phase(monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 
 from siegelcy.mpoly import MPoly, rational_jacobian
 from siegelcy.variety import (
-    COORD_MATRIX,
     G_VARS,
     PARAM_VARS,
     SMOOTH_CONTROL_POINT_Y,
@@ -65,15 +64,6 @@ def test_coordinate_change():
     # exact division: a float would print as "2.0" in the report
     assert [str(report.quadric_scalar), str(report.inverse_quadric_scalar),
             str(report.matrix_determinant)] == ["2", "1/2", "1024"]
-    pres_x = presentation_x()
-    pres_y = presentation_y()
-    from siegelcy.variety import substitute_linear, X_VARS, Y_VARS, _invert_fraction_matrix
-
-    sub_quartic = substitute_linear(pres_y.quartic, COORD_MATRIX, Y_VARS, X_VARS)
-    assert report.quartic_certificate.reexpand(pres_x.gens()) == sub_quartic
-    inv = _invert_fraction_matrix(COORD_MATRIX)
-    inv_quartic = substitute_linear(pres_x.quartic, inv, X_VARS, Y_VARS)
-    assert report.inverse_quartic_certificate.reexpand(pres_y.gens()) == inv_quartic
 
 
 # -- group ------------------------------------------------------------------
