@@ -140,9 +140,6 @@ class MPoly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
-
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:

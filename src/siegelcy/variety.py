@@ -8,7 +8,8 @@ an explicit integer matrix (y5 = x5).  Every linear change of coordinates
 goes through `substitute_linear`, and every composition through
 `MPoly.substitute`; the x-side curve parametrizations use the inverse
 matrix times its common denominator, so they keep integer coefficients.
-All checks are exact: ideal membership by graded linear algebra, form
+All checks are exact: ideal membership by graded linear algebra (for a
+curve ideal, after the quotient by its linear generators), form
 pullbacks by the chain rule along polynomial chart maps, curve
 singularity by identical vanishing of every 2x2 minor of the Jacobian
 along a parametrization, formed from the Jacobian entries after
@@ -403,37 +404,33 @@ def act_on_curve(g: SignedMonomialMap, curve: CurveRep) -> CurveRep:
     return CurveRep(curve.name, ideal, param)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Nonzero rows of the reduced echelon form, as dense tuples."""
-    ncols = len(rows[0])
-    return tuple(tuple(row.get(j, Fraction(0)) for j in range(ncols))
-                 for _, row in row_reduce([dict(enumerate(r)) for r in rows]))
+def _linear_quotient(curve: CurveRep):
+    """The quotient by the ideal's linear generators: their reduced echelon
+    form as (pivot, row) pairs, and the map x_p -> x_p - row_p(x) at each
+    pivot p.  The map is idempotent, sends each linear generator to zero and
+    leaves f - reduce(f) in their span, so f lies in the ideal exactly when
+    reduce(f) lies in the ideal of the reduced generators."""
+    variables = curve.ideal[0].vars
+    rref = row_reduce([{e.index(1): c for e, c in f.terms.items()}
+                       for f in curve.ideal if f.total_degree() == 1])
+    pivots, n = dict(rref), len(variables)
+    eliminate = [[int(i == j) - pivots.get(i, {}).get(j, 0) for j in range(n)]
+                 for i in range(n)]
+    return rref, lambda f: substitute_linear(f, eliminate, variables, variables)
 
 
 def canonical_curve_key(curve: CurveRep):
-    """Hashable invariant of the curve's ideal: reduced row echelon form of
-    the linear part plus the non-linear generator reduced modulo it."""
-    linear = [f for f in curve.ideal if f.total_degree() == 1]
-    higher = [f for f in curve.ideal if f.total_degree() > 1]
-    variables = curve.ideal[0].vars
-    rows = [[f.coefficient(tuple(int(k == i) for k in range(6))) for i in range(6)]
-            for f in linear]
-    rref = _rref(rows)
-    if not higher:
-        return (rref, None)
-    if len(higher) != 1:
-        raise ValueError("expected at most one non-linear generator")
-    # eliminate the pivot variables from the quadric: x_p -> x_p - row_p(x)
-    pivot_rows = {min(j for j, v in enumerate(r) if v): r for r in rref}
-    zero = (0,) * 6
-    eliminate = [[int(i == j) - pivot_rows.get(i, zero)[j] for j in range(6)]
-                 for i in range(6)]
-    reduced = substitute_linear(higher[0], eliminate, variables, variables)
-    if reduced.is_zero():
-        return (rref, None)
-    lead = min(reduced.terms)
-    normalized = reduced * Fraction(1, reduced.terms[lead])
-    return (rref, tuple(sorted(normalized.terms.items())))
+    """Hashable invariant of the curve's ideal: the reduced echelon form of
+    its linear generators, plus the nonzero images of all generators in the
+    linear quotient, each scaled to lead coefficient 1."""
+    rref, reduce = _linear_quotient(curve)
+    images = set()
+    for f in map(reduce, curve.ideal):
+        if not f.is_zero():
+            f = f * Fraction(1, f.terms[min(f.terms)])
+            images.add(tuple(sorted(f.terms.items())))
+    return (tuple((p, tuple(sorted(row.items()))) for p, row in rref),
+            tuple(sorted(images)))
 
 
 @dataclass(frozen=True)
@@ -451,13 +448,18 @@ class CurveCheckReport:
 def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
     """Containment and singularity certificates along one curve.
 
+    Containment is decided in the linear quotient: each defining equation,
+    reduced modulo the ideal's linear generators, is a graded member of the
+    reduced generators; for the fifteen curves only the quadric survives.
     Substitution is a ring map, so the 2x2 minors of the Jacobian along the
     parametrization are the minors of its entries along it: the entries are
     substituted first and the minors formed in the parameter ring.
     """
     assignment = dict(zip(pres.variables, curve.param))
     param_ok = all(f.substitute(assignment).is_zero() for f in curve.ideal)
-    member_ok = all(graded_membership(f, list(curve.ideal)) is not None
+    _, reduce = _linear_quotient(curve)
+    quotient = [reduce(g) for g in curve.ideal]
+    member_ok = all(graded_membership(reduce(f), quotient) is not None
                     for f in pres.gens())
     rows = [[f.partial(v).substitute(assignment) for v in pres.variables]
             for f in pres.gens()]
@@ -496,8 +498,7 @@ def jacobian_rank_at(pres: Presentation, point) -> int:
     values = {v: point[i] for i, v in enumerate(pres.variables)}
     rows = [[f.partial(v).evaluate(values) for v in pres.variables]
             for f in pres.gens()]
-    rref = _rref(rows)
-    return len(rref)
+    return len(row_reduce([dict(enumerate(r)) for r in rows]))
 
 
 def point_on_variety(pres: Presentation, point) -> bool:

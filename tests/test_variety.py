@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelcy.mpoly import MPoly, rational_jacobian
+from siegelcy.mpoly import MPoly, graded_membership, rational_jacobian
 from siegelcy.variety import (
     G_VARS,
     PARAM_VARS,
@@ -14,6 +14,7 @@ from siegelcy.variety import (
     Y_VARS,
     CurveRep,
     SignedMonomialMap,
+    _linear_quotient,
     ambient_group,
     blowup_chart_check,
     canonical_curve_key,
@@ -209,17 +210,84 @@ def test_transported_parametrizations_are_integral():
             assert all(type(c) is int for c in p.terms.values()), seed.name
 
 
-def test_minors_catch_a_line_through_a_smooth_point():
-    # the cone over the smooth control point lies on the threefold and in
-    # its linear ideal, but the Jacobian has rank two along it
+def _smooth_point_line() -> CurveRep:
     point = [int(2 * c) for c in SMOOTH_CONTROL_POINT_Y]
     y = MPoly.ring(Y_VARS)
     t, _ = MPoly.ring(PARAM_VARS)
     ideal = tuple(point[0] * y[i] - point[i] * y[0] for i in range(1, 6))
-    curve = CurveRep("smooth_point", ideal, tuple(c * t for c in point))
-    report = curve_checks(curve, presentation_y())
+    return CurveRep("smooth_point", ideal, tuple(c * t for c in point))
+
+
+def test_minors_catch_a_line_through_a_smooth_point():
+    # the cone over the smooth control point lies on the threefold and in
+    # its linear ideal, but the Jacobian has rank two along it
+    report = curve_checks(_smooth_point_line(), presentation_y())
     assert report.param_satisfies_ideal and report.equations_in_ideal
     assert not report.minors_vanish
+
+
+def _curves_with_presentations():
+    seeds = [quadric_curve_y(), line_curve_y()]
+    x_curves = curve_orbits(omega_stabilizer().stabilizer, [curve_to_x(c) for c in seeds])
+    pres_x, pres_y = presentation_x(), presentation_y()
+    return ([(c, pres_x) for orbit in x_curves for c in orbit]
+            + [(c, pres_y) for c in seeds + [_smooth_point_line()]])
+
+
+def test_linear_quotient_membership_matches_the_full_ideal():
+    # the full-ideal membership is the reference the quotient replaces
+    pairs = _curves_with_presentations()
+    assert len(pairs) == 18
+    for curve, pres in pairs:
+        _, reduce = _linear_quotient(curve)
+        quotient = [reduce(g) for g in curve.ideal]
+        assert sum(not g.is_zero() for g in quotient) <= 1, curve.name
+        for f in pres.gens():
+            in_quotient = graded_membership(reduce(f), quotient) is not None
+            assert in_quotient == (graded_membership(f, list(curve.ideal)) is not None)
+            assert in_quotient == curve_checks(curve, pres).equations_in_ideal
+
+
+def test_linear_quotient_is_sound():
+    # reduce is idempotent, kills the linear generators and moves every
+    # polynomial only by a member of their span
+    for curve, pres in _curves_with_presentations():
+        _, reduce = _linear_quotient(curve)
+        linear = [g for g in curve.ideal if g.total_degree() == 1]
+        assert linear and all(reduce(g).is_zero() for g in linear)
+        for f in pres.gens() + list(curve.ideal):
+            assert reduce(reduce(f)) == reduce(f)
+            assert graded_membership(f - reduce(f), linear) is not None, curve.name
+
+
+def test_a_line_off_the_threefold_fails_containment():
+    # on y0 = y1 = y2 = y3 = 0 the quartic restricts to y5^4
+    y = MPoly.ring(Y_VARS)
+    t, u = MPoly.ring(PARAM_VARS)
+    zero = MPoly.zero(PARAM_VARS)
+    curve = CurveRep("y_line", tuple(y[:4]), (zero, zero, zero, zero, t, u))
+    report = curve_checks(curve, presentation_y())
+    assert report.param_satisfies_ideal
+    assert not report.equations_in_ideal
+    _, reduce = _linear_quotient(curve)
+    assert reduce(presentation_y().quartic) == y[5] ** 4
+
+
+def test_curve_key_ignores_how_the_ideal_is_written():
+    curve = curve_to_x(quadric_curve_y())
+    linear = [g for g in curve.ideal if g.total_degree() == 1]
+    (quadric,) = [g for g in curve.ideal if g.total_degree() == 2]
+    x0 = MPoly.ring(curve.ideal[0].vars)[0]
+    key = canonical_curve_key(curve)
+    rewritten = [
+        tuple(reversed(curve.ideal)),
+        (-3 * linear[0], *linear[1:], quadric),
+        (*linear, quadric + linear[1] * x0),
+    ]
+    for ideal in rewritten:
+        assert canonical_curve_key(replace(curve, ideal=ideal)) == key
+    assert canonical_curve_key(replace(curve, ideal=(*linear, 3 * quadric))) == key
+    assert canonical_curve_key(replace(curve, ideal=(*linear[1:], quadric))) != key
 
 
 def test_curve_orbits_sizes():
