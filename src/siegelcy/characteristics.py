@@ -129,10 +129,9 @@ Mat4 = tuple[tuple[int, int, int, int], ...]  # 4x4 integer matrix, rows
 
 
 def mat_mul(x: Mat4, y: Mat4) -> Mat4:
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
+    cols = tuple(zip(*y))
+    return tuple(tuple(a * e + b * f + c * g + d * h for e, f, g, h in cols)
+                 for a, b, c, d in x)
 
 
 def mat_transpose(x: Mat4) -> Mat4:

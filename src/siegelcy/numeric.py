@@ -5,24 +5,30 @@ transformation-law and character checks that q-expansions cannot see.
 Lattice sums run in fixed point, as Python integers scaled by 2^140 (the
 idea of mpmath's own Jacobi theta sums): each row of the lattice is walked
 outward from its Gaussian peak, so every multiplier has modulus at most
-one and roundings add up without growing.  A row's start term and its two
-step ratios follow from the last row's by fixed factors, in 164-bit
-floating point on Python integers, so a batch takes five exponentials per
-point and four per parity class from mpmath, whatever the radius.  Each
-evaluation returns the value together with an explicit bound on the
-truncated Gaussian tail plus the rounding of the walk and the recurrence
-(below 1e-25), so comparisons can account for every dropped term.
-Several characteristics at one point share one lattice walk per parity
-class of their upper halves: the character checks evaluate four or six
-constants per point and would pay the full lattice cost repeatedly
+one and roundings add up without growing.  Only the part of the summation
+box inside the Gaussian ellipse whose terms reach 2^-120 is summed, with
+the dropped terms bounded explicitly (the ellipsoid summation of
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
+functions", Math. Comp. 73, 2004).  Each parity class starts at its
+centre and walks its rows outward; every start term and step ratio is a
+product, in 164-bit floating point on Python integers, of five
+exponentials per point from mpmath, whatever the radius.  Each evaluation
+returns the value together with an explicit bound on the truncated
+Gaussian tail plus the window and the rounding of the walk and the
+products (below 1e-25), so comparisons can account for every dropped
+term.  Several characteristics at one point share one lattice walk per
+parity class of their upper halves: the character checks evaluate four or
+six constants per point and would pay the full lattice cost repeatedly
 otherwise.  Transport and q-series evaluation run in mpmath at 30
 significant digits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath
@@ -41,6 +47,9 @@ FIXED_BITS = 140
 #: a Float (re, im, e) is (re + i im) 2^e, the larger part of MANTISSA_BITS bits
 MANTISSA_BITS = FIXED_BITS + 24
 Float = tuple[int, int, int]
+_ONE: Float = (1 << (MANTISSA_BITS - 1), 0, 1 - MANTISSA_BITS)  # exactly 1
+#: the summation window keeps every lattice term of modulus 2^-CUT_BITS or more
+CUT_BITS = 120
 
 
 @dataclass(frozen=True)
@@ -158,87 +167,139 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
                      tol: float = 1e-12) -> list[EvalResult]:
     """Lattice sums for several characteristics at one point.
 
-    The summation window comes from the smallest eigenvalue of Im Z, so
-    the neglected Gaussian tail is provably below tol for every
-    characteristic.  The lattice is walked once per parity class
-    a = (a1, a2) in the batch: with r = 2n + a, the term's phase
-    i^(b.r) is i^(b.a) (-1)^(b.s) for s = n mod 2, so the four partial sums
-    S[s1][s2] over n mod 2 give every b at once.
+    The summation box comes from the smallest eigenvalue of Im Z, so the
+    neglected Gaussian tail is provably below tol for every characteristic.
+    The lattice is walked once per parity class a = (a1, a2) in the batch:
+    with r = 2n + a, the term's phase i^(b.r) is i^(b.a) (-1)^(b.s) for
+    s = n mod 2, so the four partial sums S[s1][s2] over n mod 2 give every
+    b at once.
 
-    Each row r1 of a class is summed in fixed point, as integers scaled by
-    2^FIXED_BITS.  The term is exp(pi i Q(r)/4) with
-    Q(r) = z0 r1^2 + 2 z1 r1 r2 + z2 r2^2, and its modulus is a Gaussian in
-    r2 peaking at -y1 r1 / y2.  So the row starts at the window's r2 = s
-    nearest the peak, and the walk goes outward both ways from the start
-    term and its ratios to the neighbours s +- 2, each next ratio being
-    the last times exp(2 pi i z2).  Walking away from the peak, every
-    multiplier has modulus at most one, so a term k steps from the start
-    carries at most 4(k+1)^2 units of 2^-FIXED_BITS of rounding.  With at
-    most `terms` lattice points in a class, the sum is then off by less
+    Window.  The term at r is exp(pi i Q(r)/4) with
+    Q(r) = z0 r1^2 + 2 z1 r1 r2 + z2 r2^2.  Its modulus is exp(-pi Y[r]/4),
+    Y[r] = D r1^2 + y2 (r2 - p)^2, with D = det Y / y2 and the row's
+    Gaussian peak p = -y1 r1 / y2.  Only the part of the box inside the
+    ellipse Y[r] <= R^2, R^2 = 4 CUT_BITS ln 2 / pi + 1, is summed: rows
+    with D r1^2 > R^2 are skipped, and the length of each row's two walks
+    is fixed from y2 (r2 - p)^2 <= R^2 - D r1^2 before they start.  D is
+    rounded once from the exact determinant of the doubles, and p and the
+    square root add relative errors near 2^-52, so rounding moves the
+    window by far less than its margin of 1 in R^2: every dropped term is
+    below 2^-CUT_BITS.  Let m be the class point nearest p, |m - p| <= 1.
+    The terms k + 1 and k steps from m on either side have the ratio
+    exp(-pi y2 (2k + 1 +- (m - p))), at most 1 for k = 0 and at most |q2|
+    for k >= 1, where qj = exp(2 pi i zj).  A kept row's walks start at m,
+    or on the box edge when m lies outside the box, so the terms it drops
+    on one side follow one below 2^-CUT_BITS by ratios of at most |q2|:
+    they sum to under 2^-CUT_BITS / (1 - |q2|).  A skipped row's term at m
+    is below exp(-pi D r1^2 / 4) < 2^-CUT_BITS, so the whole row sums to
+    under 2^-CUT_BITS (1 + 2 / (1 - |q2|)).  A class has at most
+    radius + 1 rows in the box, so the window drops less than
+    (radius + 1) 2^-CUT_BITS (1 + 2 / (1 - |q2|)) from it.
+
+    Fixed point.  Each row is summed as integers scaled by 2^FIXED_BITS.
+    Its start is r2 = s, the class point nearest p within the box, and the
+    walk goes outward both ways from the start term and its ratios to the
+    neighbours s +- 2, each next ratio being the last times q2^+-1.  Every
+    multiplier then has modulus at most one, so a term k steps from the
+    start carries at most 4(k+1)^2 units of 2^-FIXED_BITS of rounding.
+    With at most `terms` lattice points in a class, the sum is off by less
     than (4 terms)^2 2^-FIXED_BITS.
 
-    Q has constant second differences, so mpmath gives the start term, its
-    two ratios and its ratio to row r1 + 2 only on a class's first row
-    (with guard bits for the size of the exponents), besides q0, q1^+-1
-    and q2^+-1, qj = exp(2 pi i zj).  Each next row multiplies the term by
-    the row ratio, that by q0 and the two ratios by q1^+-1; each shift of
-    the start by +-2 multiplies the term by a ratio, the two ratios by
-    q2^+-1 and the row ratio by q1^+-1.  This runs on `Float` values: with
-    u = 2^-MANTISSA_BITS, each exponential is within 16u of exact,
-    relative, and each product adds under 3u whatever the modulus of its
-    factors (above one for far rows and for y1 < 0).  After T steps, one
-    per row and at most `radius` shifts as the start moves monotonically,
-    a ratio is within 19(T+1)u and a start term within 19(T+1)^2 u.  A
-    term k steps along its row, of modulus at most one, is then off by
-    19(T+1)(T+1+k)u < 2^7 terms u: 2^7 terms^2 u per class.  tail_bound
-    adds both roundings to the Gaussian tail; they stay below 1e-25 for
-    every radius `_summation_radius` allows.
+    Centre start.  Every start term and ratio is exp(pi i w), w an integer
+    combination of z0/4, z1/2 and z2/4.  So mpmath gives only the five
+    exponentials e0 = exp(pi i z0/4), e1^+-1 = exp(+-pi i z1/2) and
+    e2^+-1 = exp(+-pi i z2/4), whatever the radius and the batch, and all
+    else is a `Float` product of them.  Each class starts on its centre row
+    r1 = a1 at r2 = a2, with the term e0^a1 e1^(a1 a2) e2^a2, its ratios to
+    r2 = a2 +- 2 and its ratios to the rows a1 +- 2, and walks the rows
+    outward in both directions.  Each next row multiplies the term by the
+    row ratio, that by q0 = e0^8 and the two step ratios by
+    q1^+-1 = e1^(+-4).  Each shift of the start by +-2 multiplies the term
+    by a step ratio, the step ratios by q2^+-1 = e2^(+-8) and the row ratio
+    by q1^+-1.  With u = 2^-MANTISSA_BITS, each exponential is within 16u
+    of exact, relative, and each product adds under 3u whatever the modulus
+    of its factors, so a product of n exponentials is within 19n u: n <= 3
+    for the centre term, 10 for its ratios and 8 for a q.  The rows go
+    outward and s moves monotonically with p, so a row's start is T steps
+    from the centre, at most (radius + 1) / 2 rows and radius shifts:
+    T + 2 <= 3 (radius + 1).  Its ratios are then within
+    (190 + 155 T)u < 160(T+2)u and its term within 80(T+2)^2 u.  A term k
+    steps along the row, of modulus at most one, adds k ratios and
+    k(k-1)/2 factors q2 to the start term, so it is off by
+    (80(T+2)^2 + 160(T+2)k + 76k^2)u < 2^11 terms u, and the class by
+    2^11 terms^2 u.  tail_bound adds the window and both roundings to the
+    Gaussian tail; they stay below 1e-25 for every radius
+    `_summation_radius` allows.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lam = Z.min_eigenvalue()
     radius, bound = _summation_radius(lam, tol)
     terms = (radius + 1) ** 2  # lattice points of one parity class, at most
-    bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS
-    bound += terms ** 2 * 2.0 ** (7 - MANTISSA_BITS)
-    y1, y2 = complex(Z.z1).imag, complex(Z.z2).imag
-    # the exponents below reach |z0| + 2|z1| + |z2| times (radius + 1)^2;
-    # their rounding must stay far below 2^-FIXED_BITS
-    size = abs(complex(Z.z0)) + 2 * abs(complex(Z.z1)) + abs(complex(Z.z2))
-    extra_bits = math.ceil(size * (radius + 1) ** 2).bit_length()
+    y0, y1, y2 = (complex(z).imag for z in (Z.z0, Z.z1, Z.z2))
+    bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS  # the fixed-point walk
+    bound += terms ** 2 * 2.0 ** (11 - MANTISSA_BITS)  # the Float products
+    # the terms outside the window; |q2| = exp(-2 pi y2)
+    bound += (radius + 1) * 2.0 ** -CUT_BITS * (1 + 2 / -math.expm1(-2 * math.pi * y2))
+    window = 4 * CUT_BITS * math.log(2) / math.pi + 1  # R^2
+    # D, rounded once from the exact determinant of the doubles
+    det_ratio = float((Fraction(y0) * Fraction(y2) - Fraction(y1) ** 2) / Fraction(y2))
+    last = min(radius, math.floor(math.sqrt(window / det_ratio)))  # |r1| of the last row
+    # the exponents are at most |zj| / 2; their rounding must stay far
+    # below 2^-MANTISSA_BITS, relative
+    size = max(abs(complex(z)) for z in (Z.z0, Z.z1, Z.z2))
+    with mp.workprec(MANTISSA_BITS + math.ceil(size).bit_length()):
+        z0, z1, z2 = Z.as_mpc()
+        # squares[j][k] = e^(2^k) for the exponentials e0, e1, e1^-1, e2, e2^-1
+        squares = [[_float(mpmath.expjpi(w))]
+                   for w in (z0 / 4, z1 / 2, -z1 / 2, z2 / 4, -z2 / 4)]
+    for powers in squares:
+        for _ in range(3):
+            powers.append(_mul(powers[-1], powers[-1]))
+
+    def power(n0: int, n1: int, n2: int) -> Float:
+        """exp(pi i (n0 z0/4 + n1 z1/2 + n2 z2/4)) for 0 <= n0, |n1|, |n2| < 16,
+        a product of n0 + |n1| + |n2| exponentials."""
+        factors = [powers[k] for powers, n in (
+            (squares[0], n0), (squares[1 if n1 > 0 else 2], abs(n1)),
+            (squares[3 if n2 > 0 else 4], abs(n2))) for k in range(4) if n >> k & 1]
+        return functools.reduce(_mul, factors) if factors else _ONE
+
+    q0, q1, q1_inv, q2, q2_inv = (power(8, 0, 0), power(0, 4, 0), power(0, -4, 0),
+                                  power(0, 0, 8), power(0, 0, -8))
+    step = _fixed(q2)  # ratio of successive ratios
     # partial[a][s1]: (re, im) of S[s1][0], then of S[s1][1]
     partial = {}
-    with mp.workprec(MANTISSA_BITS + extra_bits):
-        z0, z1, z2 = Z.as_mpc()
-        q0, q1, q1_inv, q2, q2_inv = (_float(mpmath.expjpi(2 * z))
-                                      for z in (z0, z1, -z1, z2, -z2))
-        step = _fixed(q2)  # ratio of successive ratios
-        for a1, a2 in {(m.a1, m.a2) for m in chars}:
-            sums = [[0, 0, 0, 0], [0, 0, 0, 0]]
-            lo = -radius + (radius + a2) % 2  # window ends with r2 = a2 mod 2
-            hi = radius - (radius + a2) % 2
-            first = -radius + (radius + a1) % 2
-            for r1 in range(first, radius + 1, 2):
+    for a1, a2 in {(m.a1, m.a2) for m in chars}:
+        sums = [[0, 0, 0, 0], [0, 0, 0, 0]]
+        lo = -radius + (radius + a2) % 2  # box ends with r2 = a2 mod 2
+        hi = radius - (radius + a2) % 2
+        # the centre term and its ratios to r2 = a2 + 2 and a2 - 2
+        centre = (power(a1, a1 * a2, a2), power(0, 2 * a1, 4 * a2 + 4),
+                  power(0, -2 * a1, 4 - 4 * a2))
+        for d, rows in ((1, range(a1, last + 1, 2)), (-1, range(a1 - 2, -last - 1, -2))):
+            x, up, down = centre
+            s = a2
+            col = power(4 * d * (a1 + d), 2 * d * a2, 0)  # ratio to row r1 + 2d
+            # q1^d multiplies up per row and col per shift up; q1^-d the others
+            qa, qb = (q1, q1_inv) if d == 1 else (q1_inv, q1)
+            for r1 in rows:
+                if r1 != a1:
+                    x, col = _mul(x, col), _mul(col, q0)
+                    up, down = _mul(up, qa), _mul(down, qb)
                 peak = -y1 * r1 / y2
                 target = min(max(a2 + 2 * math.floor((peak - a2) / 2 + 0.5), lo), hi)
-                if r1 == first:
-                    s = target
-                    # the start term, its ratios to r2 = s +- 2 and to row r1 + 2
-                    x, up, down, col = (_float(mpmath.expjpi(w)) for w in (
-                        (z0 * (r1 * r1) + z1 * (2 * r1 * s) + z2 * (s * s)) / 4,
-                        z1 * r1 + z2 * (s + 1), z2 * (1 - s) - z1 * r1,
-                        z0 * (r1 + 1) + z1 * s))
-                else:
-                    x, col = _mul(x, col), _mul(col, q0)
-                    up, down = _mul(up, q1), _mul(down, q1_inv)
-                    while s < target:
-                        x, col = _mul(x, up), _mul(col, q1)
-                        up, down = _mul(up, q2), _mul(down, q2_inv)
-                        s += 2
-                    while s > target:
-                        x, col = _mul(x, down), _mul(col, q1_inv)
-                        up, down = _mul(up, q2_inv), _mul(down, q2)
-                        s -= 2
+                while s < target:
+                    x, col = _mul(x, up), _mul(col, qa)
+                    up, down = _mul(up, q2), _mul(down, q2_inv)
+                    s += 2
+                while s > target:
+                    x, col = _mul(x, down), _mul(col, qb)
+                    up, down = _mul(up, q2_inv), _mul(down, q2)
+                    s -= 2
+                half = math.sqrt(max(window - det_ratio * r1 * r1, 0.0) / y2)
+                top = min(math.floor(peak + half), hi)
+                bottom = max(math.ceil(peak - half), lo)
                 start = _fixed(x)
                 # the start's cell s2 is row[at:at + 2], the other cell
                 # (odd steps away) row[2 - at:4 - at]
@@ -246,12 +307,12 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
                 at = 2 * ((s - a2) // 2 % 2)
                 row[at] += start[0]
                 row[at + 1] += start[1]
-                for count, ratio in (((hi - s) // 2, up), ((s - lo) // 2, down)):
-                    if count:
+                for count, ratio in (((top - s) // 2, up), ((s - bottom) // 2, down)):
+                    if count > 0:
                         walk = _walk(start, _fixed(ratio), step, count)
                         for j, part in enumerate(walk):
                             row[(at + 2 + j) % 4] += part
-            partial[a1, a2] = sums
+        partial[a1, a2] = sums
     results: list[EvalResult] = []
     for m in chars:
         re = im = 0

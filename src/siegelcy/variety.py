@@ -421,11 +421,12 @@ def _linear_quotient(curve: CurveRep):
 
 def canonical_curve_key(curve: CurveRep):
     """Hashable invariant of the curve's ideal: the reduced echelon form of
-    its linear generators, plus the nonzero images of all generators in the
-    linear quotient, each scaled to lead coefficient 1."""
+    its linear generators, plus the nonzero images of the other generators
+    in the linear quotient, each scaled to lead coefficient 1.  The linear
+    generators themselves reduce to zero, so they are not substituted."""
     rref, reduce = _linear_quotient(curve)
     images = set()
-    for f in map(reduce, curve.ideal):
+    for f in map(reduce, [g for g in curve.ideal if g.total_degree() >= 2]):
         if not f.is_zero():
             f = f * Fraction(1, f.terms[min(f.terms)])
             images.add(tuple(sorted(f.terms.items())))

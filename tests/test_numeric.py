@@ -7,6 +7,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import box_reference
+from siegelcy import numeric
 from siegelcy.characteristics import (
     Char,
     all_characteristics,
@@ -15,6 +17,7 @@ from siegelcy.characteristics import (
     odd_characteristics,
 )
 from siegelcy.numeric import (
+    FIXED_BITS,
     SiegelPoint,
     _summation_radius,
     _tail_remainder,
@@ -31,6 +34,7 @@ from siegelcy.numeric import (
     transform_modulus_check,
 )
 from siegelcy.qseries import negate_offdiag, theta_qexp
+from siegelcy.suite import _BASE, run_suite
 from siegelcy.symplectic import (
     SpMat,
     Subgroup,
@@ -134,7 +138,7 @@ def test_batch_matches_the_defining_sum():
             assert diff <= r.tail_bound + rounding + 1e-20, (m, diff)
 
 
-@pytest.mark.parametrize("Z", [
+SKEWED_POINTS = [
     # a small eigenvalue (0.025) with y1 < 0: radius 42 at tol 1e-13, where
     # the character laws' pulled-back points sit
     SiegelPoint(0.21 + 0.169j, -0.13 - 0.357j, 0.37 + 0.911j),
@@ -144,7 +148,10 @@ def test_batch_matches_the_defining_sum():
     # row's start, downward for y1 > 0 and upward for y1 < 0
     SiegelPoint(0.1 + 6j, 0.2 + 1.8j, -0.3 + 0.6j),
     SiegelPoint(0.1 + 6j, 0.2 - 1.8j, -0.3 + 0.6j),
-])
+]
+
+
+@pytest.mark.parametrize("Z", SKEWED_POINTS)
 def test_batch_matches_the_defining_sum_at_skewed_points(Z):
     # one even characteristic per parity class of the upper half; rows whose
     # Gaussian peak sits far from r2 = 0 are where a fixed-point walk in the
@@ -180,7 +187,70 @@ def test_mpmath_exponentials_per_batch_do_not_grow_with_the_radius(monkeypatch):
         calls.clear()
         theta_eval_batch(chars, Z, tol=1e-13)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 5 + 4 * len(chars)
+    assert counts == [5, 5]
+
+
+# the points the kernel is compared with the box walk at, with the
+# tolerances their callers use: the character laws' base point, the skewed
+# points and the diagonal points of `numeric.diagonal_vanishing`
+BOX_POINTS = ([(_BASE, 1e-13)] + [(Z, 1e-13) for Z in SKEWED_POINTS]
+              + [(SiegelPoint(t1, 0j, t2), 1e-14) for t1, t2 in (
+                  (1j, 2j), (0.5 + 1j, 3j), (0.3 + 1.5j, 1.2j), (2j, 1j),
+                  (-0.4 + 1.1j, 0.25 + 1.3j))])
+
+
+def box_mismatches(Z: SiegelPoint, tol: float) -> list[Char]:
+    """Characteristics whose kernel value differs from the box walk's: in
+    any bit for an even one.  An odd constant vanishes identically and its
+    double is the rounding residue of the fixed-point sums, a few units of
+    2^-FIXED_BITS that move with the order of the products, so it may
+    differ by up to 16 units."""
+    kernel = theta_eval_batch(all_characteristics(), Z, tol=tol)
+    box = box_reference.theta_eval_batch(all_characteristics(), Z, tol=tol)
+    odd = set(odd_characteristics())
+    return [m for m, k, b in zip(all_characteristics(), kernel, box)
+            if (abs(k.value - b.value) > 16 * 2.0 ** -FIXED_BITS if m in odd
+                else (k.value.real.hex(), k.value.imag.hex())
+                != (b.value.real.hex(), b.value.imag.hex()))]
+
+
+@pytest.mark.parametrize("Z, tol", BOX_POINTS)
+def test_kernel_values_are_the_box_walks(Z, tol):
+    assert box_mismatches(Z, tol) == []
+
+
+def test_box_comparison_sees_a_narrower_window(monkeypatch):
+    # negative control: dropping the terms below 2^-40 moves the doubles
+    monkeypatch.setattr(numeric, "CUT_BITS", 40)
+    assert any(box_mismatches(Z, tol) for Z, tol in BOX_POINTS)
+
+
+@pytest.mark.parametrize("seed", [0, 1001])
+def test_numeric_report_is_the_box_walks(seed, monkeypatch):
+    kernel = run_suite("numeric", seed=seed).as_dict()
+    monkeypatch.setattr(numeric, "theta_eval_batch", box_reference.theta_eval_batch)
+    assert kernel == run_suite("numeric", seed=seed).as_dict()
+
+
+def test_window_walks_fewer_steps_than_the_box(monkeypatch):
+    steps = []
+    walk = numeric._walk
+
+    def counted(x, rho, step, count):
+        steps.append(count)
+        return walk(x, rho, step, count)
+
+    monkeypatch.setattr(numeric, "_walk", counted)
+    # one characteristic per parity class, at the radius-42 point
+    chars = [Char(0, 0, 0, 0), Char(0, 1, 1, 0), Char(1, 0, 0, 1), Char(1, 1, 1, 1)]
+    Z = SKEWED_POINTS[0]
+    counts = []
+    for batch in (theta_eval_batch, box_reference.theta_eval_batch):
+        steps.clear()
+        batch(chars, Z, tol=1e-13)
+        counts.append(sum(steps))
+    # the box has 7225 points in its four classes, 170 of them row starts
+    assert counts == [1515, 7055]
 
 
 def test_dual_engine_consistency_all_even():
