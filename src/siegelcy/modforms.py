@@ -155,9 +155,9 @@ class FormRegistry:
 
     @cached_property
     def igusa_quadric(self) -> QSeries:
-        """y0y1 + y0y2 + y1y2 - y3y4."""
+        """y0y1 + y0y2 + y1y2 - y3y4, made as y0(y1 + y2) + y1y2 - y3y4."""
         y0, y1, y2, y3, y4, _ = self.y
-        return y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4
+        return y0 * (y1 + y2) + y1 * y2 - y3 * y4
 
     @cached_property
     def igusa_quadric_square(self) -> QSeries:
@@ -167,7 +167,7 @@ class FormRegistry:
     def quartic_product(self) -> QSeries:
         """y0y1y2(y0 + y1 + y2 + y3 + y4)."""
         y0, y1, y2, y3, y4, _ = self.y
-        return y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
+        return product([y0, y1, y2, y0 + y1 + y2 + y3 + y4])
 
     @cached_property
     def product_of_squares(self) -> QSeries:

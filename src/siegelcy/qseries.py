@@ -20,11 +20,23 @@ correspond to half-integral index matrices via
 Truncation: a series with bound N stores exactly the terms with
 n0 + n2 <= N; larger exponents are unknown, and equality of two series is
 only ever asserted up to the smaller of the two bounds.
+
+Products go through one packed kernel (Kronecker substitution).  Each
+factor is split into cells by (n0, n2), the exponents that decide the
+weight n0 + n2, and each cell becomes one Python integer holding its terms
+in fixed-width signed slots indexed by n1; so one integer product does a
+cell pair's whole convolution over n1, and only cell pairs whose weights
+sum to at most the bound are multiplied.  `product` and powers keep their
+partial products packed and decode the result once.  A slot is
+bitlen(B) + 1 bits wide, with B the product of the factors' sums of |c|:
+B bounds every coefficient of the result, and the extra bit is the sign,
+so the slots never overlap and decoding is exact (see `_Layout`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable
 
 from .characteristics import Char
@@ -57,12 +69,12 @@ class QSeries:
 
     @classmethod
     def _exact(cls, terms: dict[ExpTriple, Coeff], truncation: int) -> QSeries:
-        """A series on terms already known to have nonnegative exponents
-        within the bound, as the results of the ring operations do; only
-        zero coefficients are dropped."""
+        """A series on nonzero terms already known to have nonnegative
+        exponents within the bound, as the results of the ring operations
+        do; the terms dict is kept, not copied."""
         s = cls.__new__(cls)
         s.truncation = truncation
-        s.terms = {k: c for k, c in terms.items() if c}
+        s.terms = terms
         return s
 
     @classmethod
@@ -86,14 +98,19 @@ class QSeries:
             raise ValueError("cannot raise a truncation bound")
         return QSeries(self.terms, truncation)
 
+    def _upto(self, n: int) -> dict[ExpTriple, Coeff]:
+        """The stored terms of weight at most n <= the bound: all of them,
+        not copied, when n is the bound."""
+        if n == self.truncation:
+            return self.terms
+        return {k: v for k, v in self.terms.items() if k[0] + k[2] <= n}
+
     def __eq__(self, other: object) -> bool:
         """Equality of the known parts, up to the smaller truncation."""
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        a = {k: v for k, v in self.terms.items() if k[0] + k[2] <= n}
-        b = {k: v for k, v in other.terms.items() if k[0] + k[2] <= n}
-        return a == b
+        return self._upto(n) == other._upto(n)
 
     # -- ring operations ----------------------------------------------------
 
@@ -101,14 +118,13 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        terms = {k: v for k, v in self.terms.items() if k[0] + k[2] <= n}
-        for k, v in other.terms.items():
-            if k[0] + k[2] <= n:
-                s = terms.get(k, 0) + v
-                if not s:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s
+        terms = dict(self._upto(n))
+        for k, v in other._upto(n).items():
+            s = terms.get(k, 0) + v
+            if not s:
+                terms.pop(k, None)
+            else:
+                terms[k] = s
         return QSeries._exact(terms, n)
 
     def __neg__(self) -> QSeries:
@@ -118,62 +134,222 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other: QSeries | int) -> QSeries:
+        """The product with a scalar, or with a series by `product`: every
+        `a * b` of two series passes here, while `product` and powers
+        multiply their partial products packed, without passing here."""
         if isinstance(other, int):
+            if not other:
+                return QSeries.zero(self.truncation)
             return QSeries._exact({k: v * other for k, v in self.terms.items()},
                                   self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        terms: dict[ExpTriple, Coeff] = {}
-        # group the right factor by n0+n2 so hopeless pairs are skipped early
-        by_weight: dict[int, list[tuple[ExpTriple, Coeff]]] = {}
-        for k, v in other.terms.items():
-            by_weight.setdefault(k[0] + k[2], []).append((k, v))
-        weights = sorted(by_weight)
-        for k1, v1 in self.terms.items():
-            w1 = k1[0] + k1[2]
-            for w2 in weights:
-                if w1 + w2 > n:
-                    break
-                for k2, v2 in by_weight[w2]:
-                    key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                    s = terms.get(key)
-                    p = v1 * v2
-                    if s is None:
-                        terms[key] = p
-                    else:
-                        terms[key] = s + p
-        return QSeries._exact(terms, n)
+        return product((self, other))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QSeries:
+        """The n-th power by repeated squaring, with no square past the last
+        bit, the partial products kept packed."""
         if n < 0:
             raise ValueError("negative power of a series")
         if n == 0:
             return QSeries.one(self.truncation)
+        layout = _Layout([self], _norm(self) ** n)
+        base = layout.pack(self)
         result = None
-        base = self
         while True:
             if n & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _multiply(result, base, layout)
             n >>= 1
             if not n:
-                return result
-            base = base * base
+                return layout.unpack(result)
+            base = _multiply(base, base, layout)
 
     def __repr__(self) -> str:
         return f"QSeries({len(self.terms)} terms, N={self.truncation})"
 
 
 def product(series: Iterable[QSeries]) -> QSeries:
+    """The product of the series, up to the smallest of their bounds.
+
+    The factors are packed once, in one layout whose slots are wide
+    enough for the whole chain, multiplied from the left with every
+    partial product kept packed, and the result is decoded once.  Terms
+    past the smallest bound are dropped before packing: a weight only
+    grows in a product.  A cyclotomic coefficient whose coordinates on
+    zeta, zeta^2 and zeta^3 cancel is stored as an int, as `theta_qexp`
+    stores one.
+    """
     items = list(series)
     if not items:
         raise ValueError("empty product")
-    result = items[0]
+    layout = _Layout(items, math.prod(map(_norm, items)))
+    result = layout.pack(items[0])
     for s in items[1:]:
-        result = result * s
-    return result
+        result = _multiply(result, layout.pack(s), layout)
+    return layout.unpack(result)
+
+
+# -- the packed product kernel ---------------------------------------------
+
+#: a packed series: for each Z[zeta] coordinate (one for integer
+#: coefficients; four, on 1, zeta, zeta^2, zeta^3, once one is cyclotomic)
+#: the cells, cell key -> sum of c * 2^(bits * n1 / step) over the cell
+Packed = list[dict[int, int]]
+
+#: one coordinate's nonzero cells as a multiplication reads them:
+#: (key, shift, x >> shift) by ascending key, so by ascending weight, with
+#: shift the cell's empty low slots
+Cells = list[tuple[int, int, int]]
+
+
+def _norm(s: QSeries) -> int:
+    """The sum of |c| over every coefficient coordinate of s."""
+    return sum(abs(c) if type(c) is int else sum(map(abs, c.coords()))
+               for c in s.terms.values())
+
+
+class _Layout:
+    """Where each term of a product's factors and partial products sits.
+
+    A cell is the set of terms with one (n0, n2), keyed w * width + n2,
+    with w = n0 + n2 its weight and width = truncation + 1, so that keys
+    add as the exponents do and sort by weight.  In a cell, the term
+    c * q1^n1 sits in slot n1 / step of one Python integer, that is
+    c * 2^(bits * n1 / step), with step the gcd of every n1 of every
+    factor (4 or 8 for the y's and F's).
+
+    Packing a cell evaluates a polynomial in q1^step at 2^bits.  That is a
+    ring map, so the integer product of two packed cells is the packed
+    product cell, exactly, whatever its slot values; sums and the shifts
+    that align cells are exact too.  Only decoding needs the slots apart:
+    an integer sum of v_k * 2^(bits * k) gives back every v_k when each
+    |v_k| < 2^(bits-1).  `bound`, the product of the factors' sums of |c|
+    over every coefficient and coordinate, bounds the sum of |c| of the
+    result, so each of its coefficients (and of every partial product,
+    when no factor is zero); with bits = bitlen(bound) + 1,
+    |v_k| <= bound < 2^(bits-1).
+    """
+
+    __slots__ = ("truncation", "width", "step", "bits")
+
+    def __init__(self, factors: list[QSeries], bound: int) -> None:
+        self.truncation = min(s.truncation for s in factors)
+        self.width = self.truncation + 1
+        self.step = math.gcd(*(n[1] for s in factors for n in s.terms)) or 1
+        self.bits = bound.bit_length() + 1
+
+    def pack(self, s: QSeries) -> Packed:
+        """One pass over the terms of s within the truncation."""
+        n, width, step, bits = self.truncation, self.width, self.step, self.bits
+        parts: Packed = [{}]
+        for (n0, n1, n2), c in s.terms.items():
+            w = n0 + n2
+            if w > n:
+                continue
+            key = w * width + n2
+            shift = bits * (n1 // step)
+            if type(c) is int:
+                cells = parts[0]
+                cells[key] = cells.get(key, 0) + (c << shift)
+                continue
+            if len(parts) == 1:
+                parts += [{}, {}, {}]
+            for cells, v in zip(parts, c.coords()):
+                if v:
+                    cells[key] = cells.get(key, 0) + (v << shift)
+        return parts
+
+    def cells(self, part: dict[int, int]) -> Cells:
+        """The nonzero cells of one coordinate, by weight, each shifted
+        down to its smallest n1 for the multiplication."""
+        bits = self.bits
+        out = []
+        for key, x in part.items():
+            if x:
+                shift = ((x & -x).bit_length() - 1) // bits * bits
+                out.append((key, shift, x >> shift))
+        out.sort()
+        return out
+
+    def unpack(self, packed: Packed) -> QSeries:
+        """Decode every cell once, skipping runs of empty slots by the
+        count of trailing zero bits."""
+        width, step, bits = self.width, self.step, self.bits
+        mask, top, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+        parts = []
+        for part in packed:
+            terms: dict[ExpTriple, int] = {}
+            for key, x in part.items():
+                w, n2 = divmod(key, width)
+                n0 = w - n2
+                n1 = 0
+                while x:
+                    v = x & mask
+                    if not v:
+                        skip = ((x & -x).bit_length() - 1) // bits
+                        x >>= skip * bits
+                        n1 += skip * step
+                        v = x & mask
+                    x >>= bits
+                    if v & top:  # a negative slot borrowed one from the next
+                        v -= full
+                        x += 1
+                    terms[n0, n1, n2] = v
+                    n1 += step
+            parts.append(terms)
+        if len(parts) == 1:
+            return QSeries._exact(parts[0], self.truncation)
+        terms = {}
+        for key in dict.fromkeys(k for part in parts for k in part):
+            c = [part.get(key, 0) for part in parts]
+            terms[key] = CycInt8(*c) if any(c[1:]) else c[0]
+        return QSeries._exact(terms, self.truncation)
+
+
+def _convolve(a: Cells, b: Cells, layout: _Layout, acc: dict[int, int]) -> None:
+    """Add the products of the cell pairs of a and b with weights summing
+    to at most the truncation into acc, each at its absolute slot offset.
+    A square takes each unordered pair once and doubles it by one more
+    shift."""
+    width = layout.width
+    room = (layout.truncation + 1) * width  # keys of weight above it: too heavy
+    keys = [k for k, _, _ in b]
+    if a is b:
+        for i, (ka, sa, xa) in enumerate(a):
+            stop = bisect_left(keys, room - ka // width * width)
+            if stop <= i:
+                break
+            k = 2 * ka
+            acc[k] = acc.get(k, 0) + (xa * xa << 2 * sa)
+            for kb, sb, xb in a[i + 1:stop]:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + (xa * xb << sa + sb + 1)
+        return
+    for ka, sa, xa in a:
+        stop = bisect_left(keys, room - ka // width * width)
+        if not stop:
+            break
+        for kb, sb, xb in b[:stop]:
+            k = ka + kb
+            acc[k] = acc.get(k, 0) + (xa * xb << sa + sb)
+
+
+def _multiply(a: Packed, b: Packed, layout: _Layout) -> Packed:
+    """The product of two packed series: the kernel every series product
+    runs through.  Cyclotomic coordinates multiply pairwise, and
+    zeta^4 = -1 folds the coordinates i + j >= 4 back with a sign."""
+    cells_a = [layout.cells(part) for part in a]
+    cells_b = cells_a if b is a else [layout.cells(part) for part in b]
+    accs: Packed = [{} for _ in range(max(len(a), len(b)))]
+    for i, ca in enumerate(cells_a):
+        for j, cb in enumerate(cells_b):
+            if i + j >= 4:
+                _convolve([(k, s, -x) for k, s, x in ca], cb, layout, accs[i + j - 4])
+            else:
+                _convolve(ca, cb, layout, accs[i + j])
+    return accs
 
 
 # -- theta expansions -----------------------------------------------------

@@ -22,6 +22,7 @@ from siegelcy.modforms import (
     q_parity_check,
     verify_identity,
 )
+from siegelcy import qseries
 from siegelcy.qseries import QSeries, koecher_check, negate_offdiag, product
 
 N = 16
@@ -107,16 +108,16 @@ def shared_members(reg: FormRegistry) -> dict[str, QSeries]:
 
 
 def _count_products(monkeypatch) -> list:
-    """Record every series-by-series product from now on."""
+    """Record every series-by-series product from now on, at the packed
+    kernel that `*`, `product()` and `**` all run through."""
     seen = []
-    mul = QSeries.__mul__
+    multiply = qseries._multiply
 
-    def counting(a, b):
-        if isinstance(b, QSeries):
-            seen.append((a, b))
-        return mul(a, b)
+    def counting(a, b, layout):
+        seen.append((a, b))
+        return multiply(a, b, layout)
 
-    monkeypatch.setattr(QSeries, "__mul__", counting)
+    monkeypatch.setattr(qseries, "_multiply", counting)
     return seen
 
 

@@ -1,0 +1,99 @@
+"""The packed product kernel against the term-pair reference.
+
+Every series product, chain and power must give the terms and the
+truncation of `tests/pair_reference.py`.  The drawn factors cover
+coefficients that cancel to zero, coefficients far above 2^64, middle
+exponents n1 of any size (semipositive or not), factors whose n1 are all 0
+or all multiples of 4 or 8, mixed truncations, empty series and Z[zeta8]
+coefficients.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import pair_reference as ref
+from siegelcy import qseries
+from siegelcy.cyclotomic import CycInt8
+from siegelcy.qseries import QSeries, product
+
+SMALL = st.integers(-2, 2)
+COEFFICIENTS = st.one_of(SMALL, st.integers(-2 ** 80, 2 ** 80),
+                         st.builds(CycInt8, SMALL, SMALL, SMALL, SMALL))
+
+#: how the middle exponents of all factors of one case are drawn: any n1,
+#: all zero, or multiples of a common step
+N1_MODES = ("any", "zero", "step4", "step8")
+
+
+@st.composite
+def factor(draw, mode: str) -> QSeries:
+    exponents = st.tuples(st.integers(0, 5), st.integers(0, 12), st.integers(0, 5))
+    terms = draw(st.dictionaries(exponents, COEFFICIENTS, max_size=8))
+    if mode == "zero":
+        terms = {(n0, 0, n2): c for (n0, _, n2), c in terms.items()}
+    elif mode != "any":
+        step = int(mode.removeprefix("step"))
+        terms = {(n0, step * n1, n2): c for (n0, n1, n2), c in terms.items()}
+    return QSeries(terms, draw(st.integers(0, 10)))
+
+
+@st.composite
+def factors(draw, min_size: int = 1, max_size: int = 6) -> list[QSeries]:
+    mode = draw(st.sampled_from(N1_MODES))
+    return draw(st.lists(factor(mode), min_size=min_size, max_size=max_size))
+
+
+def _same(got: QSeries, want: QSeries) -> None:
+    assert got.truncation == want.truncation
+    assert got.terms == want.terms
+    assert all(got.terms.values())
+
+
+#: coefficients that reach the slot bound: -15 = 3 * -5 is the sum of
+#: |c| over the factors, so one bit fewer per slot cannot hold it
+AT_THE_BOUND = [QSeries({(1, 4, 0): 3}, 6), QSeries({(0, 4, 1): -5}, 6)]
+#: (1 + x)(1 - x): the x terms cancel to zero
+CANCELLING = [QSeries({(0, 0, 0): 1, (1, 2, 1): 1}, 8),
+              QSeries({(0, 0, 0): 1, (1, 2, 1): -1}, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors(min_size=2, max_size=2))
+@example(AT_THE_BOUND)
+@example(CANCELLING)
+def test_series_product_is_the_pair_loop(pair):
+    a, b = pair
+    _same(a * b, ref.mul(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors())
+@example(AT_THE_BOUND)
+@example(CANCELLING + CANCELLING[::-1])
+@example([QSeries({}, 4), QSeries({(0, 0, 0): 2}, 6)])
+def test_chain_product_is_the_pair_loop(items):
+    _same(product(items), ref.product(items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors(max_size=1), st.integers(0, 5))
+@example(CANCELLING[1:], 5)
+@example([QSeries({(0, 3, 0): CycInt8(0, 1, 0, 0)}, 3)], 4)
+def test_power_is_the_pair_loop(base, exponent):
+    (s,) = base
+    _same(s ** exponent, ref.power(s, exponent))
+
+
+def test_one_bit_narrower_slots_fail_on_a_planted_case(monkeypatch):
+    """Negative control: the bound is what keeps the signed slots apart."""
+    init = qseries._Layout.__init__
+
+    def narrower(self, items, bound):
+        init(self, items, bound)
+        self.bits -= 1
+
+    monkeypatch.setattr(qseries._Layout, "__init__", narrower)
+    with pytest.raises(AssertionError):
+        _same(product(AT_THE_BOUND), ref.product(AT_THE_BOUND))
