@@ -29,10 +29,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path: str) -> bool:
+    """Whether the report cannot be written at path, symlinks followed."""
+    target = os.path.realpath(path)
+    if os.path.exists(target):
+        return os.path.isdir(target) or not os.access(target, os.W_OK)
+    folder = os.path.dirname(target)
+    return not (os.path.isdir(folder) and os.access(folder, os.W_OK))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.json is not None and (os.path.isdir(args.json) or not os.path.isdir(
-            os.path.dirname(os.path.abspath(args.json)))):
+    if args.json is not None and _unwritable(args.json):
         print(f"error: cannot write the JSON report to {args.json!r}", file=sys.stderr)
         return 2
     try:

@@ -13,9 +13,10 @@ registry.
 Every relation is stored with a deliberately broken variant (one perturbed
 coefficient) used as a falsification control: the suite must see a zero
 residual on the genuine relation and a nonzero residual on the mutation.
-Each side is a sum of scalar multiples of registry members, so the
-products behind it are made once per registry, and a mutated side costs a
-scalar multiple and a subtraction.
+The threefold's four equations are `variety.Equations` on y and F, the
+code of the symbolic presentations too.  The products behind the sides are
+made once per registry, so a mutated side costs a scalar multiple and a
+subtraction.
 """
 
 from __future__ import annotations
@@ -41,22 +42,16 @@ from .qseries import (
     unimodular_action,
     vanishing_order,
 )
+from .variety import Equations
 
-THETA_FOURTH_00_11 = Char(0, 0, 1, 1)
-THETA_FOURTH_00_01 = Char(0, 0, 0, 1)
-THETA_FOURTH_00_00 = Char(0, 0, 0, 0)
-THETA_FOURTH_00_10 = Char(0, 0, 1, 0)
-THETA_FOURTH_10_00 = Char(1, 0, 0, 0)
-THETA_FOURTH_10_01 = Char(1, 0, 0, 1)
+#: the thetas whose fourth powers are y0, y1, y2, -y3 - y0 and -y4 - y0
+Y_FOURTH_CHARS = (Char(0, 0, 1, 1), Char(0, 0, 0, 1), Char(0, 0, 0, 0),
+                  Char(1, 0, 0, 0), Char(1, 0, 0, 1))
 
 #: the four theta constants with upper characteristic zero, in the order
 #: entering the weight-2 product form
-PRODUCT_FORM_CHARS = (
-    THETA_FOURTH_00_01,
-    THETA_FOURTH_00_00,
-    THETA_FOURTH_00_10,
-    THETA_FOURTH_00_11,
-)
+PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0), Char(0, 0, 1, 0),
+                      Char(0, 0, 1, 1))
 
 #: ordering of the doubled-argument characteristics behind f1..f4
 SECOND_KIND_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -74,14 +69,11 @@ class FormRegistry:
       `y`, `f`, `F` and `chi5`;
     - the sextuple products: `cusp_form(s)` builds the sextuple s alone,
       so the boundary orders never build `y` or `F`;
-    - the products that several relation sides read: `igusa_quadric`
-      (igusa_quartic through `igusa_quadric_square`, product_quadric,
-      y_quadric), `quartic_product` (igusa_quartic, y_quartic),
+    - the products that several relation sides read: `equations` (those
+      of the threefold's equations on y and on x_j = F_(j+1)),
       `f_products` (F and every classical square relation),
-      `theta_squares` (the classical squares and `product_of_squares`),
-      `F_squares` and `F_square_product(i, j)` (second_kind_quartic and
-      f6_quadric), and `y5_square`, `y5_fourth`, `F_product`,
-      `cusp_times_theta_product`, each read by both sides of one relation.
+      `theta_squares` (the classical squares and `product_of_squares`) and
+      `cusp_times_theta_product` (both sides of chi5_product).
 
     Members are never changed after they are built; a side that needs a
     multiple of one builds a new series.
@@ -94,7 +86,6 @@ class FormRegistry:
         self.theta = {m: qseries.theta_qexp(m, truncation)
                       for m in all_characteristics()}
         self._sextuples: dict[frozenset, QSeries] = {}
-        self._F_square_products: dict[tuple[int, int], QSeries] = {}
 
     # -- the named forms ---------------------------------------------------
 
@@ -105,10 +96,7 @@ class FormRegistry:
 
     @cached_property
     def y(self) -> list[QSeries]:
-        y0, y1, y2, t10_00, t10_01 = (
-            self.theta[m] ** 4 for m in (THETA_FOURTH_00_11, THETA_FOURTH_00_01,
-                                         THETA_FOURTH_00_00, THETA_FOURTH_10_00,
-                                         THETA_FOURTH_10_01))
+        y0, y1, y2, t10_00, t10_01 = (self.theta[m] ** 4 for m in Y_FOURTH_CHARS)
         return [y0, y1, y2, -t10_00 - y0, -t10_01 - y0, self.theta_product]
 
     @cached_property
@@ -135,6 +123,11 @@ class FormRegistry:
         ]
 
     @cached_property
+    def equations(self) -> Equations:
+        """The threefold's equations on the forms: y, and x_j = F_(j+1)."""
+        return Equations(self.y, self.F)
+
+    @cached_property
     def chi5(self) -> QSeries:
         """The weight-5 form, product of all ten even thetas."""
         return product(self.theta[m] for m in even_characteristics())
@@ -154,50 +147,9 @@ class FormRegistry:
         return {m: theta ** 2 for m, theta in self.theta.items()}
 
     @cached_property
-    def igusa_quadric(self) -> QSeries:
-        """y0y1 + y0y2 + y1y2 - y3y4, made as y0(y1 + y2) + y1y2 - y3y4."""
-        y0, y1, y2, y3, y4, _ = self.y
-        return y0 * (y1 + y2) + y1 * y2 - y3 * y4
-
-    @cached_property
-    def igusa_quadric_square(self) -> QSeries:
-        return self.igusa_quadric ** 2
-
-    @cached_property
-    def quartic_product(self) -> QSeries:
-        """y0y1y2(y0 + y1 + y2 + y3 + y4)."""
-        y0, y1, y2, y3, y4, _ = self.y
-        return product([y0, y1, y2, y0 + y1 + y2 + y3 + y4])
-
-    @cached_property
     def product_of_squares(self) -> QSeries:
         """The product of the squares of the four a = 0 thetas."""
         return product(self.theta_squares[m] for m in PRODUCT_FORM_CHARS)
-
-    @cached_property
-    def y5_square(self) -> QSeries:
-        return self.theta_product ** 2
-
-    @cached_property
-    def y5_fourth(self) -> QSeries:
-        return self.y5_square ** 2
-
-    @cached_property
-    def F_squares(self) -> list[QSeries]:
-        """F_i^2; F6^2 is y5^2."""
-        return [F ** 2 for F in self.F[:5]] + [self.y5_square]
-
-    def F_square_product(self, i: int, j: int) -> QSeries:
-        """F_i^2 * F_j^2 (indices from 0), built on first read."""
-        key = (min(i, j), max(i, j))
-        if key not in self._F_square_products:
-            self._F_square_products[key] = self.F_squares[i] * self.F_squares[j]
-        return self._F_square_products[key]
-
-    @cached_property
-    def F_product(self) -> QSeries:
-        """F1 * F2 * F3 * F4."""
-        return product(self.F[:4])
 
     @cached_property
     def cusp_times_theta_product(self) -> QSeries:
@@ -210,10 +162,9 @@ class FormRegistry:
 @dataclass(frozen=True)
 class Relation:
     name: str
-    #: sides(registry, c): the two sides with one coefficient set to c
-    sides: Callable[[FormRegistry, int], tuple[QSeries, QSeries]]
-    #: c in the genuine relation, and its falsification control
-    coefficient: int
+    #: sides(registry, c): the two sides with one coefficient set to c,
+    #: by default its genuine value; planted is c in the falsification control
+    sides: Callable[..., tuple[QSeries, QSeries]]
     planted: int
     mutation_note: str
     #: smallest truncation at which the two sides have any coefficients;
@@ -221,20 +172,13 @@ class Relation:
     nonvacuous_from: int = 4
 
 
-def _igusa_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    return reg.igusa_quadric_square, c * reg.quartic_product
+def _equation(name: str) -> Callable[..., tuple[QSeries, QSeries]]:
+    """The sides of the `Equations` method `name` on the registry's forms."""
+    return lambda reg, *c: getattr(reg.equations, name)(*c)
 
 
-def _product_quadric(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    return c * reg.product_of_squares, reg.igusa_quadric
-
-
-def _y_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    return c * reg.y5_fourth, reg.quartic_product
-
-
-def _y_quadric(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    return c * reg.y5_square, reg.igusa_quadric
+def _product_quadric(reg: FormRegistry, c: int = 2) -> tuple[QSeries, QSeries]:
+    return c * reg.product_of_squares, reg.equations.igusa_quadric
 
 
 def classical_relation_sides(reg: FormRegistry, m: Char,
@@ -264,63 +208,42 @@ def classical_residuals(reg: FormRegistry) -> dict[Char, QSeries]:
     return out
 
 
-def _classical_all(reg: FormRegistry, scale: int) -> tuple[QSeries, QSeries]:
+def _classical_all(reg: FormRegistry, scale: int = 1) -> tuple[QSeries, QSeries]:
     # single-series convenience view: the per-characteristic residuals are
     # each zero (checked separately), so the plain sums must agree; the
     # mutation doubles one square and is caught immediately
-    lhs_total = QSeries.zero(reg.truncation)
-    rhs_total = QSeries.zero(reg.truncation)
-    for k, m in enumerate(all_characteristics()):
-        lhs, rhs = classical_relation_sides(reg, m, scale if k == 0 else 1)
-        lhs_total = lhs_total + lhs
-        rhs_total = rhs_total + rhs
-    return lhs_total, rhs_total
+    sides = [classical_relation_sides(reg, m, scale if k == 0 else 1)
+             for k, m in enumerate(all_characteristics())]
+    zero = QSeries.zero(reg.truncation)
+    return sum((lhs for lhs, _ in sides), zero), sum((rhs for _, rhs in sides), zero)
 
 
-def _second_kind_quartic(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    # c perturbs the F1*F2*F3*F4 coefficient: the 16*F5^4 term only starts
-    # at combined weight 32, so a mutation there would be invisible at any
-    # practical truncation, while this one shows up from weight 16 on
-    P = reg.F_square_product  # P(i, j) = F_{i+1}^2 F_{j+1}^2
-    lhs = 16 * P(4, 4)
-    rhs = (-P(0, 4) + c * reg.F_product
-           - P(1, 2) - P(1, 3) + 4 * P(1, 4)
-           - P(2, 3) + 4 * P(2, 4) + 4 * P(3, 4))
-    return lhs, rhs
-
-
-def _f6_quadric(reg: FormRegistry, c: int) -> tuple[QSeries, QSeries]:
-    S1, S2, S3, S4, S5, S6 = reg.F_squares
-    return S6, S1 - 4 * S2 - 4 * S3 - 4 * S4 + c * S5
-
-
-def _chi5_product(reg: FormRegistry, sign: int) -> tuple[QSeries, QSeries]:
+def _chi5_product(reg: FormRegistry, sign: int = 1) -> tuple[QSeries, QSeries]:
     return sign * reg.cusp_times_theta_product, reg.chi5
 
 
 RELATIONS: dict[str, Relation] = {
     r.name: r
     for r in [
-        Relation("igusa_quartic", _igusa_quartic, 4, 5, "quartic coefficient 4 -> 5"),
-        Relation("product_quadric", _product_quadric, 2, 3, "product coefficient 2 -> 3"),
-        Relation("y_quartic", _y_quartic, 1, 2, "left side doubled"),
-        Relation("y_quadric", _y_quadric, 2, 3, "quadric coefficient 2 -> 3"),
-        Relation("classical_squares", _classical_all, 1, 2, "one square doubled"),
-        Relation("second_kind_quartic", _second_kind_quartic, 1, 2,
+        Relation("igusa_quartic", _equation("igusa_quartic"), 5,
+                 "quartic coefficient 4 -> 5"),
+        Relation("product_quadric", _product_quadric, 3, "product coefficient 2 -> 3"),
+        Relation("y_quartic", _equation("y_quartic"), 2, "left side doubled"),
+        Relation("y_quadric", _equation("y_quadric"), 3, "quadric coefficient 2 -> 3"),
+        Relation("classical_squares", _classical_all, 2, "one square doubled"),
+        Relation("second_kind_quartic", _equation("x_quartic"), 2,
                  "four-fold product coefficient 1 -> 2", 32),
-        Relation("f6_quadric", _f6_quadric, 32, 33, "quadric coefficient 32 -> 33"),
-        Relation("chi5_product", _chi5_product, 1, -1, "product sign flipped", 8),
+        Relation("f6_quadric", _equation("x_quadric"), 33, "quadric coefficient 32 -> 33"),
+        Relation("chi5_product", _chi5_product, -1, "product sign flipped", 8),
     ]
 }
 
 
 def verify_identity(name: str, registry: FormRegistry, mutated: bool = False) -> QSeries:
     """Residual series (left minus right); identically zero on success."""
-    if name not in RELATIONS:
-        raise KeyError(f"unknown relation {name!r}")
-    relation = RELATIONS[name]
-    lhs, rhs = relation.sides(registry,
-                              relation.planted if mutated else relation.coefficient)
+    relation = RELATIONS[name]  # KeyError for an unknown name
+    lhs, rhs = (relation.sides(registry, relation.planted) if mutated
+                else relation.sides(registry))
     return lhs - rhs
 
 

@@ -214,7 +214,7 @@ def _relation(relation: modforms.Relation, report):
     # below its first nonvacuous truncation a relation compares two
     # zero series, which proves nothing
     at = max(report.truncation, relation.nonvacuous_from)
-    lhs, rhs = relation.sides(report.registry(at), relation.coefficient)
+    lhs, rhs = relation.sides(report.registry(at))
     residual = lhs - rhs
     matched = len(set(lhs.terms) | set(rhs.terms))
     return residual.is_zero() and matched > 0, {

@@ -2,17 +2,17 @@
 signed-monomial symmetry group, the distinguished rational 3-form, the 15
 singular curves, and the symbolic Jacobian identities.
 
-Two coordinate systems are carried: the y-system from the even-weight ring
-generators and the x-system from the doubled-argument generators, linked by
-an explicit integer matrix (y5 = x5).  Every linear change of coordinates
-goes through `substitute_linear`, and every composition through
-`MPoly.substitute`; the x-side curve parametrizations use the inverse
-matrix times its common denominator, so they keep integer coefficients.
-All checks are exact: ideal membership by graded linear algebra (for a
-curve ideal, after the quotient by its linear generators), form
-pullbacks by the chain rule along polynomial chart maps, curve
-singularity by identical vanishing of every 2x2 minor of the Jacobian
-along a parametrization, formed from the Jacobian entries after
+Two coordinate systems are carried, their equations written once in the
+ring-generic `Equations`: the y-system from the even-weight ring generators
+and the x-system from the doubled-argument generators, linked by an explicit
+integer matrix (y5 = x5).  Every linear change of coordinates goes through
+`substitute_linear`, and every composition through `MPoly.substitute`; the
+x-side curve parametrizations use the inverse matrix times its common
+denominator, so they keep integer coefficients.  All checks are exact: ideal
+membership by graded linear algebra (for a curve ideal, after the quotient
+by its linear generators), form pullbacks by the chain rule along polynomial
+chart maps, curve singularity by identical vanishing of every 2x2 minor of
+the Jacobian along a parametrization, formed from the Jacobian entries after
 substitution.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import lcm, prod
 
@@ -48,21 +49,93 @@ class Presentation:
         return [self.quartic, self.quadric]
 
 
+class Equations:
+    """The threefold's quartic and quadric in y and in x, over any ring: the
+    `MPoly` generators for the presentations, or the series y0..y5 and
+    F1..F6 for the ring relations.  Each equation returns its (lhs, rhs)
+    pair, with the coefficient a falsification control perturbs as c.
+    Every product that two sides, or a side and its perturbed copy, read
+    is built once."""
+
+    def __init__(self, y, x) -> None:
+        self.y, self.x = y, x
+
+    @cached_property
+    def y5_square(self):
+        return self.y[5] ** 2
+
+    @cached_property
+    def y5_pow4(self):
+        return self.y5_square ** 2
+
+    @cached_property
+    def igusa_quadric(self):
+        """y0y1 + y0y2 + y1y2 - y3y4, made as y0(y1 + y2) + y1y2 - y3y4."""
+        y0, y1, y2, y3, y4, _ = self.y
+        return y0 * (y1 + y2) + y1 * y2 - y3 * y4
+
+    @cached_property
+    def igusa_quadric_square(self):
+        return self.igusa_quadric ** 2
+
+    @cached_property
+    def quartic_product(self):
+        """y0y1y2(y0 + y1 + y2 + y3 + y4)."""
+        y0, y1, y2, y3, y4, _ = self.y
+        return y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
+
+    @cached_property
+    def x_squares(self) -> list:
+        """S_i = x_i^2; S5 is y5^2 where x5 is y5."""
+        x5 = self.x[5]
+        return [v ** 2 for v in self.x[:5]] + [self.y5_square if x5 is self.y[5] else x5 ** 2]
+
+    @cached_property
+    def x_quartic_parts(self) -> tuple:
+        """x4^4, the x-quartic's right side less its c term, x0x1x2x3."""
+        S0, S1, S2, S3, S4, _ = self.x_squares
+        x0, x1, x2, x3, _, _ = self.x
+        return (S4 ** 2,
+                -S0 * S4 - S1 * S2 - S1 * S3 - S2 * S3 + 4 * (S4 * (S1 + S2 + S3)),
+                x0 * x1 * x2 * x3)
+
+    def y_quartic(self, c: int = 1):
+        """c y5^4 = y0y1y2(y0 + y1 + y2 + y3 + y4)."""
+        return c * self.y5_pow4, self.quartic_product
+
+    def y_quadric(self, c: int = 2):
+        """c y5^2 = y0y1 + y0y2 + y1y2 - y3y4."""
+        return c * self.y5_square, self.igusa_quadric
+
+    def igusa_quartic(self, c: int = 4):
+        """Igusa's (y0y1 + y0y2 + y1y2 - y3y4)^2 = c y0y1y2(y0 + ... + y4)."""
+        return self.igusa_quadric_square, c * self.quartic_product
+
+    def x_quartic(self, c: int = 1):
+        """16x4^4 = -S0S4 - S1S2 - S1S3 - S2S3 + 4S4(S1 + S2 + S3) + c x0x1x2x3;
+        c sits on x0x1x2x3, which starts at weight 16 on the forms, x4^4 at 32."""
+        x4_pow4, rest, x_product = self.x_quartic_parts
+        return 16 * x4_pow4, rest + c * x_product
+
+    def x_quadric(self, c: int = 32):
+        """x5^2 = x0^2 - 4x1^2 - 4x2^2 - 4x3^2 + c x4^2."""
+        S0, S1, S2, S3, S4, S5 = self.x_squares
+        return S5, S0 - 4 * S1 - 4 * S2 - 4 * S3 + c * S4
+
+
+def _presentation(variables: tuple[str, ...], *names: str) -> Presentation:
+    """The named quartic and quadric of `Equations` on the polynomial rings."""
+    eq = Equations(MPoly.ring(Y_VARS), MPoly.ring(X_VARS))
+    return Presentation(variables, *(lhs - rhs for lhs, rhs in
+                                     (getattr(eq, name)() for name in names)))
+
+
 def presentation_y() -> Presentation:
-    y0, y1, y2, y3, y4, y5 = MPoly.ring(Y_VARS)
-    quartic = y5 ** 4 - y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
-    quadric = 2 * y5 ** 2 - (y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4)
-    return Presentation(Y_VARS, quartic, quadric)
+    return _presentation(Y_VARS, "y_quartic", "y_quadric")
 
 
 def presentation_x() -> Presentation:
-    x0, x1, x2, x3, x4, x5 = MPoly.ring(X_VARS)
-    quartic = (16 * x4 ** 4 + x0 ** 2 * x4 ** 2
-               + x1 ** 2 * x2 ** 2 + x1 ** 2 * x3 ** 2 + x2 ** 2 * x3 ** 2
-               - x0 * x1 * x2 * x3 - 4 * x4 ** 2 * (x1 ** 2 + x2 ** 2 + x3 ** 2))
-    quadric = x5 ** 2 - (x0 ** 2 - 4 * x1 ** 2 - 4 * x2 ** 2 - 4 * x3 ** 2
-                         + 32 * x4 ** 2)
-    return Presentation(X_VARS, quartic, quadric)
+    return _presentation(X_VARS, "x_quartic", "x_quadric")
 
 
 #: y = COORD_MATRIX * x on the first five coordinates, y5 = x5
@@ -552,12 +625,7 @@ def _bordered_and_affine() -> tuple[MPoly, MPoly, MPoly]:
     gens = {v: MPoly.var(H_VARS, v) for v in H_VARS}
     f = [gens[f"f{j}"] for j in range(1, 5)]
     d = [[gens[f"d{i}{j}"] for j in range(1, 5)] for i in range(3)]
-    bordered = determinant([
-        [f[0], f[1], f[2], f[3]],
-        [d[0][0], d[0][1], d[0][2], d[0][3]],
-        [d[1][0], d[1][1], d[1][2], d[1][3]],
-        [d[2][0], d[2][1], d[2][2], d[2][3]],
-    ])
+    bordered = determinant([f, *d])
     f4 = f[3]
     numerators = [[d[i][j] * f4 - f[j] * d[i][3] for j in range(3)] for i in range(3)]
     return bordered, determinant(numerators), f4

@@ -78,7 +78,7 @@ def test_named_forms_have_integer_coefficients(deep_registry):
     assert set(reg.theta) == set(all_characteristics())
     assert all(reg.theta[m].is_zero() for m in odd_characteristics())
     shared = shared_members(reg)
-    assert len(shared) == 9 + 10 + 16 + 6 + 15
+    assert len(shared) == 3 + 5 + 10 + 16 + 6 + 3
     for name, s in [*enumerate(forms), *shared.items()]:
         if name in [f"theta_squares[{_label(m)}]" for m in odd_characteristics()]:
             assert s.is_zero(), name
@@ -92,18 +92,20 @@ def _label(m: Char) -> str:
 
 
 def shared_members(reg: FormRegistry) -> dict[str, QSeries]:
-    """Every product that relation sides share, by name; reading them
-    builds them."""
+    """Every product that relation sides share, by name, in the registry
+    and in its `equations`; reading them builds them."""
+    eq = reg.equations
     out = {name: getattr(reg, name) for name in (
-        "theta_product", "igusa_quadric", "igusa_quadric_square",
-        "quartic_product", "product_of_squares", "y5_square", "y5_fourth",
-        "F_product", "cusp_times_theta_product")}
+        "theta_product", "product_of_squares", "cusp_times_theta_product")}
+    out.update({f"equations.{name}": getattr(eq, name) for name in (
+        "y5_square", "y5_pow4", "igusa_quadric", "igusa_quadric_square",
+        "quartic_product")})
     out.update({f"f_products{k}": s for k, s in reg.f_products.items()})
     out.update({f"theta_squares[{_label(m)}]": s
                 for m, s in reg.theta_squares.items()})
-    out.update({f"F_squares[{i}]": s for i, s in enumerate(reg.F_squares)})
-    out.update({f"F_square_product({i}, {j})": reg.F_square_product(i, j)
-                for i in range(5) for j in range(i, 5)})
+    out.update({f"equations.x_squares[{i}]": s for i, s in enumerate(eq.x_squares)})
+    out.update({f"equations.x_quartic_parts[{i}]": s
+                for i, s in enumerate(eq.x_quartic_parts)})
     return out
 
 
@@ -141,6 +143,18 @@ def test_boundary_orders_build_only_the_sextuples(monkeypatch):
     assert "y" not in vars(reg) and "F" not in vars(reg)
 
 
+def test_mutated_sides_make_no_product(monkeypatch):
+    # a mutated side reuses the genuine side's products: a scalar multiple
+    # and a sum, never a series product
+    reg = FormRegistry(N)
+    for name in RELATIONS:
+        assert verify_identity(name, reg).is_zero(), name
+    seen = _count_products(monkeypatch)
+    for name in RELATIONS:
+        assert not verify_identity(name, reg, mutated=True).is_zero(), name
+    assert len(seen) == 0
+
+
 def _same(a: QSeries, b: QSeries) -> bool:
     return a.truncation == b.truncation and a.terms == b.terms
 
@@ -155,6 +169,7 @@ def test_shared_members_match_their_definitions(registry):
     y3 = -fourth[Char(1, 0, 0, 0)] - fourth[Char(0, 0, 1, 1)]
     y4 = -fourth[Char(1, 0, 0, 1)] - fourth[Char(0, 0, 1, 1)]
     quadric = y0 * y1 + y0 * y2 + y1 * y2 - y3 * y4
+    quartic_product = product([y0, y1, y2, y0 + y1 + y2 + y3 + y4])
     f1, f2, f3, f4 = f
     F = [product([f1, f1, f1, f1]) + product([f2, f2, f2, f2])
          + product([f3, f3, f3, f3]) + product([f4, f4, f4, f4]),
@@ -162,25 +177,30 @@ def test_shared_members_match_their_definitions(registry):
          product([f1, f1, f3, f3]) + product([f2, f2, f4, f4]),
          product([f1, f1, f4, f4]) + product([f2, f2, f3, f3]),
          product([f1, f2, f3, f4]), y5]
+
+    def P(i: int, j: int) -> QSeries:  # F_(i+1)^2 F_(j+1)^2
+        return product([F[i], F[i], F[j], F[j]])
+
     expected = {
         "theta_product": y5,
-        "igusa_quadric": quadric,
-        "igusa_quadric_square": quadric * quadric,
-        "quartic_product": product([y0, y1, y2, y0 + y1 + y2 + y3 + y4]),
         "product_of_squares": product(th[m] * th[m] for m in PRODUCT_FORM_CHARS),
-        "y5_square": y5 * y5,
-        "y5_fourth": product([y5, y5, y5, y5]),
-        "F_product": product(F[:4]),
         "cusp_times_theta_product": product(
             [*(th[m] for m in sorted(STANDARD_SEXTUPLE)), y5]),
+        "equations.y5_square": y5 * y5,
+        "equations.y5_pow4": product([y5, y5, y5, y5]),
+        "equations.igusa_quadric": quadric,
+        "equations.igusa_quadric_square": quadric * quadric,
+        "equations.quartic_product": quartic_product,
+        "equations.x_quartic_parts[0]": P(4, 4),
+        "equations.x_quartic_parts[1]": (-P(0, 4) - P(1, 2) - P(1, 3) - P(2, 3)
+                                          + 4 * P(1, 4) + 4 * P(2, 4) + 4 * P(3, 4)),
+        "equations.x_quartic_parts[2]": product(F[:4]),
     }
     expected.update({f"f_products{(i, j)}": f[i] * f[j]
                      for i in range(4) for j in range(i, 4)})
     expected.update({f"theta_squares[{_label(m)}]": th[m] * th[m]
                      for m in all_characteristics()})
-    expected.update({f"F_squares[{i}]": F[i] * F[i] for i in range(6)})
-    expected.update({f"F_square_product({i}, {j})": product([F[i], F[i], F[j], F[j]])
-                     for i in range(5) for j in range(i, 5)})
+    expected.update({f"equations.x_squares[{i}]": F[i] * F[i] for i in range(6)})
     got = shared_members(reg)
     assert set(got) == set(expected)
     for name, series in expected.items():
@@ -188,7 +208,8 @@ def test_shared_members_match_their_definitions(registry):
     assert all(_same(a, b) for a, b in zip(reg.y, [y0, y1, y2, y3, y4, y5]))
     assert all(_same(a, b) for a, b in zip(reg.F, F))
     assert reg.y[5] is reg.F[5] is reg.theta_product
-    assert reg.F_squares[5] is reg.y5_square
+    assert reg.equations.y is reg.y and reg.equations.x is reg.F
+    assert reg.equations.x_squares[5] is reg.equations.y5_square
 
 
 def test_relations_leave_the_shared_members_unchanged():
@@ -215,7 +236,7 @@ def test_relations_stay_zero_and_nonvacuous_at_deeper_truncation(deep_registry):
     # so probe past it and insist every relation matches real coefficients
     deep = deep_registry
     for name, rel in RELATIONS.items():
-        lhs, rhs = rel.sides(deep, rel.coefficient)
+        lhs, rhs = rel.sides(deep)
         assert (lhs - rhs).is_zero(), name
         assert set(lhs.terms) | set(rhs.terms), f"{name} is vacuous at N=32"
 

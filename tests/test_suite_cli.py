@@ -142,12 +142,18 @@ def test_cli_rejects_bad_selector(capsys):
     ["numeric", "--tol", "nan"],
     ["chars", "--json", "/nonexistent/dir/r.json"],
     ["chars", "--json", "."],
+    ["chars", "--json", "{dangling}"],
 ])
 def test_cli_refuses_bad_parameters(argv, tmp_path, capsys):
     out = tmp_path / "r.json"
+    # a symlink into a missing directory sits in a directory that exists
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "no_such_dir" / "r.json")
+    argv = [a.format(dangling=dangling) for a in argv]
     # a --json of the case itself comes later and wins
     assert main([argv[0], "--json", str(out), *argv[1:]]) == 2
     assert not out.exists()
+    assert not (tmp_path / "no_such_dir").exists()
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert not captured.out  # and no text report either
@@ -218,6 +224,26 @@ def test_failed_coordinate_change_is_a_fail_record(monkeypatch):
     assert record.data["failed_step"] == "quadric_scalar_multiple"
     assert record.data["quadric_scalar"] is None
     assert not any("error" in c.data for c in checks)
+
+
+@pytest.mark.parametrize("method, changed, relation, truncation", [
+    ("y_quadric", 1, "relations.y_quadric", 12),
+    # x4^2 = F5^2 starts at weight 16, so the x-quadric's 32 shows from there
+    ("x_quadric", 31, "relations.f6_quadric", 16),
+])
+def test_one_changed_equation_fails_both_of_its_checks(method, changed, relation,
+                                                       truncation, monkeypatch):
+    # the presentations and the relation sides are one code: one changed
+    # coefficient reaches the ideal check and the series check alike
+    from siegelcy import variety
+
+    genuine = getattr(variety.Equations, method)
+    monkeypatch.setattr(variety.Equations, method,
+                        lambda self, c=changed: genuine(self, c))
+    status = {c.id: c.status for c in run_suite("all", truncation=truncation).checks}
+    assert status["variety.coordinate_change"] == "fail"
+    assert status[relation] == "fail"
+    assert status["relations.falsification_controls"] == "pass"
 
 
 def test_changed_x_quartic_fails_the_quartic_membership(monkeypatch):
