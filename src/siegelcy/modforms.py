@@ -13,10 +13,10 @@ registry.
 Every relation is stored with a deliberately broken variant (one perturbed
 coefficient) used as a falsification control: the suite must see a zero
 residual on the genuine relation and a nonzero residual on the mutation.
-The threefold's four equations are `variety.Equations` on y and F, the
-code of the symbolic presentations too.  The products behind the sides are
-made once per registry, so a mutated side costs a scalar multiple and a
-subtraction.
+The threefold's four equations are `variety.Equations`, the code of the
+symbolic presentations too, and the registry is an `Equations` on y and F.
+The products behind the sides are made once per registry, so a mutated
+side costs a scalar multiple and a subtraction.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0), Char(0, 0, 1, 0),
 SECOND_KIND_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-class FormRegistry:
+class FormRegistry(Equations):
     """All named series at one truncation bound, each built once and shared.
 
     Only the thetas (`theta`) are built in `__init__`, for all sixteen
@@ -69,8 +69,9 @@ class FormRegistry:
       `y`, `f`, `F` and `chi5`;
     - the sextuple products: `cusp_form(s)` builds the sextuple s alone,
       so the boundary orders never build `y` or `F`;
-    - the products that several relation sides read: `equations` (those
-      of the threefold's equations on y and on x_j = F_(j+1)),
+    - the products that several relation sides read: those of the
+      threefold's equations on y and on x_j = F_(j+1) (the registry is
+      their `Equations`, so an x equation never builds `y`),
       `f_products` (F and every classical square relation),
       `theta_squares` (the classical squares and `product_of_squares`) and
       `cusp_times_theta_product` (both sides of chi5_product).
@@ -122,10 +123,15 @@ class FormRegistry:
             self.theta_product,
         ]
 
-    @cached_property
+    @property
+    def x(self) -> list[QSeries]:
+        """x_j = F_(j+1), the x generators of the equations."""
+        return self.F
+
+    @property
     def equations(self) -> Equations:
-        """The threefold's equations on the forms: y, and x_j = F_(j+1)."""
-        return Equations(self.y, self.F)
+        """The threefold's equations on the forms: the registry itself."""
+        return self
 
     @cached_property
     def chi5(self) -> QSeries:
@@ -167,8 +173,8 @@ class Relation:
     sides: Callable[..., tuple[QSeries, QSeries]]
     planted: int
     mutation_note: str
-    #: smallest truncation at which the two sides have any coefficients;
-    #: a comparison below it holds vacuously
+    #: smallest truncation at which every term of both sides has
+    #: coefficients; below it a term's coefficient goes unchecked
     nonvacuous_from: int = 4
 
 
@@ -233,7 +239,7 @@ RELATIONS: dict[str, Relation] = {
         Relation("classical_squares", _classical_all, 2, "one square doubled"),
         Relation("second_kind_quartic", _equation("x_quartic"), 2,
                  "four-fold product coefficient 1 -> 2", 32),
-        Relation("f6_quadric", _equation("x_quadric"), 33, "quadric coefficient 32 -> 33"),
+        Relation("f6_quadric", _equation("x_quadric"), 33, "quadric coefficient 32 -> 33", 16),
         Relation("chi5_product", _chi5_product, -1, "product sign flipped", 8),
     ]
 }

@@ -9,10 +9,12 @@ one and roundings add up without growing.  Only the part of the summation
 box inside the Gaussian ellipse whose terms reach 2^-120 is summed, with
 the dropped terms bounded explicitly (the ellipsoid summation of
 Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
-functions", Math. Comp. 73, 2004).  Each parity class starts at its
-centre and walks its rows outward; every start term and step ratio is a
-product, in 164-bit floating point on Python integers, of five
-exponentials per point from mpmath, whatever the radius.  Each evaluation
+functions", Math. Comp. 73, 2004).  A lattice term is even in r, so
+only half of each parity class is walked and the other half is its
+mirror.  Each class starts at its centre and walks its rows outward;
+every start term and step ratio is a product, in 164-bit floating point
+on Python integers, of three exponentials per point from mpmath and the
+reciprocals of two of them, whatever the radius.  Each evaluation
 returns the value together with an explicit bound on the truncated
 Gaussian tail plus the window and the rounding of the walk and the
 products (below 1e-25), so comparisons can account for every dropped
@@ -131,6 +133,20 @@ def _mul(u: Float, v: Float) -> Float:
     return re >> shift, im >> shift, ue + ve + shift
 
 
+def _inverse(u: Float) -> Float:
+    """1 / u = conj(u) / |u|^2, rounded down like `_float`: each part is the
+    floor of the exact part, so as in `_mul` the inverse is off by under
+    2^(1.5 - MANTISSA_BITS) |1 / u|."""
+    ur, ui, ue = u
+    norm = ur * ur + ui * ui
+    # u's larger part has MANTISSA_BITS bits, so |1 / u| 2^k > 2^(MANTISSA_BITS + 0.5)
+    # and the shift below is positive
+    k = 2 * MANTISSA_BITS + 1
+    re, im = (ur << k) // norm, (-ui << k) // norm
+    shift = max(abs(re), abs(im)).bit_length() - MANTISSA_BITS
+    return re >> shift, im >> shift, shift - k - ue
+
+
 def _fixed(u: Float) -> tuple[int, int]:
     """u as a pair of integers scaled by 2^FIXED_BITS (rounded down)."""
     re, im, e = u
@@ -198,37 +214,52 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
 
     Fixed point.  Each row is summed as integers scaled by 2^FIXED_BITS.
     Its start is r2 = s, the class point nearest p within the box, and the
-    walk goes outward both ways from the start term and its ratios to the
-    neighbours s +- 2, each next ratio being the last times q2^+-1.  Every
-    multiplier then has modulus at most one, so a term k steps from the
-    start carries at most 4(k+1)^2 units of 2^-FIXED_BITS of rounding.
-    With at most `terms` lattice points in a class, the sum is off by less
-    than (4 terms)^2 2^-FIXED_BITS.
+    walk goes outward both ways (only upward on row 0) from the start term
+    and its ratios to the neighbours s +- 2, each next ratio being the last
+    times q2^+-1.  Every multiplier then has modulus at most one, so a term
+    k steps from the start carries at most 4(k+1)^2 units of 2^-FIXED_BITS
+    of rounding.  With at most `terms` lattice points in a class, the sum
+    is off by less than (4 terms)^2 2^-FIXED_BITS.
+
+    Symmetry.  Q(-r) = Q(r), and the class r = a (mod 2) is closed under
+    r -> -r: with r = 2n + a, -r = 2(-n - a) + a lies in cell s + a.  So
+    only the half r1 > 0, or r1 = 0 < r2, is walked, into sums H[s], and
+    S[s] = H[s] + H[s + a], with the origin's term, exactly one, added
+    once for a = 0.  Float negation is exact, so the window, the box and
+    each row's ends for r1 < 0 are the mirrors of those for -r1; the two
+    can differ only where the row start rounds a tie the other way, in a
+    row whose window holds no class point, and that start term is below
+    2^-CUT_BITS, inside the window bound.  Each mirrored term is a copy of
+    a walked one, so the fixed-point bound above and the `Float` bound
+    below still hold over at most `terms` points.  For b.a odd the signs
+    of s and s + a cancel, so an odd characteristic sums to exactly zero.
 
     Centre start.  Every start term and ratio is exp(pi i w), w an integer
-    combination of z0/4, z1/2 and z2/4.  So mpmath gives only the five
-    exponentials e0 = exp(pi i z0/4), e1^+-1 = exp(+-pi i z1/2) and
-    e2^+-1 = exp(+-pi i z2/4), whatever the radius and the batch, and all
-    else is a `Float` product of them.  Each class starts on its centre row
-    r1 = a1 at r2 = a2, with the term e0^a1 e1^(a1 a2) e2^a2, its ratios to
-    r2 = a2 +- 2 and its ratios to the rows a1 +- 2, and walks the rows
-    outward in both directions.  Each next row multiplies the term by the
-    row ratio, that by q0 = e0^8 and the two step ratios by
-    q1^+-1 = e1^(+-4).  Each shift of the start by +-2 multiplies the term
-    by a step ratio, the step ratios by q2^+-1 = e2^(+-8) and the row ratio
-    by q1^+-1.  With u = 2^-MANTISSA_BITS, each exponential is within 16u
-    of exact, relative, and each product adds under 3u whatever the modulus
-    of its factors, so a product of n exponentials is within 19n u: n <= 3
-    for the centre term, 10 for its ratios and 8 for a q.  The rows go
-    outward and s moves monotonically with p, so a row's start is T steps
-    from the centre, at most (radius + 1) / 2 rows and radius shifts:
-    T + 2 <= 3 (radius + 1).  Its ratios are then within
-    (190 + 155 T)u < 160(T+2)u and its term within 80(T+2)^2 u.  A term k
+    combination of z0/4, z1/2 and z2/4.  So mpmath gives only the three
+    exponentials e0 = exp(pi i z0/4), e1 = exp(pi i z1/2) and
+    e2 = exp(pi i z2/4), whatever the radius and the batch; e1^-1 and
+    e2^-1 are their `_inverse`s, and all else is a `Float` product of
+    these five.  Each class starts on its centre row r1 = a1 at r2 = a2,
+    with the term e0^a1 e1^(a1 a2) e2^a2, its ratios to r2 = a2 +- 2 and
+    its ratio to the row a1 + 2, and walks the rows outward.  Each next
+    row multiplies the term by the row ratio, that by q0 = e0^8 and the
+    two step ratios by q1^+-1 = e1^(+-4).  Each shift of the start by +-2
+    multiplies the term by a step ratio, the step ratios by
+    q2^+-1 = e2^(+-8) and the row ratio by q1^+-1.  With
+    u = 2^-MANTISSA_BITS, each exponential is within 16u of exact,
+    relative; each product and each `_inverse` adds under 3u whatever the
+    modulus of its factors, and 1 / (e (1 + d)) is e^-1 (1 - d / (1 + d)),
+    so each inverse is within 19u.  A product of n of the five is then
+    within 22n u: n <= 3 for the centre term, 10 for its ratios and 8 for
+    a q.  The rows go outward and s moves monotonically with p, so a row's
+    start is T steps from the centre, at most (radius + 1) / 2 rows and
+    radius shifts: T + 2 <= 3 (radius + 1).  Its ratios are then within
+    (220 + 179 T)u < 180(T+2)u and its term within 90(T+2)^2 u.  A term k
     steps along the row, of modulus at most one, adds k ratios and
     k(k-1)/2 factors q2 to the start term, so it is off by
-    (80(T+2)^2 + 160(T+2)k + 76k^2)u < 2^11 terms u, and the class by
-    2^11 terms^2 u.  tail_bound adds the window and both roundings to the
-    Gaussian tail; they stay below 1e-25 for every radius
+    (90(T+2)^2 + 180(T+2)k + 88k^2)u < 1438 terms u < 2^11 terms u, and
+    the class by 2^11 terms^2 u.  tail_bound adds the window and both
+    roundings to the Gaussian tail; they stay below 1e-25 for every radius
     `_summation_radius` allows.
     """
     if tol <= 0:
@@ -250,9 +281,9 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     size = max(abs(complex(z)) for z in (Z.z0, Z.z1, Z.z2))
     with mp.workprec(MANTISSA_BITS + math.ceil(size).bit_length()):
         z0, z1, z2 = Z.as_mpc()
-        # squares[j][k] = e^(2^k) for the exponentials e0, e1, e1^-1, e2, e2^-1
-        squares = [[_float(mpmath.expjpi(w))]
-                   for w in (z0 / 4, z1 / 2, -z1 / 2, z2 / 4, -z2 / 4)]
+        e0, e1, e2 = (_float(mpmath.expjpi(w)) for w in (z0 / 4, z1 / 2, z2 / 4))
+    # squares[j][k] = e^(2^k) for the exponentials e0, e1, e1^-1, e2, e2^-1
+    squares = [[e] for e in (e0, e1, _inverse(e1), e2, _inverse(e2))]
     for powers in squares:
         for _ in range(3):
             powers.append(_mul(powers[-1], powers[-1]))
@@ -271,47 +302,50 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     # partial[a][s1]: (re, im) of S[s1][0], then of S[s1][1]
     partial = {}
     for a1, a2 in {(m.a1, m.a2) for m in chars}:
-        sums = [[0, 0, 0, 0], [0, 0, 0, 0]]
+        # half[s1]: like partial[a][s1], over r1 > 0 and r1 = 0 < r2 only
+        half = [[0, 0, 0, 0], [0, 0, 0, 0]]
         lo = -radius + (radius + a2) % 2  # box ends with r2 = a2 mod 2
         hi = radius - (radius + a2) % 2
-        # the centre term and its ratios to r2 = a2 + 2 and a2 - 2
-        centre = (power(a1, a1 * a2, a2), power(0, 2 * a1, 4 * a2 + 4),
-                  power(0, -2 * a1, 4 - 4 * a2))
-        for d, rows in ((1, range(a1, last + 1, 2)), (-1, range(a1 - 2, -last - 1, -2))):
-            x, up, down = centre
-            s = a2
-            col = power(4 * d * (a1 + d), 2 * d * a2, 0)  # ratio to row r1 + 2d
-            # q1^d multiplies up per row and col per shift up; q1^-d the others
-            qa, qb = (q1, q1_inv) if d == 1 else (q1_inv, q1)
-            for r1 in rows:
-                if r1 != a1:
-                    x, col = _mul(x, col), _mul(col, q0)
-                    up, down = _mul(up, qa), _mul(down, qb)
-                peak = -y1 * r1 / y2
-                target = min(max(a2 + 2 * math.floor((peak - a2) / 2 + 0.5), lo), hi)
-                while s < target:
-                    x, col = _mul(x, up), _mul(col, qa)
-                    up, down = _mul(up, q2), _mul(down, q2_inv)
-                    s += 2
-                while s > target:
-                    x, col = _mul(x, down), _mul(col, qb)
-                    up, down = _mul(up, q2_inv), _mul(down, q2)
-                    s -= 2
-                half = math.sqrt(max(window - det_ratio * r1 * r1, 0.0) / y2)
-                top = min(math.floor(peak + half), hi)
-                bottom = max(math.ceil(peak - half), lo)
-                start = _fixed(x)
-                # the start's cell s2 is row[at:at + 2], the other cell
-                # (odd steps away) row[2 - at:4 - at]
-                row = sums[(r1 - a1) // 2 % 2]
-                at = 2 * ((s - a2) // 2 % 2)
+        # the centre term, its ratios to r2 = a2 + 2 and a2 - 2 and to row a1 + 2
+        x, up, down, col = (power(a1, a1 * a2, a2), power(0, 2 * a1, 4 * a2 + 4),
+                            power(0, -2 * a1, 4 - 4 * a2), power(4 * a1 + 4, 2 * a2, 0))
+        s = a2
+        for r1 in range(a1, last + 1, 2):
+            if r1 != a1:
+                x, col = _mul(x, col), _mul(col, q0)
+                up, down = _mul(up, q1), _mul(down, q1_inv)
+            peak = -y1 * r1 / y2
+            target = min(max(a2 + 2 * math.floor((peak - a2) / 2 + 0.5), lo), hi)
+            while s < target:
+                x, col = _mul(x, up), _mul(col, q1)
+                up, down = _mul(up, q2), _mul(down, q2_inv)
+                s += 2
+            while s > target:
+                x, col = _mul(x, down), _mul(col, q1_inv)
+                up, down = _mul(up, q2_inv), _mul(down, q2)
+                s -= 2
+            width = math.sqrt(max(window - det_ratio * r1 * r1, 0.0) / y2)
+            top = min(math.floor(peak + width), hi)
+            bottom = max(math.ceil(peak - width), lo)
+            start = _fixed(x)
+            # the start's cell s2 is row[at:at + 2], the other cell
+            # (odd steps away) row[2 - at:4 - at]
+            row = half[(r1 - a1) // 2 % 2]
+            at = 2 * ((s - a2) // 2 % 2)
+            if r1 or s:  # the origin is added once, below
                 row[at] += start[0]
                 row[at + 1] += start[1]
-                for count, ratio in (((top - s) // 2, up), ((s - bottom) // 2, down)):
-                    if count > 0:
-                        walk = _walk(start, _fixed(ratio), step, count)
-                        for j, part in enumerate(walk):
-                            row[(at + 2 + j) % 4] += part
+            # row 0 walks upward only: its lower half is the mirror
+            for count, ratio in (((top - s) // 2, up), ((s - bottom) // 2 if r1 else 0, down)):
+                if count > 0:
+                    walk = _walk(start, _fixed(ratio), step, count)
+                    for j, part in enumerate(walk):
+                        row[(at + 2 + j) % 4] += part
+        # -r = 2(-n - a) + a lies in cell s + a: S[s] = H[s] + H[s + a]
+        sums = [[half[s1][j] + half[(s1 + a1) % 2][(j + 2 * a2) % 4] for j in range(4)]
+                for s1 in (0, 1)]
+        if (a1, a2) == (0, 0):
+            sums[0][0] += _fixed(_ONE)[0]
         partial[a1, a2] = sums
     results: list[EvalResult] = []
     for m in chars:

@@ -52,17 +52,29 @@ class Presentation:
 class Equations:
     """The threefold's quartic and quadric in y and in x, over any ring: the
     `MPoly` generators for the presentations, or the series y0..y5 and
-    F1..F6 for the ring relations.  Each equation returns its (lhs, rhs)
-    pair, with the coefficient a falsification control perturbs as c.
-    Every product that two sides, or a side and its perturbed copy, read
-    is built once."""
+    F1..F6 for the ring relations (`FormRegistry` is an `Equations` that
+    builds y and x when an equation first reads them).  Each equation
+    returns its (lhs, rhs) pair, with the coefficient a falsification
+    control perturbs as c.  Every product that two sides, or a side and
+    its perturbed copy, read is built once; squares are kept by base, so
+    x5^2 is y5^2 where x5 is y5, and an x equation never reads y."""
 
     def __init__(self, y, x) -> None:
         self.y, self.x = y, x
 
     @cached_property
+    def _squares(self) -> dict:
+        """v^2 by id(v); y and x hold every base, so the ids stay unique."""
+        return {}
+
+    def _square(self, v):
+        if id(v) not in self._squares:
+            self._squares[id(v)] = v ** 2
+        return self._squares[id(v)]
+
+    @cached_property
     def y5_square(self):
-        return self.y[5] ** 2
+        return self._square(self.y[5])
 
     @cached_property
     def y5_pow4(self):
@@ -86,9 +98,8 @@ class Equations:
 
     @cached_property
     def x_squares(self) -> list:
-        """S_i = x_i^2; S5 is y5^2 where x5 is y5."""
-        x5 = self.x[5]
-        return [v ** 2 for v in self.x[:5]] + [self.y5_square if x5 is self.y[5] else x5 ** 2]
+        """S_i = x_i^2."""
+        return [self._square(v) for v in self.x]
 
     @cached_property
     def x_quartic_parts(self) -> tuple:

@@ -5,8 +5,11 @@ This walk sums every lattice point of the sup-norm box that
 parity class starts on its first row: mpmath gives that row's start term,
 its two step ratios and its ratio to the next row, with guard bits for
 exponents that grow with radius^2.  The kernel sums only the Gaussian
-ellipse and starts every class at its centre from five exponentials per
-point.  Its doubles must equal this walk's, and the tests check that.
+ellipse, walks half of each class and mirrors it (r -> -r), and starts
+every class at its centre from three exponentials per point and two
+reciprocals.  Its doubles must equal this walk's, and the tests check
+that; its odd constants are exactly zero, where this walk's are rounding
+residues.
 """
 
 from __future__ import annotations

@@ -143,6 +143,15 @@ def test_boundary_orders_build_only_the_sextuples(monkeypatch):
     assert "y" not in vars(reg) and "F" not in vars(reg)
 
 
+def test_x_equations_leave_y_unbuilt():
+    # x5 is y5, and its square is shared without reading y
+    reg = FormRegistry(N)
+    reg.equations.x_quartic()
+    reg.equations.x_quadric()
+    assert "y" not in vars(reg)
+    assert reg.equations.x_squares[5] is reg.equations.y5_square
+
+
 def test_mutated_sides_make_no_product(monkeypatch):
     # a mutated side reuses the genuine side's products: a scalar multiple
     # and a sum, never a series product

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -18,7 +19,9 @@ from siegelcy.characteristics import (
 )
 from siegelcy.numeric import (
     FIXED_BITS,
+    MANTISSA_BITS,
     SiegelPoint,
+    _inverse,
     _summation_radius,
     _tail_remainder,
     character_law_check,
@@ -89,13 +92,6 @@ def test_tail_bound_covers_the_terms_past_the_radius(y0, y2, rho, x, k, index, d
         return theta_eval(char_from_index(index), Z, tol=tol).value
 
     assert abs(summed_to(radius + k) - summed_to(radius)) <= bound
-
-
-def test_odd_characteristics_evaluate_to_zero():
-    rng = random.Random(1)
-    Z = rand_point(rng)
-    for m in odd_characteristics():
-        assert abs(theta_eval(m, Z, tol=1e-12).value) < 1e-12
 
 
 def test_tail_bound_is_honest():
@@ -187,7 +183,7 @@ def test_mpmath_exponentials_per_batch_do_not_grow_with_the_radius(monkeypatch):
         calls.clear()
         theta_eval_batch(chars, Z, tol=1e-13)
         counts.append(len(calls))
-    assert counts == [5, 5]
+    assert counts == [3, 3]
 
 
 # the points the kernel is compared with the box walk at, with the
@@ -201,10 +197,10 @@ BOX_POINTS = ([(_BASE, 1e-13)] + [(Z, 1e-13) for Z in SKEWED_POINTS]
 
 def box_mismatches(Z: SiegelPoint, tol: float) -> list[Char]:
     """Characteristics whose kernel value differs from the box walk's: in
-    any bit for an even one.  An odd constant vanishes identically and its
-    double is the rounding residue of the fixed-point sums, a few units of
-    2^-FIXED_BITS that move with the order of the products, so it may
-    differ by up to 16 units."""
+    any bit for an even one.  An odd constant vanishes identically: the
+    kernel's is exactly zero, and the box walk's double is the rounding
+    residue of its fixed-point sums, a few units of 2^-FIXED_BITS that move
+    with the order of the products, so it may differ by up to 16 units."""
     kernel = theta_eval_batch(all_characteristics(), Z, tol=tol)
     box = box_reference.theta_eval_batch(all_characteristics(), Z, tol=tol)
     odd = set(odd_characteristics())
@@ -217,6 +213,65 @@ def box_mismatches(Z: SiegelPoint, tol: float) -> list[Char]:
 @pytest.mark.parametrize("Z, tol", BOX_POINTS)
 def test_kernel_values_are_the_box_walks(Z, tol):
     assert box_mismatches(Z, tol) == []
+
+
+def test_odd_characteristics_evaluate_to_zero():
+    # the mirror r -> -r moves cell s to s + a, and the signs of the two
+    # cells cancel when b.a is odd, so the integer sums are exactly zero
+    rng = random.Random(1)
+    points = [rand_point(rng)] + [Z for Z, _ in BOX_POINTS]
+    for Z in points:
+        for m in odd_characteristics():
+            assert theta_eval(m, Z, tol=1e-12).value == 0, (Z, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(y2=st.floats(0.4, 1.5), extra=st.floats(0.4, 1.5),
+       slope=st.one_of(st.just(0.0), st.floats(-2.5, 2.5)),
+       x=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       tol=st.sampled_from([1e-8, 1e-13]))
+def test_kernel_is_the_box_walk_at_random_points(y2, extra, slope, x, tol):
+    # y1 = slope y2, so |y1 / y2| > 1 moves each next row's start by more
+    # than one step; det Y = extra y2 keeps Y positive definite
+    y1 = slope * y2
+    Z = SiegelPoint(complex(x[0], slope * y1 + extra), complex(x[1], y1),
+                    complex(x[2], y2))
+    kernel = theta_eval_batch(all_characteristics(), Z, tol=tol)
+    box = box_reference.theta_eval_batch(all_characteristics(), Z, tol=tol)
+    odd = set(odd_characteristics())
+    for m, k, b in zip(all_characteristics(), kernel, box):
+        if m in odd:
+            assert k.value == 0, m
+            continue
+        # a part far from zero is bit-equal; one near zero (Re z0 = Re z2 =
+        # 0 = y1 make the imaginary parts vanish) shows the window and the
+        # roundings, whose bounds stay below 2^-100 here (radius 30 at most)
+        for u, v in ((k.value.real, b.value.real), (k.value.imag, b.value.imag)):
+            assert u.hex() == v.hex() or abs(u - v) < 2.0 ** -100, (m, u, v)
+
+
+_MANTISSA = st.integers(1 << (MANTISSA_BITS - 1), (1 << MANTISSA_BITS) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger=_MANTISSA, smaller=st.integers(0, (1 << MANTISSA_BITS) - 1),
+       signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+       real_is_larger=st.booleans(), e=st.integers(-600, 400))
+def test_inverse_is_rounded_down_within_its_bound(larger, smaller, signs,
+                                                  real_is_larger, e):
+    smaller = min(smaller, larger)
+    ur, ui = (larger, smaller) if real_is_larger else (smaller, larger)
+    ur, ui = ur * signs[0], ui * signs[1]
+    vr, vi, ve = _inverse((ur, ui, e))
+    assert max(abs(vr), abs(vi)).bit_length() == MANTISSA_BITS
+    # each part is the floor of conj(u) / |u|^2 in units of 2^ve
+    scale = Fraction(2) ** (-e - ve) / (ur * ur + ui * ui)
+    assert (vr, vi) == (math.floor(ur * scale), math.floor(-ui * scale))
+    # and u times it is 1 within 2^(1.5 - MANTISSA_BITS)
+    unit = Fraction(2) ** (e + ve)
+    err_re = (ur * vr - ui * vi) * unit - 1
+    err_im = (ur * vi + ui * vr) * unit
+    assert err_re ** 2 + err_im ** 2 < Fraction(2) ** (3 - 2 * MANTISSA_BITS)
 
 
 def test_box_comparison_sees_a_narrower_window(monkeypatch):
@@ -250,7 +305,7 @@ def test_window_walks_fewer_steps_than_the_box(monkeypatch):
         batch(chars, Z, tol=1e-13)
         counts.append(sum(steps))
     # the box has 7225 points in its four classes, 170 of them row starts
-    assert counts == [1515, 7055]
+    assert counts == [757, 7055]
 
 
 def test_dual_engine_consistency_all_even():
