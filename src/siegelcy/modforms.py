@@ -128,11 +128,6 @@ class FormRegistry(Equations):
         """x_j = F_(j+1), the x generators of the equations."""
         return self.F
 
-    @property
-    def equations(self) -> Equations:
-        """The threefold's equations on the forms: the registry itself."""
-        return self
-
     @cached_property
     def chi5(self) -> QSeries:
         """The weight-5 form, product of all ten even thetas."""
@@ -180,11 +175,11 @@ class Relation:
 
 def _equation(name: str) -> Callable[..., tuple[QSeries, QSeries]]:
     """The sides of the `Equations` method `name` on the registry's forms."""
-    return lambda reg, *c: getattr(reg.equations, name)(*c)
+    return lambda reg, *c: getattr(reg, name)(*c)
 
 
 def _product_quadric(reg: FormRegistry, c: int = 2) -> tuple[QSeries, QSeries]:
-    return c * reg.product_of_squares, reg.equations.igusa_quadric
+    return c * reg.product_of_squares, reg.igusa_quadric
 
 
 def classical_relation_sides(reg: FormRegistry, m: Char,

@@ -17,6 +17,7 @@ to degree 4.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import gcd, lcm
 
@@ -47,6 +48,15 @@ def perm_sign(perm: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _times(a: dict, b: dict, into: dict) -> dict:
+    """Add the product of the term dicts a and b into `into`, and return it."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            into[e] = into.get(e, 0) + c1 * c2
+    return into
 
 
 class MPoly:
@@ -112,12 +122,7 @@ class MPoly:
             c = _exact(other)
             return MPoly(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check_ring(other)
-        terms: dict[Exponent, int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MPoly(self.vars, terms)
+        return MPoly(self.vars, _times(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
 
@@ -191,7 +196,7 @@ class MPoly:
         in that ring; values from two rings, or anything that is not a
         polynomial (a `Fraction` included), are refused.  An occurring
         variable without an assignment is an error, named.  The powers of
-        each variable are built once per call.
+        each variable are built once per call, and the terms summed in one dict.
         """
         for name in sorted(self.used_variables()):
             if name not in assignment:
@@ -200,21 +205,17 @@ class MPoly:
         if (any(type(v) is not MPoly for v in values)
                 or len({v.vars for v in values}) > 1):
             raise ValueError("assignment values must be polynomials of one ring")
-        one = MPoly.const(values[0].vars if values else self.vars, 1)
-        powers = []
+        ring = values[0].vars if values else self.vars
+        unit = (0,) * len(ring)
+        powers = [[{unit: 1}] for _ in self.vars]
         for i, name in enumerate(self.vars):
-            row = [one]
             for _ in range(max((e[i] for e in self.terms), default=0)):
-                row.append(row[-1] * assignment[name])
-            powers.append(row)
-        result = one * 0
+                powers[i].append(_times(powers[i][-1], assignment[name].terms, {}))
+        terms: dict[Exponent, int | Fraction] = {}
         for e, c in self.terms.items():
-            term = one * c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * powers[i][k]
-            result = result + term
-        return result
+            *factors, last = [powers[i][k] for i, k in enumerate(e) if k] or [{unit: 1}]
+            _times(reduce(lambda t, f: _times(t, f, {}), factors, {unit: c}), last, terms)
+        return MPoly(ring, terms)
 
     def evaluate(self, values: dict[str, Fraction | int]) -> Fraction:
         total = Fraction(0)

@@ -23,6 +23,12 @@ parity class of their upper halves: the character checks evaluate four or
 six constants per point and would pay the full lattice cost repeatedly
 otherwise.  Transport and q-series evaluation run in mpmath at 30
 significant digits.
+
+A character law is measured at Z = M^-1<B> for each sample M and a fixed
+base point B, so M<Z> is B.  The automorphy factor j(M, Z) = det(CZ+D) is
+a cocycle, j(M, M^-1<B>) j(M^-1, B) = 1, so the one transform of B by M^-1
+gives both Z and the factor, and the law's form is evaluated once at B and
+once at each Z.
 """
 
 from __future__ import annotations
@@ -115,36 +121,44 @@ def _summation_radius(lam: float, tol: float) -> tuple[int, float]:
                      "the imaginary part is too small")
 
 
+def _round(re: int, im: int, e: int) -> Float:
+    """(re + i im) 2^e, at least 2^(MANTISSA_BITS - 1) in one part, rounded
+    down to a Float: each part is floored to a multiple of 2^shift, the
+    larger keeping MANTISSA_BITS bits.  A negative part within 2^shift
+    above -2^(MANTISSA_BITS + shift) floors to that power of two, which is
+    kept one bit shorter at twice the unit, the same value."""
+    shift = max(abs(re), abs(im)).bit_length() - MANTISSA_BITS
+    re, im = re >> shift, im >> shift
+    if -(1 << MANTISSA_BITS) in (re, im):
+        re, im, shift = re >> 1, im >> 1, shift + 1
+    return re, im, e + shift
+
+
 def _float(z: mpmath.mpc) -> Float:
-    """z, nonzero, rounded down to a Float whose larger part has
-    MANTISSA_BITS bits."""
+    """z, nonzero, rounded down to a Float."""
     parts = (z.real._mpf_, z.imag._mpf_)
     e = max(exp + bc for _, man, exp, bc in parts if man) - MANTISSA_BITS
-    return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
+    return _round(to_fixed(parts[0], -e), to_fixed(parts[1], -e), e)
 
 
 def _mul(u: Float, v: Float) -> Float:
-    """u v, rounded down like `_float`: each part loses under 2^shift while
+    """u v, rounded down by `_round`: each part loses under 2^shift while
     the larger is at least 2^(MANTISSA_BITS - 1 + shift), so the product is
     off by under 2^(1.5 - MANTISSA_BITS) |u v|."""
     (ur, ui, ue), (vr, vi, ve) = u, v
-    re, im = ur * vr - ui * vi, ur * vi + ui * vr
-    shift = max(abs(re), abs(im)).bit_length() - MANTISSA_BITS
-    return re >> shift, im >> shift, ue + ve + shift
+    return _round(ur * vr - ui * vi, ur * vi + ui * vr, ue + ve)
 
 
 def _inverse(u: Float) -> Float:
-    """1 / u = conj(u) / |u|^2, rounded down like `_float`: each part is the
+    """1 / u = conj(u) / |u|^2, rounded down by `_round`: each part is the
     floor of the exact part, so as in `_mul` the inverse is off by under
     2^(1.5 - MANTISSA_BITS) |1 / u|."""
     ur, ui, ue = u
     norm = ur * ur + ui * ui
     # u's larger part has MANTISSA_BITS bits, so |1 / u| 2^k > 2^(MANTISSA_BITS + 0.5)
-    # and the shift below is positive
+    # and the shift in `_round` is positive
     k = 2 * MANTISSA_BITS + 1
-    re, im = (ur << k) // norm, (-ui << k) // norm
-    shift = max(abs(re), abs(im)).bit_length() - MANTISSA_BITS
-    return re >> shift, im >> shift, shift - k - ue
+    return _round((ur << k) // norm, (-ui << k) // norm, -k - ue)
 
 
 def _fixed(u: Float) -> tuple[int, int]:
@@ -465,46 +479,40 @@ def transform_modulus_check(M: SpMat, m: Char, Z: SiegelPoint,
     return deviation <= tol + slack, deviation
 
 
-def _standard_sextuple_chars() -> tuple[Char, ...]:
-    return tuple(sorted(STANDARD_SEXTUPLE, key=char_index))
+#: kind -> (the thetas of the character law's product form, its weight k):
+#: the weight-2 product of the four upper-zero constants and the weight-3
+#: product of the standard sextuple
+LAWS = {"theta_product": (PRODUCT_FORM_CHARS, 2),
+        "cusp_form": (tuple(sorted(STANDARD_SEXTUPLE, key=char_index)), 3)}
 
 
-def _law(kind: str) -> tuple[tuple[Char, ...], int]:
-    """The theta product of a character law and its weight."""
-    if kind == "theta_product":
-        return PRODUCT_FORM_CHARS, 2
-    if kind == "cusp_form":
-        return _standard_sextuple_chars(), 3
-    raise ValueError(f"unknown kind {kind!r}")
+def law_signs(kind: str, mats: Sequence[SpMat], base: SiegelPoint) -> list[int]:
+    """The measured sign s of each M in form(M<Z>) = s det(CZ+D)^k form(Z),
+    at Z = M^-1<base>, for the character law `kind` of `LAWS`.
 
-
-def law_form_value(kind: str, Z: SiegelPoint) -> complex:
-    """The theta product of the character law `kind` at Z."""
-    return theta_product_eval(_law(kind)[0], Z, tol=1e-13).value
-
-
-def character_law_check(kind: str, M: SpMat, Z: SiegelPoint,
-                        tol: float = 1e-6,
-                        image_value: complex | None = None) -> int:
-    """Measured sign in form(M<Z>) = sign * det(CZ+D)^k * form(Z).
-
-    kind "theta_product": the weight-2 product of the four upper-zero
-    constants (k = 2).  kind "cusp_form": the weight-3 sextuple product
-    (k = 3).  The ratio must sit within tol of +1 or -1; anything else
-    raises.  `image_value` stands in for form(M<Z>) when the caller has
-    it: samples pulled back from one base point share the base's value.
+    M<Z> is the base, where the form is evaluated once.  The automorphy
+    factor is a cocycle, j(M, M^-1<base>) j(M^-1, base) = j(1, base) = 1
+    with j(M, Z) = det(CZ+D), so the one transform of the base by M^-1
+    also gives det(CZ+D) = 1 / factor, and s is the sign of
+    form(base) factor^k / form(Z).  That ratio must sit within 1e-6 of +1
+    or -1; anything else raises.
     """
-    weight = _law(kind)[1]
-    image, det = siegel_transform(M, Z)
-    top = law_form_value(kind, image) if image_value is None else image_value
-    denom = det ** weight * law_form_value(kind, Z)
-    if abs(denom) < 1e-20:
-        raise ArithmeticError("form vanishes at the sample point")
-    ratio = top / denom
-    for sign in (1, -1):
-        if abs(ratio - sign) <= tol:
-            return sign
-    raise ArithmeticError(f"ratio {ratio} is not within {tol} of +-1")
+    chars, weight = LAWS[kind]
+    at_base = theta_product_eval(chars, base, tol=1e-13).value
+    signs = []
+    for M in mats:
+        Z, factor = siegel_transform(M.inverse(), base)
+        value = theta_product_eval(chars, Z, tol=1e-13).value
+        if abs(value) < 1e-20:
+            raise ArithmeticError("form vanishes at the sample point")
+        ratio = at_base * factor ** weight / value
+        for sign in (1, -1):
+            if abs(ratio - sign) <= 1e-6:
+                signs.append(sign)
+                break
+        else:
+            raise ArithmeticError(f"ratio {ratio} is not within 1e-6 of +-1")
+    return signs
 
 
 def diagonal_vanishing_check(tau1: complex, tau2: complex,
@@ -514,7 +522,7 @@ def diagonal_vanishing_check(tau1: complex, tau2: complex,
     if not (complex(tau1).imag > 0 and complex(tau2).imag > 0):
         raise ValueError("diagonal moduli must lie in the upper half plane")
     Z = SiegelPoint(complex(tau1), 0j, complex(tau2))
-    chars = _standard_sextuple_chars()
+    chars = LAWS["cusp_form"][0]
     results = theta_eval_batch(chars, Z, tol=1e-14)
     all_ones = results[chars.index(Char(1, 1, 1, 1))]
     return abs(_product(results).value) < tol and abs(all_ones.value) < tol
@@ -552,10 +560,3 @@ def conditioned_samples(tag, count: int, seed: int, word_length: int = 6,
     if len(out) < count:
         raise RuntimeError("sampling budget exhausted for conditioned samples")
     return out
-
-
-def pulled_back_point(M: SpMat, base: SiegelPoint) -> SiegelPoint:
-    """M^-1<base>: evaluating a transformed form at this point puts the
-    expensive image evaluation back at the well-conditioned base."""
-    point, _ = siegel_transform(M.inverse(), base)
-    return point

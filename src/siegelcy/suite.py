@@ -210,16 +210,20 @@ def _substitution_table(report):
 
 # -- ring relations ---------------------------------------------------------------
 
-def _relation(relation: modforms.Relation, report):
+def _relation_registry(relation: modforms.Relation, report) -> modforms.FormRegistry:
     # below its first nonvacuous truncation a relation compares two
     # zero series, which proves nothing
-    at = max(report.truncation, relation.nonvacuous_from)
-    lhs, rhs = relation.sides(report.registry(at))
+    return report.registry(max(report.truncation, relation.nonvacuous_from))
+
+
+def _relation(relation: modforms.Relation, report):
+    registry = _relation_registry(relation, report)
+    lhs, rhs = relation.sides(registry)
     residual = lhs - rhs
     matched = len(set(lhs.terms) | set(rhs.terms))
     return residual.is_zero() and matched > 0, {
         "matched_coefficients": matched, "residual_terms": len(residual.terms),
-        "truncation": at}
+        "truncation": registry.truncation}
 
 
 CHECKS["relations"] += [(f"relations.{name}", f"ring relation {name}",
@@ -238,15 +242,14 @@ def _classical_all_sixteen(report):
 @_check("relations.falsification_controls",
         "each planted coefficient mutation produces a nonzero residual")
 def _falsification_controls(report):
-    control_registry = report.registry(max(report.truncation, 16))
-    undetected = [name for name in modforms.RELATIONS
-                  if modforms.verify_identity(name, control_registry,
+    # each control reads the registry, and so the products, of its relation's record
+    undetected = [name for name, relation in modforms.RELATIONS.items()
+                  if modforms.verify_identity(name, _relation_registry(relation, report),
                                               mutated=True).is_zero()]
     return not undetected, {
         "mutations": {name: modforms.RELATIONS[name].mutation_note
                       for name in modforms.RELATIONS},
-        "undetected": undetected,
-        "control_truncation": control_registry.truncation}
+        "undetected": undetected}
 
 
 # -- boundary orders ----------------------------------------------------------------
@@ -429,22 +432,12 @@ def _modulus_law(report):
                                               "worst_deviation": f"{worst:.3e}"}
 
 
-def _law_at_base(kind: str, mats):
-    """Measured signs, lazily, with each sample's Z = M^-1<_BASE>: every
-    M<Z> is _BASE up to rounding, so the form there is evaluated once per
-    law."""
-    at_base = numeric.law_form_value(kind, _BASE)
-    return (numeric.character_law_check(kind, m, numeric.pulled_back_point(m, _BASE),
-                                        image_value=at_base)
-            for m in mats)
-
-
 @_check("numeric.weight2_character",
         "measured weight-2 character equals the diagonal-sum formula")
 def _weight2_character(report):
     mats = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=report.seed + 200,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    measured = list(_law_at_base("theta_product", mats))
+    measured = numeric.law_signs("theta_product", mats, _BASE)
     formula_ok = all(v == theta_character(m) for v, m in zip(measured, mats))
     return formula_ok and set(measured) == {1, -1}, {
         "samples": len(mats), "values_seen": sorted(set(measured))}
@@ -455,7 +448,7 @@ def _weight2_character(report):
 def _weight3_trivial_character(report):
     mats = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=report.seed + 300,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    ok = all(v == 1 for v in _law_at_base("cusp_form", mats))
+    ok = all(v == 1 for v in numeric.law_signs("cusp_form", mats, _BASE))
     return ok, {"samples": len(mats)}
 
 
@@ -465,7 +458,7 @@ def _lower_triangular_sign(report):
     low = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
                             ((2, 2), (2, 2)), ((1, 0), (0, 1)))
     point = _rand_point(random.Random(report.seed + 400))
-    sign = numeric.character_law_check("theta_product", low, point)
+    [sign] = numeric.law_signs("theta_product", [low], point)
     return sign == -1, {"measured": sign}
 
 

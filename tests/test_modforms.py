@@ -92,20 +92,17 @@ def _label(m: Char) -> str:
 
 
 def shared_members(reg: FormRegistry) -> dict[str, QSeries]:
-    """Every product that relation sides share, by name, in the registry
-    and in its `equations`; reading them builds them."""
-    eq = reg.equations
+    """Every product that relation sides share, by name, in the registry,
+    those of its `Equations` methods included; reading them builds them."""
     out = {name: getattr(reg, name) for name in (
-        "theta_product", "product_of_squares", "cusp_times_theta_product")}
-    out.update({f"equations.{name}": getattr(eq, name) for name in (
+        "theta_product", "product_of_squares", "cusp_times_theta_product",
         "y5_square", "y5_pow4", "igusa_quadric", "igusa_quadric_square",
-        "quartic_product")})
+        "quartic_product")}
     out.update({f"f_products{k}": s for k, s in reg.f_products.items()})
     out.update({f"theta_squares[{_label(m)}]": s
                 for m, s in reg.theta_squares.items()})
-    out.update({f"equations.x_squares[{i}]": s for i, s in enumerate(eq.x_squares)})
-    out.update({f"equations.x_quartic_parts[{i}]": s
-                for i, s in enumerate(eq.x_quartic_parts)})
+    out.update({f"x_squares[{i}]": s for i, s in enumerate(reg.x_squares)})
+    out.update({f"x_quartic_parts[{i}]": s for i, s in enumerate(reg.x_quartic_parts)})
     return out
 
 
@@ -146,10 +143,10 @@ def test_boundary_orders_build_only_the_sextuples(monkeypatch):
 def test_x_equations_leave_y_unbuilt():
     # x5 is y5, and its square is shared without reading y
     reg = FormRegistry(N)
-    reg.equations.x_quartic()
-    reg.equations.x_quadric()
+    reg.x_quartic()
+    reg.x_quadric()
     assert "y" not in vars(reg)
-    assert reg.equations.x_squares[5] is reg.equations.y5_square
+    assert reg.x_squares[5] is reg.y5_square
 
 
 def test_mutated_sides_make_no_product(monkeypatch):
@@ -195,21 +192,21 @@ def test_shared_members_match_their_definitions(registry):
         "product_of_squares": product(th[m] * th[m] for m in PRODUCT_FORM_CHARS),
         "cusp_times_theta_product": product(
             [*(th[m] for m in sorted(STANDARD_SEXTUPLE)), y5]),
-        "equations.y5_square": y5 * y5,
-        "equations.y5_pow4": product([y5, y5, y5, y5]),
-        "equations.igusa_quadric": quadric,
-        "equations.igusa_quadric_square": quadric * quadric,
-        "equations.quartic_product": quartic_product,
-        "equations.x_quartic_parts[0]": P(4, 4),
-        "equations.x_quartic_parts[1]": (-P(0, 4) - P(1, 2) - P(1, 3) - P(2, 3)
-                                          + 4 * P(1, 4) + 4 * P(2, 4) + 4 * P(3, 4)),
-        "equations.x_quartic_parts[2]": product(F[:4]),
+        "y5_square": y5 * y5,
+        "y5_pow4": product([y5, y5, y5, y5]),
+        "igusa_quadric": quadric,
+        "igusa_quadric_square": quadric * quadric,
+        "quartic_product": quartic_product,
+        "x_quartic_parts[0]": P(4, 4),
+        "x_quartic_parts[1]": (-P(0, 4) - P(1, 2) - P(1, 3) - P(2, 3)
+                               + 4 * P(1, 4) + 4 * P(2, 4) + 4 * P(3, 4)),
+        "x_quartic_parts[2]": product(F[:4]),
     }
     expected.update({f"f_products{(i, j)}": f[i] * f[j]
                      for i in range(4) for j in range(i, 4)})
     expected.update({f"theta_squares[{_label(m)}]": th[m] * th[m]
                      for m in all_characteristics()})
-    expected.update({f"equations.x_squares[{i}]": F[i] * F[i] for i in range(6)})
+    expected.update({f"x_squares[{i}]": F[i] * F[i] for i in range(6)})
     got = shared_members(reg)
     assert set(got) == set(expected)
     for name, series in expected.items():
@@ -217,8 +214,8 @@ def test_shared_members_match_their_definitions(registry):
     assert all(_same(a, b) for a, b in zip(reg.y, [y0, y1, y2, y3, y4, y5]))
     assert all(_same(a, b) for a, b in zip(reg.F, F))
     assert reg.y[5] is reg.F[5] is reg.theta_product
-    assert reg.equations.y is reg.y and reg.equations.x is reg.F
-    assert reg.equations.x_squares[5] is reg.equations.y5_square
+    assert reg.x is reg.F
+    assert reg.x_squares[5] is reg.y5_square
 
 
 def test_relations_leave_the_shared_members_unchanged():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import box_reference
 from siegelcy import numeric
@@ -19,21 +19,21 @@ from siegelcy.characteristics import (
 )
 from siegelcy.numeric import (
     FIXED_BITS,
+    LAWS,
     MANTISSA_BITS,
     SiegelPoint,
     _inverse,
     _summation_radius,
     _tail_remainder,
-    character_law_check,
     conditioned_samples,
     diagonal_vanishing_check,
     evaluate_qseries,
-    law_form_value,
-    pulled_back_point,
+    law_signs,
     series_numeric_consistency,
     siegel_transform,
     theta_eval,
     theta_eval_batch,
+    theta_product_eval,
     transform_modulus_check,
 )
 from siegelcy.qseries import negate_offdiag, theta_qexp
@@ -257,6 +257,10 @@ _MANTISSA = st.integers(1 << (MANTISSA_BITS - 1), (1 << MANTISSA_BITS) - 1)
 @given(larger=_MANTISSA, smaller=st.integers(0, (1 << MANTISSA_BITS) - 1),
        signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
        real_is_larger=st.booleans(), e=st.integers(-600, 400))
+# 1 / u is just below -i 2^(1 - MANTISSA_BITS) in modulus, and its imaginary
+# part floors to that power of two
+@example(larger=1 << (MANTISSA_BITS - 1), smaller=(1 << 80) + 1, signs=(1, 1),
+         real_is_larger=False, e=0)
 def test_inverse_is_rounded_down_within_its_bound(larger, smaller, signs,
                                                   real_is_larger, e):
     smaller = min(smaller, larger)
@@ -374,66 +378,109 @@ def test_sampled_transform_modulus():
         assert ok and dev < 1e-8
 
 
-def test_theta_product_character_matches_formula():
-    base = SiegelPoint(1.3j, 0.15j, 1.4j)
-    mats = conditioned_samples(Subgroup.hecke(2), 20, seed=200,
-                               word_length=8, max_entry=5, nonzero_c=8)
-    at_base = law_form_value("theta_product", base)
-    values = set()
+def law_samples(name: str) -> tuple[str, list[SpMat]]:
+    """A character law and its samples, as the suite draws them for
+    `weight2_character` ("hecke2") and `weight3_trivial_character`
+    ("chi_kernel"), and the weight-3 law on Gamma2,0[2] ("cusp_form")."""
+    if name == "hecke2":
+        return "theta_product", conditioned_samples(
+            Subgroup.hecke(2), 20, seed=200, word_length=8, max_entry=5, nonzero_c=8)
+    if name == "chi_kernel":
+        return "cusp_form", conditioned_samples(
+            Subgroup.chi_kernel(), 20, seed=300, word_length=8, max_entry=5, nonzero_c=8)
+    return "cusp_form", conditioned_samples(
+        Subgroup.hecke(2), 12, seed=400, word_length=8, max_entry=5, nonzero_c=5)
+
+
+LAW_SAMPLES = ["hecke2", "chi_kernel", "cusp_form"]
+
+
+def two_transform_signs(kind: str, mats, base: SiegelPoint) -> list[int]:
+    """The law's signs by the direct route: Z = M^-1<base>, a second
+    transform of Z by M for M<Z> and det(CZ+D), and the sign within 1e-6
+    of form(M<Z>) / (det(CZ+D)^k form(Z))."""
+    chars, weight = LAWS[kind]
+    signs = []
     for M in mats:
-        Z = pulled_back_point(M, base)
-        measured = character_law_check("theta_product", M, Z)
-        assert measured == theta_character(M)
-        # M<Z> is base up to rounding, so the base's value stands in for it
-        assert character_law_check("theta_product", M, Z, image_value=at_base) == measured
-        values.add(measured)
-    assert values == {1, -1}
+        Z, _ = siegel_transform(M.inverse(), base)
+        image, det = siegel_transform(M, Z)
+        ratio = (theta_product_eval(chars, image, tol=1e-13).value
+                 / (det ** weight * theta_product_eval(chars, Z, tol=1e-13).value))
+        [sign] = [s for s in (1, -1) if abs(ratio - s) <= 1e-6]
+        signs.append(sign)
+    return signs
+
+
+@pytest.mark.parametrize("name", LAW_SAMPLES)
+def test_law_signs_are_the_two_transform_signs(name):
+    kind, mats = law_samples(name)
+    assert law_signs(kind, mats, _BASE) == two_transform_signs(kind, mats, _BASE)
+
+
+def test_law_signs_transform_once_and_evaluate_at_the_pulled_back_points(monkeypatch):
+    # the samples are conditioned for M^-1<base>; one transform per sample
+    # gives both the point and the factor, and the form is evaluated at the
+    # base once and at each point once
+    kind, mats = law_samples("hecke2")
+    pulled_back = [siegel_transform(M.inverse(), _BASE)[0] for M in mats]
+    transforms, points = [], []
+    transform, evaluate = siegel_transform, theta_product_eval
+    monkeypatch.setattr(numeric, "siegel_transform",
+                        lambda M, Z: transforms.append((M, Z)) or transform(M, Z))
+    monkeypatch.setattr(numeric, "theta_product_eval",
+                        lambda chars, Z, tol: points.append(Z) or evaluate(chars, Z, tol))
+    law_signs(kind, mats, _BASE)
+    assert transforms == [(M.inverse(), _BASE) for M in mats]
+    assert points == [_BASE, *pulled_back]
+
+
+@pytest.mark.parametrize("name", LAW_SAMPLES)
+def test_automorphy_factor_is_a_cocycle(name):
+    # j(M, M^-1<base>) j(M^-1, base) = 1: the factor of the pulled-back
+    # point is the reciprocal of det(CZ+D) at it
+    for M in law_samples(name)[1]:
+        Z, factor = siegel_transform(M.inverse(), _BASE)
+        _, det = siegel_transform(M, Z)
+        assert abs(det * factor - 1) < 1e-12
+
+
+def test_theta_product_character_matches_formula():
+    kind, mats = law_samples("hecke2")
+    measured = law_signs(kind, mats, _BASE)
+    assert measured == [theta_character(M) for M in mats]
+    assert set(measured) == {1, -1}
 
 
 def test_cusp_form_character_trivial_on_kernel():
-    base = SiegelPoint(1.3j, 0.15j, 1.4j)
-    mats = conditioned_samples(Subgroup.chi_kernel(), 20, seed=300,
-                               word_length=8, max_entry=5, nonzero_c=8)
-    for M in mats:
-        Z = pulled_back_point(M, base)
-        assert character_law_check("cusp_form", M, Z) == 1
+    kind, mats = law_samples("chi_kernel")
+    assert law_signs(kind, mats, _BASE) == [1] * len(mats)
 
 
 def test_cusp_form_character_matches_combined_formula():
     # on the bigger group the weight-3 product transforms by the product of
     # the quadratic character and the mod-2 sign character
-    base = SiegelPoint(1.3j, 0.15j, 1.4j)
-    mats = conditioned_samples(Subgroup.hecke(2), 12, seed=400,
-                               word_length=8, max_entry=5, nonzero_c=5)
-    for M in mats:
-        Z = pulled_back_point(M, base)
-        assert character_law_check("cusp_form", M, Z) == cusp_form_character(M)
+    kind, mats = law_samples("cusp_form")
+    assert law_signs(kind, mats, _BASE) == [cusp_form_character(M) for M in mats]
 
 
 def test_lower_triangular_flips_the_product_form():
     low = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
                             ((2, 2), (2, 2)), ((1, 0), (0, 1)))
-    rng = random.Random(3)
-    assert character_law_check("theta_product", low, rand_point(rng)) == -1
+    point = rand_point(random.Random(3))
+    assert law_signs("theta_product", [low], point) == [-1]
+    assert two_transform_signs("theta_product", [low], point) == [-1]
     assert theta_character(low) == -1
 
 
 def test_measured_characters_are_multiplicative():
-    base = SiegelPoint(1.3j, 0.15j, 1.4j)
     mats = conditioned_samples(Subgroup.hecke(2), 10, seed=500,
                                word_length=6, max_entry=3, nonzero_c=4)
     rng = random.Random(9)
-    for _ in range(30):
-        a, b = rng.choice(mats), rng.choice(mats)
-        prod = a * b
-        if prod.max_entry() > 12:
-            continue
-        Z = pulled_back_point(prod, base)
-        lhs = character_law_check("theta_product", prod, Z)
-        za = pulled_back_point(a, base)
-        zb = pulled_back_point(b, base)
-        assert lhs == (character_law_check("theta_product", a, za)
-                       * character_law_check("theta_product", b, zb))
+    pairs = [(a, b) for a, b in ((rng.choice(mats), rng.choice(mats)) for _ in range(30))
+             if (a * b).max_entry() <= 12]
+    products = law_signs("theta_product", [a * b for a, b in pairs], _BASE)
+    factors = law_signs("theta_product", [m for pair in pairs for m in pair], _BASE)
+    assert pairs and products == [x * y for x, y in zip(factors[::2], factors[1::2])]
 
 
 def test_diagonal_vanishing():
@@ -446,14 +493,13 @@ def test_diagonal_vanishing():
 
 def test_antisymmetry_numeric_and_exact():
     from siegelcy.characteristics import STANDARD_SEXTUPLE
-    from siegelcy.numeric import theta_product_eval, _standard_sextuple_chars
 
     rng = random.Random(23)
     for _ in range(10):
         Z = rand_point(rng, y=1.0)
         flipped = SiegelPoint(Z.z0, -Z.z1, Z.z2)
-        plus = theta_product_eval(_standard_sextuple_chars(), Z)
-        minus = theta_product_eval(_standard_sextuple_chars(), flipped)
+        plus = theta_product_eval(LAWS["cusp_form"][0], Z)
+        minus = theta_product_eval(LAWS["cusp_form"][0], flipped)
         assert abs(plus.value + minus.value) < 1e-9
     # and exactly on expansions
     from siegelcy.qseries import product

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from siegelcy import modforms
 from siegelcy.cli import main
 from siegelcy.suite import emit_report, run_suite
 
@@ -59,6 +60,29 @@ def test_relations_are_nonvacuous_at_default_truncation():
     by_id = {c.id: c for c in relations}
     assert by_id["relations.second_kind_quartic"].data["truncation"] == 32
     assert by_id["relations.igusa_quartic"].data["truncation"] == 12
+
+
+@pytest.mark.parametrize("truncation", [4, 12, 16, 32])
+def test_each_control_is_detected_at_its_relations_truncation(truncation, monkeypatch):
+    # a planted mutation reads the registry of its own relation's record,
+    # max(N, nonvacuous_from), and its residual is nonzero there
+    controls = []
+    verify = modforms.verify_identity
+
+    def recorded(name, registry, mutated=False):
+        residual = verify(name, registry, mutated)
+        if mutated:
+            controls.append((name, registry.truncation, residual.is_zero()))
+        return residual
+
+    monkeypatch.setattr(modforms, "verify_identity", recorded)
+    by_id = {c.id: c for c in run_suite("relations", truncation=truncation).checks}
+    expected = [(name, max(truncation, relation.nonvacuous_from), False)
+                for name, relation in modforms.RELATIONS.items()]
+    assert controls == expected
+    assert [(name, by_id[f"relations.{name}"].data["truncation"], False)
+            for name in modforms.RELATIONS] == expected
+    assert by_id["relations.falsification_controls"].status == "pass"
 
 
 def test_series_selector_flags_table_mismatch():
