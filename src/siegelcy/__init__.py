@@ -2,9 +2,8 @@
 expansions, the associated modular-form relations, and the projective
 Calabi-Yau threefold they cut out.
 
-The exact engine (q-series with integer coefficients, sparse polynomials
-over the rationals) never touches floating point; 8th roots of unity enter
-only where a translation gives a series a non-real phase.  The numeric
+The exact engine (q-series with rational integer coefficients, sparse
+polynomials over the rationals) never touches floating point.  The numeric
 engine evaluates the same objects by lattice summation with explicit tail
 bounds, so every analytic claim is checked by two independent routes.
 """

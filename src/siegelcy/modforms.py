@@ -283,7 +283,9 @@ def measured_substitution_table(registry: FormRegistry) -> dict[str, tuple]:
     The images of the registry's F1..F5 are compared with +-F_j at
     SUBSTITUTION_COMPARE_AT.  An entry is None unless exactly one of the
     ten signed generators matches: no match would signal a broken action,
-    several (a generator vanishing at the bound) an undecidable one.
+    several (a generator vanishing at the bound) an undecidable one.  A
+    translation that gives a term a non-real phase raises ValueError in
+    `translate_action`, so its record fails rather than reading a row.
     """
     at = SUBSTITUTION_COMPARE_AT
     candidates = [(sign, j + 1, sign * registry.F[j].restrict(at))

@@ -9,11 +9,11 @@ lattice point g in Z^2 and with r = 2g + a, the monomial
 
     q0^(r1^2) * q1^((r1-r2)^2) * q2^(r2^2)
 
-with coefficient zeta^(2*(b1*r1 + b2*r2)), zeta a primitive 8th root of
-unity.  Coefficients are plain integers wherever the phases sum to a real
-number, which they do for every even theta constant; only a translation
-can leave a non-real coefficient, an element of Z[zeta].  Exponent triples
-correspond to half-integral index matrices via
+with coefficient i^(b1*r1 + b2*r2).  The points r and -r share the
+monomial and carry conjugate phases, so every coefficient is a rational
+integer.  Series hold plain ints only: `theta_qexp` raises on a phase sum
+that is not real, and `translate_action` on a phase other than +-1.
+Exponent triples correspond to half-integral index matrices via
 (8t0, 16t1, 8t2) = (n0, n0+n2-n1, n2), so semipositivity reads
 4*n0*n2 >= (n0+n2-n1)^2 and n0+n2 is (a rescaling of) the trace.
 
@@ -40,11 +40,8 @@ from bisect import bisect_left
 from typing import Iterable
 
 from .characteristics import Char
-from .cyclotomic import CycInt8
 
 ExpTriple = tuple[int, int, int]
-
-Coeff = int | CycInt8
 
 Sym2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -52,7 +49,7 @@ Sym2 = tuple[tuple[int, int], tuple[int, int]]
 class QSeries:
     __slots__ = ("terms", "truncation")
 
-    def __init__(self, terms: dict[ExpTriple, Coeff], truncation: int) -> None:
+    def __init__(self, terms: dict[ExpTriple, int], truncation: int) -> None:
         if truncation < 0:
             raise ValueError("truncation bound must be nonnegative")
         self.truncation = truncation
@@ -68,7 +65,7 @@ class QSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _exact(cls, terms: dict[ExpTriple, Coeff], truncation: int) -> QSeries:
+    def _exact(cls, terms: dict[ExpTriple, int], truncation: int) -> QSeries:
         """A series on nonzero terms already known to have nonnegative
         exponents within the bound, as the results of the ring operations
         do; the terms dict is kept, not copied."""
@@ -87,7 +84,7 @@ class QSeries:
 
     # -- basic queries -----------------------------------------------------
 
-    def coefficient(self, n: ExpTriple) -> Coeff:
+    def coefficient(self, n: ExpTriple) -> int:
         return self.terms.get(tuple(n), 0)
 
     def is_zero(self) -> bool:
@@ -98,7 +95,7 @@ class QSeries:
             raise ValueError("cannot raise a truncation bound")
         return QSeries(self.terms, truncation)
 
-    def _upto(self, n: int) -> dict[ExpTriple, Coeff]:
+    def _upto(self, n: int) -> dict[ExpTriple, int]:
         """The stored terms of weight at most n <= the bound: all of them,
         not copied, when n is the bound."""
         if n == self.truncation:
@@ -177,9 +174,7 @@ def product(series: Iterable[QSeries]) -> QSeries:
     enough for the whole chain, multiplied from the left with every
     partial product kept packed, and the result is decoded once.  Terms
     past the smallest bound are dropped before packing: a weight only
-    grows in a product.  A cyclotomic coefficient whose coordinates on
-    zeta, zeta^2 and zeta^3 cancel is stored as an int, as `theta_qexp`
-    stores one.
+    grows in a product.
     """
     items = list(series)
     if not items:
@@ -193,21 +188,19 @@ def product(series: Iterable[QSeries]) -> QSeries:
 
 # -- the packed product kernel ---------------------------------------------
 
-#: a packed series: for each Z[zeta] coordinate (one for integer
-#: coefficients; four, on 1, zeta, zeta^2, zeta^3, once one is cyclotomic)
-#: the cells, cell key -> sum of c * 2^(bits * n1 / step) over the cell
-Packed = list[dict[int, int]]
+#: a packed series: its cells, cell key -> sum of c * 2^(bits * n1 / step)
+#: over the cell
+Packed = dict[int, int]
 
-#: one coordinate's nonzero cells as a multiplication reads them:
+#: the nonzero cells as a multiplication reads them:
 #: (key, shift, x >> shift) by ascending key, so by ascending weight, with
 #: shift the cell's empty low slots
 Cells = list[tuple[int, int, int]]
 
 
 def _norm(s: QSeries) -> int:
-    """The sum of |c| over every coefficient coordinate of s."""
-    return sum(abs(c) if type(c) is int else sum(map(abs, c.coords()))
-               for c in s.terms.values())
+    """The sum of |c| over the coefficients of s."""
+    return sum(map(abs, s.terms.values()))
 
 
 class _Layout:
@@ -225,11 +218,10 @@ class _Layout:
     product cell, exactly, whatever its slot values; sums and the shifts
     that align cells are exact too.  Only decoding needs the slots apart:
     an integer sum of v_k * 2^(bits * k) gives back every v_k when each
-    |v_k| < 2^(bits-1).  `bound`, the product of the factors' sums of |c|
-    over every coefficient and coordinate, bounds the sum of |c| of the
-    result, so each of its coefficients (and of every partial product,
-    when no factor is zero); with bits = bitlen(bound) + 1,
-    |v_k| <= bound < 2^(bits-1).
+    |v_k| < 2^(bits-1).  `bound`, the product of the factors' sums of |c|,
+    bounds the sum of |c| of the result, so each of its coefficients (and
+    of every partial product, when no factor is zero); with
+    bits = bitlen(bound) + 1, |v_k| <= bound < 2^(bits-1).
     """
 
     __slots__ = ("truncation", "width", "step", "bits")
@@ -243,30 +235,21 @@ class _Layout:
     def pack(self, s: QSeries) -> Packed:
         """One pass over the terms of s within the truncation."""
         n, width, step, bits = self.truncation, self.width, self.step, self.bits
-        parts: Packed = [{}]
+        cells: Packed = {}
         for (n0, n1, n2), c in s.terms.items():
             w = n0 + n2
             if w > n:
                 continue
             key = w * width + n2
-            shift = bits * (n1 // step)
-            if type(c) is int:
-                cells = parts[0]
-                cells[key] = cells.get(key, 0) + (c << shift)
-                continue
-            if len(parts) == 1:
-                parts += [{}, {}, {}]
-            for cells, v in zip(parts, c.coords()):
-                if v:
-                    cells[key] = cells.get(key, 0) + (v << shift)
-        return parts
+            cells[key] = cells.get(key, 0) + (c << bits * (n1 // step))
+        return cells
 
-    def cells(self, part: dict[int, int]) -> Cells:
-        """The nonzero cells of one coordinate, by weight, each shifted
-        down to its smallest n1 for the multiplication."""
+    def cells(self, packed: Packed) -> Cells:
+        """The nonzero cells, by weight, each shifted down to its smallest
+        n1 for the multiplication."""
         bits = self.bits
         out = []
-        for key, x in part.items():
+        for key, x in packed.items():
             if x:
                 shift = ((x & -x).bit_length() - 1) // bits * bits
                 out.append((key, shift, x >> shift))
@@ -278,41 +261,36 @@ class _Layout:
         count of trailing zero bits."""
         width, step, bits = self.width, self.step, self.bits
         mask, top, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-        parts = []
-        for part in packed:
-            terms: dict[ExpTriple, int] = {}
-            for key, x in part.items():
-                w, n2 = divmod(key, width)
-                n0 = w - n2
-                n1 = 0
-                while x:
+        terms: dict[ExpTriple, int] = {}
+        for key, x in packed.items():
+            w, n2 = divmod(key, width)
+            n0 = w - n2
+            n1 = 0
+            while x:
+                v = x & mask
+                if not v:
+                    skip = ((x & -x).bit_length() - 1) // bits
+                    x >>= skip * bits
+                    n1 += skip * step
                     v = x & mask
-                    if not v:
-                        skip = ((x & -x).bit_length() - 1) // bits
-                        x >>= skip * bits
-                        n1 += skip * step
-                        v = x & mask
-                    x >>= bits
-                    if v & top:  # a negative slot borrowed one from the next
-                        v -= full
-                        x += 1
-                    terms[n0, n1, n2] = v
-                    n1 += step
-            parts.append(terms)
-        if len(parts) == 1:
-            return QSeries._exact(parts[0], self.truncation)
-        terms = {}
-        for key in dict.fromkeys(k for part in parts for k in part):
-            c = [part.get(key, 0) for part in parts]
-            terms[key] = CycInt8(*c) if any(c[1:]) else c[0]
+                x >>= bits
+                if v & top:  # a negative slot borrowed one from the next
+                    v -= full
+                    x += 1
+                terms[n0, n1, n2] = v
+                n1 += step
         return QSeries._exact(terms, self.truncation)
 
 
-def _convolve(a: Cells, b: Cells, layout: _Layout, acc: dict[int, int]) -> None:
-    """Add the products of the cell pairs of a and b with weights summing
-    to at most the truncation into acc, each at its absolute slot offset.
+def _multiply(pa: Packed, pb: Packed, layout: _Layout) -> Packed:
+    """The product of two packed series: the kernel every series product
+    runs through.  The products of the cell pairs with weights summing to
+    at most the truncation are added up, each at its absolute slot offset.
     A square takes each unordered pair once and doubles it by one more
     shift."""
+    a = layout.cells(pa)
+    b = a if pb is pa else layout.cells(pb)
+    acc: Packed = {}
     width = layout.width
     room = (layout.truncation + 1) * width  # keys of weight above it: too heavy
     keys = [k for k, _, _ in b]
@@ -326,7 +304,7 @@ def _convolve(a: Cells, b: Cells, layout: _Layout, acc: dict[int, int]) -> None:
             for kb, sb, xb in a[i + 1:stop]:
                 k = ka + kb
                 acc[k] = acc.get(k, 0) + (xa * xb << sa + sb + 1)
-        return
+        return acc
     for ka, sa, xa in a:
         stop = bisect_left(keys, room - ka // width * width)
         if not stop:
@@ -334,22 +312,7 @@ def _convolve(a: Cells, b: Cells, layout: _Layout, acc: dict[int, int]) -> None:
         for kb, sb, xb in b[:stop]:
             k = ka + kb
             acc[k] = acc.get(k, 0) + (xa * xb << sa + sb)
-
-
-def _multiply(a: Packed, b: Packed, layout: _Layout) -> Packed:
-    """The product of two packed series: the kernel every series product
-    runs through.  Cyclotomic coordinates multiply pairwise, and
-    zeta^4 = -1 folds the coordinates i + j >= 4 back with a sign."""
-    cells_a = [layout.cells(part) for part in a]
-    cells_b = cells_a if b is a else [layout.cells(part) for part in b]
-    accs: Packed = [{} for _ in range(max(len(a), len(b)))]
-    for i, ca in enumerate(cells_a):
-        for j, cb in enumerate(cells_b):
-            if i + j >= 4:
-                _convolve([(k, s, -x) for k, s, x in ca], cb, layout, accs[i + j - 4])
-            else:
-                _convolve(ca, cb, layout, accs[i + j])
-    return accs
+    return acc
 
 
 # -- theta expansions -----------------------------------------------------
@@ -358,12 +321,13 @@ def theta_qexp(m: Char, truncation: int) -> QSeries:
     """Exact q-expansion of the theta constant with characteristic m.
 
     The lattice range |2g + a| <= sqrt(N) is exhaustive for the bound
-    n0 + n2 <= N: squares only grow.  Every phase is computed in Z[zeta];
-    a coefficient whose phases sum to a real number is stored as an int.
-    Odd characteristics cancel to the zero series.
+    n0 + n2 <= N: squares only grow.  Each monomial's phases i^(b.r) are
+    summed as an exact Gaussian integer [real part, imaginary part]; the
+    points r and -r carry conjugate phases, so a surviving imaginary part
+    raises ArithmeticError.  Odd characteristics cancel to the zero series.
     """
     root = math.isqrt(truncation)
-    terms: dict[ExpTriple, CycInt8] = {}
+    sums: dict[ExpTriple, list[int]] = {}
     for r1 in range(-root, root + 1):
         if r1 % 2 != m.a1:
             continue
@@ -375,11 +339,13 @@ def theta_qexp(m: Char, truncation: int) -> QSeries:
             if n0 + n2 > truncation:
                 continue
             key = (n0, (r1 - r2) ** 2, n2)
-            phase = CycInt8.zeta_power(2 * (m.b1 * r1 + m.b2 * r2))
-            s = terms.get(key)
-            terms[key] = phase if s is None else s + phase
-    return QSeries({key: c.c0 if c == c.c0 else c for key, c in terms.items()},
-                   truncation)
+            k = (m.b1 * r1 + m.b2 * r2) % 4  # the phase i^k: 1, i, -1, -i
+            sums.setdefault(key, [0, 0])[k & 1] += 1 if k < 2 else -1
+    for key, (re, im) in sums.items():
+        if im:
+            raise ArithmeticError(f"theta {m}: the phases of the term {key} "
+                                  f"sum to the non-real {re}{im:+d}i")
+    return QSeries({key: re for key, (re, _) in sums.items()}, truncation)
 
 
 def second_kind_qexp(a: tuple[int, int], truncation: int) -> QSeries:
@@ -410,9 +376,10 @@ def koecher_check(s: QSeries) -> bool:
 def translate_action(s: QSeries, S: Sym2) -> QSeries:
     """Action of Z -> Z + S (S integer symmetric) on the expansion.
 
-    Each term picks up the root-of-unity phase zeta^(n0*s0 + (n0+n2-n1)*s1
-    + n2*s2); the support is unchanged.  A phase of +-1 keeps an integer
-    coefficient an integer.
+    Each term picks up the phase zeta^k, k = n0*s0 + (n0+n2-n1)*s1 + n2*s2,
+    with zeta a primitive 8th root of unity; the support is unchanged.  The
+    coefficients stay integers only when every phase is +-1, that is when
+    4 divides every k; a term with any other phase raises ValueError.
     """
     if S[0][1] != S[1][0]:
         raise ValueError("translation matrix must be symmetric")
@@ -421,9 +388,9 @@ def translate_action(s: QSeries, S: Sym2) -> QSeries:
     for n, c in s.terms.items():
         k = n[0] * s0 + (n[0] + n[2] - n[1]) * s1 + n[2] * s2
         if k % 4:
-            terms[n] = c * CycInt8.zeta_power(k)
-        else:
-            terms[n] = -c if k % 8 else c
+            raise ValueError(f"translation by {S}: the term {n} gets the "
+                             f"non-real phase zeta^{k % 8}")
+        terms[n] = -c if k % 8 else c
     return QSeries(terms, s.truncation)
 
 
@@ -462,7 +429,7 @@ def unimodular_action(s: QSeries, U: Sym2) -> QSeries:
         raise ValueError("substitution matrix must be unimodular")
     u_inv = ((U[1][1] * det, -U[0][1] * det), (-U[1][0] * det, U[0][0] * det))
     new_trunc = _exact_trace_bound(u_inv, s.truncation)
-    terms: dict[ExpTriple, Coeff] = {}
+    terms: dict[ExpTriple, int] = {}
     for n, c in s.terms.items():
         off = n[0] + n[2] - n[1]
         if off % 2 != 0:

@@ -176,8 +176,8 @@ def _semipositive_support(report):
 @_check("series.integral_coefficients",
         "even expansions have rational integer coefficients")
 def _integral_coefficients(report):
-    # theta_qexp sums the phases in Z[zeta] and keeps an int only where the
-    # sum is real, so a surviving non-real phase fails this check
+    # theta_qexp raises on a non-real phase sum and translate_action on a
+    # non-real phase, so a non-real coefficient fails this check by a refusal
     thetas = report.registry(report.truncation).theta
     return all(isinstance(c, int) for m in even_characteristics()
                for c in thetas[m].terms.values()), {}

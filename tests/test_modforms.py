@@ -16,6 +16,7 @@ from siegelcy.modforms import (
     EXPECTED_BOUNDARY_DISTRIBUTION,
     PRODUCT_FORM_CHARS,
     RELATIONS,
+    SUBSTITUTIONS,
     FormRegistry,
     boundary_orders,
     classical_residuals,
@@ -23,7 +24,13 @@ from siegelcy.modforms import (
     verify_identity,
 )
 from siegelcy import qseries
-from siegelcy.qseries import QSeries, koecher_check, negate_offdiag, product
+from siegelcy.qseries import (
+    QSeries,
+    koecher_check,
+    negate_offdiag,
+    product,
+    translate_action,
+)
 
 N = 16
 
@@ -324,3 +331,15 @@ def test_substitution_table_measured_values():
         assert got[:4] == tabulated[:4]
         assert got[4] == (-1, 5)
         assert tabulated[4] == (1, 5)
+
+
+def test_substitution_translations_keep_integer_coefficients(deep_registry):
+    """Each translation of the substitution table gives every term of
+    F1..F5 the phase +1 or -1, so its images are series over the integers."""
+    translations = [matrix for _, kind, matrix in SUBSTITUTIONS if kind == "translate"]
+    assert len(translations) == 3
+    for matrix in translations:
+        for source in deep_registry.F[:5]:
+            image = translate_action(source, matrix)
+            assert image.terms.keys() == source.terms.keys()
+            assert all(type(c) is int for c in image.terms.values())

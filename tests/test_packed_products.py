@@ -4,8 +4,7 @@ Every series product, chain and power must give the terms and the
 truncation of `tests/pair_reference.py`.  The drawn factors cover
 coefficients that cancel to zero, coefficients far above 2^64, middle
 exponents n1 of any size (semipositive or not), factors whose n1 are all 0
-or all multiples of 4 or 8, mixed truncations, empty series and Z[zeta8]
-coefficients.
+or all multiples of 4 or 8, mixed truncations and empty series.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import pair_reference as ref
 from siegelcy import qseries
-from siegelcy.cyclotomic import CycInt8
 from siegelcy.qseries import QSeries, product
 
 SMALL = st.integers(-2, 2)
-COEFFICIENTS = st.one_of(SMALL, st.integers(-2 ** 80, 2 ** 80),
-                         st.builds(CycInt8, SMALL, SMALL, SMALL, SMALL))
+COEFFICIENTS = st.one_of(SMALL, st.integers(-2 ** 80, 2 ** 80))
 
 #: how the middle exponents of all factors of one case are drawn: any n1,
 #: all zero, or multiples of a common step
@@ -80,7 +77,7 @@ def test_chain_product_is_the_pair_loop(items):
 @settings(max_examples=300, deadline=None)
 @given(factors(max_size=1), st.integers(0, 5))
 @example(CANCELLING[1:], 5)
-@example([QSeries({(0, 3, 0): CycInt8(0, 1, 0, 0)}, 3)], 4)
+@example([QSeries({(0, 3, 0): -2}, 3)], 4)
 def test_power_is_the_pair_loop(base, exponent):
     (s,) = base
     _same(s ** exponent, ref.power(s, exponent))

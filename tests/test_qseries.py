@@ -5,7 +5,6 @@ import random
 import pytest
 
 from siegelcy.characteristics import Char, even_characteristics, odd_characteristics
-from siegelcy.cyclotomic import CycInt8
 from siegelcy.qseries import (
     QSeries,
     koecher_check,
@@ -19,15 +18,19 @@ from siegelcy.qseries import (
 
 
 def brute_force_theta_terms(m: Char, max_g: int) -> dict:
-    """Independent oracle: raw double sum over the lattice window."""
+    """Independent oracle: raw double sum over the whole lattice window of
+    the phases i^(b.r), each coefficient an exact Gaussian integer
+    (real part, imaginary part); no point is paired with its mirror image."""
+    phases = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0, i^1, i^2, i^3
     terms: dict = {}
     for g1 in range(-max_g, max_g + 1):
         for g2 in range(-max_g, max_g + 1):
             r1, r2 = 2 * g1 + m.a1, 2 * g2 + m.a2
             key = (r1 * r1, (r1 - r2) ** 2, r2 * r2)
-            phase = CycInt8.zeta_power(2 * (m.b1 * r1 + m.b2 * r2))
-            terms[key] = terms.get(key, CycInt8()) + phase
-    return {k: v for k, v in terms.items() if v}
+            re, im = terms.get(key, (0, 0))
+            dre, dim = phases[(m.b1 * r1 + m.b2 * r2) % 4]
+            terms[key] = (re + dre, im + dim)
+    return {k: v for k, v in terms.items() if v != (0, 0)}
 
 
 def test_constant_term_of_even_zero_characteristic():
@@ -39,7 +42,7 @@ def test_lowest_term_of_1100():
     s = theta_qexp(Char(1, 1, 0, 0), 8)
     oracle = brute_force_theta_terms(Char(1, 1, 0, 0), 2)
     assert s.coefficient((1, 0, 1)) == 2
-    assert oracle[(1, 0, 1)] == 2
+    assert oracle[(1, 0, 1)] == (2, 0)
     assert min(n[0] + n[2] for n in s.terms) == 2
     assert min(s.terms, key=lambda n: (n[0] + n[2], n[1])) == (1, 0, 1)
 
@@ -54,10 +57,10 @@ def test_theta_matches_brute_force_window():
         s = theta_qexp(m, 12)
         oracle = brute_force_theta_terms(m, 4)
         for n, c in s.terms.items():
-            assert oracle[n] == c
+            assert oracle[n] == (c, 0)
         for n, c in oracle.items():
             if n[0] + n[2] <= 12:
-                assert s.coefficient(n) == c
+                assert (s.coefficient(n), 0) == c
 
 
 def test_even_theta_coefficients_are_rational_integers():
@@ -117,23 +120,12 @@ def test_translate_identity_and_periodicity():
     assert translate_action(s, eight) == s
 
 
-def _zeta_power_coords(k: int) -> tuple[int, int, int, int]:
-    """zeta**k in the basis 1, zeta, zeta**2, zeta**3, from zeta**4 = -1."""
-    coords = [0, 0, 0, 0]
-    coords[k % 4] = (-1) ** ((k % 8) // 4)
-    return tuple(coords)
-
-
 def test_translation_makes_a_non_real_phase():
+    # Z -> Z + diag(1, 0) multiplies the n-term by zeta^n0, and n0 = r1^2
+    # is odd on every term of an a1 = 1 theta
     s = theta_qexp(Char(1, 0, 0, 0), 12)
-    image = translate_action(s, ((1, 0), (0, 0)))
-    assert set(image.terms) == set(s.terms)
-    assert any(not isinstance(c, int) for c in image.terms.values())
-    for n, c in s.terms.items():
-        # Z -> Z + diag(1, 0) multiplies the n-term by zeta^n0
-        want = tuple(c * z for z in _zeta_power_coords(n[0]))
-        got = image.terms[n]
-        assert (got.coords() if isinstance(got, CycInt8) else (got, 0, 0, 0)) == want
+    with pytest.raises(ValueError, match=r"the term \(\d+, \d+, \d+\)"):
+        translate_action(s, ((1, 0), (0, 0)))
 
 
 def test_negate_offdiag_on_thetas():
@@ -155,7 +147,11 @@ def test_unimodular_identity():
 def test_actions_are_ring_homomorphisms():
     rng = random.Random(31)
     evens = even_characteristics()
-    mats_s = [((1, 0), (0, 0)), ((0, 1), (1, 0)), ((2, 1), (1, 3))]
+    # translations whose phases are +-1 on thetas and their products: a
+    # theta term has k = r1^2 * s0 + 2 * r1 * r2 * s1 + r2^2 * s2, so
+    # diagonal entries divisible by 4 and an even off-diagonal entry give
+    # 4 | k, and k adds up in a product
+    mats_s = [((4, 0), (0, 0)), ((0, 2), (2, 0)), ((4, 2), (2, 12))]
     mats_u = [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1))]
     for _ in range(50):
         s = theta_qexp(rng.choice(evens), 16)

@@ -312,10 +312,12 @@ def test_integral_coefficients_fails_on_a_non_real_phase(monkeypatch):
     theta_qexp = qseries.theta_qexp
 
     def translated_theta(m, truncation):
-        # Z -> Z + diag(1, 0) gives the a1 = 1 thetas odd powers of zeta
+        # Z -> Z + diag(1, 0) gives the a1 = 1 thetas odd powers of zeta,
+        # which translate_action refuses rather than store
         return qseries.translate_action(theta_qexp(m, truncation), ((1, 0), (0, 0)))
 
     monkeypatch.setattr(qseries, "theta_qexp", translated_theta)
     record = next(c for c in run_suite("series").checks
                   if c.id == "series.integral_coefficients")
     assert record.status == "fail"
+    assert record.data["error"].startswith("ValueError")
