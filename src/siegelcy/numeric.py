@@ -13,16 +13,23 @@ functions", Math. Comp. 73, 2004).  A lattice term is even in r, so
 only half of each parity class is walked and the other half is its
 mirror.  Each class starts at its centre and walks its rows outward;
 every start term and step ratio is a product, in 164-bit floating point
-on Python integers, of three exponentials per point from mpmath and the
-reciprocals of two of them, whatever the radius.  Each evaluation
-returns the value together with an explicit bound on the truncated
-Gaussian tail plus the window and the rounding of the walk and the
-products (below 1e-25), so comparisons can account for every dropped
-term.  Several characteristics at one point share one lattice walk per
-parity class of their upper halves: the character checks evaluate four or
-six constants per point and would pay the full lattice cost repeatedly
-otherwise.  Transport and q-series evaluation run in mpmath at 30
-significant digits.
+on Python integers, of three exponentials per point and the reciprocals
+of two of them, whatever the radius.  Each evaluation returns the value
+together with an explicit bound on the truncated Gaussian tail plus the
+window and the rounding of the walk and the products (below 1e-25), so
+comparisons can account for every dropped term.  Several characteristics
+at one point share one lattice walk per parity class of their upper
+halves: the character checks evaluate four or six constants per point and
+would pay the full lattice cost repeatedly otherwise.
+
+The module needs nothing beyond the standard library.  Each exponential
+exp(pi i w), for an exact dyadic w, is a Taylor sum in the same integers
+after an exact reduction of Re w to a quarter turn and of -pi Im w by
+multiples of ln 2 (`_expjpi`; Brent, "Fast multiple-precision evaluation
+of elementary functions", J. ACM 23, 1976).  Transport runs on the exact
+integer ratios of the doubles, each output part one correctly rounded
+integer division (`siegel_transform`), and q-series evaluation sums
+`Float` powers of three such exponentials exactly.
 
 A character law is measured at Z = M^-1<B> for each sample M and a fixed
 base point B, so M<Z> is B.  The automorphy factor j(M, Z) = det(CZ+D) is
@@ -39,17 +46,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import to_fixed
-
 from . import qseries, symplectic
 from .characteristics import STANDARD_SEXTUPLE, Char, char_index, sp4f2_act
 from .modforms import PRODUCT_FORM_CHARS
 from .qseries import QSeries
 from .symplectic import SpMat
 
-WORKING_DPS = 30
 #: scale of the fixed-point lattice walk: values are integers times 2^-FIXED_BITS
 FIXED_BITS = 140
 #: a Float (re, im, e) is (re + i im) 2^e, the larger part of MANTISSA_BITS bits
@@ -58,6 +60,24 @@ Float = tuple[int, int, int]
 _ONE: Float = (1 << (MANTISSA_BITS - 1), 0, 1 - MANTISSA_BITS)  # exactly 1
 #: the summation window keeps every lattice term of modulus 2^-CUT_BITS or more
 CUT_BITS = 120
+#: pi and ln 2 rounded down to multiples of 2^-CONST_BITS, enough bits for
+#: the imaginary parts `_expjpi` accepts: up to 2^1080, past every double
+CONST_BITS = 1280
+_PI = int(
+    "3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c8"
+    "9452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091"
+    "79216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e9"
+    "6ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e6"
+    "9a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b"
+    "5", 16)
+_LN2 = int(
+    "b17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2b"
+    "e7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b825"
+    "3e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b"
+    "72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c6"
+    "07f4ca11fb5bfb90610d30f88fe551a2ee569d6dfc1efa157d2e23de1400b396", 16)
+#: `_expjpi` works in fixed point scaled by 2^EXP_BITS, 32 guard bits
+EXP_BITS = MANTISSA_BITS + 32
 
 
 @dataclass(frozen=True)
@@ -80,9 +100,6 @@ class SiegelPoint:
         tr = y0 + y2
         disc = ((y0 - y2) ** 2 + 4 * y1 * y1) ** 0.5
         return (tr - disc) / 2
-
-    def as_mpc(self) -> tuple[mpmath.mpc, mpmath.mpc, mpmath.mpc]:
-        return (mpmath.mpc(self.z0), mpmath.mpc(self.z1), mpmath.mpc(self.z2))
 
 
 @dataclass(frozen=True)
@@ -134,13 +151,6 @@ def _round(re: int, im: int, e: int) -> Float:
     return re, im, e + shift
 
 
-def _float(z: mpmath.mpc) -> Float:
-    """z, nonzero, rounded down to a Float."""
-    parts = (z.real._mpf_, z.imag._mpf_)
-    e = max(exp + bc for _, man, exp, bc in parts if man) - MANTISSA_BITS
-    return _round(to_fixed(parts[0], -e), to_fixed(parts[1], -e), e)
-
-
 def _mul(u: Float, v: Float) -> Float:
     """u v, rounded down by `_round`: each part loses under 2^shift while
     the larger is at least 2^(MANTISSA_BITS - 1 + shift), so the product is
@@ -159,6 +169,94 @@ def _inverse(u: Float) -> Float:
     # and the shift in `_round` is positive
     k = 2 * MANTISSA_BITS + 1
     return _round((ur << k) // norm, (-ui << k) // norm, -k - ue)
+
+
+#: `_expjpi` squares a Taylor sum at 2^-_HALVINGS of the reduced exponent
+_HALVINGS = 8
+#: the Taylor terms it sums past the constant one: those it drops sum to
+#: under 2^(1 - 19 * 8.2) / 19! < 2^-211
+_TAYLOR_TERMS = 18
+
+
+def _expjpi(w: tuple[int, int, int]) -> Float:
+    """exp(pi i w), rounded down by `_round`, for w = (a + i b) 2^e exactly
+    with |Im w| < 2^(CONST_BITS - EXP_BITS - 4) = 2^1080, as every exponent
+    formed from doubles is.
+
+    Reduction.  Re w = k/2 + t exactly, with k the nearest integer to
+    2 Re w and |t| <= 1/4, so exp(pi i Re w) is i^k exp(pi i t).  With
+    v = -pi Im w and j the integer nearest v / ln 2, exp(-pi Im w) is
+    2^j exp(s) for s = v - j ln 2.  In fixed point scaled by 2^EXP_BITS,
+    pi t, v and j ln 2 each floor a product with a constant rounded down
+    at 2^-CONST_BITS, and j is rounded from v against ln 2 at that
+    precision, so |s| stays within a unit of ln 2 / 2.  The bound on
+    |Im w| keeps |Im w| and |j| times the constants' errors below 1/2
+    unit, so pi t is off by under 2 units and s by under 3.  Then
+    theta = s + i pi t, |theta| < 0.87, is off by under 4 units, and so is
+    exp(theta), relatively.
+
+    Taylor sum.  With _HALVINGS = 8, exp(theta / 2^8), where
+    |theta / 2^8| < 2^-8.2, is summed to the term of degree _TAYLOR_TERMS,
+    each term the last times theta shifted down by EXP_BITS + 8, then
+    floor-divided by its degree.  Each term adds under 2 sqrt 2 units to
+    the sum and carries the last term's error down by a factor below 2^-8,
+    and the dropped terms sum to under one unit: the sum is off by under
+    53 units, relatively under 54.
+
+    Squarings.  Eight squarings give exp(theta).  Each at most doubles a
+    relative error and adds a floor of under sqrt 2 units to a value of
+    modulus over exp(-0.35) > 0.7, so under 2.1 units, relatively: the
+    power is off by under 2^8 (54 + 2.1) + 4 < 2^14 units, relatively,
+    that is under 2^(14 - 32) u with u = 2^-MANTISSA_BITS.  Rounding down
+    to a `Float` adds under 2^1.5 u, as in `_mul`, so the result is within
+    3u of exp(pi i w), relatively.
+    """
+    a, b, e = w
+    if e >= -1:  # Re w is a multiple of 1/2
+        k, t = a << (e + 1), 0
+    else:
+        k = ((a >> (-e - 2)) + 1) >> 1
+        t = a - (k << (-e - 1))
+    shift = CONST_BITS - EXP_BITS - e
+
+    def times_pi(n: int) -> int:
+        """n 2^e pi, in units of 2^-EXP_BITS, rounded down."""
+        return n * _PI >> shift if shift >= 0 else n * _PI << -shift
+
+    angle, v = times_pi(t), times_pi(-b)
+    j = ((v << (CONST_BITS - EXP_BITS + 1)) + _LN2) // (2 * _LN2)
+    s = v - (j * _LN2 >> (CONST_BITS - EXP_BITS))
+    down = EXP_BITS + _HALVINGS
+    re = tr = 1 << EXP_BITS
+    im = ti = 0
+    for n in range(1, _TAYLOR_TERMS + 1):
+        tr, ti = ((tr * s - ti * angle) >> down) // n, ((tr * angle + ti * s) >> down) // n
+        re += tr
+        im += ti
+    for _ in range(_HALVINGS):
+        re, im = (re * re - im * im) >> EXP_BITS, (re * im) >> (EXP_BITS - 1)
+    for _ in range(k % 4):  # times i^k
+        re, im = -im, re
+    return _round(re, im, j - EXP_BITS)
+
+
+def _gaussian(Z: SiegelPoint) -> tuple[list[tuple[int, int]], int]:
+    """Gaussian integers (re, im) w0, w1, w2 and k with zj = wj 2^-k
+    exactly: the parts of Z are doubles, whose denominators are powers of
+    two."""
+    ratios = [x.as_integer_ratio() for z in (Z.z0, Z.z1, Z.z2)
+              for x in (complex(z).real, complex(z).imag)]
+    scale = max(d for _, d in ratios)
+    parts = [n * (scale // d) for n, d in ratios]
+    return list(zip(parts[::2], parts[1::2])), scale.bit_length() - 1
+
+
+def _ratio(num: tuple[int, int], den: tuple[int, int]) -> complex:
+    """num / den for Gaussian integers (re, im), each part one correctly
+    rounded integer division."""
+    (a, b), (c, d) = num, den
+    norm = c * c + d * d
+    return complex((a * c + b * d) / norm, (b * c - a * d) / norm)
 
 
 def _fixed(u: Float) -> tuple[int, int]:
@@ -249,7 +347,7 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     of s and s + a cancel, so an odd characteristic sums to exactly zero.
 
     Centre start.  Every start term and ratio is exp(pi i w), w an integer
-    combination of z0/4, z1/2 and z2/4.  So mpmath gives only the three
+    combination of z0/4, z1/2 and z2/4.  So `_expjpi` gives only the three
     exponentials e0 = exp(pi i z0/4), e1 = exp(pi i z1/2) and
     e2 = exp(pi i z2/4), whatever the radius and the batch; e1^-1 and
     e2^-1 are their `_inverse`s, and all else is a `Float` product of
@@ -260,8 +358,9 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     two step ratios by q1^+-1 = e1^(+-4).  Each shift of the start by +-2
     multiplies the term by a step ratio, the step ratios by
     q2^+-1 = e2^(+-8) and the row ratio by q1^+-1.  With
-    u = 2^-MANTISSA_BITS, each exponential is within 16u of exact,
-    relative; each product and each `_inverse` adds under 3u whatever the
+    u = 2^-MANTISSA_BITS, each exponential is within 3u of exact,
+    relative (proved at `_expjpi`), and so within the 16u the bounds below
+    allow it.  Each product and each `_inverse` adds under 3u whatever the
     modulus of its factors, and 1 / (e (1 + d)) is e^-1 (1 - d / (1 + d)),
     so each inverse is within 19u.  A product of n of the five is then
     within 22n u: n <= 3 for the centre term, 10 for its ratios and 8 for
@@ -290,12 +389,8 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     # D, rounded once from the exact determinant of the doubles
     det_ratio = float((Fraction(y0) * Fraction(y2) - Fraction(y1) ** 2) / Fraction(y2))
     last = min(radius, math.floor(math.sqrt(window / det_ratio)))  # |r1| of the last row
-    # the exponents are at most |zj| / 2; their rounding must stay far
-    # below 2^-MANTISSA_BITS, relative
-    size = max(abs(complex(z)) for z in (Z.z0, Z.z1, Z.z2))
-    with mp.workprec(MANTISSA_BITS + math.ceil(size).bit_length()):
-        z0, z1, z2 = Z.as_mpc()
-        e0, e1, e2 = (_float(mpmath.expjpi(w)) for w in (z0 / 4, z1 / 2, z2 / 4))
+    (w0, w1, w2), k = _gaussian(Z)
+    e0, e1, e2 = (_expjpi((*w, -k - d)) for w, d in ((w0, 2), (w1, 1), (w2, 2)))
     # squares[j][k] = e^(2^k) for the exponentials e0, e1, e1^-1, e2, e2^-1
     squares = [[e] for e in (e0, e1, _inverse(e1), e2, _inverse(e2))]
     for powers in squares:
@@ -403,17 +498,27 @@ def _product(results: Sequence[EvalResult]) -> EvalResult:
 
 def evaluate_qseries(s: QSeries, Z: SiegelPoint) -> complex:
     """Evaluate a truncated expansion with integer coefficients at Z on the
-    level-8 grid."""
-    with mp.workdps(WORKING_DPS):
-        z0, z1, z2 = Z.as_mpc()
-        two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
-        q0 = mpmath.exp(two_pi_i * (z0 + z1) / 8)
-        q1 = mpmath.exp(-two_pi_i * z1 / 8)
-        q2 = mpmath.exp(two_pi_i * (z2 + z1) / 8)
-        total = mpmath.mpc(0)
-        for (n0, n1, n2), c in s.terms.items():
-            total += c * (q0 ** n0) * (q1 ** n1) * (q2 ** n2)
-        return complex(total)
+    level-8 grid, q0 = exp(pi i (z0+z1)/4), q1 = exp(-pi i z1/4) and
+    q2 = exp(pi i (z2+z1)/4).
+
+    Each power is a chain of `_mul`s from an `_expjpi`, so q^n is within
+    6n u of exact, relatively (u = 2^-MANTISSA_BITS); the terms, times
+    their integer coefficients, are summed exactly and the sum is rounded
+    once to a double."""
+    ((x0, y0), (x1, y1), (x2, y2)), k = _gaussian(Z)
+    qs = [_expjpi((x0 + x1, y0 + y1, -k - 2)), _expjpi((-x1, -y1, -k - 2)),
+          _expjpi((x2 + x1, y2 + y1, -k - 2))]
+    powers = [[_ONE] for _ in qs]
+    for key in s.terms:
+        for q, table, n in zip(qs, powers, key):
+            while len(table) <= n:
+                table.append(_mul(table[-1], q))
+    terms = [functools.reduce(_mul, (table[n] for table, n in zip(powers, key)))
+             for key in s.terms]
+    e = min([0, *(t[2] for t in terms)])
+    re = sum(c * t[0] << (t[2] - e) for c, t in zip(s.terms.values(), terms))
+    im = sum(c * t[1] << (t[2] - e) for c, t in zip(s.terms.values(), terms))
+    return complex(re / (1 << -e), im / (1 << -e))
 
 
 def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
@@ -445,18 +550,35 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
 # -- symplectic transport ----------------------------------------------------
 
 def siegel_transform(M: SpMat, Z: SiegelPoint) -> tuple[SiegelPoint, complex]:
-    """(M<Z>, det(CZ+D)) computed in extended precision, as
-    (AZ+B) adj(CZ+D) / det(CZ+D) with the 2x2 blocks written out."""
-    with mp.workdps(WORKING_DPS):
-        z0, z1, z2 = Z.as_mpc()
-        # rows 0-1 of M give AZ+B, rows 2-3 give CZ+D
-        (n00, n01), (n10, n11), (d00, d01), (d10, d11) = (
-            (r[0] * z0 + r[1] * z1 + r[2], r[0] * z1 + r[1] * z2 + r[3]) for r in M.rows)
-        det = d00 * d11 - d01 * d10
-        off = (n01 * d00 - n00 * d01 + n10 * d11 - n11 * d10) / 2
-        point = SiegelPoint(complex((n00 * d11 - n01 * d10) / det), complex(off / det),
-                            complex((n11 * d00 - n10 * d01) / det))
-        return point, complex(det)
+    """(M<Z>, det(CZ+D)), each part correctly rounded from its exact value.
+
+    Z = W 2^-k with W Gaussian-integral (`_gaussian`), so AZ+B and CZ+D are
+    2^-k N and 2^-k D for Gaussian-integral N and D.  With the 2x2 blocks
+    written out, M<Z> = (AZ+B) adj(CZ+D) / det(CZ+D) = N adj(D) / det(D):
+    the powers of two cancel, and each part of M<Z>, like each part of
+    det(CZ+D) = det(D) 2^-2k, is one integer division (`_ratio`)."""
+    (w0, w1, w2), k = _gaussian(Z)
+
+    def entry(r: Sequence[int], u: tuple[int, int], v: tuple[int, int],
+              c: int) -> tuple[int, int]:
+        """r0 u + r1 v + c 2^k"""
+        return r[0] * u[0] + r[1] * v[0] + (c << k), r[0] * u[1] + r[1] * v[1]
+
+    def cross(a, b, c, d) -> tuple[int, int]:
+        """a b - c d"""
+        return (a[0] * b[0] - a[1] * b[1] - c[0] * d[0] + c[1] * d[1],
+                a[0] * b[1] + a[1] * b[0] - c[0] * d[1] - c[1] * d[0])
+
+    # rows 0-1 of M give N, rows 2-3 give D
+    (n00, n01), (n10, n11), (d00, d01), (d10, d11) = (
+        (entry(r, w0, w1, r[2]), entry(r, w1, w2, r[3])) for r in M.rows)
+    det = cross(d00, d11, d01, d10)
+    left, right = cross(n01, d00, n00, d01), cross(n10, d11, n11, d10)
+    point = SiegelPoint(_ratio(cross(n00, d11, n01, d10), det),
+                        _ratio((left[0] + right[0], left[1] + right[1]),
+                               (2 * det[0], 2 * det[1])),
+                        _ratio(cross(n11, d00, n10, d01), det))
+    return point, _ratio(det, (1 << 2 * k, 0))
 
 
 def transform_modulus_check(M: SpMat, m: Char, Z: SiegelPoint,

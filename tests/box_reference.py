@@ -6,10 +6,12 @@ parity class starts on its first row: mpmath gives that row's start term,
 its two step ratios and its ratio to the next row, with guard bits for
 exponents that grow with radius^2.  The kernel sums only the Gaussian
 ellipse, walks half of each class and mirrors it (r -> -r), and starts
-every class at its centre from three exponentials per point and two
-reciprocals.  Its doubles must equal this walk's, and the tests check
-that; its odd constants are exactly zero, where this walk's are rounding
-residues.
+every class at its centre from three exponentials per point, its own
+Taylor sums (`numeric._expjpi`), and two reciprocals.  Its doubles must
+equal this walk's, and the tests check that; its odd constants are
+exactly zero, where this walk's are rounding residues.  The exponentials
+here stay mpmath's, so the comparison also checks the kernel's
+exponential against an independent one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from siegelcy import numeric
 from siegelcy.characteristics import Char
@@ -26,12 +29,25 @@ from siegelcy.numeric import (
     FIXED_BITS,
     MANTISSA_BITS,
     EvalResult,
+    Float,
     SiegelPoint,
     _fixed,
-    _float,
     _mul,
+    _round,
     _summation_radius,
 )
+
+
+def as_mpc(Z: SiegelPoint) -> tuple[mpmath.mpc, mpmath.mpc, mpmath.mpc]:
+    """The parts of Z, exactly."""
+    return mpmath.mpc(Z.z0), mpmath.mpc(Z.z1), mpmath.mpc(Z.z2)
+
+
+def _float(z: mpmath.mpc) -> Float:
+    """z, nonzero, rounded down to a Float."""
+    parts = (z.real._mpf_, z.imag._mpf_)
+    e = max(exp + bc for _, man, exp, bc in parts if man) - MANTISSA_BITS
+    return _round(to_fixed(parts[0], -e), to_fixed(parts[1], -e), e)
 
 
 def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
@@ -56,7 +72,7 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     # partial[a][s1]: (re, im) of S[s1][0], then of S[s1][1]
     partial = {}
     with mp.workprec(MANTISSA_BITS + extra_bits):
-        z0, z1, z2 = Z.as_mpc()
+        z0, z1, z2 = as_mpc(Z)
         q0, q1, q1_inv, q2, q2_inv = (_float(mpmath.expjpi(2 * z))
                                       for z in (z0, z1, -z1, z2, -z2))
         step = _fixed(q2)  # ratio of successive ratios

@@ -18,10 +18,12 @@ from siegelcy.characteristics import (
     odd_characteristics,
 )
 from siegelcy.numeric import (
+    CONST_BITS,
     FIXED_BITS,
     LAWS,
     MANTISSA_BITS,
     SiegelPoint,
+    _expjpi,
     _inverse,
     _summation_radius,
     _tail_remainder,
@@ -107,7 +109,7 @@ def theta_by_definition(m: Char, Z: SiegelPoint, window: int = 8):
     """theta[a; b](Z) = sum over n in Z^2 of exp(pi i x^T Z x + pi i x^T b),
     x = n + a/2, summed term by term over |n_i| <= window."""
     with mpmath.workdps(40):
-        z0, z1, z2 = Z.as_mpc()
+        z0, z1, z2 = box_reference.as_mpc(Z)
         total = mpmath.mpc(0)
         for n1 in range(-window, window + 1):
             for n2 in range(-window, window + 1):
@@ -165,15 +167,14 @@ def test_batch_matches_the_defining_sum_at_skewed_points(Z):
         assert diff <= r.tail_bound + rounding + 1e-25, (m, diff)
 
 
-def test_mpmath_exponentials_per_batch_do_not_grow_with_the_radius(monkeypatch):
+def test_exponentials_per_batch_do_not_grow_with_the_radius(monkeypatch):
     calls = []
-    expjpi = mpmath.expjpi
 
-    def counted(z):
-        calls.append(z)
-        return expjpi(z)
+    def counted(w):
+        calls.append(w)
+        return _expjpi(w)
 
-    monkeypatch.setattr(mpmath, "expjpi", counted)
+    monkeypatch.setattr(numeric, "_expjpi", counted)
     # one characteristic per parity class of the upper half
     chars = [Char(0, 0, 0, 0), Char(0, 1, 1, 0), Char(1, 0, 0, 1), Char(1, 1, 1, 1)]
     counts = []
@@ -184,6 +185,44 @@ def test_mpmath_exponentials_per_batch_do_not_grow_with_the_radius(monkeypatch):
         theta_eval_batch(chars, Z, tol=1e-13)
         counts.append(len(calls))
     assert counts == [3, 3]
+
+
+def test_constants_are_pi_and_ln2_rounded_down():
+    with mpmath.workprec(CONST_BITS + 64):
+        scale = mpmath.mpf(2) ** CONST_BITS
+        assert numeric._PI == int(mpmath.floor(mpmath.pi * scale))
+        assert numeric._LN2 == int(mpmath.floor(mpmath.ln2 * scale))
+
+
+def exact(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(a, b, e) with x + i y = (a + i b) 2^e, for dyadic x and y."""
+    e = -max(x.denominator, y.denominator).bit_length() + 1
+    return int(x * 2 ** -e), int(y * 2 ** -e), e
+
+
+#: imaginary parts of exponents: the kernel's and the series' for points
+#: of the sizes the checks use, and every double past them
+_IMAG = st.one_of(st.floats(-64, 64), st.floats(-1e300, 1e300),
+                  st.sampled_from([0.0, 2.0 ** 1020, -(2.0 ** 1020)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quarters=st.integers(-64, 64), near=st.integers(-(2 ** 40), 2 ** 40),
+       digits=st.integers(0, 120), imag=_IMAG)
+# exactly on an odd multiple of 1/4, where the reduction's k ties
+@example(quarters=1, near=0, digits=0, imag=0.0)
+@example(quarters=-3, near=0, digits=0, imag=-40.0)
+def test_exponential_is_within_three_units(quarters, near, digits, imag):
+    # Re w on a multiple of 1/4 or within 2^-40 of one: at the odd ones the
+    # quarter-turn reduction changes k, at the even ones t is near zero
+    w = exact(Fraction(quarters, 4) + Fraction(near, 2 ** (40 + digits)), Fraction(imag))
+    re, im, e = _expjpi(w)
+    assert max(abs(re), abs(im)).bit_length() == MANTISSA_BITS
+    with mpmath.workprec(300):
+        a, b, we = w
+        expected = mpmath.expjpi(mpmath.mpc(mpmath.ldexp(a, we), mpmath.ldexp(b, we)))
+        got = mpmath.mpc(mpmath.ldexp(re, e), mpmath.ldexp(im, e))
+        assert abs(got - expected) <= 3 * 2.0 ** -MANTISSA_BITS * abs(expected)
 
 
 # the points the kernel is compared with the box walk at, with the
@@ -442,6 +481,51 @@ def test_automorphy_factor_is_a_cocycle(name):
         Z, factor = siegel_transform(M.inverse(), _BASE)
         _, det = siegel_transform(M, Z)
         assert abs(det * factor - 1) < 1e-12
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def mpmath_transform(M: SpMat, Z: SiegelPoint) -> tuple[complex, ...]:
+    """The parts of M<Z> and det(CZ+D) at 60 digits, each rounded to the
+    nearest double."""
+    with mpmath.workdps(60):
+        z0, z1, z2 = box_reference.as_mpc(Z)
+        (n00, n01), (n10, n11), (d00, d01), (d10, d11) = (
+            (r[0] * z0 + r[1] * z1 + r[2], r[0] * z1 + r[1] * z2 + r[3]) for r in M.rows)
+        det = d00 * d11 - d01 * d10
+        off = (n01 * d00 - n00 * d01 + n10 * d11 - n11 * d10) / 2
+        return tuple(complex(x) for x in ((n00 * d11 - n01 * d10) / det, off / det,
+                                           (n11 * d00 - n10 * d01) / det, det))
+
+
+@pytest.mark.parametrize("name", ["modulus", *LAW_SAMPLES])
+def test_transform_is_the_rounded_60_digit_transform(name):
+    # the samples of every law, as the suite draws them at seed 0, and
+    # their inverses, at the base point and the skewed points
+    mats = (conditioned_samples(Subgroup.full(), 20, seed=100, word_length=5,
+                                max_entry=3, nonzero_c=10)
+            if name == "modulus" else law_samples(name)[1])
+    for M in mats:
+        for N in (M, M.inverse()):
+            for Z in (_BASE, *SKEWED_POINTS):
+                image, det = siegel_transform(N, Z)
+                assert ([bits(z) for z in (image.z0, image.z1, image.z2, det)]
+                        == [bits(z) for z in mpmath_transform(N, Z)]), (N, Z)
+
+
+def test_series_evaluation_is_the_rounded_60_digit_sum():
+    rng = random.Random(5)
+    for m in even_characteristics():
+        Z = rand_point(rng, y=3.0)
+        series = theta_qexp(m, 12)
+        with mpmath.workdps(60):
+            z0, z1, z2 = box_reference.as_mpc(Z)
+            q0, q1, q2 = (mpmath.expjpi(w) for w in ((z0 + z1) / 4, -z1 / 4, (z2 + z1) / 4))
+            expected = complex(sum(c * q0 ** n0 * q1 ** n1 * q2 ** n2
+                                   for (n0, n1, n2), c in series.terms.items()))
+        assert bits(evaluate_qseries(series, Z)) == bits(expected), m
 
 
 def test_theta_product_character_matches_formula():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,29 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 
     code = main(["series"])
     assert code == 1  # the substitution table carries two documented misprints
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: a child process in which every import of mpmath fails
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from siegelcy.cli import main
+assert main(["all", "--seed", "0", "--json", sys.argv[1]]) == 1
+assert main(["numeric", "--seed", "1001", "--json", sys.argv[2]]) == 0
+"""
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    # `all` exits 1 by design (criteria 5 and 8); numeric seed 1001 sums to
+    # radius 42
+    reports = [tmp_path / "all.json", tmp_path / "numeric.json"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", _WITHOUT_MPMATH, *map(str, reports)],
+                   env=env, check=True, capture_output=True)
+    assert reports[0].read_bytes() == (ROOT / "tests/golden/all_seed0.json").read_bytes()
+    assert reports[1].read_bytes() == (ROOT / "tests/golden/numeric_1001.json").read_bytes()
 
 
 def test_cli_rejects_bad_selector(capsys):
