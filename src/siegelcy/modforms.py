@@ -22,9 +22,8 @@ side costs a scalar multiple and a subtraction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .characteristics import (
     Char,
@@ -160,8 +159,7 @@ class FormRegistry(Equations):
 
 # -- relations ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     name: str
     #: sides(registry, c): the two sides with one coefficient set to c,
     #: by default its genuine value; planted is c in the falsification control

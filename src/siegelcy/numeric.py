@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import qseries, symplectic
 from .characteristics import STANDARD_SEXTUPLE, Char, char_index, sp4f2_act
@@ -80,19 +79,22 @@ _LN2 = int(
 EXP_BITS = MANTISSA_BITS + 32
 
 
-@dataclass(frozen=True)
-class SiegelPoint:
-    """A point Z = (z0 z1; z1 z2) with positive definite imaginary part."""
-
+class _SymmetricMatrix(NamedTuple):
     z0: complex
     z1: complex
     z2: complex
 
-    def __post_init__(self) -> None:
-        y0, y1, y2 = (complex(self.z0).imag, complex(self.z1).imag,
-                      complex(self.z2).imag)
+
+class SiegelPoint(_SymmetricMatrix):
+    """A point Z = (z0 z1; z1 z2) with positive definite imaginary part."""
+
+    __slots__ = ()
+
+    def __new__(cls, z0: complex, z1: complex, z2: complex) -> SiegelPoint:
+        y0, y1, y2 = complex(z0).imag, complex(z1).imag, complex(z2).imag
         if not (y0 > 0 and y0 * y2 - y1 * y1 > 0):
             raise ValueError("imaginary part is not positive definite")
+        return super().__new__(cls, z0, z1, z2)
 
     def min_eigenvalue(self) -> float:
         y0, y1, y2 = (complex(self.z0).imag, complex(self.z1).imag,
@@ -102,8 +104,7 @@ class SiegelPoint:
         return (tr - disc) / 2
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: complex
     tail_bound: float
 
@@ -505,20 +506,29 @@ def evaluate_qseries(s: QSeries, Z: SiegelPoint) -> complex:
     6n u of exact, relatively (u = 2^-MANTISSA_BITS); the terms, times
     their integer coefficients, are summed exactly and the sum is rounded
     once to a double."""
+    return _evaluate_batch([s], Z)[0]
+
+
+def _evaluate_batch(series: Sequence[QSeries], Z: SiegelPoint) -> list[complex]:
+    """`evaluate_qseries` of each series, all from one table of powers per
+    q: q^n is the same chain of `_mul`s whichever series asks for it."""
     ((x0, y0), (x1, y1), (x2, y2)), k = _gaussian(Z)
     qs = [_expjpi((x0 + x1, y0 + y1, -k - 2)), _expjpi((-x1, -y1, -k - 2)),
           _expjpi((x2 + x1, y2 + y1, -k - 2))]
     powers = [[_ONE] for _ in qs]
-    for key in s.terms:
-        for q, table, n in zip(qs, powers, key):
-            while len(table) <= n:
-                table.append(_mul(table[-1], q))
-    terms = [functools.reduce(_mul, (table[n] for table, n in zip(powers, key)))
-             for key in s.terms]
-    e = min([0, *(t[2] for t in terms)])
-    re = sum(c * t[0] << (t[2] - e) for c, t in zip(s.terms.values(), terms))
-    im = sum(c * t[1] << (t[2] - e) for c, t in zip(s.terms.values(), terms))
-    return complex(re / (1 << -e), im / (1 << -e))
+    values = []
+    for s in series:
+        for key in s.terms:
+            for q, table, n in zip(qs, powers, key):
+                while len(table) <= n:
+                    table.append(_mul(table[-1], q))
+        terms = [functools.reduce(_mul, (table[n] for table, n in zip(powers, key)))
+                 for key in s.terms]
+        e = min([0, *(t[2] for t in terms)])
+        re = sum(c * t[0] << (t[2] - e) for c, t in zip(s.terms.values(), terms))
+        im = sum(c * t[1] << (t[2] - e) for c, t in zip(s.terms.values(), terms))
+        values.append(complex(re / (1 << -e), im / (1 << -e)))
+    return values
 
 
 def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
@@ -531,7 +541,8 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
     the standard Gaussian tail covering everything beyond.  If the
     combined bound exceeds `certify` the point sits too low for the
     comparison and the call refuses it.  The lattice sums come from one
-    batch, which walks each parity class once.
+    batch, which walks each parity class once, and the expansions from one
+    table of powers of each q.
     """
     lam = Z.min_eigenvalue()
     c = math.pi * lam / 4.0
@@ -543,8 +554,8 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
             f"dropped-terms bound {dropped:.2e} exceeds {certify:.0e}; "
             "increase Im Z or the truncation")
     lattice = theta_eval_batch(chars, Z, tol=1e-16)
-    return [abs(r.value - evaluate_qseries(qseries.theta_qexp(m, truncation), Z))
-            for m, r in zip(chars, lattice)]
+    series = _evaluate_batch([qseries.theta_qexp(m, truncation) for m in chars], Z)
+    return [abs(r.value - v) for r, v in zip(lattice, series)]
 
 
 # -- symplectic transport ----------------------------------------------------

@@ -25,7 +25,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import characteristics as chars_mod
 from . import modforms, numeric, qseries, variety
@@ -33,26 +33,19 @@ from .characteristics import Char, even_characteristics, odd_characteristics
 from .symplectic import SpMat, Subgroup, theta_character
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     paper_ref: str
     status: str  # pass | fail | report
     data: dict
 
-    def as_dict(self) -> dict:
-        return {"id": self.id, "paper_ref": self.paper_ref,
-                "status": self.status, "data": self.data}
 
-
-@dataclass
 class SuiteReport:
-    truncation: int
-    seed: int
-    tol: float
-    checks: list[CheckRecord] = field(default_factory=list)
-    #: values shared by the checks of one run, keyed by (function, arguments)
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, truncation: int, seed: int, tol: float) -> None:
+        self.truncation, self.seed, self.tol = truncation, seed, tol
+        self.checks: list[CheckRecord] = []
+        #: values shared by the checks of one run, keyed by (function, arguments)
+        self.memo: dict = {}
 
     def once(self, fn, *args):
         """`fn(*args)`, computed once per `run_suite` call."""
@@ -77,7 +70,7 @@ class SuiteReport:
     def as_dict(self) -> dict:
         return {
             "params": {"N": self.truncation, "seed": self.seed, "tol": self.tol},
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "summary": self.summary,
         }
 

@@ -16,8 +16,8 @@ representative.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .characteristics import (
     IDENTITY4,
@@ -115,8 +115,7 @@ class SpMat:
 
 # -- subgroups ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A decidable congruence-type subgroup of Sp(4, Z)."""
 
     kind: str

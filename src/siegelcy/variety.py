@@ -18,11 +18,11 @@ substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import lcm, prod
+from typing import NamedTuple
 
 from .mpoly import (
     MPoly,
@@ -39,8 +39,7 @@ Y_VARS = ("y0", "y1", "y2", "y3", "y4", "y5")
 X_VARS = ("x0", "x1", "x2", "x3", "x4", "x5")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     variables: tuple[str, ...]
     quartic: MPoly
     quadric: MPoly
@@ -183,8 +182,7 @@ def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
                          for v, row in zip(source_vars, matrix)})
 
 
-@dataclass(frozen=True)
-class CoordinateChangeReport:
+class CoordinateChangeReport(NamedTuple):
     #: c with image = c * quadric in each direction, None where that fails
     quadric_scalar: Fraction | None
     inverse_quadric_scalar: Fraction | None
@@ -223,19 +221,23 @@ def coordinate_change_check() -> CoordinateChangeReport:
 
 # -- signed monomial maps ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SignedMonomialMap:
-    """x_i -> sign[i] * x_perm[i], acting on polynomials by substitution."""
-
+class _SignedPermutation(NamedTuple):
     perm: tuple[int, ...]
     sign: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.sign) != n:
+
+class SignedMonomialMap(_SignedPermutation):
+    """x_i -> sign[i] * x_perm[i], acting on polynomials by substitution."""
+
+    __slots__ = ()
+
+    def __new__(cls, perm: tuple[int, ...], sign: tuple[int, ...]) -> SignedMonomialMap:
+        n = len(perm)
+        if sorted(perm) != list(range(n)) or len(sign) != n:
             raise ValueError("not a signed permutation")
-        if any(s not in (1, -1) for s in self.sign):
+        if any(s not in (1, -1) for s in sign):
             raise ValueError("signs must be +1 or -1")
+        return super().__new__(cls, perm, sign)
 
     @classmethod
     def identity(cls, n: int = 6) -> SignedMonomialMap:
@@ -376,8 +378,7 @@ def omega_pullback_sign(g: SignedMonomialMap) -> int:
     raise ArithmeticError("pullback is not proportional to the form")
 
 
-@dataclass(frozen=True)
-class OmegaStabilizerReport:
+class OmegaStabilizerReport(NamedTuple):
     ambient_order: int
     equation_fixing_order: int
     stabilizer_order: int
@@ -434,8 +435,7 @@ def omega_stabilizer() -> OmegaStabilizerReport:
 PARAM_VARS = ("t", "u")
 
 
-@dataclass(frozen=True)
-class CurveRep:
+class CurveRep(NamedTuple):
     """Ideal generators plus a two-parameter polynomial parametrization."""
 
     name: str
@@ -518,8 +518,7 @@ def canonical_curve_key(curve: CurveRep):
             tuple(sorted(images)))
 
 
-@dataclass(frozen=True)
-class CurveCheckReport:
+class CurveCheckReport(NamedTuple):
     name: str
     param_satisfies_ideal: bool
     equations_in_ideal: bool
@@ -668,8 +667,7 @@ DZ = ThreeForm(Z_VARS, MPoly.const(Z_VARS, 1), MPoly.const(Z_VARS, 1), Z_VARS)
 SignVector = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class BlowupChart:
+class BlowupChart(NamedTuple):
     name: str
     target_vars: tuple[str, str, str]
     #: substitution expressing the source coordinates on the blow-up chart;
@@ -702,8 +700,7 @@ def case3_chart() -> BlowupChart:
     )
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(NamedTuple):
     name: str
     pullback_matches: bool
     zero_divisors: tuple[str, ...]

@@ -61,6 +61,11 @@ def test_point_validation():
         SiegelPoint(1j, 2j, 1j)  # det Y < 0
     with pytest.raises(ValueError):
         SiegelPoint(-1j, 0j, 1j)
+    # points are values: equal parts give equal points with equal hashes
+    a, b = SiegelPoint(0.5 + 1.2j, 0.1j, 1.3j), SiegelPoint(0.5 + 1.2j, 0.1j, 1.3j)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != SiegelPoint(0.5 + 1.2j, 0.1j, 1.4j)
+    assert repr(a) == "SiegelPoint(z0=(0.5+1.2j), z1=0.1j, z2=1.3j)"
 
 
 def test_theta_at_scaled_identity_points():
@@ -356,6 +361,20 @@ def test_dual_engine_consistency_all_even():
     deviations = series_numeric_consistency(even_characteristics(), Z, 12)
     assert len(deviations) == 10
     assert all(d < 1e-8 for d in deviations)
+
+
+def test_dual_engine_shares_its_exponentials(monkeypatch):
+    # three for the lattice batch and three q's shared by the ten series
+    calls = []
+    expjpi = numeric._expjpi
+
+    def counted(w):
+        calls.append(w)
+        return expjpi(w)
+
+    monkeypatch.setattr(numeric, "_expjpi", counted)
+    series_numeric_consistency(even_characteristics(), SiegelPoint(3j, 0j, 3j), 12)
+    assert len(calls) == 6
 
 
 def test_dual_engine_batch_matches_one_at_a_time():

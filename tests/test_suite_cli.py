@@ -164,8 +164,11 @@ _WITHOUT_MPMATH = """
 import sys
 sys.modules["mpmath"] = None
 from siegelcy.cli import main
+# start-up loads no dataclasses (which imports inspect), and neither does a run
+assert not {"dataclasses", "inspect"} & sys.modules.keys()
 assert main(["all", "--seed", "0", "--json", sys.argv[1]]) == 1
 assert main(["numeric", "--seed", "1001", "--json", sys.argv[2]]) == 0
+assert not {"dataclasses", "inspect"} & sys.modules.keys()
 """
 
 

@@ -185,6 +185,13 @@ def test_corrections_are_shortest_words_into_the_target(tag, longest):
     assert max(map(len, corrections)) == longest
 
 
+def test_equal_subgroups_share_their_corrections():
+    a, b = Subgroup.hecke(2), Subgroup("hecke", 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert _corrections(a) is _corrections(b)
+    assert _corrections(a) is not _corrections(Subgroup.hecke_chi_kernel())
+
+
 @pytest.mark.parametrize("tag", [Subgroup.principal(3), Subgroup.principal(4),
                                  Subgroup.hecke(3)], ids=str)
 def test_sampling_refuses_other_levels(tag):

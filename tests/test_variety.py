@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -95,6 +94,27 @@ def test_swapping_x0_x1_is_not_an_automorphism():
     pres = presentation_x()
     swap01 = SignedMonomialMap((1, 0, 2, 3, 4, 5), (1,) * 6)
     assert equation_invariance(swap01, pres) is None
+
+
+@pytest.mark.parametrize("perm, sign", [
+    ((0, 0, 2), (1, 1, 1)),  # not a permutation
+    ((1, 2, 3), (1, 1, 1)),
+    ((0, 1, 2), (1, 1)),  # sign vector of the wrong length
+    ((0, 1, 2), (1, 0, -1)),  # a sign outside +-1
+    ((0, 1, 2), (1, 2, 1)),
+])
+def test_signed_monomial_map_refuses_non_signed_permutations(perm, sign):
+    with pytest.raises(ValueError):
+        SignedMonomialMap(perm, sign)
+
+
+def test_signed_monomial_maps_are_values():
+    a = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1))
+    b = SignedMonomialMap(tuple([0, 2, 1, 3, 4, 5]), tuple([1] * 5 + [-1]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != a.negate_all()
+    assert repr(a) == "SignedMonomialMap(perm=(0, 2, 1, 3, 4, 5), sign=(1, 1, 1, 1, 1, -1))"
 
 
 def test_group_composition_and_inverse():
@@ -285,9 +305,9 @@ def test_curve_key_ignores_how_the_ideal_is_written():
         (*linear, quadric + linear[1] * x0),
     ]
     for ideal in rewritten:
-        assert canonical_curve_key(replace(curve, ideal=ideal)) == key
-    assert canonical_curve_key(replace(curve, ideal=(*linear, 3 * quadric))) == key
-    assert canonical_curve_key(replace(curve, ideal=(*linear[1:], quadric))) != key
+        assert canonical_curve_key(curve._replace(ideal=ideal)) == key
+    assert canonical_curve_key(curve._replace(ideal=(*linear, 3 * quadric))) == key
+    assert canonical_curve_key(curve._replace(ideal=(*linear[1:], quadric))) != key
 
 
 def test_curve_orbits_sizes():
@@ -423,5 +443,5 @@ def test_case3_blowup_chart():
 def test_group_transport_follows_the_chart_exponents():
     chart = case3_chart()
     first_ratio = {**chart.substitution_monomials, "z1": (1, 1, 0)}
-    report = blowup_chart_check(replace(chart, substitution_monomials=first_ratio))
+    report = blowup_chart_check(chart._replace(substitution_monomials=first_ratio))
     assert not report.transformed_group_matches
