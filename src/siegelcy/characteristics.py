@@ -129,8 +129,9 @@ Mat4 = tuple[tuple[int, int, int, int], ...]  # 4x4 integer matrix, rows
 
 
 def mat_mul(x: Mat4, y: Mat4) -> Mat4:
-    cols = tuple(zip(*y))
-    return tuple(tuple(a * e + b * f + c * g + d * h for e, f, g, h in cols)
+    (e0, e1, e2, e3), (f0, f1, f2, f3), (g0, g1, g2, g3), (h0, h1, h2, h3) = y
+    return tuple((a * e0 + b * f0 + c * g0 + d * h0, a * e1 + b * f1 + c * g1 + d * h1,
+                  a * e2 + b * f2 + c * g2 + d * h2, a * e3 + b * f3 + c * g3 + d * h3)
                  for a, b, c, d in x)
 
 

@@ -6,8 +6,9 @@ Lattice sums run in fixed point, as Python integers scaled by 2^140 (the
 idea of mpmath's own Jacobi theta sums): each row of the lattice is walked
 outward from its Gaussian peak, so every multiplier has modulus at most
 one and roundings add up without growing.  Only the part of the summation
-box inside the Gaussian ellipse whose terms reach 2^-120 is summed, with
-the dropped terms bounded explicitly (the ellipsoid summation of
+box inside a Gaussian ellipse is summed, sized from the requested
+tolerance so that the terms it drops sum to at most a 2^-14 share of it,
+with the dropped terms bounded explicitly (the ellipsoid summation of
 Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
 functions", Math. Comp. 73, 2004).  A lattice term is even in r, so
 only half of each parity class is walked and the other half is its
@@ -16,11 +17,11 @@ every start term and step ratio is a product, in 164-bit floating point
 on Python integers, of three exponentials per point and the reciprocals
 of two of them, whatever the radius.  Each evaluation returns the value
 together with an explicit bound on the truncated Gaussian tail plus the
-window and the rounding of the walk and the products (below 1e-25), so
-comparisons can account for every dropped term.  Several characteristics
-at one point share one lattice walk per parity class of their upper
-halves: the character checks evaluate four or six constants per point and
-would pay the full lattice cost repeatedly otherwise.
+window and the rounding of the walk and the products (the roundings
+below 1e-25), so comparisons can account for every dropped term.  Several
+characteristics at one point share one lattice walk per parity class of
+their upper halves: the character checks evaluate four or six constants
+per point and would pay the full lattice cost repeatedly otherwise.
 
 The module needs nothing beyond the standard library.  Each exponential
 exp(pi i w), for an exact dyadic w, is a Taylor sum in the same integers
@@ -31,11 +32,12 @@ integer ratios of the doubles, each output part one correctly rounded
 integer division (`siegel_transform`), and q-series evaluation sums
 `Float` powers of three such exponentials exactly.
 
-A character law is measured at Z = M^-1<B> for each sample M and a fixed
-base point B, so M<Z> is B.  The automorphy factor j(M, Z) = det(CZ+D) is
-a cocycle, j(M, M^-1<B>) j(M^-1, B) = 1, so the one transform of B by M^-1
-gives both Z and the factor, and the law's form is evaluated once at B and
-once at each Z.
+The transformation laws share one measurement (`law_ends`).  Each sample
+M is measured between a base point B, whose thetas the caller evaluates
+once, and M<B> or M^-1<B>, whichever is better conditioned, where the form
+is evaluated once.  The automorphy factor j(M, Z) = det(CZ+D) is a
+cocycle, j(M, M^-1<B>) j(M^-1, B) = 1, so the transform of B by M^-1 also
+gives the factor at M^-1<B>.
 """
 
 from __future__ import annotations
@@ -57,8 +59,13 @@ FIXED_BITS = 140
 MANTISSA_BITS = FIXED_BITS + 24
 Float = tuple[int, int, int]
 _ONE: Float = (1 << (MANTISSA_BITS - 1), 0, 1 - MANTISSA_BITS)  # exactly 1
-#: the summation window keeps every lattice term of modulus 2^-CUT_BITS or more
-CUT_BITS = 120
+#: the summation window drops lattice terms that sum to at most
+#: tol 2^-WINDOW_MARGIN_BITS, a small share of the tolerance the caller asks
+#: for.  At 14 bits the doubles still equal the whole box's at the points the
+#: tests compare, and so do the numeric reports at the benchmark's seeds; at
+#: 10 bits one part of one constant moves by a unit, at 12 one report's
+#: worst deviation
+WINDOW_MARGIN_BITS = 14
 #: pi and ln 2 rounded down to multiples of 2^-CONST_BITS, enough bits for
 #: the imaginary parts `_expjpi` accepts: up to 2^1080, past every double
 CONST_BITS = 1280
@@ -95,6 +102,11 @@ class SiegelPoint(_SymmetricMatrix):
         if not (y0 > 0 and y0 * y2 - y1 * y1 > 0):
             raise ValueError("imaginary part is not positive definite")
         return super().__new__(cls, z0, z1, z2)
+
+    @classmethod
+    def _make(cls, iterable) -> SiegelPoint:
+        """Validated like construction; `_replace` builds through it too."""
+        return cls(*iterable)
 
     def min_eigenvalue(self) -> float:
         y0, y1, y2 = (complex(self.z0).imag, complex(self.z1).imag,
@@ -306,24 +318,26 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     Window.  The term at r is exp(pi i Q(r)/4) with
     Q(r) = z0 r1^2 + 2 z1 r1 r2 + z2 r2^2.  Its modulus is exp(-pi Y[r]/4),
     Y[r] = D r1^2 + y2 (r2 - p)^2, with D = det Y / y2 and the row's
-    Gaussian peak p = -y1 r1 / y2.  Only the part of the box inside the
-    ellipse Y[r] <= R^2, R^2 = 4 CUT_BITS ln 2 / pi + 1, is summed: rows
+    Gaussian peak p = -y1 r1 / y2.  The cut c is the least c >= 0 with
+    (radius + 1) 2^-c (1 + 2 / (1 - |q2|)) <= tol 2^-WINDOW_MARGIN_BITS, the
+    bound on the dropped terms derived below.  Only the part of the box
+    inside the ellipse Y[r] <= R^2, R^2 = 4 c ln 2 / pi + 1, is summed: rows
     with D r1^2 > R^2 are skipped, and the length of each row's two walks
     is fixed from y2 (r2 - p)^2 <= R^2 - D r1^2 before they start.  D is
     rounded once from the exact determinant of the doubles, and p and the
     square root add relative errors near 2^-52, so rounding moves the
     window by far less than its margin of 1 in R^2: every dropped term is
-    below 2^-CUT_BITS.  Let m be the class point nearest p, |m - p| <= 1.
+    below 2^-c.  Let m be the class point nearest p, |m - p| <= 1.
     The terms k + 1 and k steps from m on either side have the ratio
     exp(-pi y2 (2k + 1 +- (m - p))), at most 1 for k = 0 and at most |q2|
     for k >= 1, where qj = exp(2 pi i zj).  A kept row's walks start at m,
     or on the box edge when m lies outside the box, so the terms it drops
-    on one side follow one below 2^-CUT_BITS by ratios of at most |q2|:
-    they sum to under 2^-CUT_BITS / (1 - |q2|).  A skipped row's term at m
-    is below exp(-pi D r1^2 / 4) < 2^-CUT_BITS, so the whole row sums to
-    under 2^-CUT_BITS (1 + 2 / (1 - |q2|)).  A class has at most
+    on one side follow one below 2^-c by ratios of at most |q2|:
+    they sum to under 2^-c / (1 - |q2|).  A skipped row's term at m
+    is below exp(-pi D r1^2 / 4) < 2^-c, so the whole row sums to
+    under 2^-c (1 + 2 / (1 - |q2|)).  A class has at most
     radius + 1 rows in the box, so the window drops less than
-    (radius + 1) 2^-CUT_BITS (1 + 2 / (1 - |q2|)) from it.
+    (radius + 1) 2^-c (1 + 2 / (1 - |q2|)) from it.
 
     Fixed point.  Each row is summed as integers scaled by 2^FIXED_BITS.
     Its start is r2 = s, the class point nearest p within the box, and the
@@ -342,7 +356,7 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     each row's ends for r1 < 0 are the mirrors of those for -r1; the two
     can differ only where the row start rounds a tie the other way, in a
     row whose window holds no class point, and that start term is below
-    2^-CUT_BITS, inside the window bound.  Each mirrored term is a copy of
+    2^-c, inside the window bound.  Each mirrored term is a copy of
     a walked one, so the fixed-point bound above and the `Float` bound
     below still hold over at most `terms` points.  For b.a odd the signs
     of s and s + a cancel, so an odd characteristic sums to exactly zero.
@@ -373,8 +387,9 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     k(k-1)/2 factors q2 to the start term, so it is off by
     (90(T+2)^2 + 180(T+2)k + 88k^2)u < 1438 terms u < 2^11 terms u, and
     the class by 2^11 terms^2 u.  tail_bound adds the window and both
-    roundings to the Gaussian tail; they stay below 1e-25 for every radius
-    `_summation_radius` allows.
+    roundings to the Gaussian tail: the window's share is at most
+    tol 2^-WINDOW_MARGIN_BITS by the choice of c, and the roundings stay
+    below 1e-25 for every radius `_summation_radius` allows.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -384,9 +399,16 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     y0, y1, y2 = (complex(z).imag for z in (Z.z0, Z.z1, Z.z2))
     bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS  # the fixed-point walk
     bound += terms ** 2 * 2.0 ** (11 - MANTISSA_BITS)  # the Float products
-    # the terms outside the window; |q2| = exp(-2 pi y2)
-    bound += (radius + 1) * 2.0 ** -CUT_BITS * (1 + 2 / -math.expm1(-2 * math.pi * y2))
-    window = 4 * CUT_BITS * math.log(2) / math.pi + 1  # R^2
+    # the terms outside the window, (radius + 1) 2^-cut (1 + 2 / (1 - |q2|))
+    # with |q2| = exp(-2 pi y2), for the least cut >= 0 that keeps them
+    # within tol 2^-WINDOW_MARGIN_BITS
+    spread = (radius + 1) * (1 + 2 / -math.expm1(-2 * math.pi * y2))
+    share = tol * 2.0 ** -WINDOW_MARGIN_BITS
+    cut = max(0, math.floor(math.log2(spread / share)))
+    while spread * 2.0 ** -cut > share:
+        cut += 1
+    bound += spread * 2.0 ** -cut
+    window = 4 * cut * math.log(2) / math.pi + 1  # R^2
     # D, rounded once from the exact determinant of the doubles
     det_ratio = float((Fraction(y0) * Fraction(y2) - Fraction(y1) ** 2) / Fraction(y2))
     last = min(radius, math.floor(math.sqrt(window / det_ratio)))  # |r1| of the last row
@@ -592,26 +614,6 @@ def siegel_transform(M: SpMat, Z: SiegelPoint) -> tuple[SiegelPoint, complex]:
     return point, _ratio(det, (1 << 2 * k, 0))
 
 
-def transform_modulus_check(M: SpMat, m: Char, Z: SiegelPoint,
-                            tol: float = 1e-8) -> tuple[bool, float]:
-    """|theta[M{m}](M<Z>)| against |det(CZ+D)|^(1/2) * |theta[m](Z)|.
-
-    Only moduli are compared: the automorphy factor is an 8th root of
-    unity times a square-root branch, both of modulus one.  Returns the
-    verdict and the relative deviation.
-    """
-    image, det = siegel_transform(M, Z)
-    moved = sp4f2_act(M.mod2(), m)
-    lhs = theta_eval(moved, image, tol=1e-13)
-    rhs = theta_eval(m, Z, tol=1e-13)
-    expected = abs(det) ** 0.5 * abs(rhs.value)
-    got = abs(lhs.value)
-    scale = max(expected, got, 1e-30)
-    deviation = abs(got - expected) / scale
-    slack = (lhs.tail_bound + rhs.tail_bound) / scale
-    return deviation <= tol + slack, deviation
-
-
 #: kind -> (the thetas of the character law's product form, its weight k):
 #: the weight-2 product of the four upper-zero constants and the weight-3
 #: product of the standard sextuple
@@ -619,26 +621,76 @@ LAWS = {"theta_product": (PRODUCT_FORM_CHARS, 2),
         "cusp_form": (tuple(sorted(STANDARD_SEXTUPLE, key=char_index)), 3)}
 
 
-def law_signs(kind: str, mats: Sequence[SpMat], base: SiegelPoint) -> list[int]:
-    """The measured sign s of each M in form(M<Z>) = s det(CZ+D)^k form(Z),
-    at Z = M^-1<base>, for the character law `kind` of `LAWS`.
+def law_ends(mats: Sequence[SpMat],
+             forms: Sequence[tuple[Sequence[Char], Sequence[Char]]], base: SiegelPoint,
+             at_base: dict[Char, EvalResult] | None = None,
+             ) -> list[tuple[EvalResult, complex, EvalResult]]:
+    """(g(M<Z>), j(M, Z), f(Z)) for each sample M of a law
+    g(M<Z>) ~ j(M, Z)^k f(Z), j(M, Z) = det(CZ+D), where f and g are the
+    products of the thetas in `forms[i]` = (f's, g's).
 
-    M<Z> is the base, where the form is evaluated once.  The automorphy
-    factor is a cocycle, j(M, M^-1<base>) j(M^-1, base) = j(1, base) = 1
-    with j(M, Z) = det(CZ+D), so the one transform of the base by M^-1
-    also gives det(CZ+D) = 1 / factor, and s is the sign of
-    form(base) factor^k / form(Z).  That ratio must sit within 1e-6 of +1
-    or -1; anything else raises.
+    One end of each sample is the base B, the other M<B> or M^-1<B>,
+    whichever has the larger smallest eigenvalue of Im (so the shorter
+    lattice sum), M^-1<B> on a tie.  Forward, Z = B and the factor is
+    det(CB+D).  Backward, Z = M^-1<B> and M<Z> = B; the factor is a
+    cocycle, j(M, M^-1<B>) j(M^-1, B) = j(1, B) = 1, so it is
+    1 / j(M^-1, B).  Only the far end is evaluated, at tol 1e-13; the
+    values at B are read from `at_base`, by default one batch of every
+    theta the forms name.
+    """
+    if at_base is None:
+        needed = list({m for pair in forms for chars in pair for m in chars})
+        at_base = dict(zip(needed, theta_eval_batch(needed, base, tol=1e-13)))
+    ends = []
+    for M, (source, image) in zip(mats, forms):
+        forward, det = siegel_transform(M, base)
+        backward, inverse_det = siegel_transform(M.inverse(), base)
+        if forward.min_eigenvalue() > backward.min_eigenvalue():
+            ends.append((theta_product_eval(image, forward, tol=1e-13), det,
+                         _product([at_base[m] for m in source])))
+        else:
+            ends.append((_product([at_base[m] for m in image]), 1 / inverse_det,
+                         theta_product_eval(source, backward, tol=1e-13)))
+    return ends
+
+
+def modulus_law(mats: Sequence[SpMat], chars: Sequence[Char], base: SiegelPoint,
+                at_base: dict[Char, EvalResult] | None = None,
+                tol: float = 1e-8) -> list[tuple[bool, float]]:
+    """|theta[M{m}](M<Z>)| against |det(CZ+D)|^(1/2) |theta[m](Z)| for each
+    sample M and its characteristic m, measured by `law_ends`.
+
+    Only moduli are compared: the automorphy factor is an 8th root of
+    unity times a square-root branch, both of modulus one.  Returns the
+    verdict and the relative deviation of each sample.
+    """
+    forms = [((m,), (sp4f2_act(M.mod2(), m),)) for M, m in zip(mats, chars)]
+    results = []
+    for image, factor, source in law_ends(mats, forms, base, at_base):
+        expected = abs(factor) ** 0.5 * abs(source.value)
+        got = abs(image.value)
+        scale = max(expected, got, 1e-30)
+        deviation = abs(got - expected) / scale
+        slack = (image.tail_bound + source.tail_bound) / scale
+        results.append((deviation <= tol + slack, deviation))
+    return results
+
+
+def law_signs(kind: str, mats: Sequence[SpMat], base: SiegelPoint,
+              at_base: dict[Char, EvalResult] | None = None) -> list[int]:
+    """The measured sign s of each M in form(M<Z>) = s det(CZ+D)^k form(Z),
+    for the character law `kind` of `LAWS`, measured by `law_ends`.
+
+    s is the sign of form(M<Z>) / (det(CZ+D)^k form(Z)); that ratio must
+    sit within 1e-6 of +1 or -1, and anything else raises.
     """
     chars, weight = LAWS[kind]
-    at_base = theta_product_eval(chars, base, tol=1e-13).value
     signs = []
-    for M in mats:
-        Z, factor = siegel_transform(M.inverse(), base)
-        value = theta_product_eval(chars, Z, tol=1e-13).value
-        if abs(value) < 1e-20:
+    forms = [(chars, chars)] * len(mats)
+    for image, factor, source in law_ends(mats, forms, base, at_base):
+        if abs(source.value) < 1e-20:
             raise ArithmeticError("form vanishes at the sample point")
-        ratio = at_base * factor ** weight / value
+        ratio = image.value / (factor ** weight * source.value)
         for sign in (1, -1):
             if abs(ratio - sign) <= 1e-6:
                 signs.append(sign)

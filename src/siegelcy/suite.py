@@ -411,15 +411,19 @@ def _rand_point(rng: random.Random) -> numeric.SiegelPoint:
 _BASE = numeric.SiegelPoint(1.3j, 0.15j, 1.4j)
 
 
+def _at_base(report) -> dict:
+    """The ten even thetas at `_BASE`, one batch per run for the three laws."""
+    evens = tuple(even_characteristics())
+    return dict(zip(evens, report.once(numeric.theta_eval_batch, evens, _BASE, 1e-13)))
+
+
 @_check("numeric.modulus_law", "square-root automorphy law, moduli only")
 def _modulus_law(report):
     rng = random.Random(report.seed + 1)
     mats = numeric.conditioned_samples(Subgroup.full(), 20, seed=report.seed + 100,
                                        word_length=5, max_entry=3, nonzero_c=10)
-    # each sample draws its characteristic, then its point
-    results = [numeric.transform_modulus_check(m, rng.choice(even_characteristics()),
-                                               _rand_point(rng), tol=report.tol)
-               for m in mats]
+    chars = [rng.choice(even_characteristics()) for _ in mats]
+    results = numeric.modulus_law(mats, chars, _BASE, _at_base(report), tol=report.tol)
     worst = max((dev for _, dev in results), default=0.0)
     return all(good for good, _ in results), {"samples": len(mats),
                                               "worst_deviation": f"{worst:.3e}"}
@@ -430,7 +434,7 @@ def _modulus_law(report):
 def _weight2_character(report):
     mats = numeric.conditioned_samples(Subgroup.hecke(2), 20, seed=report.seed + 200,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    measured = numeric.law_signs("theta_product", mats, _BASE)
+    measured = numeric.law_signs("theta_product", mats, _BASE, _at_base(report))
     formula_ok = all(v == theta_character(m) for v, m in zip(measured, mats))
     return formula_ok and set(measured) == {1, -1}, {
         "samples": len(mats), "values_seen": sorted(set(measured))}
@@ -441,7 +445,7 @@ def _weight2_character(report):
 def _weight3_trivial_character(report):
     mats = numeric.conditioned_samples(Subgroup.chi_kernel(), 20, seed=report.seed + 300,
                                        word_length=8, max_entry=5, nonzero_c=8)
-    ok = all(v == 1 for v in numeric.law_signs("cusp_form", mats, _BASE))
+    ok = all(v == 1 for v in numeric.law_signs("cusp_form", mats, _BASE, _at_base(report)))
     return ok, {"samples": len(mats)}
 
 

@@ -253,13 +253,19 @@ def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
     else:
         raise ValueError(f"cannot sample {tag}: only the full group and level 2")
     step = sp4f2_steps(_GENERATOR_ROWS)
-    while len(word) < len(classes):  # one more generator per round
-        reached = dict(word)
-        for c in range(len(classes)):
-            if c not in reached:
-                g = next((g for g in _GENERATOR_INDICES if step[c][g] in reached), None)
-                if g is not None:
-                    word[c] = (g, *reached[step[c][g]])
+    # breadth first along reversed steps: rounds[c] is the length of c's
+    # word.  The generators are closed under inverses, so the classes one
+    # step before t are the classes one step after it.
+    order = list(word)
+    rounds = dict.fromkeys(order, 0)
+    for t in order:  # grows while it is walked
+        for c in step[t]:
+            if c not in rounds:
+                rounds[c] = rounds[t] + 1
+                order.append(c)
+    for c in order[len(word):]:  # the first generator into an earlier round
+        g = next(g for g in _GENERATOR_INDICES if rounds[step[c][g]] < rounds[c])
+        word[c] = (g, *word[step[c][g]])
     return tuple(word[c] for c in range(len(classes)))
 
 

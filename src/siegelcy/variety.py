@@ -240,6 +240,11 @@ class SignedMonomialMap(_SignedPermutation):
         return super().__new__(cls, perm, sign)
 
     @classmethod
+    def _make(cls, iterable) -> SignedMonomialMap:
+        """Validated like construction; `_replace` builds through it too."""
+        return cls(*iterable)
+
+    @classmethod
     def identity(cls, n: int = 6) -> SignedMonomialMap:
         return cls(tuple(range(n)), (1,) * n)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,12 +32,12 @@ from siegelcy.numeric import (
     diagonal_vanishing_check,
     evaluate_qseries,
     law_signs,
+    modulus_law,
     series_numeric_consistency,
     siegel_transform,
     theta_eval,
     theta_eval_batch,
     theta_product_eval,
-    transform_modulus_check,
 )
 from siegelcy.qseries import negate_offdiag, theta_qexp
 from siegelcy.suite import _BASE, run_suite
@@ -66,6 +67,15 @@ def test_point_validation():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != SiegelPoint(0.5 + 1.2j, 0.1j, 1.4j)
     assert repr(a) == "SiegelPoint(z0=(0.5+1.2j), z1=0.1j, z2=1.3j)"
+
+
+def test_replaced_points_are_validated():
+    # `_replace` and `_make` build through the same check as construction
+    with pytest.raises(ValueError):
+        SiegelPoint(1j, 0j, 1j)._replace(z0=-1j)
+    with pytest.raises(ValueError):
+        SiegelPoint._make((1j, 2j, 1j))
+    assert SiegelPoint(1j, 0j, 1j)._replace(z1=0.5j) == SiegelPoint(1j, 0.5j, 1j)
 
 
 def test_theta_at_scaled_identity_points():
@@ -283,15 +293,18 @@ def test_kernel_is_the_box_walk_at_random_points(y2, extra, slope, x, tol):
     kernel = theta_eval_batch(all_characteristics(), Z, tol=tol)
     box = box_reference.theta_eval_batch(all_characteristics(), Z, tol=tol)
     odd = set(odd_characteristics())
+    # the kernel's bound past the Gaussian tail: the terms its window drops
+    # and its roundings, which are no smaller than the box walk's
+    near = kernel[0].tail_bound - _summation_radius(Z.min_eigenvalue(), tol)[1]
     for m, k, b in zip(all_characteristics(), kernel, box):
         if m in odd:
             assert k.value == 0, m
             continue
-        # a part far from zero is bit-equal; one near zero (Re z0 = Re z2 =
-        # 0 = y1 make the imaginary parts vanish) shows the window and the
-        # roundings, whose bounds stay below 2^-100 here (radius 30 at most)
+        # the box walk sums what the window drops; each sum is then rounded
+        # once to a double, within half a unit in its last place
         for u, v in ((k.value.real, b.value.real), (k.value.imag, b.value.imag)):
-            assert u.hex() == v.hex() or abs(u - v) < 2.0 ** -100, (m, u, v)
+            assert (u.hex() == v.hex()
+                    or abs(u - v) <= 2 * near + 2.0 ** -53 * (abs(u) + abs(v))), (m, u, v)
 
 
 _MANTISSA = st.integers(1 << (MANTISSA_BITS - 1), (1 << MANTISSA_BITS) - 1)
@@ -323,8 +336,9 @@ def test_inverse_is_rounded_down_within_its_bound(larger, smaller, signs,
 
 
 def test_box_comparison_sees_a_narrower_window(monkeypatch):
-    # negative control: dropping the terms below 2^-40 moves the doubles
-    monkeypatch.setattr(numeric, "CUT_BITS", 40)
+    # negative control: a window that may drop tol 2^10, so terms below
+    # about 2^-40 at tol 1e-13, moves the doubles
+    monkeypatch.setattr(numeric, "WINDOW_MARGIN_BITS", -10)
     assert any(box_mismatches(Z, tol) for Z, tol in BOX_POINTS)
 
 
@@ -352,8 +366,9 @@ def test_window_walks_fewer_steps_than_the_box(monkeypatch):
         steps.clear()
         batch(chars, Z, tol=1e-13)
         counts.append(sum(steps))
-    # the box has 7225 points in its four classes, 170 of them row starts
-    assert counts == [757, 7055]
+    # the box has 7225 points in its four classes, 170 of them row starts;
+    # the window sized from tol 1e-13 drops the terms below 2^-65 here
+    assert counts == [472, 7055]
 
 
 def test_dual_engine_consistency_all_even():
@@ -411,7 +426,7 @@ def test_identity_transform_is_exact():
     Z = SiegelPoint(1.2j, 0.1j, 1.3j)
     image, det = siegel_transform(SpMat.identity(), Z)
     assert abs(det - 1) < 1e-25
-    ok, dev = transform_modulus_check(SpMat.identity(), Char(0, 0, 1, 1), Z)
+    [(ok, dev)] = modulus_law([SpMat.identity()], [Char(0, 0, 1, 1)], Z)
     assert ok and dev < 1e-12
 
 
@@ -421,7 +436,7 @@ def test_full_inversion_transform():
     for _ in range(20):
         Z = rand_point(rng)
         m = rng.choice(evens)
-        ok, dev = transform_modulus_check(SpMat.inversion(), m, Z)
+        [(ok, dev)] = modulus_law([SpMat.inversion()], [m], Z)
         assert ok and dev < 1e-8
 
 
@@ -432,7 +447,7 @@ def test_sampled_transform_modulus():
     evens = even_characteristics()
     for M in mats:
         m = rng.choice(evens)
-        ok, dev = transform_modulus_check(M, m, rand_point(rng))
+        [(ok, dev)] = modulus_law([M], [m], rand_point(rng))
         assert ok and dev < 1e-8
 
 
@@ -475,21 +490,64 @@ def test_law_signs_are_the_two_transform_signs(name):
     assert law_signs(kind, mats, _BASE) == two_transform_signs(kind, mats, _BASE)
 
 
-def test_law_signs_transform_once_and_evaluate_at_the_pulled_back_points(monkeypatch):
-    # the samples are conditioned for M^-1<base>; one transform per sample
-    # gives both the point and the factor, and the form is evaluated at the
-    # base once and at each point once
+def test_law_ends_transform_twice_and_evaluate_once_at_the_better_end(monkeypatch):
+    # each sample transforms the base by M and by M^-1, and the form is
+    # evaluated at whichever image has the larger smallest eigenvalue of
+    # Im, M^-1<base> on a tie; the base's values are one batch
     kind, mats = law_samples("hecke2")
-    pulled_back = [siegel_transform(M.inverse(), _BASE)[0] for M in mats]
+    ends = []
+    for M in mats:
+        forward, backward = (siegel_transform(N, _BASE)[0] for N in (M, M.inverse()))
+        ends.append(forward if forward.min_eigenvalue() > backward.min_eigenvalue()
+                    else backward)
+    # both ends occur among the samples
+    assert {Z == siegel_transform(M, _BASE)[0] for Z, M in zip(ends, mats)} == {True, False}
     transforms, points = [], []
-    transform, evaluate = siegel_transform, theta_product_eval
+    transform, evaluate = siegel_transform, theta_eval_batch
     monkeypatch.setattr(numeric, "siegel_transform",
                         lambda M, Z: transforms.append((M, Z)) or transform(M, Z))
-    monkeypatch.setattr(numeric, "theta_product_eval",
+    monkeypatch.setattr(numeric, "theta_eval_batch",
                         lambda chars, Z, tol: points.append(Z) or evaluate(chars, Z, tol))
     law_signs(kind, mats, _BASE)
-    assert transforms == [(M.inverse(), _BASE) for M in mats]
-    assert points == [_BASE, *pulled_back]
+    assert transforms == [(N, _BASE) for M in mats for N in (M, M.inverse())]
+    assert points == [_BASE, *ends]
+
+
+def test_numeric_battery_evaluates_the_base_once(monkeypatch):
+    # the three laws read one batch of the ten even thetas at the base, and
+    # each law sample evaluates one point: 69 lattice batches per run
+    batches = []
+    evaluate = theta_eval_batch
+    monkeypatch.setattr(numeric, "theta_eval_batch",
+                        lambda chars, Z, tol: batches.append((len(chars), Z)) or
+                        evaluate(chars, Z, tol))
+    report = run_suite("numeric", seed=1000)
+    assert {c.status for c in report.checks} == {"pass"}
+    assert len(batches) == 69
+    assert batches.count((10, _BASE)) == 1
+    # and each law's form there is the product of its own batch, bit for bit
+    evens = even_characteristics()
+    at_base = dict(zip(evens, evaluate(evens, _BASE, 1e-13)))
+    for chars, _ in LAWS.values():
+        assert (numeric._product([at_base[m] for m in chars])
+                == theta_product_eval(chars, _BASE, tol=1e-13))
+
+
+def test_backward_factor_is_the_reciprocal(monkeypatch):
+    # mutation: at the backward end, j(M, M^-1<base>) taken as j(M^-1, base)
+    # and not its reciprocal must fail the weight-2 and the modulus law
+    calls = itertools.count()
+    transform = siegel_transform
+
+    def mutated(M, Z):
+        image, det = transform(M, Z)
+        # `law_ends` transforms by M, then by M^-1, the backward end
+        return image, (1 / det if next(calls) % 2 else det)
+
+    monkeypatch.setattr(numeric, "siegel_transform", mutated)
+    statuses = {c.id: c.status for c in run_suite("numeric", seed=0).checks}
+    assert statuses["numeric.modulus_law"] == "fail"
+    assert statuses["numeric.weight2_character"] == "fail"
 
 
 @pytest.mark.parametrize("name", LAW_SAMPLES)

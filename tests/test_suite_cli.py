@@ -174,7 +174,7 @@ assert not {"dataclasses", "inspect"} & sys.modules.keys()
 
 def test_cli_runs_without_mpmath(tmp_path):
     # `all` exits 1 by design (criteria 5 and 8); numeric seed 1001 sums to
-    # radius 42
+    # radius 45
     reports = [tmp_path / "all.json", tmp_path / "numeric.json"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, "-c", _WITHOUT_MPMATH, *map(str, reports)],

@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+import corrections_reference
 from siegelcy.characteristics import (
     mat_mul,
     mod2,
@@ -183,6 +184,16 @@ def test_corrections_are_shortest_words_into_the_target(tag, longest):
         assert end in target, (c, word)
         assert len(word) == distance[c], (c, word)
     assert max(map(len, corrections)) == longest
+
+
+@pytest.mark.parametrize("tag", [
+    Subgroup.full(), Subgroup.principal(2), Subgroup.chi_kernel(), Subgroup.hecke(2),
+    Subgroup.hecke_chi_kernel(),
+], ids=str)
+def test_corrections_are_the_round_by_round_search(tag):
+    # the same word for every class, so every sample is unchanged: among the
+    # shortest words, each takes the first generator into an earlier round
+    assert _corrections(tag) == corrections_reference.corrections(tag)
 
 
 def test_equal_subgroups_share_their_corrections():

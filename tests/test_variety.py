@@ -108,6 +108,16 @@ def test_signed_monomial_map_refuses_non_signed_permutations(perm, sign):
         SignedMonomialMap(perm, sign)
 
 
+def test_replaced_signed_monomial_maps_are_validated():
+    # `_replace` and `_make` build through the same check as construction
+    with pytest.raises(ValueError):
+        SignedMonomialMap.identity(3)._replace(sign=(5, 5))
+    with pytest.raises(ValueError):
+        SignedMonomialMap._make(((0, 0, 1), (1, 1, 1)))
+    assert (SignedMonomialMap.identity(3)._replace(sign=(1, -1, 1))
+            == SignedMonomialMap.sign_flip(3, 1))
+
+
 def test_signed_monomial_maps_are_values():
     a = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1))
     b = SignedMonomialMap(tuple([0, 2, 1, 3, 4, 5]), tuple([1] * 5 + [-1]))
