@@ -9,8 +9,3 @@ bounds, so every analytic claim is checked by two independent routes.
 """
 
 __version__ = "0.1.0"
-
-from .characteristics import Char  # noqa: F401
-from .mpoly import MPoly, ThreeForm  # noqa: F401
-from .qseries import QSeries  # noqa: F401
-from .symplectic import SpMat, Subgroup  # noqa: F401

@@ -3,7 +3,10 @@
 A characteristic is a 4-bit vector m = (a1, a2, b1, b2) over F_2 with
 parity a1*b1 + a2*b2.  Ten of the sixteen are even; the 15 syzygetic
 quadruples of even characteristics and their complementary sextuples drive
-everything downstream (cusp forms, boundary orders, singular curves).
+everything downstream (cusp forms, boundary orders, singular curves).  The
+standard quadruple, the four with upper characteristic zero, is defined
+here once, in the order of the weight-2 product form that the series
+registry and the numeric laws read.
 
 The finite group Sp(4, F_2) of order 720 is held once, as the classes of
 a walk from the identity through four generators; `symplectic` walks its
@@ -94,9 +97,12 @@ def is_syzygetic(q: Iterable[Char]) -> bool:
     return all(parity(char_sum(*triple)) == 0 for triple in combinations(items, 3))
 
 
-STANDARD_QUADRUPLE: Quadruple = frozenset(
-    {Char(0, 0, 0, 0), Char(0, 0, 1, 0), Char(0, 0, 0, 1), Char(0, 0, 1, 1)}
-)
+#: the four theta constants with upper characteristic zero, in the order
+#: entering the weight-2 product form y5
+PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0), Char(0, 0, 1, 0),
+                      Char(0, 0, 1, 1))
+
+STANDARD_QUADRUPLE: Quadruple = frozenset(PRODUCT_FORM_CHARS)
 
 
 def syzygetic_quadruples() -> list[Quadruple]:

@@ -13,7 +13,7 @@ registry.
 Every relation is stored with a deliberately broken variant (one perturbed
 coefficient) used as a falsification control: the suite must see a zero
 residual on the genuine relation and a nonzero residual on the mutation.
-The threefold's four equations are `variety.Equations`, the code of the
+The threefold's four equations are `equations.Equations`, the code of the
 symbolic presentations too, and the registry is an `Equations` on y and F.
 The products behind the sides are made once per registry, so a mutated
 side costs a scalar multiple and a subtraction.
@@ -27,12 +27,14 @@ from typing import Callable, NamedTuple
 
 from .characteristics import (
     Char,
+    PRODUCT_FORM_CHARS,
     STANDARD_SEXTUPLE,
     all_characteristics,
     even_characteristics,
     is_syzygetic,
 )
 from . import qseries
+from .equations import Equations
 from .qseries import (
     QSeries,
     product,
@@ -41,16 +43,10 @@ from .qseries import (
     unimodular_action,
     vanishing_order,
 )
-from .variety import Equations
 
 #: the thetas whose fourth powers are y0, y1, y2, -y3 - y0 and -y4 - y0
 Y_FOURTH_CHARS = (Char(0, 0, 1, 1), Char(0, 0, 0, 1), Char(0, 0, 0, 0),
                   Char(1, 0, 0, 0), Char(1, 0, 0, 1))
-
-#: the four theta constants with upper characteristic zero, in the order
-#: entering the weight-2 product form
-PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0), Char(0, 0, 1, 0),
-                      Char(0, 0, 1, 1))
 
 #: ordering of the doubled-argument characteristics behind f1..f4
 SECOND_KIND_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))

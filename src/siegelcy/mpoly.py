@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
 Exponent = tuple[int, ...]
@@ -247,23 +247,14 @@ class MPoly:
 
 
 def monomials_of_degree(variables: tuple[str, ...], degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, lexicographic."""
-    n = len(variables)
+    """All exponent tuples of the given total degree, lexicographic, the
+    largest first."""
     if degree < 0:
         return []
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int) -> None:
-        if pos == n - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + [k], remaining - k, pos + 1)
-
-    if n == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, 0)
-    return out
+    n = len(variables)
+    return sorted((tuple(c.count(i) for i in range(n))
+                   for c in combinations_with_replacement(range(n), degree)),
+                  reverse=True)
 
 
 def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:

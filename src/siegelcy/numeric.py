@@ -48,8 +48,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import qseries, symplectic
-from .characteristics import STANDARD_SEXTUPLE, Char, char_index, sp4f2_act
-from .modforms import PRODUCT_FORM_CHARS
+from .characteristics import (PRODUCT_FORM_CHARS, STANDARD_SEXTUPLE, Char, char_index,
+                              sp4f2_act)
 from .qseries import QSeries
 from .symplectic import SpMat
 
@@ -494,11 +494,6 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     return results
 
 
-def theta_eval(m: Char, Z: SiegelPoint, tol: float = 1e-12) -> EvalResult:
-    """Direct lattice summation of one theta constant at Z."""
-    return theta_eval_batch([m], Z, tol)[0]
-
-
 def theta_product_eval(chars: Sequence[Char], Z: SiegelPoint,
                        tol: float = 1e-14) -> EvalResult:
     """Product of several theta constants with a combined error bound."""
@@ -519,21 +514,15 @@ def _product(results: Sequence[EvalResult]) -> EvalResult:
     return EvalResult(value, bound)
 
 
-def evaluate_qseries(s: QSeries, Z: SiegelPoint) -> complex:
-    """Evaluate a truncated expansion with integer coefficients at Z on the
+def evaluate_qseries(series: Sequence[QSeries], Z: SiegelPoint) -> list[complex]:
+    """Evaluate truncated expansions with integer coefficients at Z on the
     level-8 grid, q0 = exp(pi i (z0+z1)/4), q1 = exp(-pi i z1/4) and
-    q2 = exp(pi i (z2+z1)/4).
+    q2 = exp(pi i (z2+z1)/4), all from one table of powers per q.
 
-    Each power is a chain of `_mul`s from an `_expjpi`, so q^n is within
-    6n u of exact, relatively (u = 2^-MANTISSA_BITS); the terms, times
-    their integer coefficients, are summed exactly and the sum is rounded
-    once to a double."""
-    return _evaluate_batch([s], Z)[0]
-
-
-def _evaluate_batch(series: Sequence[QSeries], Z: SiegelPoint) -> list[complex]:
-    """`evaluate_qseries` of each series, all from one table of powers per
-    q: q^n is the same chain of `_mul`s whichever series asks for it."""
+    Each power q^n is one chain of `_mul`s from an `_expjpi`, whichever
+    series asks for it, so it is within 6n u of exact, relatively
+    (u = 2^-MANTISSA_BITS); the terms, times their integer coefficients,
+    are summed exactly and each sum is rounded once to a double."""
     ((x0, y0), (x1, y1), (x2, y2)), k = _gaussian(Z)
     qs = [_expjpi((x0 + x1, y0 + y1, -k - 2)), _expjpi((-x1, -y1, -k - 2)),
           _expjpi((x2 + x1, y2 + y1, -k - 2))]
@@ -553,15 +542,20 @@ def _evaluate_batch(series: Sequence[QSeries], Z: SiegelPoint) -> list[complex]:
     return values
 
 
+#: the dropped-terms bound past which `series_numeric_consistency` refuses
+#: a point as too low to compare
+CERTIFY = 1e-8
+
+
 def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
-                               truncation: int, certify: float = 1e-8) -> list[float]:
+                               truncation: int) -> list[float]:
     """|lattice sum - truncated expansion| at Z, for each characteristic.
 
     The terms the expansion drops are exactly the lattice terms with
     squared norm past the truncation: each is at most exp(-c*(N+1)), and
     there are fewer than 4N of them inside the shell radius isqrt(N), with
     the standard Gaussian tail covering everything beyond.  If the
-    combined bound exceeds `certify` the point sits too low for the
+    combined bound exceeds `CERTIFY` the point sits too low for the
     comparison and the call refuses it.  The lattice sums come from one
     batch, which walks each parity class once, and the expansions from one
     table of powers of each q.
@@ -571,12 +565,12 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
     inner = math.isqrt(truncation)
     dropped = (4.0 * max(truncation, 1) * math.exp(-c * (truncation + 1))
                + _tail_remainder(lam, inner))
-    if dropped > certify:
+    if dropped > CERTIFY:
         raise ValueError(
-            f"dropped-terms bound {dropped:.2e} exceeds {certify:.0e}; "
+            f"dropped-terms bound {dropped:.2e} exceeds {CERTIFY:.0e}; "
             "increase Im Z or the truncation")
     lattice = theta_eval_batch(chars, Z, tol=1e-16)
-    series = _evaluate_batch([qseries.theta_qexp(m, truncation) for m in chars], Z)
+    series = evaluate_qseries([qseries.theta_qexp(m, truncation) for m in chars], Z)
     return [abs(r.value - v) for r, v in zip(lattice, series)]
 
 

@@ -451,13 +451,9 @@ def unimodular_action(s: QSeries, U: Sym2) -> QSeries:
 
 
 def negate_offdiag(s: QSeries) -> QSeries:
-    """Action of z1 -> -z1: the exponent remap (n0, n1, n2) ->
-    (n0, 2(n0+n2)-n1, n2), an involution on semipositive supports."""
-    terms = {}
-    for n, c in s.terms.items():
-        key = (n[0], 2 * (n[0] + n[2]) - n[1], n[2])
-        if key[1] < 0:
-            raise ValueError("remap leaves the power-series range; series is "
-                             "not semipositive-supported")
-        terms[key] = c
-    return QSeries(terms, s.truncation)
+    """Action of z1 -> -z1, the unimodular action of diag(1, -1): the
+    exponent remap (n0, n1, n2) -> (n0, 2(n0+n2)-n1, n2), an involution on
+    semipositive supports that keeps the truncation.  It refuses what
+    `unimodular_action` refuses, an odd n0+n2-n1 among them, which no
+    series the suite builds has."""
+    return unimodular_action(s, ((1, 0), (0, -1)))

@@ -2,10 +2,11 @@
 signed-monomial symmetry group, the distinguished rational 3-form, the 15
 singular curves, and the symbolic Jacobian identities.
 
-Two coordinate systems are carried, their equations written once in the
-ring-generic `Equations`: the y-system from the even-weight ring generators
-and the x-system from the doubled-argument generators, linked by an explicit
-integer matrix (y5 = x5).  Every linear change of coordinates goes through
+Two coordinate systems are carried, their equations read from the
+ring-generic `equations.Equations` on the `MPoly` generators: the y-system
+from the even-weight ring generators and the x-system from the
+doubled-argument generators, linked by an explicit integer matrix
+(y5 = x5).  Every linear change of coordinates goes through
 `substitute_linear`, and every composition through `MPoly.substitute`; the
 x-side curve parametrizations use the inverse matrix times its common
 denominator, so they keep integer coefficients.  All checks are exact: ideal
@@ -19,11 +20,11 @@ substitution.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm, prod
 from typing import NamedTuple
 
+from .equations import Equations
 from .mpoly import (
     MPoly,
     ThreeForm,
@@ -46,91 +47,6 @@ class Presentation(NamedTuple):
 
     def gens(self) -> list[MPoly]:
         return [self.quartic, self.quadric]
-
-
-class Equations:
-    """The threefold's quartic and quadric in y and in x, over any ring: the
-    `MPoly` generators for the presentations, or the series y0..y5 and
-    F1..F6 for the ring relations (`FormRegistry` is an `Equations` that
-    builds y and x when an equation first reads them).  Each equation
-    returns its (lhs, rhs) pair, with the coefficient a falsification
-    control perturbs as c.  Every product that two sides, or a side and
-    its perturbed copy, read is built once; squares are kept by base, so
-    x5^2 is y5^2 where x5 is y5, and an x equation never reads y."""
-
-    def __init__(self, y, x) -> None:
-        self.y, self.x = y, x
-
-    @cached_property
-    def _squares(self) -> dict:
-        """v^2 by id(v); y and x hold every base, so the ids stay unique."""
-        return {}
-
-    def _square(self, v):
-        if id(v) not in self._squares:
-            self._squares[id(v)] = v ** 2
-        return self._squares[id(v)]
-
-    @cached_property
-    def y5_square(self):
-        return self._square(self.y[5])
-
-    @cached_property
-    def y5_pow4(self):
-        return self.y5_square ** 2
-
-    @cached_property
-    def igusa_quadric(self):
-        """y0y1 + y0y2 + y1y2 - y3y4, made as y0(y1 + y2) + y1y2 - y3y4."""
-        y0, y1, y2, y3, y4, _ = self.y
-        return y0 * (y1 + y2) + y1 * y2 - y3 * y4
-
-    @cached_property
-    def igusa_quadric_square(self):
-        return self.igusa_quadric ** 2
-
-    @cached_property
-    def quartic_product(self):
-        """y0y1y2(y0 + y1 + y2 + y3 + y4)."""
-        y0, y1, y2, y3, y4, _ = self.y
-        return y0 * y1 * y2 * (y0 + y1 + y2 + y3 + y4)
-
-    @cached_property
-    def x_squares(self) -> list:
-        """S_i = x_i^2."""
-        return [self._square(v) for v in self.x]
-
-    @cached_property
-    def x_quartic_parts(self) -> tuple:
-        """x4^4, the x-quartic's right side less its c term, x0x1x2x3."""
-        S0, S1, S2, S3, S4, _ = self.x_squares
-        x0, x1, x2, x3, _, _ = self.x
-        return (S4 ** 2,
-                -S0 * S4 - S1 * S2 - S1 * S3 - S2 * S3 + 4 * (S4 * (S1 + S2 + S3)),
-                x0 * x1 * x2 * x3)
-
-    def y_quartic(self, c: int = 1):
-        """c y5^4 = y0y1y2(y0 + y1 + y2 + y3 + y4)."""
-        return c * self.y5_pow4, self.quartic_product
-
-    def y_quadric(self, c: int = 2):
-        """c y5^2 = y0y1 + y0y2 + y1y2 - y3y4."""
-        return c * self.y5_square, self.igusa_quadric
-
-    def igusa_quartic(self, c: int = 4):
-        """Igusa's (y0y1 + y0y2 + y1y2 - y3y4)^2 = c y0y1y2(y0 + ... + y4)."""
-        return self.igusa_quadric_square, c * self.quartic_product
-
-    def x_quartic(self, c: int = 1):
-        """16x4^4 = -S0S4 - S1S2 - S1S3 - S2S3 + 4S4(S1 + S2 + S3) + c x0x1x2x3;
-        c sits on x0x1x2x3, which starts at weight 16 on the forms, x4^4 at 32."""
-        x4_pow4, rest, x_product = self.x_quartic_parts
-        return 16 * x4_pow4, rest + c * x_product
-
-    def x_quadric(self, c: int = 32):
-        """x5^2 = x0^2 - 4x1^2 - 4x2^2 - 4x3^2 + c x4^2."""
-        S0, S1, S2, S3, S4, S5 = self.x_squares
-        return S5, S0 - 4 * S1 - 4 * S2 - 4 * S3 + c * S4
 
 
 def _presentation(variables: tuple[str, ...], *names: str) -> Presentation:
@@ -324,11 +240,10 @@ def symmetry_generators() -> list[SignedMonomialMap]:
 
 
 def ambient_group() -> set[SignedMonomialMap]:
-    """Permutations of x1..x3 combined with all sign changes of x1..x5."""
-    swap12 = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1,) * 6)
-    cycle = SignedMonomialMap((0, 2, 3, 1, 4, 5), (1,) * 6)
-    flips = [SignedMonomialMap.sign_flip(6, i) for i in range(1, 6)]
-    return group_closure([swap12, cycle] + flips)
+    """Permutations of x1..x3 combined with all sign changes of x1..x5:
+    the 6 x 32 signed permutations, listed directly."""
+    return {SignedMonomialMap((0, *p, 4, 5), (1, *signs))
+            for p in permutations((1, 2, 3)) for signs in product((1, -1), repeat=5)}
 
 
 def equation_invariance(g: SignedMonomialMap, pres: Presentation):

@@ -6,6 +6,7 @@ import pytest
 
 from siegelcy.characteristics import (
     Char,
+    PRODUCT_FORM_CHARS,
     STANDARD_SEXTUPLE,
     all_characteristics,
     all_sextuples,
@@ -14,7 +15,6 @@ from siegelcy.characteristics import (
 )
 from siegelcy.modforms import (
     EXPECTED_BOUNDARY_DISTRIBUTION,
-    PRODUCT_FORM_CHARS,
     RELATIONS,
     SUBSTITUTIONS,
     FormRegistry,
@@ -148,12 +148,11 @@ def test_boundary_orders_build_only_the_sextuples(monkeypatch):
 
 
 def test_x_equations_leave_y_unbuilt():
-    # x5 is y5, and its square is shared without reading y
+    # x5 is y5, and its square is made without reading y
     reg = FormRegistry(N)
     reg.x_quartic()
     reg.x_quadric()
     assert "y" not in vars(reg)
-    assert reg.x_squares[5] is reg.y5_square
 
 
 def test_mutated_sides_make_no_product(monkeypatch):
@@ -222,7 +221,6 @@ def test_shared_members_match_their_definitions(registry):
     assert all(_same(a, b) for a, b in zip(reg.F, F))
     assert reg.y[5] is reg.F[5] is reg.theta_product
     assert reg.x is reg.F
-    assert reg.x_squares[5] is reg.y5_square
 
 
 def test_relations_leave_the_shared_members_unchanged():

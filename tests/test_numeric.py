@@ -35,7 +35,6 @@ from siegelcy.numeric import (
     modulus_law,
     series_numeric_consistency,
     siegel_transform,
-    theta_eval,
     theta_eval_batch,
     theta_product_eval,
 )
@@ -80,12 +79,12 @@ def test_replaced_points_are_validated():
 
 def test_theta_at_scaled_identity_points():
     # separable oracle: (sum over n of e^(pi i z n^2))^2 on diagonal points
-    val = theta_eval(Char(0, 0, 0, 0), SiegelPoint(1j, 0j, 1j), tol=1e-10)
+    val = theta_eval_batch([Char(0, 0, 0, 0)], SiegelPoint(1j, 0j, 1j), tol=1e-10)[0]
     oracle = sum(math.exp(-math.pi * n * n) for n in range(-6, 7)) ** 2
     assert abs(val.value - oracle) < 1e-6
     assert abs(val.value - 1.1803406) < 1e-6
 
-    val2 = theta_eval(Char(0, 0, 0, 0), SiegelPoint(2j, 0j, 2j), tol=1e-10)
+    val2 = theta_eval_batch([Char(0, 0, 0, 0)], SiegelPoint(2j, 0j, 2j), tol=1e-10)[0]
     oracle2 = sum(math.exp(-2 * math.pi * n * n) for n in range(-6, 7)) ** 2
     assert abs(val2.value - oracle2) < 1e-6
 
@@ -106,7 +105,7 @@ def test_tail_bound_covers_the_terms_past_the_radius(y0, y2, rho, x, k, index, d
     def summed_to(r: int) -> complex:
         tol = _tail_remainder(lam, r) * (1 + 1e-9)
         assert _summation_radius(lam, tol)[0] == r
-        return theta_eval(char_from_index(index), Z, tol=tol).value
+        return theta_eval_batch([char_from_index(index)], Z, tol=tol)[0].value
 
     assert abs(summed_to(radius + k) - summed_to(radius)) <= bound
 
@@ -115,8 +114,8 @@ def test_tail_bound_is_honest():
     # summing with a loose tolerance stays within the claimed bound of a
     # much more precise value
     Z = SiegelPoint(1j, 0.3j, 1.1j)
-    coarse = theta_eval(Char(0, 0, 0, 0), Z, tol=1e-4)
-    fine = theta_eval(Char(0, 0, 0, 0), Z, tol=1e-20)
+    coarse = theta_eval_batch([Char(0, 0, 0, 0)], Z, tol=1e-4)[0]
+    fine = theta_eval_batch([Char(0, 0, 0, 0)], Z, tol=1e-20)[0]
     assert abs(coarse.value - fine.value) <= coarse.tail_bound
 
 
@@ -276,7 +275,7 @@ def test_odd_characteristics_evaluate_to_zero():
     points = [rand_point(rng)] + [Z for Z, _ in BOX_POINTS]
     for Z in points:
         for m in odd_characteristics():
-            assert theta_eval(m, Z, tol=1e-12).value == 0, (Z, m)
+            assert theta_eval_batch([m], Z, tol=1e-12)[0].value == 0, (Z, m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -602,7 +601,7 @@ def test_series_evaluation_is_the_rounded_60_digit_sum():
             q0, q1, q2 = (mpmath.expjpi(w) for w in ((z0 + z1) / 4, -z1 / 4, (z2 + z1) / 4))
             expected = complex(sum(c * q0 ** n0 * q1 ** n1 * q2 ** n2
                                    for (n0, n1, n2), c in series.terms.items()))
-        assert bits(evaluate_qseries(series, Z)) == bits(expected), m
+        assert bits(evaluate_qseries([series], Z)[0]) == bits(expected), m
 
 
 def test_theta_product_character_matches_formula():
@@ -648,7 +647,7 @@ def test_diagonal_vanishing():
     assert diagonal_vanishing_check(1j, 2j)
     assert diagonal_vanishing_check(0.5 + 1j, 3j)
     # control: the even theta with zero characteristic does not vanish there
-    control = theta_eval(Char(0, 0, 0, 0), SiegelPoint(1j, 0j, 2j), tol=1e-12)
+    control = theta_eval_batch([Char(0, 0, 0, 0)], SiegelPoint(1j, 0j, 2j), tol=1e-12)[0]
     assert abs(control.value) > 1
 
 

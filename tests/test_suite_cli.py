@@ -183,6 +183,30 @@ def test_cli_runs_without_mpmath(tmp_path):
     assert reports[1].read_bytes() == (ROOT / "tests/golden/numeric_1001.json").read_bytes()
 
 
+#: the siegelcy modules a fresh interpreter loads with each import: an
+#: engine loads only what it uses, and the package itself nothing
+_LOADED = {
+    "siegelcy": set(),
+    "siegelcy.numeric": {"characteristics", "qseries", "symplectic", "numeric"},
+    "siegelcy.modforms": {"characteristics", "equations", "qseries", "modforms"},
+    "siegelcy.variety": {"equations", "mpoly", "variety"},
+    "siegelcy.mpoly": {"mpoly"},
+    "siegelcy.cli": {"characteristics", "cli", "equations", "modforms", "mpoly",
+                     "numeric", "qseries", "suite", "symplectic", "variety"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(_LOADED))
+def test_imports_load_only_what_they_use(module):
+    code = (f"import sys, {module}\n"
+            "print(' '.join(sorted(name.removeprefix('siegelcy.') for name in sys.modules\n"
+            "                      if name.startswith('siegelcy.'))))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert set(out.split()) == _LOADED[module]
+
+
 def test_cli_rejects_bad_selector(capsys):
     with pytest.raises(SystemExit):
         main(["nonsense"])
@@ -289,10 +313,10 @@ def test_one_changed_equation_fails_both_of_its_checks(method, changed, relation
                                                        monkeypatch):
     # the presentations and the relation sides are one code: one changed
     # coefficient reaches the ideal check and the series check alike
-    from siegelcy import variety
+    from siegelcy import equations
 
-    genuine = getattr(variety.Equations, method)
-    monkeypatch.setattr(variety.Equations, method,
+    genuine = getattr(equations.Equations, method)
+    monkeypatch.setattr(equations.Equations, method,
                         lambda self, c=changed: genuine(self, c))
     status = {c.id: c.status for c in run_suite("all").checks}
     assert status["variety.coordinate_change"] == "fail"

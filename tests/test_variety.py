@@ -85,6 +85,17 @@ def test_all_48_fix_both_equations_with_plus_sign():
         assert equation_invariance(g, pres) == (1, 1)
 
 
+def test_ambient_group_is_the_closure_of_its_generators():
+    # the reference for the direct listing: the closure of the transposition
+    # and the 3-cycle of x1..x3 and the five single sign flips
+    swap12 = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1,) * 6)
+    cycle = SignedMonomialMap((0, 2, 3, 1, 4, 5), (1,) * 6)
+    flips = [SignedMonomialMap.sign_flip(6, i) for i in range(1, 6)]
+    ambient = ambient_group()
+    assert len(ambient) == 192
+    assert ambient == group_closure([swap12, cycle, *flips])
+
+
 def test_x5_flip_fixes_equations():
     pres = presentation_x()
     assert equation_invariance(SignedMonomialMap.sign_flip(6, 5), pres) == (1, 1)
