@@ -105,12 +105,12 @@ PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0), Char(0, 0, 1, 0),
 STANDARD_QUADRUPLE: Quadruple = frozenset(PRODUCT_FORM_CHARS)
 
 
-def syzygetic_quadruples() -> list[Quadruple]:
+@cache
+def syzygetic_quadruples() -> tuple[Quadruple, ...]:
     """All syzygetic quadruples of even characteristics (there are 15)."""
     evens = even_characteristics()
     found = [frozenset(q) for q in combinations(evens, 4) if is_syzygetic(q)]
-    found.sort(key=lambda q: sorted(char_index(m) for m in q))
-    return found
+    return tuple(sorted(found, key=lambda q: sorted(char_index(m) for m in q)))
 
 
 def complement_sextuple(q: Iterable[Char]) -> Sextuple:
@@ -125,8 +125,9 @@ STANDARD_SEXTUPLE: Sextuple = frozenset(
 )
 
 
-def all_sextuples() -> list[Sextuple]:
-    return [complement_sextuple(q) for q in syzygetic_quadruples()]
+@cache
+def all_sextuples() -> tuple[Sextuple, ...]:
+    return tuple(complement_sextuple(q) for q in syzygetic_quadruples())
 
 
 # -- 4x4 integer matrices and Sp(4, F_2) ---------------------------------

@@ -15,17 +15,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and numeric verification suite for genus-2 theta "
                     "constants and the associated Calabi-Yau threefold.",
     )
-    sub = parser.add_subparsers(dest="selector", required=True)
-    for name in sorted(SELECTORS):
-        p = sub.add_parser(name, help=f"run the {name!r} check battery")
-        p.add_argument("--truncation", type=int, default=12, metavar="N",
-                       help="exponent-weight bound for expansions (default 12)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all sampled checks (default 0)")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="numeric tolerance (default 1e-8)")
-        p.add_argument("--json", metavar="PATH", default=None,
-                       help="also write the machine-readable report here")
+    parser.add_argument("selector", choices=sorted(SELECTORS),
+                        help="the check battery to run")
+    parser.add_argument("--truncation", type=int, default=12, metavar="N",
+                        help="exponent-weight bound for expansions (default 12)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for all sampled checks (default 0)")
+    parser.add_argument("--tol", type=float, default=1e-8,
+                        help="numeric tolerance (default 1e-8)")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="also write the machine-readable report here")
     return parser
 
 

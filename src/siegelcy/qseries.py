@@ -24,13 +24,18 @@ only ever asserted up to the smaller of the two bounds.
 Products go through one packed kernel (Kronecker substitution).  Each
 factor is split into cells by (n0, n2), the exponents that decide the
 weight n0 + n2, and each cell becomes one Python integer holding its terms
-in fixed-width signed slots indexed by n1; so one integer product does a
-cell pair's whole convolution over n1, and only cell pairs whose weights
-sum to at most the bound are multiplied.  `product` and powers keep their
-partial products packed and decode the result once.  A slot is
-bitlen(B) + 1 bits wide, with B the product of the factors' sums of |c|:
-B bounds every coefficient of the result, and the extra bit is the sign,
-so the slots never overlap and decoding is exact (see `_Layout`).
+in fixed-width signed slots indexed by phi = n1 + 3(n0 + n2) over the
+chain's step; so one integer product does a cell pair's whole convolution
+over n1, and only cell pairs whose weights sum to at most the bound are
+multiplied.  phi is linear in the exponents, and the step is the gcd of
+its differences within each factor: 4 on a theta with mixed upper bits,
+whose n1 have gcd 1, and 8 on the a = 0 thetas.  Each factor's residue,
+phi mod step, is carried through the chain and read back on decoding.
+`product` and powers keep their partial products packed and decode the
+result once.  A slot is bitlen(B) + 1 bits wide, with B the product of
+the factors' sums of |c|: B bounds every coefficient of the result, and
+the extra bit is the sign, so the slots never overlap and decoding is
+exact (see `_Layout`).
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ class QSeries:
             raise ValueError("negative power of a series")
         if n == 0:
             return QSeries.one(self.truncation)
-        layout = _Layout([self], _norm(self) ** n)
+        layout = _Layout([self], n)
         base = layout.pack(self)
         result = None
         while True:
@@ -179,7 +184,7 @@ def product(series: Iterable[QSeries]) -> QSeries:
     items = list(series)
     if not items:
         raise ValueError("empty product")
-    layout = _Layout(items, math.prod(map(_norm, items)))
+    layout = _Layout(items)
     result = layout.pack(items[0])
     for s in items[1:]:
         result = _multiply(result, layout.pack(s), layout)
@@ -188,8 +193,8 @@ def product(series: Iterable[QSeries]) -> QSeries:
 
 # -- the packed product kernel ---------------------------------------------
 
-#: a packed series: its cells, cell key -> sum of c * 2^(bits * n1 / step)
-#: over the cell
+#: a packed series: its cells, cell key -> sum of c * 2^(bits * slot) over
+#: the cell, with each term's slot (phi - residue) / step (see `_Layout`)
 Packed = dict[int, int]
 
 #: the nonzero cells as a multiplication reads them:
@@ -198,39 +203,59 @@ Packed = dict[int, int]
 Cells = list[tuple[int, int, int]]
 
 
-def _norm(s: QSeries) -> int:
-    """The sum of |c| over the coefficients of s."""
-    return sum(map(abs, s.terms.values()))
-
-
 class _Layout:
     """Where each term of a product's factors and partial products sits.
 
     A cell is the set of terms with one (n0, n2), keyed w * width + n2,
     with w = n0 + n2 its weight and width = truncation + 1, so that keys
     add as the exponents do and sort by weight.  In a cell, the term
-    c * q1^n1 sits in slot n1 / step of one Python integer, that is
-    c * 2^(bits * n1 / step), with step the gcd of every n1 of every
-    factor (4 or 8 for the y's and F's).
+    c * q1^n1 sits in slot phi // step of one Python integer, that is
+    c * 2^(bits * (phi // step)), with phi = n1 + 3w.  step is the gcd of
+    the differences of phi within each factor, so the phi of one factor
+    all leave one remainder mod step, the factor's residue, and
+    phi // step = (phi - residue) / step exactly.  phi is linear in the
+    exponents, so the slots of a product's term add up to
+    (phi - residue) / step with phi its own and `residue` the sum of the
+    factors' residues (n times the base's for an n-th power); decoding reads
+    n1 = slot * step + residue - 3w.
+
+    Why phi and not n1: a theta term with r = 2g + a has
+    n0 + n2 - n1 = 2 r1 r2, so phi = 4w - 2 r1 r2, which is -2 a1 a2 mod 4
+    on every term of a theta and 0 mod 8 when a = 0.  n1 itself follows
+    w mod 4, so a theta with mixed upper bits has n1 of both parities:
+    their gcd is 1, where the phi of the sextuple chains have step 4 and
+    those of the four a = 0 thetas step 8.
 
     Packing a cell evaluates a polynomial in q1^step at 2^bits.  That is a
     ring map, so the integer product of two packed cells is the packed
     product cell, exactly, whatever its slot values; sums and the shifts
     that align cells are exact too.  Only decoding needs the slots apart:
     an integer sum of v_k * 2^(bits * k) gives back every v_k when each
-    |v_k| < 2^(bits-1).  `bound`, the product of the factors' sums of |c|,
-    bounds the sum of |c| of the result, so each of its coefficients (and
-    of every partial product, when no factor is zero); with
-    bits = bitlen(bound) + 1, |v_k| <= bound < 2^(bits-1).
+    |v_k| < 2^(bits-1).  The bound, the product of the factors' sums of
+    |c|, bounds the sum of |c| of the result, so each of its coefficients
+    (and of every partial product, when no factor is zero); with
+    bits = bitlen(bound) + 1, |v_k| <= bound < 2^(bits-1).  The slot a
+    term sits in does not enter this, so decoding stays exact at the
+    same width whatever the step.
     """
 
-    __slots__ = ("truncation", "width", "step", "bits")
+    __slots__ = ("truncation", "width", "step", "residue", "bits")
 
-    def __init__(self, factors: list[QSeries], bound: int) -> None:
+    def __init__(self, factors: list[QSeries], power: int = 1) -> None:
+        """The layout of the product of the factors, raised to the power.
+        An empty factor adds nothing to the step or the residue."""
         self.truncation = min(s.truncation for s in factors)
         self.width = self.truncation + 1
-        self.step = math.gcd(*(n[1] for s in factors for n in s.terms)) or 1
-        self.bits = bound.bit_length() + 1
+        bound, step, firsts = 1, 0, []
+        for s in factors:
+            bound *= sum(map(abs, s.terms.values()))
+            phis = [n1 + 3 * (n0 + n2) for n0, n1, n2 in s.terms]
+            if phis:
+                firsts.append(phis[0])
+                step = math.gcd(step, *map(phis[0].__rsub__, phis))
+        self.step = step = step or 1
+        self.residue = power * sum(p % step for p in firsts)
+        self.bits = (bound ** power).bit_length() + 1
 
     def pack(self, s: QSeries) -> Packed:
         """One pass over the terms of s within the truncation."""
@@ -241,12 +266,12 @@ class _Layout:
             if w > n:
                 continue
             key = w * width + n2
-            cells[key] = cells.get(key, 0) + (c << bits * (n1 // step))
+            cells[key] = cells.get(key, 0) + (c << bits * ((n1 + 3 * w) // step))
         return cells
 
     def cells(self, packed: Packed) -> Cells:
-        """The nonzero cells, by weight, each shifted down to its smallest
-        n1 for the multiplication."""
+        """The nonzero cells, by weight, each shifted down to its lowest
+        nonempty slot for the multiplication."""
         bits = self.bits
         out = []
         for key, x in packed.items():
@@ -259,13 +284,13 @@ class _Layout:
     def unpack(self, packed: Packed) -> QSeries:
         """Decode every cell once, skipping runs of empty slots by the
         count of trailing zero bits."""
-        width, step, bits = self.width, self.step, self.bits
+        width, step, residue, bits = self.width, self.step, self.residue, self.bits
         mask, top, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
         terms: dict[ExpTriple, int] = {}
         for key, x in packed.items():
             w, n2 = divmod(key, width)
             n0 = w - n2
-            n1 = 0
+            n1 = residue - 3 * w
             while x:
                 v = x & mask
                 if not v:

@@ -12,6 +12,7 @@ from siegelcy.characteristics import (
     STANDARD_QUADRUPLE,
     STANDARD_SEXTUPLE,
     all_characteristics,
+    all_sextuples,
     char_sum,
     complement_sextuple,
     even_characteristics,
@@ -71,6 +72,13 @@ def test_fifteen_syzygetic_quadruples():
     assert STANDARD_QUADRUPLE in quads
     sextuples = {complement_sextuple(q) for q in quads}
     assert len(sextuples) == 15
+
+
+def test_quadruples_and_sextuples_are_enumerated_once():
+    """Repeated calls return the one tuple built on the first."""
+    assert syzygetic_quadruples() is syzygetic_quadruples()
+    assert all_sextuples() is all_sextuples()
+    assert all_sextuples() == tuple(complement_sextuple(q) for q in syzygetic_quadruples())
 
 
 def test_complement_of_standard_quadruple():
