@@ -14,8 +14,10 @@ sampling words on the same classes.  Its affine action on characteristics
 uses the diagonal correction ((C^tD)_0; (A^tB)_0), the variant that
 preserves parity and satisfies the group-action law (the condition the
 whole suite tests).  Its sign character is the sign of the permutation it
-induces on the six odd characteristics.  The 4x4 integer matrix helpers
-below are shared with `symplectic`.
+induces on the six odd characteristics.  The orbit and the stabilizer
+order of a set of characteristics come from one scan of the 720 elements,
+kept per set.  The 4x4 integer matrix helpers below are shared with
+`symplectic`.
 """
 
 from __future__ import annotations
@@ -222,18 +224,20 @@ def sp4f2_steps(generators: tuple[Mat4, ...]) -> tuple[tuple[int, ...], ...]:
     classes, index = sp4f2_walk()
     combos = [_right_product(g) for g in generators]
     return tuple(
-        tuple(index[comb[x[0]], comb[x[1]], comb[x[2]], comb[x[3]]] for comb in combos)
-        for x in classes
+        tuple([index[comb[r0], comb[r1], comb[r2], comb[r3]] for comb in combos])
+        for r0, r1, r2, r3 in classes
     )
+
+
+#: _MASK_ROWS[mask]: the 0/1 row whose bit 3 - j is column j
+_MASK_ROWS = tuple(tuple(mask >> (3 - j) & 1 for j in range(4)) for mask in range(16))
 
 
 @cache
 def sp4f2_elements() -> tuple[Mat2F2, ...]:
     """The 720 classes as 0/1 matrices, sorted."""
-    return tuple(sorted(
-        tuple(tuple(mask >> (3 - j) & 1 for j in range(4)) for mask in x)
-        for x in sp4f2_walk()[0]
-    ))
+    return tuple(sorted((_MASK_ROWS[r0], _MASK_ROWS[r1], _MASK_ROWS[r2], _MASK_ROWS[r3])
+                        for r0, r1, r2, r3 in sp4f2_walk()[0]))
 
 
 def sp4f2_act(x: Mat2F2, m: Char) -> Char:
@@ -252,10 +256,11 @@ def sp4f2_act(x: Mat2F2, m: Char) -> Char:
 def _act(x: Mat2F2, m: Char) -> Char:
     """`sp4f2_act` without the check that x is symplectic mod 2."""
     a1, a2, b1, b2 = m
-    return Char(*(
-        (r[0] * (b1 + r[2]) + r[1] * (b2 + r[3]) + r[2] * a1 + r[3] * a2) % 2
-        for r in (x[2], x[3], x[0], x[1])
-    ))
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = x
+    return Char((r0 * (b1 + r2) + r1 * (b2 + r3) + r2 * a1 + r3 * a2) % 2,
+                (s0 * (b1 + s2) + s1 * (b2 + s3) + s2 * a1 + s3 * a2) % 2,
+                (p0 * (b1 + p2) + p1 * (b2 + p3) + p2 * a1 + p3 * a2) % 2,
+                (q0 * (b1 + q2) + q1 * (b2 + q3) + q2 * a1 + q3 * a2) % 2)
 
 
 def sp4f2_sign(x: Mat2F2) -> int:
@@ -271,13 +276,26 @@ def sp4f2_sign(x: Mat2F2) -> int:
     return -1 if inversions % 2 else 1
 
 
+@cache
+def _quadruple_scan(start: frozenset[Char]) -> tuple[frozenset[Quadruple], int]:
+    """(orbit, stabilizer order) of a set of characteristics: one pass over
+    the 720 elements, kept per set."""
+    orbit = set()
+    fixed = 0
+    for x in sp4f2_elements():
+        image = frozenset([_act(x, m) for m in start])
+        orbit.add(image)
+        fixed += image == start
+    return frozenset(orbit), fixed
+
+
 def quadruple_orbit(q: Iterable[Char]) -> set[Quadruple]:
-    """Orbit of a 4-set of characteristics under the whole group."""
-    start = frozenset(q)
-    return {frozenset(_act(x, m) for m in start) for x in sp4f2_elements()}
+    """Orbit of a 4-set of characteristics under the whole group, read off
+    the one scan of the group that `quadruple_stabilizer_order` shares."""
+    return set(_quadruple_scan(frozenset(q))[0])
 
 
 def quadruple_stabilizer_order(q: Iterable[Char]) -> int:
-    start = frozenset(q)
-    return sum(1 for x in sp4f2_elements()
-               if frozenset(_act(x, m) for m in start) == start)
+    """How many of the 720 elements fix the 4-set, read off the same scan
+    as `quadruple_orbit`."""
+    return _quadruple_scan(frozenset(q))[1]

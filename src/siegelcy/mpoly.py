@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
+from operator import add
 
 Exponent = tuple[int, ...]
 
@@ -54,7 +55,7 @@ def _times(a: dict, b: dict, into: dict) -> dict:
     """Add the product of the term dicts a and b into `into`, and return it."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             into[e] = into.get(e, 0) + c1 * c2
     return into
 
@@ -65,7 +66,8 @@ class MPoly:
     def __init__(self, variables: tuple[str, ...],
                  terms: dict[Exponent, int | Fraction]) -> None:
         self.vars = tuple(variables)
-        self.terms = {e: _exact(c) for e, c in terms.items() if c}
+        self.terms = {e: c if type(c) is int else _exact(c)
+                      for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -168,14 +170,6 @@ class MPoly:
     def coefficient(self, exponent: Exponent) -> int | Fraction:
         return self.terms.get(tuple(exponent), 0)
 
-    def used_variables(self) -> set[str]:
-        used: set[str] = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.vars[i])
-        return used
-
     # -- calculus and substitution --------------------------------------
 
     def partial(self, name: str) -> MPoly:
@@ -196,21 +190,27 @@ class MPoly:
         in that ring; values from two rings, or anything that is not a
         polynomial (a `Fraction` included), are refused.  An occurring
         variable without an assignment is an error, named.  The powers of
-        each variable are built once per call, and the terms summed in one dict.
+        each variable are built once per call, up to its largest exponent in
+        self, and the terms summed in one dict.
         """
-        for name in sorted(self.used_variables()):
-            if name not in assignment:
-                raise KeyError(f"no assignment for variable {name!r}")
+        tops = [max(column) for column in zip(*self.terms)] or [0] * len(self.vars)
+        missing = sorted(v for v, top in zip(self.vars, tops) if top and v not in assignment)
+        if missing:
+            raise KeyError(f"no assignment for variable {missing[0]!r}")
         values = list(assignment.values())
         if (any(type(v) is not MPoly for v in values)
                 or len({v.vars for v in values}) > 1):
             raise ValueError("assignment values must be polynomials of one ring")
         ring = values[0].vars if values else self.vars
         unit = (0,) * len(ring)
-        powers = [[{unit: 1}] for _ in self.vars]
-        for i, name in enumerate(self.vars):
-            for _ in range(max((e[i] for e in self.terms), default=0)):
-                powers[i].append(_times(powers[i][-1], assignment[name].terms, {}))
+        powers = []
+        for name, top in zip(self.vars, tops):
+            row = [{unit: 1}]
+            if top:  # the value's own terms are read, never written
+                row.append(assignment[name].terms)
+            for _ in range(top - 1):
+                row.append(_times(row[-1], row[1], {}))
+            powers.append(row)
         terms: dict[Exponent, int | Fraction] = {}
         for e, c in self.terms.items():
             *factors, last = [powers[i][k] for i, k in enumerate(e) if k] or [{unit: 1}]

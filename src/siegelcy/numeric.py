@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import qseries, symplectic
@@ -286,21 +285,27 @@ def _walk(x: tuple[int, int], rho: tuple[int, int], step: tuple[int, int],
 
     Each step multiplies the term by rho, then rho by `step`.  With every
     factor of modulus at most one, each rounding (under one unit in the
-    last place per shift) is carried forward and never amplified.
+    last place per shift) is carried forward and never amplified.  The loop
+    takes the steps in pairs, an odd one and then an even one, and an odd
+    count ends with one more odd step.
     """
     xr, xi = x
     rr, ri = rho
     sr, si = step
     odd_re = odd_im = even_re = even_im = 0
-    for k in range(count):
+    for _ in range(count >> 1):
         xr, xi = (xr * rr - xi * ri) >> FIXED_BITS, (xr * ri + xi * rr) >> FIXED_BITS
         rr, ri = (rr * sr - ri * si) >> FIXED_BITS, (rr * si + ri * sr) >> FIXED_BITS
-        if k & 1:
-            even_re += xr
-            even_im += xi
-        else:
-            odd_re += xr
-            odd_im += xi
+        odd_re += xr
+        odd_im += xi
+        xr, xi = (xr * rr - xi * ri) >> FIXED_BITS, (xr * ri + xi * rr) >> FIXED_BITS
+        rr, ri = (rr * sr - ri * si) >> FIXED_BITS, (rr * si + ri * sr) >> FIXED_BITS
+        even_re += xr
+        even_im += xi
+    if count & 1:
+        xr, xi = (xr * rr - xi * ri) >> FIXED_BITS, (xr * ri + xi * rr) >> FIXED_BITS
+        odd_re += xr
+        odd_im += xi
     return odd_re, odd_im, even_re, even_im
 
 
@@ -396,7 +401,7 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     lam = Z.min_eigenvalue()
     radius, bound = _summation_radius(lam, tol)
     terms = (radius + 1) ** 2  # lattice points of one parity class, at most
-    y0, y1, y2 = (complex(z).imag for z in (Z.z0, Z.z1, Z.z2))
+    y1, y2 = complex(Z.z1).imag, complex(Z.z2).imag
     bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS  # the fixed-point walk
     bound += terms ** 2 * 2.0 ** (11 - MANTISSA_BITS)  # the Float products
     # the terms outside the window, (radius + 1) 2^-cut (1 + 2 / (1 - |q2|))
@@ -409,10 +414,11 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
         cut += 1
     bound += spread * 2.0 ** -cut
     window = 4 * cut * math.log(2) / math.pi + 1  # R^2
-    # D, rounded once from the exact determinant of the doubles
-    det_ratio = float((Fraction(y0) * Fraction(y2) - Fraction(y1) ** 2) / Fraction(y2))
-    last = min(radius, math.floor(math.sqrt(window / det_ratio)))  # |r1| of the last row
     (w0, w1, w2), k = _gaussian(Z)
+    # D, rounded once from the exact determinant of the doubles: yj is
+    # wj[1] 2^-k, and an int / int true division is correctly rounded
+    det_ratio = (w0[1] * w2[1] - w1[1] ** 2) / (w2[1] << k)
+    last = min(radius, math.floor(math.sqrt(window / det_ratio)))  # |r1| of the last row
     e0, e1, e2 = (_expjpi((*w, -k - d)) for w, d in ((w0, 2), (w1, 1), (w2, 2)))
     # squares[j][k] = e^(2^k) for the exponentials e0, e1, e1^-1, e2, e2^-1
     squares = [[e] for e in (e0, e1, _inverse(e1), e2, _inverse(e2))]

@@ -225,6 +225,8 @@ def _generators() -> list[SpMat]:
 _GENERATORS = _generators()
 _GENERATOR_ROWS = tuple(g.rows for g in _GENERATORS)
 _GENERATOR_INDICES = range(len(_GENERATORS))
+#: the product every sample's word is multiplied onto, checked once
+_IDENTITY = SpMat.identity()
 
 
 # In Gamma2[2], so its sign character is 1, and of theta character -1: it
@@ -241,7 +243,10 @@ def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
     Members of Gamma2[2] and Gamma_n are the identity mod 2 (class 0), and
     members of the level-2 Hecke group and of its cusp-form kernel have
     C = 0 mod 2; every class passes for the full group.  ValueError for any
-    other tag.
+    other tag.  One breadth-first pass from those classes keeps each class's
+    round, the length of its word, in a list indexed by class; a class's
+    word is then the first generator into an earlier round followed by the
+    word of the class it reaches.
     """
     classes = sp4f2_walk()[0]
     if tag.kind == "full":
@@ -257,15 +262,21 @@ def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
     # word.  The generators are closed under inverses, so the classes one
     # step before t are the classes one step after it.
     order = list(word)
-    rounds = dict.fromkeys(order, 0)
+    rounds: list[int | None] = [None] * len(classes)
+    for c in order:
+        rounds[c] = 0
     for t in order:  # grows while it is walked
+        after = rounds[t] + 1
         for c in step[t]:
-            if c not in rounds:
-                rounds[c] = rounds[t] + 1
+            if rounds[c] is None:
+                rounds[c] = after
                 order.append(c)
     for c in order[len(word):]:  # the first generator into an earlier round
-        g = next(g for g in _GENERATOR_INDICES if rounds[step[c][g]] < rounds[c])
-        word[c] = (g, *word[step[c][g]])
+        targets, here = step[c], rounds[c]
+        for g in _GENERATOR_INDICES:
+            if rounds[targets[g]] < here:
+                break
+        word[c] = (g, *word[targets[g]])
     return tuple(word[c] for c in range(len(classes)))
 
 
@@ -275,9 +286,11 @@ def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     The seeded RNG draws `word_length` generators; the word's class mod 2
     is read off the step table and the shortest word to a member's class
     (`_corrections`) is appended, so a sample of the full group is the
-    word itself.  In the two index-two kernels a product outside the
-    kernel is multiplied by `_KERNEL_COSET`.  Every returned matrix has
-    passed `subgroup_membership`; ArithmeticError if one does not.
+    word itself.  The generators are multiplied onto `_IDENTITY`, whose
+    symplectic relation is checked once, at import.  In the two index-two
+    kernels a product outside the kernel is multiplied by `_KERNEL_COSET`.
+    Every returned matrix has passed `subgroup_membership`; ArithmeticError
+    if one does not.
     """
     corrections = _corrections(tag)
     rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
@@ -286,7 +299,7 @@ def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     c = 0
     for g in word:
         c = step[c][g]
-    m = SpMat.identity()
+    m = _IDENTITY
     for g in (*word, *corrections[c]):
         m = m * _GENERATORS[g]
     if tag.kind in ("chi_kernel", "hecke_chi_kernel") and not subgroup_membership(m, tag):

@@ -20,8 +20,10 @@ substitution.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import lcm, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .equations import Equations
@@ -75,14 +77,18 @@ COORD_MATRIX: tuple[tuple[int, ...], ...] = (
 )
 
 
-def _invert_fraction_matrix(rows) -> list[list[Fraction]]:
-    """The inverse, read off the reduced echelon form of [M | I]."""
+@cache
+def _invert_fraction_matrix(rows: tuple[tuple[int, ...], ...]
+                            ) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse, read off the reduced echelon form of [M | I]; computed
+    once per matrix."""
     n = len(rows)
     reduced = row_reduce([{**dict(enumerate(row)), n + i: 1}
                           for i, row in enumerate(rows)])
     if [pivot for pivot, _ in reduced] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [[row.get(n + j, Fraction(0)) for j in range(n)] for _, row in reduced]
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n))
+                 for _, row in reduced)
 
 
 def coord_matrix_det() -> int:
@@ -202,10 +208,13 @@ class SignedMonomialMap(_SignedPermutation):
         if len(f.vars) != len(self.perm):
             raise ValueError("map and polynomial have different numbers of variables")
         source = sorted(range(len(self.perm)), key=self.perm.__getitem__)
-        negated = [i for i, s in enumerate(self.sign) if s < 0]
+        # itemgetter of one index returns the entry, not a 1-tuple; and the
+        # negated exponents are read after entry 0 twice, which keeps the
+        # parity of their sum
+        move = itemgetter(*source) if len(source) > 1 else tuple
+        negated = itemgetter(0, 0, *(i for i, s in enumerate(self.sign) if s < 0))
         return MPoly(f.vars, {
-            tuple(e[i] for i in source): -c if sum(e[i] for i in negated) % 2 else c
-            for e, c in f.terms.items()
+            move(e): -c if sum(negated(e)) & 1 else c for e, c in f.terms.items()
         })
 
 
@@ -265,8 +274,10 @@ def equation_invariance(g: SignedMonomialMap, pres: Presentation):
 OMEGA_CHART = ("u0", "u1", "u2", "u3", "u5")
 
 
+@cache
 def omega_form() -> ThreeForm:
-    """The rational 3-form in the affine chart dividing by the 5th coordinate.
+    """The rational 3-form in the affine chart dividing by the 5th coordinate,
+    built once per process.
 
     The homogeneous expression has degree zero, so the chart loses nothing:
     with u_i = x_i / x_4 the coefficient is 1 / ((u1*u2*u3 - 2*u0) * u5).
@@ -315,15 +326,14 @@ def omega_stabilizer() -> OmegaStabilizerReport:
     The subgroup fixing both defining equations has order 96; the pullback
     sign on the 3-form is a character of it whose kernel has order 48.
     The sign-flip of the 5th coordinate alone negates the form; composed
-    with the last coordinate's flip it preserves it.
+    with the last coordinate's flip it preserves it.  Both flips fix the
+    equations, so their signs are read off the scan.
     """
     pres = presentation_x()
     ambient = ambient_group()
     fixing = [g for g in ambient if equation_invariance(g, pres) == (1, 1)]
-    stab = [g for g in fixing if omega_pullback_sign(g) == 1]
-
-    x4_flip = SignedMonomialMap.sign_flip(6, 4)
-    x4_x5_flip = SignedMonomialMap.sign_flip(6, 4, 5)
+    signs = {g: omega_pullback_sign(g) for g in fixing}
+    stab = [g for g in fixing if signs[g] == 1]
 
     # in the x4-flip coset of the stabilizer the 5th-coordinate sign always
     # compensates the permutation parity
@@ -342,8 +352,8 @@ def omega_stabilizer() -> OmegaStabilizerReport:
         ambient_order=len(ambient),
         equation_fixing_order=len(fixing),
         stabilizer_order=len(stab),
-        x4_flip_sign=omega_pullback_sign(x4_flip),
-        x4_x5_flip_sign=omega_pullback_sign(x4_x5_flip),
+        x4_flip_sign=signs[SignedMonomialMap.sign_flip(6, 4)],
+        x4_x5_flip_sign=signs[SignedMonomialMap.sign_flip(6, 4, 5)],
         x4_coset_description=description,
         projective_order=projective_order,
         stabilizer=frozenset(stab),
@@ -413,14 +423,22 @@ def _linear_quotient(curve: CurveRep):
     form as (pivot, row) pairs, and the map x_p -> x_p - row_p(x) at each
     pivot p.  The map is idempotent, sends each linear generator to zero and
     leaves f - reduce(f) in their span, so f lies in the ideal exactly when
-    reduce(f) lies in the ideal of the reduced generators."""
+    reduce(f) lies in the ideal of the reduced generators.  Its matrix is
+    built on the first reduction, so a curve whose key reduces nothing (an
+    ideal of linear generators only) never builds it."""
     variables = curve.ideal[0].vars
     rref = row_reduce([{e.index(1): c for e, c in f.terms.items()}
                        for f in curve.ideal if f.total_degree() == 1])
-    pivots, n = dict(rref), len(variables)
-    eliminate = [[int(i == j) - pivots.get(i, {}).get(j, 0) for j in range(n)]
-                 for i in range(n)]
-    return rref, lambda f: substitute_linear(f, eliminate, variables, variables)
+    eliminate: list[list[int]] = []
+
+    def reduce(f: MPoly) -> MPoly:
+        if not eliminate:
+            pivots, n = dict(rref), len(variables)
+            eliminate.extend([int(i == j) - pivots.get(i, {}).get(j, 0) for j in range(n)]
+                             for i in range(n))
+        return substitute_linear(f, eliminate, variables, variables)
+
+    return rref, reduce
 
 
 def canonical_curve_key(curve: CurveRep):
@@ -454,7 +472,9 @@ def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
 
     Containment is decided in the linear quotient: each defining equation,
     reduced modulo the ideal's linear generators, is a graded member of the
-    reduced generators; for the fifteen curves only the quadric survives.
+    reduced generators of degree 2 or more (the linear ones reduce to zero,
+    as in `canonical_curve_key`); for the fifteen curves only the quadric
+    survives.
     Substitution is a ring map, so the 2x2 minors of the Jacobian along the
     parametrization are the minors of its entries along it: the entries are
     substituted first and the minors formed in the parameter ring.
@@ -462,7 +482,7 @@ def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
     assignment = dict(zip(pres.variables, curve.param))
     param_ok = all(f.substitute(assignment).is_zero() for f in curve.ideal)
     _, reduce = _linear_quotient(curve)
-    quotient = [reduce(g) for g in curve.ideal]
+    quotient = [reduce(g) for g in curve.ideal if g.total_degree() >= 2]
     member_ok = all(graded_membership(reduce(f), quotient) is not None
                     for f in pres.gens())
     rows = [[f.partial(v).substitute(assignment) for v in pres.variables]

@@ -370,6 +370,33 @@ def test_window_walks_fewer_steps_than_the_box(monkeypatch):
     assert counts == [472, 7055]
 
 
+def _walk_step_by_step(x, rho, step, count):
+    """`numeric._walk` one step per turn: step k = 1, ..., count multiplies
+    the term by rho and rho by `step`, and adds the term to the odd sums
+    for odd k and to the even sums for even k."""
+    (xr, xi), (rr, ri), (sr, si) = x, rho, step
+    sums = [0, 0, 0, 0]  # odd re, odd im, even re, even im
+    for k in range(1, count + 1):
+        xr, xi = (xr * rr - xi * ri) >> FIXED_BITS, (xr * ri + xi * rr) >> FIXED_BITS
+        rr, ri = (rr * sr - ri * si) >> FIXED_BITS, (rr * si + ri * sr) >> FIXED_BITS
+        at = 0 if k % 2 else 2
+        sums[at] += xr
+        sums[at + 1] += xi
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("count", range(10))
+def test_walk_is_the_step_by_step_loop(count):
+    # box_reference walks its rows through numeric._walk too, so only an
+    # independent loop can see a fault in it
+    rng = random.Random(count)
+    one = 1 << FIXED_BITS
+    for _ in range(25):
+        x, rho, step = [(rng.randrange(-one, one), rng.randrange(-one, one))
+                        for _ in range(3)]
+        assert numeric._walk(x, rho, step, count) == _walk_step_by_step(x, rho, step, count)
+
+
 def test_dual_engine_consistency_all_even():
     Z = SiegelPoint(3j, 0j, 3j)
     deviations = series_numeric_consistency(even_characteristics(), Z, 12)

@@ -304,6 +304,25 @@ def test_failed_coordinate_change_is_a_fail_record(monkeypatch):
     assert not any("error" in c.data for c in checks)
 
 
+def test_a_cached_inverse_does_not_hide_a_patched_matrix(monkeypatch):
+    # the inverse of the change matrix is kept per matrix: a genuine run
+    # first, then the patch of test_failed_coordinate_change_is_a_fail_record
+    # must still reach the inverse direction
+    from siegelcy import variety
+
+    genuine = next(c for c in run_suite("variety").checks
+                   if c.id == "variety.coordinate_change")
+    assert genuine.status == "pass"
+    assert genuine.data["inverse_quadric_scalar"] is not None
+    rows = [list(row) for row in variety.COORD_MATRIX]
+    rows[0][3] = 3
+    monkeypatch.setattr(variety, "COORD_MATRIX", tuple(map(tuple, rows)))
+    record = next(c for c in run_suite("variety").checks
+                  if c.id == "variety.coordinate_change")
+    assert record.status == "fail"
+    assert record.data["inverse_quadric_scalar"] is None
+
+
 @pytest.mark.parametrize("method, changed, relation", [
     ("y_quadric", 1, "relations.y_quadric"),
     # x4^2 = F5^2 starts at weight 16, where f6_quadric lifts its comparison
