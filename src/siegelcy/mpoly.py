@@ -3,7 +3,7 @@
 A polynomial fixes an ordered tuple of variable names and maps exponent
 tuples to nonzero coefficients: an `int` when the coefficient is integral,
 as almost every one here is, and a `Fraction` only when it is not.
-Composition substitutes polynomials only.  A rational quantity (a 3-form's
+Composition is a ring map of polynomials.  A rational quantity (a 3-form's
 coefficient, the Jacobian of maps sharing one denominator) is carried as
 an unreduced numerator/denominator pair of polynomials and compared by
 cross-multiplication; the denominators stay monomial-like, so the missing
@@ -17,7 +17,6 @@ to degree 4.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 from operator import add
@@ -184,38 +183,9 @@ class MPoly:
         return MPoly(self.vars, terms)
 
     def substitute(self, assignment: dict[str, MPoly]) -> MPoly:
-        """Compose: substitute a polynomial for every variable that occurs in self.
-
-        The values are polynomials of one common ring, and the result lives
-        in that ring; values from two rings, or anything that is not a
-        polynomial (a `Fraction` included), are refused.  An occurring
-        variable without an assignment is an error, named.  The powers of
-        each variable are built once per call, up to its largest exponent in
-        self, and the terms summed in one dict.
-        """
-        tops = [max(column) for column in zip(*self.terms)] or [0] * len(self.vars)
-        missing = sorted(v for v, top in zip(self.vars, tops) if top and v not in assignment)
-        if missing:
-            raise KeyError(f"no assignment for variable {missing[0]!r}")
-        values = list(assignment.values())
-        if (any(type(v) is not MPoly for v in values)
-                or len({v.vars for v in values}) > 1):
-            raise ValueError("assignment values must be polynomials of one ring")
-        ring = values[0].vars if values else self.vars
-        unit = (0,) * len(ring)
-        powers = []
-        for name, top in zip(self.vars, tops):
-            row = [{unit: 1}]
-            if top:  # the value's own terms are read, never written
-                row.append(assignment[name].terms)
-            for _ in range(top - 1):
-                row.append(_times(row[-1], row[1], {}))
-            powers.append(row)
-        terms: dict[Exponent, int | Fraction] = {}
-        for e, c in self.terms.items():
-            *factors, last = [powers[i][k] for i, k in enumerate(e) if k] or [{unit: 1}]
-            _times(reduce(lambda t, f: _times(t, f, {}), factors, {unit: c}), last, terms)
-        return MPoly(ring, terms)
+        """Compose: substitute a polynomial for every variable that occurs in
+        self, through a `RingMap` used once."""
+        return RingMap(self.vars, assignment)(self)
 
     def evaluate(self, values: dict[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -244,6 +214,66 @@ class MPoly:
             mono = "*".join(factors) if factors else "1"
             parts.append(f"{c}*{mono}" if mono != "1" else f"{c}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class RingMap:
+    """The ring map Q[source] -> Q[target] sending each assigned variable to
+    its value, applied by calling it on polynomials of the source ring.
+
+    The values are polynomials of one common ring, the target (the source
+    itself when nothing is assigned); values from two rings, or anything
+    that is not a polynomial (a `Fraction` included), are refused.  A
+    variable without an assignment is an error, named, once a monomial
+    that contains it is mapped.  The image of every monomial mapped is
+    kept, the powers of each variable among them, so polynomials mapped by
+    one map expand each shared monomial once.
+    """
+
+    __slots__ = ("source", "target", "_values", "_images")
+
+    def __init__(self, source: tuple[str, ...], assignment: dict[str, MPoly]) -> None:
+        values = list(assignment.values())
+        if (any(type(v) is not MPoly for v in values)
+                or len({v.vars for v in values}) > 1):
+            raise ValueError("assignment values must be polynomials of one ring")
+        self.source = tuple(source)
+        self.target = values[0].vars if values else self.source
+        self._values = assignment
+        self._images: dict[Exponent, dict] = {
+            (0,) * len(self.source): {(0,) * len(self.target): 1}}
+
+    def _image(self, e: Exponent) -> dict:
+        """The image of the monomial e: that of e with one factor of its
+        last variable removed, times that variable's value."""
+        image = self._images.get(e)
+        if image is None:
+            i = len(e) - 1
+            while not e[i]:
+                i -= 1
+            name = self.source[i]
+            if name not in self._values:
+                raise KeyError(f"no assignment for variable {name!r}")
+            lower = self._image(e[:i] + (e[i] - 1,) + e[i + 1:])
+            # the value's own terms are read, never written
+            image = self._images[e] = _times(lower, self._values[name].terms, {})
+        return image
+
+    def __call__(self, f: MPoly) -> MPoly:
+        if f.vars != self.source:
+            raise ValueError(f"variable mismatch: {f.vars} vs {self.source}")
+        terms: dict[Exponent, int | Fraction] = {}
+        for e, c in f.terms.items():
+            for m, v in self._image(e).items():
+                terms[m] = terms.get(m, 0) + c * v
+        return MPoly(self.target, terms)
+
+
+def linear_map(matrix, source_vars, target_vars) -> RingMap:
+    """The ring map source_i -> sum_j matrix[i][j] * target_j."""
+    units = [tuple(int(k == j) for k in range(len(target_vars)))
+             for j in range(len(target_vars))]
+    return RingMap(source_vars, {v: MPoly(target_vars, dict(zip(units, row)))
+                                 for v, row in zip(source_vars, matrix)})
 
 
 def monomials_of_degree(variables: tuple[str, ...], degree: int) -> list[Exponent]:
@@ -402,6 +432,18 @@ def determinant(matrix: list[list[MPoly]]) -> MPoly:
     return total
 
 
+def two_row_rank(rows: list[list[MPoly]]) -> int:
+    """Rank of a 2 x n polynomial matrix: 0 without a nonzero entry, else 1
+    exactly when the n - 1 minors through the first nonzero entry vanish."""
+    for r, row in enumerate(rows):
+        for j, a in enumerate(row):
+            if not a.is_zero():
+                other = rows[1 - r]
+                return 1 if all((a * other[k] - row[k] * other[j]).is_zero()
+                                for k in range(len(row)) if k != j) else 2
+    return 0
+
+
 def rational_jacobian(numerators: list[MPoly], denominator: MPoly,
                       variables: list[str]) -> tuple[MPoly, MPoly]:
     """Jacobian determinant of the maps N_i / D with respect to `variables`,
@@ -494,8 +536,8 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
             raise KeyError(f"no substitution for chart variable {v!r}")
         if substitution[v].vars != tv:
             raise ValueError("substitution values must live on the target chart")
-    num = omega.num.substitute(substitution)
-    den = omega.den.substitute(substitution)
+    along = RingMap(omega.vars, substitution)
+    num, den = along(omega.num), along(omega.den)
     if den.is_zero():
         raise ZeroDivisionError("substitution collapses the coefficient denominator")
     differentials = [[substitution[w].partial(v) for v in tv] for w in omega.wedge]

@@ -6,22 +6,20 @@ Two coordinate systems are carried, their equations read from the
 ring-generic `equations.Equations` on the `MPoly` generators: the y-system
 from the even-weight ring generators and the x-system from the
 doubled-argument generators, linked by an explicit integer matrix
-(y5 = x5).  Every linear change of coordinates goes through
-`substitute_linear`, and every composition through `MPoly.substitute`; the
-x-side curve parametrizations use the inverse matrix times its common
-denominator, so they keep integer coefficients.  All checks are exact: ideal
-membership by graded linear algebra (for a curve ideal, after the quotient
-by its linear generators), form pullbacks by the chain rule along polynomial
-chart maps, curve singularity by identical vanishing of every 2x2 minor of
-the Jacobian along a parametrization, formed from the Jacobian entries after
-substitution.
+(y5 = x5).  Every composition is a `RingMap`; the x-side curve
+parametrizations use the inverse matrix times its common denominator, so
+they keep integer coefficients.  All checks are exact: ideal membership by
+graded linear algebra (for a curve ideal, after the quotient by its linear
+generators), curve singularity by a Jacobian of rank exactly 1 along a
+parametrization.  Signed permutations act by relabelling, on the 3-form
+too, so chain-rule pullbacks now serve only the blow-up charts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -29,13 +27,16 @@ from typing import NamedTuple
 from .equations import Equations
 from .mpoly import (
     MPoly,
+    RingMap,
     ThreeForm,
     determinant,
     graded_membership,
+    linear_map,
     perm_sign,
     rational_jacobian,
     row_reduce,
     threeform_pullback,
+    two_row_rank,
 )
 
 Y_VARS = ("y0", "y1", "y2", "y3", "y4", "y5")
@@ -92,16 +93,10 @@ def _invert_fraction_matrix(rows: tuple[tuple[int, ...], ...]
 
 
 def coord_matrix_det() -> int:
+    """The permutation sum over the permutations through no zero entry."""
     return sum(perm_sign(p) * prod(row[j] for row, j in zip(COORD_MATRIX, p))
-               for p in permutations(range(len(COORD_MATRIX))))
-
-
-def substitute_linear(f: MPoly, matrix, source_vars, target_vars) -> MPoly:
-    """Compose f(source) with source_i = sum_j matrix[i][j] * target_j."""
-    units = [tuple(int(k == j) for k in range(len(target_vars)))
-             for j in range(len(target_vars))]
-    return f.substitute({v: MPoly(target_vars, dict(zip(units, row)))
-                         for v, row in zip(source_vars, matrix)})
+               for p in permutations(range(len(COORD_MATRIX)))
+               if all(row[j] for row, j in zip(COORD_MATRIX, p)))
 
 
 class CoordinateChangeReport(NamedTuple):
@@ -129,9 +124,10 @@ def coordinate_change_check() -> CoordinateChangeReport:
     for prefix, matrix, source, target in (
             ("", COORD_MATRIX, pres_y, pres_x),
             ("inverse_", _invert_fraction_matrix(COORD_MATRIX), pres_x, pres_y)):
+        change = linear_map(matrix, source.variables, target.variables)
         for step, f in (("quadric_scalar_multiple", source.quadric),
                         ("quartic_membership", source.quartic)):
-            image = substitute_linear(f, matrix, source.variables, target.variables)
+            image = change(f)
             cofactors = graded_membership(image, target.gens())
             if cofactors is None or image.is_zero():
                 failed.append(prefix + step)
@@ -199,23 +195,41 @@ class SignedMonomialMap(_SignedPermutation):
     def negate_all(self) -> SignedMonomialMap:
         return SignedMonomialMap(self.perm, tuple(-s for s in self.sign))
 
-    def apply(self, f: MPoly) -> MPoly:
-        """Substitute x_i -> sign[i] * x_perm[i]; the pullback f o sigma.
-
-        The monomial prod x_i^e_i goes to prod x_perm[i]^e_i, times -1 when
-        the exponents of the negated variables have an odd sum.
-        """
+    def _relabelled(self, f: MPoly):
+        """The terms of f o sigma: prod x_i^e_i goes to prod x_perm[i]^e_i,
+        negated when the negated variables' exponents have an odd sum."""
         if len(f.vars) != len(self.perm):
             raise ValueError("map and polynomial have different numbers of variables")
-        source = sorted(range(len(self.perm)), key=self.perm.__getitem__)
-        # itemgetter of one index returns the entry, not a 1-tuple; and the
-        # negated exponents are read after entry 0 twice, which keeps the
-        # parity of their sum
-        move = itemgetter(*source) if len(source) > 1 else tuple
-        negated = itemgetter(0, 0, *(i for i, s in enumerate(self.sign) if s < 0))
-        return MPoly(f.vars, {
-            move(e): -c if sum(negated(e)) & 1 else c for e, c in f.terms.items()
-        })
+        move, negated = _relabelling(self)
+        return ((move(e), -c if sum(negated(e)) & 1 else c) for e, c in f.terms.items())
+
+    def apply(self, f: MPoly) -> MPoly:
+        """Substitute x_i -> sign[i] * x_perm[i]; the pullback f o sigma."""
+        return MPoly(f.vars, dict(self._relabelled(f)))
+
+    def fixing_sign(self, f: MPoly) -> int | None:
+        """The s with f o sigma == s * f, else None; relabelling is one to one
+        on monomials, so the first term off s * f decides."""
+        sign = 0
+        for e, c in self._relabelled(f):
+            d = f.terms.get(e)
+            s = 1 if d == c else -1 if d == -c else 0
+            if not s or sign and s != sign:
+                return None
+            sign = s
+        return sign or 1
+
+
+@cache
+def _relabelling(g: SignedMonomialMap):
+    """The exponent mover and the negated-exponent reader of g, built once
+    per map."""
+    source = sorted(range(len(g.perm)), key=g.perm.__getitem__)
+    # itemgetter of one index returns the entry, not a 1-tuple; and the
+    # negated exponents are read after entry 0 twice, which keeps the
+    # parity of their sum
+    return (itemgetter(*source) if len(source) > 1 else tuple,
+            itemgetter(0, 0, *(i for i, s in enumerate(g.sign) if s < 0)))
 
 
 def group_closure(generators: list[SignedMonomialMap],
@@ -257,16 +271,8 @@ def ambient_group() -> set[SignedMonomialMap]:
 
 def equation_invariance(g: SignedMonomialMap, pres: Presentation):
     """Signs (quartic, quadric) when g fixes both up to sign, else None."""
-    signs = []
-    for f in pres.gens():
-        image = g.apply(f)
-        if image == f:
-            signs.append(1)
-        elif image == -f:
-            signs.append(-1)
-        else:
-            return None
-    return tuple(signs)
+    signs = tuple(map(g.fixing_sign, pres.gens()))
+    return None if None in signs else signs
 
 
 # -- the distinguished 3-form ------------------------------------------------
@@ -287,26 +293,28 @@ def omega_form() -> ThreeForm:
                      (u1 * u2 * u3 - 2 * u0) * u5, ("u1", "u2", "u3"))
 
 
-_CHART_INDEX = {0: "u0", 1: "u1", 2: "u2", 3: "u3", 5: "u5"}
-
-
-def chart_substitution(g: SignedMonomialMap) -> dict[str, MPoly]:
-    """The induced substitution on the affine chart (requires x4 -> ±x4):
-    u_i -> sign[i] * sign[4] * u_perm[i]."""
-    if g.perm[4] != 4:
-        raise ValueError("map must fix the 5th coordinate up to sign")
-    return {name: g.sign[i] * g.sign[4] * MPoly.var(OMEGA_CHART, _CHART_INDEX[g.perm[i]])
-            for i, name in _CHART_INDEX.items()}
+#: the coordinates x_i whose ratios u_i = x_i / x4 span the chart, in order
+_CHART_COORDS = (0, 1, 2, 3, 5)
 
 
 def omega_pullback_sign(g: SignedMonomialMap) -> int:
+    """The s with g^* omega == s * omega.  On the chart g is the signed
+    permutation u_i -> sign[i] * sign[4] * u_perm[i]: the chain rule relabels
+    the coefficient, whose coprime numerator and denominator must each go to
+    a sign times itself, and sends du_i to sign[i] * sign[4] * du_perm[i].
+    """
+    if g.perm[4] != 4:
+        raise ValueError("map must fix the 5th coordinate up to sign")
+    chart = SignedMonomialMap(tuple(_CHART_COORDS.index(g.perm[i]) for i in _CHART_COORDS),
+                              tuple(g.sign[i] * g.sign[4] for i in _CHART_COORDS))
     omega = omega_form()
-    pulled = threeform_pullback(omega, chart_substitution(g), OMEGA_CHART)
-    if pulled == omega:
-        return 1
-    if pulled == -omega:
-        return -1
-    raise ArithmeticError("pullback is not proportional to the form")
+    wedge = [OMEGA_CHART.index(w) for w in omega.wedge]
+    moved = [chart.perm[k] for k in wedge]
+    signs = [chart.fixing_sign(omega.num), chart.fixing_sign(omega.den)]
+    if None in signs or sorted(moved) != wedge:
+        raise ArithmeticError("pullback is not proportional to the form")
+    return (prod(signs) * prod(chart.sign[k] for k in wedge)
+            * perm_sign(tuple(map(wedge.index, moved))))
 
 
 class OmegaStabilizerReport(NamedTuple):
@@ -397,24 +405,13 @@ def curve_to_x(curve: CurveRep) -> CurveRep:
     denominator: a parametrization is projective, so the points stay the
     same and the x-side parameters keep integer coefficients.
     """
-    ideal = tuple(substitute_linear(f, COORD_MATRIX, Y_VARS, X_VARS)
-                  for f in curve.ideal)
+    ideal = tuple(map(linear_map(COORD_MATRIX, Y_VARS, X_VARS), curve.ideal))
     inverse = _invert_fraction_matrix(COORD_MATRIX)
     scale = lcm(*(a.denominator for row in inverse for a in row))
     scaled = [[scale * a for a in row] for row in inverse]
-    on_param = dict(zip(Y_VARS, curve.param))
-    param = tuple(substitute_linear(x, scaled, X_VARS, Y_VARS).substitute(on_param)
-                  for x in MPoly.ring(X_VARS))
-    return CurveRep(curve.name, ideal, param)
-
-
-def act_on_curve(g: SignedMonomialMap, curve: CurveRep) -> CurveRep:
-    """Image curve: V(f o sigma_g) carries the points sigma_g^-1(P)."""
-    ginv = g.inverse()
-    ideal = tuple(g.apply(f) for f in curve.ideal)
-    param = tuple(
-        ginv.sign[i] * curve.param[ginv.perm[i]] for i in range(6)
-    )
+    on_param = RingMap(Y_VARS, dict(zip(Y_VARS, curve.param)))
+    to_y = linear_map(scaled, X_VARS, Y_VARS)
+    param = tuple(on_param(to_y(x)) for x in MPoly.ring(X_VARS))
     return CurveRep(curve.name, ideal, param)
 
 
@@ -423,20 +420,21 @@ def _linear_quotient(curve: CurveRep):
     form as (pivot, row) pairs, and the map x_p -> x_p - row_p(x) at each
     pivot p.  The map is idempotent, sends each linear generator to zero and
     leaves f - reduce(f) in their span, so f lies in the ideal exactly when
-    reduce(f) lies in the ideal of the reduced generators.  Its matrix is
-    built on the first reduction, so a curve whose key reduces nothing (an
-    ideal of linear generators only) never builds it."""
+    reduce(f) lies in the ideal of the reduced generators.  It is one ring
+    map, built on the first reduction, so a curve whose key reduces nothing
+    (an ideal of linear generators only) never builds it."""
     variables = curve.ideal[0].vars
     rref = row_reduce([{e.index(1): c for e, c in f.terms.items()}
                        for f in curve.ideal if f.total_degree() == 1])
-    eliminate: list[list[int]] = []
+    eliminate: list[RingMap] = []
 
     def reduce(f: MPoly) -> MPoly:
         if not eliminate:
             pivots, n = dict(rref), len(variables)
-            eliminate.extend([int(i == j) - pivots.get(i, {}).get(j, 0) for j in range(n)]
-                             for i in range(n))
-        return substitute_linear(f, eliminate, variables, variables)
+            eliminate.append(linear_map(
+                [[int(i == j) - pivots.get(i, {}).get(j, 0) for j in range(n)]
+                 for i in range(n)], variables, variables))
+        return eliminate[0](f)
 
     return rref, reduce
 
@@ -461,10 +459,11 @@ class CurveCheckReport(NamedTuple):
     param_satisfies_ideal: bool
     equations_in_ideal: bool
     minors_vanish: bool
+    jacobian_rank: int
 
     def all_ok(self) -> bool:
         return (self.param_satisfies_ideal and self.equations_in_ideal
-                and self.minors_vanish)
+                and self.jacobian_rank == 1)
 
 
 def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
@@ -475,40 +474,55 @@ def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
     reduced generators of degree 2 or more (the linear ones reduce to zero,
     as in `canonical_curve_key`); for the fifteen curves only the quadric
     survives.
-    Substitution is a ring map, so the 2x2 minors of the Jacobian along the
-    parametrization are the minors of its entries along it: the entries are
-    substituted first and the minors formed in the parameter ring.
+    One ring map substitutes the parametrization into the ideal's
+    generators and the Jacobian's entries.  The Jacobian's rank along the
+    curve must be exactly 1: at most 1 is the singularity, and at least 1
+    holds on all of P^5, as either quadric is nondegenerate; rank 0 means
+    the substitution lost the curve.
     """
-    assignment = dict(zip(pres.variables, curve.param))
-    param_ok = all(f.substitute(assignment).is_zero() for f in curve.ideal)
+    along = RingMap(pres.variables, dict(zip(pres.variables, curve.param)))
+    param_ok = all(along(f).is_zero() for f in curve.ideal)
     _, reduce = _linear_quotient(curve)
     quotient = [reduce(g) for g in curve.ideal if g.total_degree() >= 2]
     member_ok = all(graded_membership(reduce(f), quotient) is not None
                     for f in pres.gens())
-    rows = [[f.partial(v).substitute(assignment) for v in pres.variables]
-            for f in pres.gens()]
-    minors_ok = all((rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]).is_zero()
-                    for i, j in combinations(range(len(pres.variables)), 2))
-    return CurveCheckReport(curve.name, param_ok, member_ok, minors_ok)
+    rank = two_row_rank([[along(f.partial(v)) for v in pres.variables]
+                         for f in pres.gens()])
+    return CurveCheckReport(curve.name, param_ok, member_ok, rank <= 1, rank)
+
+
+def _up_to_sign(f: MPoly) -> frozenset:
+    """The terms of f or of -f, whichever has a positive least term."""
+    if f.terms and f.terms[min(f.terms)] < 0:
+        f = -f
+    return frozenset(f.terms.items())
 
 
 def curve_orbits(group: frozenset[SignedMonomialMap] | set[SignedMonomialMap],
                  seeds: list[CurveRep]) -> list[list[CurveRep]]:
-    """Orbit decomposition of the seed curves, keyed by canonical ideals."""
+    """Orbit decomposition of the seed curves, keyed by canonical ideals:
+    one key per image generator set up to sign, and a parametrization only
+    for the curve each orbit keeps."""
     orbits: list[list[CurveRep]] = []
     seen: set = set()
     for seed in seeds:
         orbit: dict = {}
+        keyed: set = set()
         for g in group:
-            image = act_on_curve(g, seed)
-            key = canonical_curve_key(image)
-            if key not in orbit:
-                orbit[key] = image
+            ideal = tuple(map(g.apply, seed.ideal))
+            generators = frozenset(map(_up_to_sign, ideal))
+            if generators not in keyed:
+                keyed.add(generators)
+                image = seed._replace(ideal=ideal)
+                orbit.setdefault(canonical_curve_key(image), (g.inverse(), image))
         keys = set(orbit)
         if keys & seen:
             raise ArithmeticError("orbits are not disjoint")
         seen |= keys
-        orbits.append(list(orbit.values()))
+        # V(f o sigma_g) carries the points sigma_g^-1(P)
+        orbits.append([image._replace(param=tuple(
+            s * seed.param[j] for s, j in zip(ginv.sign, ginv.perm)))
+            for ginv, image in orbit.values()])
     return orbits
 
 

@@ -8,6 +8,7 @@ import pytest
 from siegelcy import mpoly
 from siegelcy.mpoly import (
     MPoly,
+    RingMap,
     ThreeForm,
     graded_membership,
     monomials_of_degree,
@@ -55,6 +56,27 @@ def _random_poly(rng: random.Random, variables) -> MPoly:
         e = tuple(rng.randint(0, 3) for _ in variables)
         terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return MPoly(variables, terms)
+
+
+def test_one_ring_map_equals_a_fresh_substitution_per_polynomial():
+    # the map keeps every monomial image it builds, so later polynomials read
+    # images of earlier ones; the reference expands each term by products
+    xyz = ("x", "y", "z")
+    rng = random.Random(39)
+    for _ in range(20):
+        assignment = {v: _random_poly(rng, UV) for v in xyz}
+        ring_map = RingMap(xyz, assignment)
+        for _ in range(6):
+            f = _random_poly(rng, xyz)
+            expanded = MPoly.zero(UV)
+            for e, c in f.terms.items():
+                term = MPoly.const(UV, c)
+                for v, k in zip(xyz, e):
+                    term = term * assignment[v] ** k
+                expanded = expanded + term
+            assert ring_map(f) == f.substitute(assignment) == expanded
+    with pytest.raises(ValueError):
+        ring_map(MPoly.ring(XY)[0])
 
 
 def test_ring_axioms_on_seeded_triples():
@@ -313,7 +335,6 @@ def test_variety_polynomials_have_int_coefficients():
         OMEGA_CHART,
         _bordered_and_affine,
         ambient_group,
-        chart_substitution,
         omega_form,
         presentation_x,
         presentation_y,
@@ -323,6 +344,10 @@ def test_variety_polynomials_have_int_coefficients():
         assert all(_all_int(f) for f in pres.gens())
     assert all(_all_int(f) for f in _bordered_and_affine())
     omega = omega_form()
+    # u_i = x_i / x4 goes to sign[i] * sign[4] * u_perm[i]
+    chart = dict(zip((0, 1, 2, 3, 5), MPoly.ring(OMEGA_CHART)))
     for g in ambient_group():
-        pulled = threeform_pullback(omega, chart_substitution(g), OMEGA_CHART)
+        subs = {u: g.sign[i] * g.sign[4] * chart[g.perm[i]]
+                for u, i in zip(OMEGA_CHART, chart)}
+        pulled = threeform_pullback(omega, subs, OMEGA_CHART)
         assert _all_int(pulled.num) and _all_int(pulled.den)

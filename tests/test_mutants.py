@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from siegelcy import characteristics, variety
+from siegelcy.mpoly import MPoly
 from siegelcy.suite import run_suite
 
 
@@ -20,6 +21,14 @@ def _flip_a1(act):
     def mutant(x, m):
         image = act(x, m)
         return image._replace(a1=1 - image.a1)
+    return mutant
+
+
+def _curve_map_to_zero(ring_map):
+    def mutant(source, assignment):
+        if all(v.vars == variety.PARAM_VARS for v in assignment.values()):
+            return lambda f: MPoly.zero(variety.PARAM_VARS)
+        return ring_map(source, assignment)
     return mutant
 
 
@@ -37,6 +46,9 @@ MUTANTS = [
     ("variety", variety, "jacobian_rank_at", lambda genuine: lambda pres, point: 1,
      {"variety.smooth_control"},
      "a rank below two at the control point reads as a singular point"),
+    ("variety", variety, "RingMap", _curve_map_to_zero, {"variety.singular_curves"},
+     "a substitution along the curves that returns zero satisfies every ideal and "
+     "minor, but leaves the Jacobian rank 0, which no point of the threefold has"),
 ]
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from siegelcy.mpoly import MPoly, graded_membership, rational_jacobian
+from siegelcy import variety
+from siegelcy.mpoly import MPoly, graded_membership, rational_jacobian, threeform_pullback
 from siegelcy.variety import (
     G_VARS,
+    OMEGA_CHART,
     PARAM_VARS,
     SMOOTH_CONTROL_POINT_Y,
     Y_VARS,
@@ -30,6 +32,7 @@ from siegelcy.variety import (
     jacobian_rank_at,
     line_curve_y,
     nested_radical_maps,
+    omega_form,
     omega_pullback_sign,
     omega_stabilizer,
     point_on_variety,
@@ -159,7 +162,9 @@ def test_apply_is_the_defining_substitution():
         for f in polys:
             gens = MPoly.ring(f.vars)
             assignment = {v: g.sign[i] * gens[g.perm[i]] for i, v in enumerate(f.vars)}
-            assert g.apply(f) == f.substitute(assignment)
+            image = f.substitute(assignment)
+            assert g.apply(f) == image
+            assert g.fixing_sign(f) == (1 if image == f else -1 if image == -f else None)
 
 
 # -- omega -------------------------------------------------------------------
@@ -204,6 +209,31 @@ def test_omega_stabilizer_report():
     stab_list = list(stab)
     for _ in range(50):
         assert rng.choice(stab_list) * rng.choice(stab_list) in stab
+
+
+def test_omega_sign_is_the_chain_rule_pullback_on_every_ambient_element():
+    # the chain rule along u_i = x_i / x4 -> sign[i] * sign[4] * u_perm[i] is
+    # the reference the relabelling replaces; where the pullback is not
+    # +-omega (an odd number of flips among x1..x3), both refuse a sign
+    omega = omega_form()
+    chart = dict(zip((0, 1, 2, 3, 5), MPoly.ring(OMEGA_CHART)))
+    signs = []
+    for g in ambient_group():
+        subs = {u: g.sign[i] * g.sign[4] * chart[g.perm[i]]
+                for u, i in zip(OMEGA_CHART, chart)}
+        pulled = threeform_pullback(omega, subs, OMEGA_CHART)
+        if pulled in (omega, -omega):
+            signs.append(1 if pulled == omega else -1)
+            assert omega_pullback_sign(g) == signs[-1]
+        else:
+            with pytest.raises(ArithmeticError):
+                omega_pullback_sign(g)
+    assert len(signs) == 96 and signs.count(1) == 48
+
+
+def test_omega_sign_needs_the_chart_coordinate_fixed():
+    with pytest.raises(ValueError):
+        omega_pullback_sign(SignedMonomialMap((0, 1, 2, 3, 5, 4), (1,) * 6))
 
 
 def test_omega_sign_is_multiplicative_on_equation_fixers():
@@ -265,6 +295,18 @@ def test_minors_catch_a_line_through_a_smooth_point():
     report = curve_checks(_smooth_point_line(), presentation_y())
     assert report.param_satisfies_ideal and report.equations_in_ideal
     assert not report.minors_vanish
+    assert report.jacobian_rank == 2 and not report.all_ok()
+
+
+def test_a_parametrization_lost_to_zero_is_not_a_singular_curve():
+    # the zero parametrization satisfies every ideal and every minor, but the
+    # Jacobian's rank along it is 0, which no point of the threefold has
+    zero = MPoly.zero(PARAM_VARS)
+    curve = quadric_curve_y()._replace(param=(zero,) * 6)
+    report = curve_checks(curve, presentation_y())
+    assert report.param_satisfies_ideal and report.equations_in_ideal
+    assert report.minors_vanish
+    assert report.jacobian_rank == 0 and not report.all_ok()
 
 
 def _curves_with_presentations():
@@ -342,7 +384,32 @@ def test_curve_orbits_sizes():
     keys = {canonical_curve_key(c) for c in all_curves}
     assert len(keys) == 15
     for c in all_curves:
-        assert curve_checks(c, pres).all_ok()
+        report = curve_checks(c, pres)
+        assert report.all_ok() and report.jacobian_rank == 1
+
+
+def test_curve_orbits_match_keying_every_image(monkeypatch):
+    # the reference keys the image of every group element, ideal and
+    # parametrization both; the scan keys each generator set up to sign once
+    stab = omega_stabilizer().stabilizer
+    seeds = [curve_to_x(quadric_curve_y()), curve_to_x(line_curve_y())]
+    reference = []
+    for seed in seeds:
+        orbit = {}
+        for g in stab:
+            ginv = g.inverse()
+            image = CurveRep(seed.name, tuple(g.apply(f) for f in seed.ideal),
+                             tuple(ginv.sign[i] * seed.param[ginv.perm[i]] for i in range(6)))
+            orbit.setdefault(canonical_curve_key(image), image)
+        reference.append(orbit)
+    keyed = []
+    monkeypatch.setattr(variety, "canonical_curve_key",
+                        lambda curve: keyed.append(curve) or canonical_curve_key(curve))
+    orbits = curve_orbits(stab, seeds)
+    assert len(keyed) == 48
+    assert [len(o) for o in orbits] == [len(o) for o in reference] == [3, 12]
+    for orbit, expected in zip(orbits, reference):
+        assert {canonical_curve_key(c): c for c in orbit} == expected
 
 
 def test_smooth_control_point():
