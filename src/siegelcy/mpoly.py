@@ -182,11 +182,6 @@ class MPoly:
             terms[tuple(new_e)] = c * e[idx]
         return MPoly(self.vars, terms)
 
-    def substitute(self, assignment: dict[str, MPoly]) -> MPoly:
-        """Compose: substitute a polynomial for every variable that occurs in
-        self, through a `RingMap` used once."""
-        return RingMap(self.vars, assignment)(self)
-
     def evaluate(self, values: dict[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
         vals = [Fraction(values[v]) for v in self.vars]
@@ -416,19 +411,16 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> tuple[MPoly, ...] | None:
     return cofactors
 
 
-def determinant(matrix: list[list[MPoly]]) -> MPoly:
-    """Exact determinant of a square matrix of MPoly entries, by permutation
-    expansion (intended for n <= 4); permutations through a zero entry are
-    skipped."""
+def determinant(matrix):
+    """Exact determinant of a square matrix over any commutative ring (ints,
+    `MPoly`), as the signed sum over all permutations; it uses only `*` and
+    `+`, and is meant for n <= 6."""
     total = matrix[0][0] * 0
     for perm in permutations(range(len(matrix))):
-        factors = [matrix[i][j] for i, j in enumerate(perm)]
-        if any(f.is_zero() for f in factors):
-            continue
-        prod = factors[0] * perm_sign(perm)
-        for f in factors[1:]:
-            prod = prod * f
-        total = total + prod
+        term = matrix[0][perm[0]] * perm_sign(perm)
+        for i in range(1, len(matrix)):
+            term = term * matrix[i][perm[i]]
+        total = total + term
     return total
 
 
@@ -523,9 +515,8 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
     Each source chart variable must be assigned a polynomial on the target
     chart.  The wedge differentials are expanded by the chain rule, so the
     pulled-back wedge is a sum of 3x3 polynomial minors of the map's
-    partials, taken only over the target columns that some differential
-    touches (a minor through an all-zero column vanishes).  The coefficient
-    num/den becomes (num o phi) * minor over den o phi.  The expansion must
+    partials, one for each three target columns.  The coefficient num/den
+    becomes (num o phi) * minor over den o phi.  The expansion must
     collapse to a single wedge term on the target chart (true for all
     charts used here); a substitution with identically zero Jacobian yields
     the zero form rather than an error.
@@ -541,9 +532,8 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
     if den.is_zero():
         raise ZeroDivisionError("substitution collapses the coefficient denominator")
     differentials = [[substitution[w].partial(v) for v in tv] for w in omega.wedge]
-    touched = [c for c in range(len(tv)) if any(not row[c].is_zero() for row in differentials)]
     components: dict[tuple[str, str, str], MPoly] = {}
-    for cols in combinations(touched, 3):
+    for cols in combinations(range(len(tv)), 3):
         det = determinant([[row[c] for c in cols] for row in differentials])
         if not det.is_zero():
             components[tuple(tv[c] for c in cols)] = det

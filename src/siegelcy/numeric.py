@@ -661,15 +661,21 @@ def modulus_law(mats: Sequence[SpMat], chars: Sequence[Char], base: SiegelPoint,
     sample M and its characteristic m, measured by `law_ends`.
 
     Only moduli are compared: the automorphy factor is an 8th root of
-    unity times a square-root branch, both of modulus one.  Returns the
-    verdict and the relative deviation of each sample.
+    unity times a square-root branch, both of modulus one.  A sample counts
+    only when |theta| exceeds 2^20 times its tail bound at both ends, so two
+    values lost in their bounds (zeros among them) cannot agree; such a
+    sample fails, with deviation inf.  Returns the verdict and the relative
+    deviation of each sample.
     """
     forms = [((m,), (sp4f2_act(M.mod2(), m),)) for M, m in zip(mats, chars)]
     results = []
     for image, factor, source in law_ends(mats, forms, base, at_base):
+        if any(abs(end.value) <= 2 ** 20 * end.tail_bound for end in (image, source)):
+            results.append((False, math.inf))
+            continue
         expected = abs(factor) ** 0.5 * abs(source.value)
         got = abs(image.value)
-        scale = max(expected, got, 1e-30)
+        scale = max(expected, got)
         deviation = abs(got - expected) / scale
         slack = (image.tail_bound + source.tail_bound) / scale
         results.append((deviation <= tol + slack, deviation))

@@ -20,7 +20,6 @@ need it.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import random
@@ -315,35 +314,15 @@ def _symmetry_closure(report):
 
 @_check("variety.omega_generator_signs", "pullback signs of the 3-form on the generator families")
 def _omega_generator_signs(report):
-    smm = variety.SignedMonomialMap
-    maps = {
-        "swap_with_last_flip": smm((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1)),
-        "double_flip_12": smm.sign_flip(6, 1, 2),
-        "double_flip_13": smm.sign_flip(6, 1, 3),
-        "double_flip_23": smm.sign_flip(6, 2, 3),
-        "flip_4_and_5": smm.sign_flip(6, 4, 5),
-        "flip_4_alone": smm.sign_flip(6, 4),
-    }
-    # every permutation of x1..x3, compensated by the x5 sign on odd ones;
-    # permutation_abc sends x1, x2, x3 to xa, xb, xc
-    for p in itertools.permutations((1, 2, 3)):
-        perm = (0, *p, 4, 5)
-        parity = smm(perm, (1,) * 6).perm_parity_on((1, 2, 3))
-        maps["permutation_%d%d%d" % p] = smm(perm, (1,) * 5 + (parity,))
-    signs = {key: variety.omega_pullback_sign(g) for key, g in maps.items()}
+    signs = {key: variety.omega_pullback_sign(g) for key, g in variety.SYMMETRIES.items()}
     return all(sign == 1 for key, sign in signs.items() if key != "flip_4_alone"), signs
 
 
 @_check("variety.omega_stabilizer", "stabilizer of the 3-form inside the ambient signed group")
 def _omega_stabilizer(report):
-    stab = report.once(variety.omega_stabilizer)
-    return None, {"ambient_order": stab.ambient_order,
-                  "equation_fixing_order": stab.equation_fixing_order,
-                  "stabilizer_order": stab.stabilizer_order,
-                  "x4_flip_sign": stab.x4_flip_sign,
-                  "x4_x5_flip_sign": stab.x4_x5_flip_sign,
-                  "x4_coset": stab.x4_coset_description,
-                  "projective_order": stab.projective_order}
+    data = report.once(variety.omega_stabilizer)._asdict()
+    del data["stabilizer"]
+    return None, data
 
 
 @_check("variety.singular_curves",

@@ -78,11 +78,9 @@ COORD_MATRIX: tuple[tuple[int, ...], ...] = (
 )
 
 
-@cache
 def _invert_fraction_matrix(rows: tuple[tuple[int, ...], ...]
                             ) -> tuple[tuple[Fraction, ...], ...]:
-    """The inverse, read off the reduced echelon form of [M | I]; computed
-    once per matrix."""
+    """The inverse, read off the reduced echelon form of [M | I]."""
     n = len(rows)
     reduced = row_reduce([{**dict(enumerate(row)), n + i: 1}
                           for i, row in enumerate(rows)])
@@ -93,10 +91,8 @@ def _invert_fraction_matrix(rows: tuple[tuple[int, ...], ...]
 
 
 def coord_matrix_det() -> int:
-    """The permutation sum over the permutations through no zero entry."""
-    return sum(perm_sign(p) * prod(row[j] for row, j in zip(COORD_MATRIX, p))
-               for p in permutations(range(len(COORD_MATRIX)))
-               if all(row[j] for row, j in zip(COORD_MATRIX, p)))
+    """The determinant of `COORD_MATRIX`, read when called."""
+    return determinant(COORD_MATRIX)
 
 
 class CoordinateChangeReport(NamedTuple):
@@ -192,9 +188,6 @@ class SignedMonomialMap(_SignedPermutation):
         position = {i: k for k, i in enumerate(indices)}
         return perm_sign(tuple(position[self.perm[i]] for i in indices))
 
-    def negate_all(self) -> SignedMonomialMap:
-        return SignedMonomialMap(self.perm, tuple(-s for s in self.sign))
-
     def _relabelled(self, f: MPoly):
         """The terms of f o sigma: prod x_i^e_i goes to prod x_perm[i]^e_i,
         negated when the negated variables' exponents have an odd sum."""
@@ -250,16 +243,30 @@ def group_closure(generators: list[SignedMonomialMap],
     return seen
 
 
+#: the named signed permutations: the sign flips, and every permutation of
+#: x1..x3 compensated by the x5 sign on odd ones (permutation_abc sends x1,
+#: x2, x3 to xa, xb, xc; swap_with_last_flip is permutation_213)
+SYMMETRIES: dict[str, SignedMonomialMap] = {
+    "swap_with_last_flip": SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1)),
+    "double_flip_12": SignedMonomialMap.sign_flip(6, 1, 2),
+    "double_flip_13": SignedMonomialMap.sign_flip(6, 1, 3),
+    "double_flip_23": SignedMonomialMap.sign_flip(6, 2, 3),
+    "flip_4_and_5": SignedMonomialMap.sign_flip(6, 4, 5),
+    "flip_4_alone": SignedMonomialMap.sign_flip(6, 4),
+    **{"permutation_%d%d%d" % p: SignedMonomialMap(
+        (0, *p, 4, 5), (1,) * 5 + (perm_sign(tuple(i - 1 for i in p)),))
+       for p in permutations((1, 2, 3))},
+}
+
+
 def symmetry_generators() -> list[SignedMonomialMap]:
-    """The three families: coordinate swaps of x1..x3 compensated by the
-    last coordinate's sign on odd permutations, double sign flips inside
-    x1..x3, and the sign flip of x4."""
-    swap12 = SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1))
-    cycle = SignedMonomialMap((0, 2, 3, 1, 4, 5), (1,) * 6)
-    flip12 = SignedMonomialMap.sign_flip(6, 1, 2)
-    flip23 = SignedMonomialMap.sign_flip(6, 2, 3)
-    flip4 = SignedMonomialMap.sign_flip(6, 4)
-    return [swap12, cycle, flip12, flip23, flip4]
+    """The three families, by name from `SYMMETRIES`: the permutations of
+    x1..x3 (a transposition and a 3-cycle) compensated by the last
+    coordinate's sign on odd ones, double sign flips inside x1..x3, and the
+    sign flip of x4."""
+    return [SYMMETRIES[name] for name in ("swap_with_last_flip", "permutation_231",
+                                          "double_flip_12", "double_flip_23",
+                                          "flip_4_alone")]
 
 
 def ambient_group() -> set[SignedMonomialMap]:
@@ -323,7 +330,7 @@ class OmegaStabilizerReport(NamedTuple):
     stabilizer_order: int
     x4_flip_sign: int
     x4_x5_flip_sign: int
-    x4_coset_description: str
+    x4_coset: str
     projective_order: int
     stabilizer: frozenset[SignedMonomialMap]
 
@@ -333,9 +340,10 @@ def omega_stabilizer() -> OmegaStabilizerReport:
 
     The subgroup fixing both defining equations has order 96; the pullback
     sign on the 3-form is a character of it whose kernel has order 48.
-    The sign-flip of the 5th coordinate alone negates the form; composed
-    with the last coordinate's flip it preserves it.  Both flips fix the
-    equations, so their signs are read off the scan.
+    The sign-flip of the 5th coordinate alone (`flip_4_alone` of
+    `SYMMETRIES`) negates the form; composed with the last coordinate's
+    flip (`flip_4_and_5`) it preserves it.  Both flips fix the equations,
+    so their signs are read off the scan.
     """
     pres = presentation_x()
     ambient = ambient_group()
@@ -353,17 +361,16 @@ def omega_stabilizer() -> OmegaStabilizerReport:
                    "flips the 5th relative to the permutation parity"
                    if compensated else "no uniform description found")
 
-    neg_id = SignedMonomialMap.identity(6).negate_all()
-    projective_order = len(stab) // 2 if neg_id in stab else len(stab)
-
     return OmegaStabilizerReport(
         ambient_order=len(ambient),
         equation_fixing_order=len(fixing),
         stabilizer_order=len(stab),
-        x4_flip_sign=signs[SignedMonomialMap.sign_flip(6, 4)],
-        x4_x5_flip_sign=signs[SignedMonomialMap.sign_flip(6, 4, 5)],
-        x4_coset_description=description,
-        projective_order=projective_order,
+        x4_flip_sign=signs[SYMMETRIES["flip_4_alone"]],
+        x4_x5_flip_sign=signs[SYMMETRIES["flip_4_and_5"]],
+        x4_coset=description,
+        # the ambient group never negates x0, so no scalar but 1 lies in
+        # it and the stabilizer acts faithfully on P^5
+        projective_order=len(stab),
         stabilizer=frozenset(stab),
     )
 
@@ -458,7 +465,6 @@ class CurveCheckReport(NamedTuple):
     name: str
     param_satisfies_ideal: bool
     equations_in_ideal: bool
-    minors_vanish: bool
     jacobian_rank: int
 
     def all_ok(self) -> bool:
@@ -488,7 +494,7 @@ def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
                     for f in pres.gens())
     rank = two_row_rank([[along(f.partial(v)) for v in pres.variables]
                          for f in pres.gens()])
-    return CurveCheckReport(curve.name, param_ok, member_ok, rank <= 1, rank)
+    return CurveCheckReport(curve.name, param_ok, member_ok, rank)
 
 
 def _up_to_sign(f: MPoly) -> frozenset:

@@ -15,6 +15,7 @@ from siegelcy.mpoly import (
     rational_jacobian,
     threeform_pullback,
 )
+from siegelcy.variety import COORD_MATRIX
 
 XY = ("x", "y")
 UV = ("u", "v")
@@ -24,30 +25,30 @@ def test_binomial_substitution():
     x, y = MPoly.ring(XY)
     u, v = MPoly.ring(UV)
     f = x ** 2
-    expanded = f.substitute({"x": u + v})
+    expanded = RingMap(XY, {"x": u + v})(f)
     assert expanded == u ** 2 + 2 * u * v + v ** 2
 
 
 def test_substituting_zero():
     x, _ = MPoly.ring(XY)
-    assert x.substitute({"x": MPoly.zero(UV)}).is_zero()
+    assert RingMap(XY, {"x": MPoly.zero(UV)})(x).is_zero()
 
 
 def test_unassigned_variable_is_named():
     x, y = MPoly.ring(XY)
     with pytest.raises(KeyError, match="y"):
-        (x * y).substitute({"x": MPoly.var(UV, "u")})
+        RingMap(XY, {"x": MPoly.var(UV, "u")})(x * y)
 
 
 def test_values_from_two_rings_or_kinds_are_refused():
     x, y = MPoly.ring(XY)
     u, v = MPoly.ring(UV)
     with pytest.raises(ValueError):
-        (x * y).substitute({"x": u, "y": MPoly.var(XY, "y")})
+        RingMap(XY, {"x": u, "y": MPoly.var(XY, "y")})(x * y)
     with pytest.raises(ValueError):
-        (x * y).substitute({"x": u, "y": Fraction(1, 2)})
+        RingMap(XY, {"x": u, "y": Fraction(1, 2)})(x * y)
     with pytest.raises(ValueError):
-        x.substitute({"x": Fraction(1, 2)})
+        RingMap(XY, {"x": Fraction(1, 2)})(x)
 
 
 def _random_poly(rng: random.Random, variables) -> MPoly:
@@ -74,9 +75,42 @@ def test_one_ring_map_equals_a_fresh_substitution_per_polynomial():
                 for v, k in zip(xyz, e):
                     term = term * assignment[v] ** k
                 expanded = expanded + term
-            assert ring_map(f) == f.substitute(assignment) == expanded
+            assert ring_map(f) == RingMap(xyz, assignment)(f) == expanded
     with pytest.raises(ValueError):
         ring_map(MPoly.ring(XY)[0])
+
+
+def _eliminated_determinant(rows) -> Fraction:
+    """Gaussian elimination over Q with row swaps, the reference."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_determinant_over_the_integers():
+    # seeded int matrices up to 5 x 5, most entries zero, against exact
+    # elimination: the permutation sum stays in int arithmetic
+    rng = random.Random(40)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(n)]
+        det = mpoly.determinant(rows)
+        assert type(det) is int and det == _eliminated_determinant(rows)
+    singular = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]
+    assert mpoly.determinant(singular) == 0 == _eliminated_determinant(singular)
+    assert mpoly.determinant(COORD_MATRIX) == 1024 == _eliminated_determinant(COORD_MATRIX)
 
 
 def test_ring_axioms_on_seeded_triples():
@@ -202,11 +236,12 @@ def test_jacobian_multiplicative_under_composition():
         g = random_map(rng)
         at_g = dict(zip(vars3, g))
         # compose: (f o g)_i = f_i(g1, g2, g3)
-        comp = [fi.substitute(at_g) for fi in f]
+        along_g = RingMap(vars3, at_g)
+        comp = [along_g(fi) for fi in f]
         jf, jf_den = rational_jacobian(f, one, list(vars3))
         jg, jg_den = rational_jacobian(g, one, list(vars3))
         lhs, lhs_den = rational_jacobian(comp, one, list(vars3))
-        rhs, rhs_den = jf.substitute(at_g) * jg, jf_den.substitute(at_g) * jg_den
+        rhs, rhs_den = along_g(jf) * jg, along_g(jf_den) * jg_den
         assert lhs * rhs_den == rhs * lhs_den
 
 
@@ -276,8 +311,8 @@ def test_pullback_degenerate_map_is_flagged():
 
 
 def test_signed_chart_map_forms_one_minor(monkeypatch):
-    # u_i -> +-u_j touches only three target columns, so one of the C(5, 3)
-    # minors is formed
+    # u_i -> +-u_j touches only three target columns, so of the C(5, 3)
+    # minors formed exactly one is nonzero
     u_vars = ("u0", "u1", "u2", "u3", "u5")
     u0, u1, u2, u3, u5 = MPoly.ring(u_vars)
     omega = ThreeForm(u_vars, MPoly.const(u_vars, 1), (u1 * u2 * u3 - 2 * u0) * u5,
@@ -287,7 +322,8 @@ def test_signed_chart_map_forms_one_minor(monkeypatch):
     determinant = mpoly.determinant
     monkeypatch.setattr(mpoly, "determinant", lambda m: minors.append(m) or determinant(m))
     pulled = threeform_pullback(omega, subs, u_vars)
-    assert len(minors) == 1
+    assert len(minors) == 10
+    assert sum(not determinant(m).is_zero() for m in minors) == 1
     # du0 ^ du3 ^ d(-u2) = du0 ^ du2 ^ du3
     assert pulled == ThreeForm(u_vars, MPoly.const(u_vars, 1), (2 * u1 - u0 * u2 * u3) * u5,
                                ("u0", "u2", "u3"))
@@ -311,7 +347,7 @@ def test_pullback_contravariant_functorial():
         step = threeform_pullback(omega, f, Z3)
         twice = threeform_pullback(step, g, Z3)
         # compose f after g as a single substitution: (f o g)(v) = f(v) evaluated at g
-        fog = {v: f[v].substitute(g) for v in Z3}
+        fog = {v: RingMap(Z3, g)(f[v]) for v in Z3}
         direct = threeform_pullback(omega, fog, Z3)
         assert twice == direct
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from siegelcy import characteristics, variety
+from siegelcy import characteristics, modforms, numeric, qseries, variety
+from siegelcy.characteristics import Char
 from siegelcy.mpoly import MPoly
+from siegelcy.qseries import QSeries
 from siegelcy.suite import run_suite
 
 
@@ -29,6 +31,30 @@ def _curve_map_to_zero(ring_map):
         if all(v.vars == variety.PARAM_VARS for v in assignment.values()):
             return lambda f: MPoly.zero(variety.PARAM_VARS)
         return ring_map(source, assignment)
+    return mutant
+
+
+def _zero_values(kernel):
+    def mutant(chars, Z, tol=1e-12):
+        return [r._replace(value=0j) for r in kernel(chars, Z, tol)]
+    return mutant
+
+
+def _off_the_cone(theta_qexp):
+    # (0, 0, 2) and (0, 4, 2) are not semipositive, and each is the other's
+    # image under z1 -> -z1, so the reflection still fixes the series
+    def mutant(m, truncation):
+        s = theta_qexp(m, truncation)
+        if m == Char(0, 0, 0, 1):
+            s = s + QSeries({(0, 0, 2): 1, (0, 4, 2): 1}, truncation)
+        return s
+    return mutant
+
+
+def _negate_f11(second_kind_qexp):
+    def mutant(a, truncation):
+        f = second_kind_qexp(a, truncation)
+        return -f if a == (1, 1) else f
     return mutant
 
 
@@ -49,6 +75,28 @@ MUTANTS = [
     ("variety", variety, "RingMap", _curve_map_to_zero, {"variety.singular_curves"},
      "a substitution along the curves that returns zero satisfies every ideal and "
      "minor, but leaves the Jacobian rank 0, which no point of the threefold has"),
+    ("numeric", numeric, "theta_eval_batch", _zero_values,
+     {"numeric.modulus_law", "numeric.weight2_character",
+      "numeric.weight3_trivial_character", "numeric.lower_triangular_sign",
+      "numeric.dual_engine"},
+     "zeros with their genuine bounds are not counted as law samples, leave no "
+     "form to divide by, and differ from the expansions; numeric.diagonal_vanishing "
+     "still passes, as it needs an off-diagonal control to see a zero kernel"),
+    ("series", qseries, "theta_qexp", _off_the_cone, {"series.semipositive_support"},
+     "a theta with terms off the semipositive cone, in a reflection-symmetric pair "
+     "that keeps every order"),
+    ("series", qseries, "negate_offdiag", lambda genuine: lambda s: s,
+     {"series.reflection_symmetry"},
+     "without the reflection the all-ones theta is not negated"),
+    ("relations", modforms, "product", lambda genuine: lambda series: genuine(list(series)[:-1]),
+     {"relations.product_quadric", "relations.y_quartic", "relations.y_quadric",
+      "relations.f6_quadric", "relations.chi5_product"},
+     "a product without its last factor changes y5 = F6, the product of squares and "
+     "both sides of chi5, and no other relation reads a product"),
+    ("relations", modforms, "second_kind_qexp", _negate_f11,
+     {"relations.classical_squares", "relations.classical_all_sixteen"},
+     "f for a = (1, 1) negated flips the square relations' cross products; F reads "
+     "it in squares and in f01 f23 = x4, whose relations read only x4^2"),
 ]
 
 
@@ -61,9 +109,9 @@ def test_mutant_fails_its_records(battery, module, name, replace, failing, reaso
     calls = []
     mutant = replace(getattr(module, name))
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return mutant(*args)
+        return mutant(*args, **kwargs)
 
     # the orbit and stabilizer scan is kept per quadruple: cleared so that
     # the mutant is scanned, and again so that no later test reads it
