@@ -26,8 +26,13 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from .equations import perm_sign
+
 
 class Char(NamedTuple):
+    """A characteristic; its tuple order, (a1, a2, b1, b2), is the order of
+    the 4-bit index 8 a1 + 4 a2 + 2 b1 + b2 (`char_from_index`)."""
+
     a1: int
     a2: int
     b1: int
@@ -46,8 +51,10 @@ def is_even(m: Char) -> bool:
     return parity(m) == 0
 
 
-def char_index(m: Char) -> int:
-    return 8 * m.a1 + 4 * m.a2 + 2 * m.b1 + m.b2
+def divisor_orders(m: Char) -> tuple[int, int, int]:
+    """The vanishing orders of theta[m] along q0, q1 and q2 = 0 on the
+    level-8 grid: a1, a1 + a2 - 2 a1 a2 and a2."""
+    return m.a1, m.a1 ^ m.a2, m.a2
 
 
 def char_from_index(k: int) -> Char:
@@ -90,7 +97,7 @@ def _as_quadruple(q: Iterable[Char]) -> tuple[Char, ...]:
     for m in items:
         if not is_even(m):
             raise ValueError(f"characteristic {m} is odd")
-    return tuple(sorted(items, key=char_index))
+    return tuple(sorted(items))
 
 
 def is_syzygetic(q: Iterable[Char]) -> bool:
@@ -112,7 +119,7 @@ def syzygetic_quadruples() -> tuple[Quadruple, ...]:
     """All syzygetic quadruples of even characteristics (there are 15)."""
     evens = even_characteristics()
     found = [frozenset(q) for q in combinations(evens, 4) if is_syzygetic(q)]
-    return tuple(sorted(found, key=lambda q: sorted(char_index(m) for m in q)))
+    return tuple(sorted(found, key=sorted))
 
 
 def complement_sextuple(q: Iterable[Char]) -> Sextuple:
@@ -122,9 +129,7 @@ def complement_sextuple(q: Iterable[Char]) -> Sextuple:
     return frozenset(m for m in even_characteristics() if m not in qs)
 
 
-STANDARD_SEXTUPLE: Sextuple = frozenset(
-    m for m in even_characteristics() if m not in STANDARD_QUADRUPLE
-)
+STANDARD_SEXTUPLE: Sextuple = complement_sextuple(STANDARD_QUADRUPLE)
 
 
 @cache
@@ -240,8 +245,9 @@ def sp4f2_elements() -> tuple[Mat2F2, ...]:
                         for r0, r1, r2, r3 in sp4f2_walk()[0]))
 
 
-def sp4f2_act(x: Mat2F2, m: Char) -> Char:
-    """The affine action of Sp(4, F_2) on characteristics.
+def sp4f2_act(x: Mat4, m: Char) -> Char:
+    """The affine action of Sp(4, F_2) on characteristics, for an integer
+    matrix x read mod 2 (the class lookup and the parities below reduce).
 
     The linear part is transpose-inverse, which mod 2 has block form
     (D C; B A); the affine correction adds the diagonals of C^tD and A^tB
@@ -253,7 +259,7 @@ def sp4f2_act(x: Mat2F2, m: Char) -> Char:
     return _act(x, m)
 
 
-def _act(x: Mat2F2, m: Char) -> Char:
+def _act(x: Mat4, m: Char) -> Char:
     """`sp4f2_act` without the check that x is symplectic mod 2."""
     a1, a2, b1, b2 = m
     (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = x
@@ -263,17 +269,16 @@ def _act(x: Mat2F2, m: Char) -> Char:
                 (q0 * (b1 + q2) + q1 * (b2 + q3) + q2 * a1 + q3 * a2) % 2)
 
 
-def sp4f2_sign(x: Mat2F2) -> int:
-    """The unique nontrivial character of Sp(4, F_2), valued in {+1, -1}.
+def sp4f2_sign(x: Mat4) -> int:
+    """The unique nontrivial character of Sp(4, F_2), valued in {+1, -1},
+    for an integer matrix x read mod 2.
 
     Sp(4, F_2) permutes the six odd characteristics, which identifies it
-    with the symmetric group S_6; the character is the sign of that
+    with the symmetric group S_6; the character is `perm_sign` of that
     permutation.
     """
     odds = odd_characteristics()
-    image = [odds.index(sp4f2_act(x, m)) for m in odds]
-    inversions = sum(1 for i, j in combinations(range(6), 2) if image[i] > image[j])
-    return -1 if inversions % 2 else 1
+    return perm_sign(tuple(odds.index(sp4f2_act(x, m)) for m in odds))
 
 
 @cache

@@ -1,14 +1,49 @@
-"""The threefold's quartic and quadric in y and in x, written once over any
-ring.
+"""The algebra that the exact engines share, written once over any ring:
+the threefold's quartic and quadric in y and in x, the sign of a
+permutation and the determinant.
 
 The module imports nothing from the package: `variety` reads the equations
 on the `MPoly` generators and `modforms` on the series, so neither engine
-imports the other.
+imports the other; `mpoly`, `variety` and `characteristics` read the
+permutation sign and the determinant from here.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import permutations
+
+
+def perm_sign(perm: tuple[int, ...]) -> int:
+    """The sign of the permutation i -> perm[i] of range(len(perm)), from
+    its cycles: each cycle of even length flips it."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def determinant(matrix):
+    """Exact determinant of a square matrix over any commutative ring (ints,
+    `MPoly`), as the signed sum over all permutations; it uses only `*` and
+    `+`, and is meant for n <= 6."""
+    total = matrix[0][0] * 0
+    for perm in permutations(range(len(matrix))):
+        term = matrix[0][perm[0]] * perm_sign(perm)
+        for i in range(1, len(matrix)):
+            term = term * matrix[i][perm[i]]
+        total = total + term
+    return total
 
 
 class Equations:

@@ -30,6 +30,7 @@ from .characteristics import (
     PRODUCT_FORM_CHARS,
     STANDARD_SEXTUPLE,
     all_characteristics,
+    divisor_orders,
     even_characteristics,
     is_syzygetic,
 )
@@ -301,14 +302,6 @@ def measured_substitution_table(registry: FormRegistry) -> dict[str, tuple]:
 
 # -- boundary orders ---------------------------------------------------------
 
-def _axis_bit(m: Char, axis: int) -> int:
-    if axis == 0:
-        return m.a1
-    if axis == 2:
-        return m.a2
-    return m.a1 + m.a2 - 2 * m.a1 * m.a2
-
-
 def boundary_orders(sextuple, registry: FormRegistry) -> tuple[int, int, int]:
     """Form orders along q_nu = 0 from the characteristic bits, cross-checked.
 
@@ -324,7 +317,7 @@ def boundary_orders(sextuple, registry: FormRegistry) -> tuple[int, int, int]:
     series = registry.cusp_form(key)
     ks = []
     for axis in (0, 1, 2):
-        bit_sum = sum(_axis_bit(m, axis) for m in key)
+        bit_sum = sum(divisor_orders(m)[axis] for m in key)
         measured = vanishing_order(series, axis)
         if measured != bit_sum:
             raise ArithmeticError(

@@ -17,9 +17,11 @@ to degree 4.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from operator import add
+
+from .equations import determinant, perm_sign
 
 Exponent = tuple[int, ...]
 
@@ -31,23 +33,6 @@ def _exact(value: int | Fraction) -> int | Fraction:
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
-
-
-def perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _times(a: dict, b: dict, into: dict) -> dict:
@@ -197,18 +182,6 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.vars!r}, {self.terms!r})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[e]
-            factors = [f"{self.vars[i]}^{k}" if k > 1 else self.vars[i]
-                       for i, k in enumerate(e) if k]
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"{c}*{mono}" if mono != "1" else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 class RingMap:
@@ -411,19 +384,6 @@ def graded_membership(f: MPoly, gens: list[MPoly]) -> tuple[MPoly, ...] | None:
     return cofactors
 
 
-def determinant(matrix):
-    """Exact determinant of a square matrix over any commutative ring (ints,
-    `MPoly`), as the signed sum over all permutations; it uses only `*` and
-    `+`, and is meant for n <= 6."""
-    total = matrix[0][0] * 0
-    for perm in permutations(range(len(matrix))):
-        term = matrix[0][perm[0]] * perm_sign(perm)
-        for i in range(1, len(matrix)):
-            term = term * matrix[i][perm[i]]
-        total = total + term
-    return total
-
-
 def two_row_rank(rows: list[list[MPoly]]) -> int:
     """Rank of a 2 x n polynomial matrix: 0 without a nonzero entry, else 1
     exactly when the n - 1 minors through the first nonzero entry vanish."""
@@ -504,7 +464,7 @@ class ThreeForm:
         return ThreeForm(self.vars, -self.num, self.den, self.wedge)
 
     def __repr__(self) -> str:
-        return (f"(({self.num}) / ({self.den})) "
+        return (f"({self.num!r} / {self.den!r}) "
                 f"d{self.wedge[0]}^d{self.wedge[1]}^d{self.wedge[2]}")
 
 

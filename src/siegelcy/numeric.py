@@ -44,12 +44,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from . import qseries, symplectic
-from .characteristics import (PRODUCT_FORM_CHARS, STANDARD_SEXTUPLE, Char, char_index,
-                              sp4f2_act)
-from .qseries import QSeries
+from . import symplectic
+from .characteristics import PRODUCT_FORM_CHARS, STANDARD_SEXTUPLE, Char, sp4f2_act
 from .symplectic import SpMat
 
 #: scale of the fixed-point lattice walk: values are integers times 2^-FIXED_BITS
@@ -92,13 +90,14 @@ class _SymmetricMatrix(NamedTuple):
 
 
 class SiegelPoint(_SymmetricMatrix):
-    """A point Z = (z0 z1; z1 z2) with positive definite imaginary part."""
+    """A point Z = (z0 z1; z1 z2) with positive definite imaginary part; each
+    part is stored as a `complex`."""
 
     __slots__ = ()
 
     def __new__(cls, z0: complex, z1: complex, z2: complex) -> SiegelPoint:
-        y0, y1, y2 = complex(z0).imag, complex(z1).imag, complex(z2).imag
-        if not (y0 > 0 and y0 * y2 - y1 * y1 > 0):
+        z0, z1, z2 = complex(z0), complex(z1), complex(z2)
+        if not (z0.imag > 0 and z0.imag * z2.imag - z1.imag * z1.imag > 0):
             raise ValueError("imaginary part is not positive definite")
         return super().__new__(cls, z0, z1, z2)
 
@@ -108,8 +107,7 @@ class SiegelPoint(_SymmetricMatrix):
         return cls(*iterable)
 
     def min_eigenvalue(self) -> float:
-        y0, y1, y2 = (complex(self.z0).imag, complex(self.z1).imag,
-                      complex(self.z2).imag)
+        y0, y1, y2 = self.z0.imag, self.z1.imag, self.z2.imag
         tr = y0 + y2
         disc = ((y0 - y2) ** 2 + 4 * y1 * y1) ** 0.5
         return (tr - disc) / 2
@@ -257,7 +255,7 @@ def _gaussian(Z: SiegelPoint) -> tuple[list[tuple[int, int]], int]:
     exactly: the parts of Z are doubles, whose denominators are powers of
     two."""
     ratios = [x.as_integer_ratio() for z in (Z.z0, Z.z1, Z.z2)
-              for x in (complex(z).real, complex(z).imag)]
+              for x in (z.real, z.imag)]
     scale = max(d for _, d in ratios)
     parts = [n * (scale // d) for n, d in ratios]
     return list(zip(parts[::2], parts[1::2])), scale.bit_length() - 1
@@ -401,7 +399,7 @@ def theta_eval_batch(chars: Sequence[Char], Z: SiegelPoint,
     lam = Z.min_eigenvalue()
     radius, bound = _summation_radius(lam, tol)
     terms = (radius + 1) ** 2  # lattice points of one parity class, at most
-    y1, y2 = complex(Z.z1).imag, complex(Z.z2).imag
+    y1, y2 = Z.z1.imag, Z.z2.imag
     bound += (4 * terms) ** 2 * 2.0 ** -FIXED_BITS  # the fixed-point walk
     bound += terms ** 2 * 2.0 ** (11 - MANTISSA_BITS)  # the Float products
     # the terms outside the window, (radius + 1) 2^-cut (1 + 2 / (1 - |q2|))
@@ -520,9 +518,10 @@ def _product(results: Sequence[EvalResult]) -> EvalResult:
     return EvalResult(value, bound)
 
 
-def evaluate_qseries(series: Sequence[QSeries], Z: SiegelPoint) -> list[complex]:
-    """Evaluate truncated expansions with integer coefficients at Z on the
-    level-8 grid, q0 = exp(pi i (z0+z1)/4), q1 = exp(-pi i z1/4) and
+def evaluate_qseries(series: Sequence, Z: SiegelPoint) -> list[complex]:
+    """Evaluate truncated expansions with integer coefficients
+    (`qseries.QSeries`, read through their `terms`) at Z on the level-8
+    grid, q0 = exp(pi i (z0+z1)/4), q1 = exp(-pi i z1/4) and
     q2 = exp(pi i (z2+z1)/4), all from one table of powers per q.
 
     Each power q^n is one chain of `_mul`s from an `_expjpi`, whichever
@@ -553,19 +552,22 @@ def evaluate_qseries(series: Sequence[QSeries], Z: SiegelPoint) -> list[complex]
 CERTIFY = 1e-8
 
 
-def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
-                               truncation: int) -> list[float]:
-    """|lattice sum - truncated expansion| at Z, for each characteristic.
+def series_numeric_consistency(expansions: Mapping[Char, object],
+                               Z: SiegelPoint) -> list[float]:
+    """|lattice sum - expansion| at Z, for each characteristic and its
+    truncated expansion (a `qseries.QSeries`), in the mapping's order.
 
-    The terms the expansion drops are exactly the lattice terms with
-    squared norm past the truncation: each is at most exp(-c*(N+1)), and
-    there are fewer than 4N of them inside the shell radius isqrt(N), with
-    the standard Gaussian tail covering everything beyond.  If the
-    combined bound exceeds `CERTIFY` the point sits too low for the
-    comparison and the call refuses it.  The lattice sums come from one
-    batch, which walks each parity class once, and the expansions from one
-    table of powers of each q.
+    The terms an expansion drops are exactly the lattice terms with
+    squared norm past its truncation N (the least of the expansions'):
+    each is at most exp(-c*(N+1)), and there are fewer than 4N of them
+    inside the shell radius isqrt(N), with the standard Gaussian tail
+    covering everything beyond.  If the combined bound exceeds `CERTIFY`
+    the point sits too low for the comparison and the call refuses it.
+    The lattice sums come from one batch, which walks each parity class
+    once, and the expansions are evaluated from one table of powers of
+    each q.
     """
+    truncation = min(s.truncation for s in expansions.values())
     lam = Z.min_eigenvalue()
     c = math.pi * lam / 4.0
     inner = math.isqrt(truncation)
@@ -575,8 +577,8 @@ def series_numeric_consistency(chars: Sequence[Char], Z: SiegelPoint,
         raise ValueError(
             f"dropped-terms bound {dropped:.2e} exceeds {CERTIFY:.0e}; "
             "increase Im Z or the truncation")
-    lattice = theta_eval_batch(chars, Z, tol=1e-16)
-    series = evaluate_qseries([qseries.theta_qexp(m, truncation) for m in chars], Z)
+    lattice = theta_eval_batch(list(expansions), Z, tol=1e-16)
+    series = evaluate_qseries(list(expansions.values()), Z)
     return [abs(r.value - v) for r, v in zip(lattice, series)]
 
 
@@ -618,7 +620,7 @@ def siegel_transform(M: SpMat, Z: SiegelPoint) -> tuple[SiegelPoint, complex]:
 #: the weight-2 product of the four upper-zero constants and the weight-3
 #: product of the standard sextuple
 LAWS = {"theta_product": (PRODUCT_FORM_CHARS, 2),
-        "cusp_form": (tuple(sorted(STANDARD_SEXTUPLE, key=char_index)), 3)}
+        "cusp_form": (tuple(sorted(STANDARD_SEXTUPLE)), 3)}
 
 
 def law_ends(mats: Sequence[SpMat],
@@ -654,6 +656,12 @@ def law_ends(mats: Sequence[SpMat],
     return ends
 
 
+def clear_of_bound(r: EvalResult) -> bool:
+    """|value| exceeds 2^20 times its bound: a value lost in its bound, a
+    zero among them, measures nothing."""
+    return abs(r.value) > 2 ** 20 * r.tail_bound
+
+
 def modulus_law(mats: Sequence[SpMat], chars: Sequence[Char], base: SiegelPoint,
                 at_base: dict[Char, EvalResult] | None = None,
                 tol: float = 1e-8) -> list[tuple[bool, float]]:
@@ -662,15 +670,15 @@ def modulus_law(mats: Sequence[SpMat], chars: Sequence[Char], base: SiegelPoint,
 
     Only moduli are compared: the automorphy factor is an 8th root of
     unity times a square-root branch, both of modulus one.  A sample counts
-    only when |theta| exceeds 2^20 times its tail bound at both ends, so two
-    values lost in their bounds (zeros among them) cannot agree; such a
-    sample fails, with deviation inf.  Returns the verdict and the relative
-    deviation of each sample.
+    only when both ends are `clear_of_bound`, so two values lost in their
+    bounds (zeros among them) cannot agree; such a sample fails, with
+    deviation inf.  Returns the verdict and the relative deviation of each
+    sample.
     """
-    forms = [((m,), (sp4f2_act(M.mod2(), m),)) for M, m in zip(mats, chars)]
+    forms = [((m,), (sp4f2_act(M.rows, m),)) for M, m in zip(mats, chars)]
     results = []
     for image, factor, source in law_ends(mats, forms, base, at_base):
-        if any(abs(end.value) <= 2 ** 20 * end.tail_bound for end in (image, source)):
+        if not (clear_of_bound(image) and clear_of_bound(source)):
             results.append((False, math.inf))
             continue
         expected = abs(factor) ** 0.5 * abs(source.value)
@@ -709,10 +717,9 @@ def law_signs(kind: str, mats: Sequence[SpMat], base: SiegelPoint,
 def diagonal_vanishing_check(tau1: complex, tau2: complex,
                              tol: float = 1e-10) -> bool:
     """The sextuple product and the all-ones theta vanish on the diagonal;
-    the all-ones constant [11;11] is one of the sextuple's six."""
-    if not (complex(tau1).imag > 0 and complex(tau2).imag > 0):
-        raise ValueError("diagonal moduli must lie in the upper half plane")
-    Z = SiegelPoint(complex(tau1), 0j, complex(tau2))
+    the all-ones constant [11;11] is one of the sextuple's six.  ValueError
+    off the upper half plane (the point's own check)."""
+    Z = SiegelPoint(tau1, 0j, tau2)
     chars = LAWS["cusp_form"][0]
     results = theta_eval_batch(chars, Z, tol=1e-14)
     all_ones = results[chars.index(Char(1, 1, 1, 1))]

@@ -10,7 +10,7 @@ walked through Sp(4, F_2), on the classes and step table that
 `characteristics` builds, and the shortest word that carries its class
 to a member's reduction mod 2 is appended.  In the two index-two kernels
 a product outside the kernel is multiplied by one fixed coset
-representative.
+representative, `LOWER_TWOS`.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from typing import NamedTuple
 from .characteristics import (
     IDENTITY4,
     J4,
-    Mat2F2,
     mat_mul,
     mat_transpose,
-    mod2,
     sp4f2_sign,
     sp4f2_steps,
     sp4f2_walk,
@@ -96,9 +94,6 @@ class SpMat:
         out = SpMat.__new__(SpMat)
         out.rows = mat_mul(mat_transpose(mat_mul(self.rows, J4)), J4)
         return out
-
-    def mod2(self) -> Mat2F2:
-        return mod2(self.rows)
 
     def max_entry(self) -> int:
         return max(abs(v) for row in self.rows for v in row)
@@ -201,7 +196,7 @@ def cusp_form_character(m: SpMat) -> int:
     mod-2 quotient (the unique nontrivial character of the full group,
     trivial on the principal level-2 subgroup).
     """
-    return theta_character(m) * sp4f2_sign(m.mod2())
+    return theta_character(m) * sp4f2_sign(m.rows)
 
 
 # -- sampling -----------------------------------------------------------
@@ -229,10 +224,11 @@ _GENERATOR_INDICES = range(len(_GENERATORS))
 _IDENTITY = SpMat.identity()
 
 
-# In Gamma2[2], so its sign character is 1, and of theta character -1: it
-# carries a product outside either index-two kernel into that kernel.
-_KERNEL_COSET = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
-                                  ((2, 2), (2, 2)), ((1, 0), (0, 1)))
+#: the all-twos lower translation: in Gamma2[2], so its sign character is 1,
+#: and of theta character -1, it carries a product outside either index-two
+#: kernel into that kernel
+LOWER_TWOS = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
+                               ((2, 2), (2, 2)), ((1, 0), (0, 1)))
 
 
 @cache
@@ -288,7 +284,7 @@ def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     (`_corrections`) is appended, so a sample of the full group is the
     word itself.  The generators are multiplied onto `_IDENTITY`, whose
     symplectic relation is checked once, at import.  In the two index-two
-    kernels a product outside the kernel is multiplied by `_KERNEL_COSET`.
+    kernels a product outside the kernel is multiplied by `LOWER_TWOS`.
     Every returned matrix has passed `subgroup_membership`; ArithmeticError
     if one does not.
     """
@@ -303,7 +299,7 @@ def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     for g in (*word, *corrections[c]):
         m = m * _GENERATORS[g]
     if tag.kind in ("chi_kernel", "hecke_chi_kernel") and not subgroup_membership(m, tag):
-        m = m * _KERNEL_COSET
+        m = m * LOWER_TWOS
     if not subgroup_membership(m, tag):
         raise ArithmeticError(f"sample {m} is not a member of {tag}")
     return m

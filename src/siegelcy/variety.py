@@ -24,15 +24,13 @@ from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .equations import Equations
+from .equations import Equations, determinant, perm_sign
 from .mpoly import (
     MPoly,
     RingMap,
     ThreeForm,
-    determinant,
     graded_membership,
     linear_map,
-    perm_sign,
     rational_jacobian,
     row_reduce,
     threeform_pullback,
@@ -245,9 +243,8 @@ def group_closure(generators: list[SignedMonomialMap],
 
 #: the named signed permutations: the sign flips, and every permutation of
 #: x1..x3 compensated by the x5 sign on odd ones (permutation_abc sends x1,
-#: x2, x3 to xa, xb, xc; swap_with_last_flip is permutation_213)
+#: x2, x3 to xa, xb, xc)
 SYMMETRIES: dict[str, SignedMonomialMap] = {
-    "swap_with_last_flip": SignedMonomialMap((0, 2, 1, 3, 4, 5), (1, 1, 1, 1, 1, -1)),
     "double_flip_12": SignedMonomialMap.sign_flip(6, 1, 2),
     "double_flip_13": SignedMonomialMap.sign_flip(6, 1, 3),
     "double_flip_23": SignedMonomialMap.sign_flip(6, 2, 3),
@@ -264,7 +261,7 @@ def symmetry_generators() -> list[SignedMonomialMap]:
     x1..x3 (a transposition and a 3-cycle) compensated by the last
     coordinate's sign on odd ones, double sign flips inside x1..x3, and the
     sign flip of x4."""
-    return [SYMMETRIES[name] for name in ("swap_with_last_flip", "permutation_231",
+    return [SYMMETRIES[name] for name in ("permutation_213", "permutation_231",
                                           "double_flip_12", "double_flip_23",
                                           "flip_4_alone")]
 

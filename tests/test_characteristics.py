@@ -206,12 +206,12 @@ def test_stabilizer_order():
 
 
 def test_even_enumeration_is_ascending_in_the_encoding():
-    from siegelcy.characteristics import char_index
-
     evens = even_characteristics()
-    codes = [char_index(m) for m in evens]
+    codes = [8 * m.a1 + 4 * m.a2 + 2 * m.b1 + m.b2 for m in evens]
     assert codes == sorted(codes)
     assert evens[0] == Char(0, 0, 0, 0)
+    # the tuple order of characteristics is the order of the encoding
+    assert sorted(all_characteristics()) == all_characteristics()
 
 
 def test_action_is_transitive_on_parity_classes():

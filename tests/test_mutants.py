@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from siegelcy import characteristics, modforms, numeric, qseries, variety
+from siegelcy import characteristics, modforms, mpoly, numeric, qseries, variety
 from siegelcy.characteristics import Char
 from siegelcy.mpoly import MPoly
 from siegelcy.qseries import QSeries
@@ -51,6 +51,12 @@ def _off_the_cone(theta_qexp):
     return mutant
 
 
+def _one_more_on_axis_1(vanishing_order):
+    def mutant(series, axis):
+        return vanishing_order(series, axis) + (axis == 1)
+    return mutant
+
+
 def _negate_f11(second_kind_qexp):
     def mutant(a, truncation):
         f = second_kind_qexp(a, truncation)
@@ -78,10 +84,10 @@ MUTANTS = [
     ("numeric", numeric, "theta_eval_batch", _zero_values,
      {"numeric.modulus_law", "numeric.weight2_character",
       "numeric.weight3_trivial_character", "numeric.lower_triangular_sign",
-      "numeric.dual_engine"},
+      "numeric.diagonal_vanishing", "numeric.dual_engine"},
      "zeros with their genuine bounds are not counted as law samples, leave no "
-     "form to divide by, and differ from the expansions; numeric.diagonal_vanishing "
-     "still passes, as it needs an off-diagonal control to see a zero kernel"),
+     "form to divide by, leave the off-diagonal control lost in its bound, and "
+     "differ from the expansions"),
     ("series", qseries, "theta_qexp", _off_the_cone, {"series.semipositive_support"},
      "a theta with terms off the semipositive cone, in a reflection-symmetric pair "
      "that keeps every order"),
@@ -97,11 +103,29 @@ MUTANTS = [
      {"relations.classical_squares", "relations.classical_all_sixteen"},
      "f for a = (1, 1) negated flips the square relations' cross products; F reads "
      "it in squares and in f01 f23 = x4, whose relations read only x4^2"),
+    ("series", qseries, "vanishing_order", _one_more_on_axis_1,
+     {"series.vanishing_orders"},
+     "a measured order off the divisor formula on q1; modforms reads its own name"),
+    ("boundary", modforms, "vanishing_order", _one_more_on_axis_1,
+     {"boundary.distribution", "boundary.orders_binary", "boundary.even_exponent_parity"},
+     "a measured sextuple order off the summed bits refuses the shared order "
+     "triples, which all three records read"),
+    ("variety", variety, "perm_sign", lambda genuine: lambda perm: 1,
+     {"variety.omega_generator_signs"},
+     "without the wedge's permutation sign the odd permutations, compensated by the "
+     "x5 flip, read -1; the table itself was built at import"),
+    ("variety", mpoly, "determinant", lambda genuine: lambda matrix: -genuine(matrix),
+     {"variety.rational_jacobian", "variety.blowup_line_blowup",
+      "variety.blowup_axis_blowup"},
+     "a negated determinant breaks the quotient-rule Jacobian and the chart "
+     "pullbacks; variety reads its own determinant from equations"),
 ]
 
 
 @pytest.mark.parametrize("battery, module, name, replace, failing, reason", MUTANTS,
-                         ids=[row[2] for row in MUTANTS])
+                         # a name patched in two batteries carries its battery
+                         ids=[name if [row[2] for row in MUTANTS].count(name) == 1
+                              else f"{battery}-{name}" for battery, _, name, *_ in MUTANTS])
 def test_mutant_fails_its_records(battery, module, name, replace, failing, reason,
                                   monkeypatch):
     usual = {c.id: c.status for c in run_suite(battery).checks}

@@ -66,6 +66,11 @@ def test_point_validation():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != SiegelPoint(0.5 + 1.2j, 0.1j, 1.4j)
     assert repr(a) == "SiegelPoint(z0=(0.5+1.2j), z1=0.1j, z2=1.3j)"
+    # each part is stored as a complex, whatever number it was given as
+    assert all(type(z) is complex for z in SiegelPoint(1j, 0, 2j))
+    # the diagonal check reads the point's own validation
+    with pytest.raises(ValueError, match="positive definite"):
+        diagonal_vanishing_check(1j, -2j)
 
 
 def test_replaced_points_are_validated():
@@ -397,9 +402,13 @@ def test_walk_is_the_step_by_step_loop(count):
         assert numeric._walk(x, rho, step, count) == _walk_step_by_step(x, rho, step, count)
 
 
+def _expansions(chars, truncation):
+    return {m: theta_qexp(m, truncation) for m in chars}
+
+
 def test_dual_engine_consistency_all_even():
     Z = SiegelPoint(3j, 0j, 3j)
-    deviations = series_numeric_consistency(even_characteristics(), Z, 12)
+    deviations = series_numeric_consistency(_expansions(even_characteristics(), 12), Z)
     assert len(deviations) == 10
     assert all(d < 1e-8 for d in deviations)
 
@@ -414,7 +423,8 @@ def test_dual_engine_shares_its_exponentials(monkeypatch):
         return expjpi(w)
 
     monkeypatch.setattr(numeric, "_expjpi", counted)
-    series_numeric_consistency(even_characteristics(), SiegelPoint(3j, 0j, 3j), 12)
+    series_numeric_consistency(_expansions(even_characteristics(), 12),
+                               SiegelPoint(3j, 0j, 3j))
     assert len(calls) == 6
 
 
@@ -422,8 +432,8 @@ def test_dual_engine_batch_matches_one_at_a_time():
     # a parity class's partial sums do not depend on the rest of the batch
     Z = SiegelPoint(3j, 0j, 3j)
     chars = even_characteristics()
-    assert series_numeric_consistency(chars, Z, 12) == [
-        series_numeric_consistency([m], Z, 12)[0] for m in chars]
+    assert series_numeric_consistency(_expansions(chars, 12), Z) == [
+        series_numeric_consistency(_expansions([m], 12), Z)[0] for m in chars]
 
 
 def test_dual_engine_ten_seeded_points():
@@ -435,17 +445,18 @@ def test_dual_engine_ten_seeded_points():
             complex(rng.uniform(-0.5, 0.5), rng.uniform(3.2, 4.0)),
         )
         assert all(d < 1e-8 for d in
-                   series_numeric_consistency(even_characteristics(), Z, 12))
+                   series_numeric_consistency(_expansions(even_characteristics(), 12), Z))
 
 
 def test_dual_engine_higher_point():
     assert series_numeric_consistency(
-        [Char(0, 0, 0, 0)], SiegelPoint(5j, 0j, 5j), 12)[0] < 1e-12
+        _expansions([Char(0, 0, 0, 0)], 12), SiegelPoint(5j, 0j, 5j))[0] < 1e-12
 
 
 def test_dual_engine_rejects_low_points():
     with pytest.raises(ValueError, match="dropped-terms"):
-        series_numeric_consistency([Char(0, 0, 0, 0)], SiegelPoint(0.6j, 0j, 0.6j), 4)
+        series_numeric_consistency(_expansions([Char(0, 0, 0, 0)], 4),
+                                   SiegelPoint(0.6j, 0j, 0.6j))
 
 
 def test_identity_transform_is_exact():
@@ -540,8 +551,9 @@ def test_law_ends_transform_twice_and_evaluate_once_at_the_better_end(monkeypatc
 
 
 def test_numeric_battery_evaluates_the_base_once(monkeypatch):
-    # the three laws read one batch of the ten even thetas at the base, and
-    # each law sample evaluates one point: 69 lattice batches per run
+    # the three laws read one batch of the ten even thetas at the base, each
+    # law sample evaluates one point, and the diagonal record one
+    # off-diagonal control: 70 lattice batches per run
     batches = []
     evaluate = theta_eval_batch
     monkeypatch.setattr(numeric, "theta_eval_batch",
@@ -549,7 +561,7 @@ def test_numeric_battery_evaluates_the_base_once(monkeypatch):
                         evaluate(chars, Z, tol))
     report = run_suite("numeric", seed=1000)
     assert {c.status for c in report.checks} == {"pass"}
-    assert len(batches) == 69
+    assert len(batches) == 70
     assert batches.count((10, _BASE)) == 1
     # and each law's form there is the product of its own batch, bit for bit
     evens = even_characteristics()

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from siegelcy import modforms
 from siegelcy.cli import main
-from siegelcy.suite import emit_report, run_suite
+from siegelcy.suite import CHECKS, emit_report, run_suite
 
 
 def test_unknown_selector_raises():
@@ -187,10 +188,10 @@ def test_cli_runs_without_mpmath(tmp_path):
 #: engine loads only what it uses, and the package itself nothing
 _LOADED = {
     "siegelcy": set(),
-    "siegelcy.numeric": {"characteristics", "qseries", "symplectic", "numeric"},
+    "siegelcy.numeric": {"characteristics", "equations", "symplectic", "numeric"},
     "siegelcy.modforms": {"characteristics", "equations", "qseries", "modforms"},
     "siegelcy.variety": {"equations", "mpoly", "variety"},
-    "siegelcy.mpoly": {"mpoly"},
+    "siegelcy.mpoly": {"equations", "mpoly"},
     "siegelcy.cli": {"characteristics", "cli", "equations", "modforms", "mpoly",
                      "numeric", "qseries", "suite", "symplectic", "variety"},
 }
@@ -394,3 +395,24 @@ def test_integral_coefficients_fails_on_a_non_real_phase(monkeypatch):
                   if c.id == "series.integral_coefficients")
     assert record.status == "fail"
     assert record.data["error"].startswith("ValueError")
+
+
+def test_batteries_in_threads_write_the_serial_reports():
+    # the README's concurrency claim: the six batteries, run at once in six
+    # threads that switch every microsecond, write the reports of a serial run
+    def report(battery):
+        return run_suite(battery, truncation=32, seed=3).as_dict()
+
+    rounds = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=len(CHECKS)) as pool:
+                rounds.append(list(pool.map(report, CHECKS, timeout=60)))
+    finally:
+        sys.setswitchinterval(interval)
+    # the serial run comes last, so that the threads also fill the caches
+    # the batteries share when the test runs on its own
+    serial = [report(battery) for battery in CHECKS]
+    assert all(reports == serial for reports in rounds)

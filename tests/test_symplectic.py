@@ -7,16 +7,20 @@ import pytest
 
 import corrections_reference
 from siegelcy.characteristics import (
+    all_characteristics,
     mat_mul,
     mod2,
+    sp4f2_act,
     sp4f2_class,
     sp4f2_elements,
+    sp4f2_sign,
     sp4f2_steps,
     sp4f2_walk,
 )
 from siegelcy.numeric import conditioned_samples
 from siegelcy.symplectic import (
     _GENERATORS,
+    LOWER_TWOS,
     SpMat,
     Subgroup,
     _corrections,
@@ -103,6 +107,19 @@ def test_cusp_form_character_is_multiplicative():
     for i in range(0, 60, 2):
         a, b = mats[i], mats[i + 1]
         assert cusp_form_character(a * b) == cusp_form_character(a) * cusp_form_character(b)
+
+
+def test_mod2_action_and_sign_read_integer_matrices():
+    # callers pass a matrix's integer rows, with entries far from 0 and 1
+    mats = conditioned_samples(Subgroup.full(), 40, seed=55, word_length=8,
+                               max_entry=2 ** 8)
+    assert any(v < 0 or v > 1 for m in mats for row in m.rows for v in row)
+    for x in (m.rows for m in mats):
+        assert sp4f2_sign(x) == sp4f2_sign(mod2(x))
+        assert all(sp4f2_act(x, c) == sp4f2_act(mod2(x), c) for c in all_characteristics())
+    # the kernel correction lies in Gamma2[2], with theta character -1
+    assert mod2(LOWER_TWOS.rows) == mod2(SpMat.identity().rows)
+    assert theta_character(LOWER_TWOS) == -1
 
 
 MEMBER_TAGS = [

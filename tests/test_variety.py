@@ -96,8 +96,7 @@ def test_named_symmetries_compensate_odd_permutations():
         if name.startswith("permutation_"):
             assert g.perm == (0, *map(int, name[-3:]), 4, 5)
             assert g.sign == (1,) * 5 + (g.perm_parity_on((1, 2, 3)),)
-    assert SYMMETRIES["swap_with_last_flip"] == SYMMETRIES["permutation_213"]
-    assert len(SYMMETRIES) == 12
+    assert len(SYMMETRIES) == 11
     assert all(g in SYMMETRIES.values() for g in symmetry_generators())
 
 
