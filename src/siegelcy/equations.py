@@ -4,8 +4,8 @@ permutation and the determinant.
 
 The module imports nothing from the package: `variety` reads the equations
 on the `MPoly` generators and `modforms` on the series, so neither engine
-imports the other; `mpoly`, `variety` and `characteristics` read the
-permutation sign and the determinant from here.
+imports the other; `variety` and `characteristics` read the permutation
+sign from here, and `mpoly` and `variety` the determinant.
 """
 
 from __future__ import annotations

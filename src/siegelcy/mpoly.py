@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from operator import add
 
-from .equations import determinant, perm_sign
+from .equations import determinant
 
 Exponent = tuple[int, ...]
 
@@ -45,6 +45,15 @@ def _times(a: dict, b: dict, into: dict) -> dict:
 
 
 class MPoly:
+    """A polynomial over Q in an ordered tuple of variables, its ring.
+
+    `+`, `-` and `==` take a polynomial of the same ring: a sum with
+    another ring raises ValueError and `==` reads False.  Any other operand
+    is refused, so `MPoly + 1` raises TypeError and `==` against a
+    non-polynomial reads False.  Scalars enter only through `*` and
+    `MPoly.const`.
+    """
+
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: tuple[str, ...],
@@ -81,27 +90,22 @@ class MPoly:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other: MPoly | int | Fraction) -> MPoly:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
+    def __add__(self, other: MPoly) -> MPoly:
+        if not isinstance(other, MPoly):
+            return NotImplemented
         self._check_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
         return MPoly(self.vars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> MPoly:
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: MPoly | int | Fraction) -> MPoly:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
+    def __sub__(self, other: MPoly) -> MPoly:
+        if not isinstance(other, MPoly):
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: int | Fraction) -> MPoly:
-        return MPoly.const(self.vars, other) + (-self)
 
     def __mul__(self, other: MPoly | int | Fraction) -> MPoly:
         if isinstance(other, (int, Fraction)):
@@ -125,8 +129,6 @@ class MPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -419,10 +421,9 @@ class ThreeForm:
 
     The coefficient is an unreduced pair of polynomials: two forms are equal
     when their wedges agree and their coefficients cross-multiply equal,
-    which is exact and avoids a multivariate gcd.  The wedge order is
-    normalized to the chart's variable order; permuting it multiplies the
-    numerator by the permutation sign, and a repeated differential collapses
-    the form to zero.
+    which is exact and avoids a multivariate gcd.  The wedge is three
+    distinct chart variables in the chart's order, ValueError otherwise;
+    every form the program builds is in that order.
     """
 
     __slots__ = ("vars", "num", "den", "wedge")
@@ -433,23 +434,12 @@ class ThreeForm:
             raise ValueError("coefficient lives in a different chart")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        order = {v: i for i, v in enumerate(variables)}
-        for w in wedge:
-            if w not in order:
-                raise ValueError(f"wedge variable {w!r} is not a chart variable")
-        if len(set(wedge)) < 3:
-            num = num * 0
-            wedge = tuple(sorted(set(wedge) | set(variables), key=order.get)[:3])  # type: ignore[assignment]
-        else:
-            idx = [order[w] for w in wedge]
-            sorted_idx = sorted(idx)
-            perm = tuple(sorted_idx.index(i) for i in idx)
-            num = num * perm_sign(perm)
-            wedge = tuple(variables[i] for i in sorted_idx)  # type: ignore[assignment]
+        if len(wedge) != 3 or tuple(v for v in variables if v in wedge) != tuple(wedge):
+            raise ValueError(f"wedge {wedge} is not three chart variables in chart order")
         self.vars = tuple(variables)
         self.num = num
         self.den = den
-        self.wedge = wedge
+        self.wedge = tuple(wedge)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

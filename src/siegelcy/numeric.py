@@ -714,16 +714,15 @@ def law_signs(kind: str, mats: Sequence[SpMat], base: SiegelPoint,
     return signs
 
 
-def diagonal_vanishing_check(tau1: complex, tau2: complex,
-                             tol: float = 1e-10) -> bool:
-    """The sextuple product and the all-ones theta vanish on the diagonal;
-    the all-ones constant [11;11] is one of the sextuple's six.  ValueError
-    off the upper half plane (the point's own check)."""
+def diagonal_vanishing_check(tau1: complex, tau2: complex) -> bool:
+    """The sextuple product and the all-ones theta vanish on the diagonal,
+    each below 1e-10; the all-ones constant [11;11] is one of the sextuple's
+    six.  ValueError off the upper half plane (the point's own check)."""
     Z = SiegelPoint(tau1, 0j, tau2)
     chars = LAWS["cusp_form"][0]
     results = theta_eval_batch(chars, Z, tol=1e-14)
     all_ones = results[chars.index(Char(1, 1, 1, 1))]
-    return abs(_product(results).value) < tol and abs(all_ones.value) < tol
+    return abs(_product(results).value) < 1e-10 and abs(all_ones.value) < 1e-10
 
 
 # -- conditioned sampling ------------------------------------------------------

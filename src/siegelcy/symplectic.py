@@ -1,15 +1,17 @@
 """Integer symplectic 4x4 matrices, congruence subgroups, and characters.
 
-Matrices are exact (Python integers).  Subgroup membership is decided by
-congruence and diagonal conditions; the two index-two kernels cut out by
-the quadratic character use the closed formula (-1)^((alpha+beta+gamma)/2)
-on C*tD, combined on the Hecke-type group with the sign character of the
-mod-2 quotient.  Members of the full group and of the level-2 groups are
-sampled without search: a pseudo-random word in a fixed generator set is
-walked through Sp(4, F_2), on the classes and step table that
-`characteristics` builds, and the shortest word that carries its class
-to a member's reduction mod 2 is appended.  In the two index-two kernels
-a product outside the kernel is multiplied by one fixed coset
+Matrices are exact (Python integers).  The full group and its four
+level-2 subgroups are one table, `_SUBGROUPS`: each subgroup is the
+classes mod 2 its members reduce to (all of them, the identity, or
+C = 0 mod 2) and, for the two index-two kernels, the character whose
+kernel it is: the quadratic theta character (-1)^((alpha+beta+gamma)/2)
+on C*tD, or that times the sign character of the mod-2 quotient.
+Membership, the sampler's correction targets and its kernel fix all read
+that table.  Members are sampled without search: a pseudo-random word in
+a fixed generator set is walked through Sp(4, F_2), on the classes and
+step table that `characteristics` builds, and the shortest word that
+carries its class to a member's class is appended.  In the two kernels a
+product outside the kernel is multiplied by one fixed coset
 representative, `LOWER_TWOS`.
 """
 
@@ -24,6 +26,7 @@ from .characteristics import (
     J4,
     mat_mul,
     mat_transpose,
+    sp4f2_class,
     sp4f2_sign,
     sp4f2_steps,
     sp4f2_walk,
@@ -111,7 +114,9 @@ class SpMat:
 # -- subgroups ----------------------------------------------------------
 
 class Subgroup(NamedTuple):
-    """A decidable congruence-type subgroup of Sp(4, Z)."""
+    """The full group Sp(4, Z) or one of its four level-2 subgroups; what
+    each one is, is written once, in `_SUBGROUPS`.  Any other pair of kind
+    and level is refused (ValueError) wherever a subgroup is read."""
 
     kind: str
     level: int = 1
@@ -121,13 +126,14 @@ class Subgroup(NamedTuple):
         return cls("full")
 
     @classmethod
-    def principal(cls, level: int) -> Subgroup:
-        return cls("principal", level)
+    def principal(cls) -> Subgroup:
+        """Gamma2[2]: the identity mod 2."""
+        return cls("principal", 2)
 
     @classmethod
-    def hecke(cls, level: int) -> Subgroup:
-        """C = 0 mod level."""
-        return cls("hecke", level)
+    def hecke(cls) -> Subgroup:
+        """Gamma2,0[2]: C = 0 mod 2."""
+        return cls("hecke", 2)
 
     @classmethod
     def chi_kernel(cls) -> Subgroup:
@@ -139,54 +145,16 @@ class Subgroup(NamedTuple):
         """Index-two kernel of the cusp-form character inside the level-2 Hecke group."""
         return cls("hecke_chi_kernel", 2)
 
-    def __str__(self) -> str:
-        return {
-            "full": "Sp(4,Z)",
-            "principal": f"Gamma2[{self.level}]",
-            "hecke": f"Gamma2,0[{self.level}]",
-            "chi_kernel": "Gamma_n",
-            "hecke_chi_kernel": "Gamma2,0[2]_n",
-        }[self.kind]
-
-
-def _diag_sum_mod(m: SpMat) -> tuple[int, int, int]:
-    """(alpha, beta, gamma) with C tD = (alpha beta; beta gamma), off rows 2-3."""
-    (c00, c01, d00, d01), (c10, c11, d10, d11) = m.rows[2:]
-    return c00 * d00 + c01 * d01, c00 * d10 + c01 * d11, c10 * d10 + c11 * d11
-
-
-def subgroup_membership(m: SpMat, tag: Subgroup) -> bool:
-    l = tag.level
-    if tag.kind == "full":
-        return True
-    if tag.kind == "principal":
-        return all(
-            (m.rows[i][j] - IDENTITY4[i][j]) % l == 0
-            for i in range(4) for j in range(4)
-        )
-    if tag.kind == "hecke":
-        return all(v % l == 0 for row in m.C for v in row)
-    if tag.kind == "chi_kernel":
-        if not subgroup_membership(m, Subgroup.principal(2)):
-            return False
-        alpha, beta, gamma = _diag_sum_mod(m)
-        return (alpha + beta + gamma) % 4 == 0
-    if tag.kind == "hecke_chi_kernel":
-        if not subgroup_membership(m, Subgroup.hecke(2)):
-            return False
-        return cusp_form_character(m) == 1
-    raise ValueError(f"unknown subgroup kind {tag.kind!r}")
-
 
 def theta_character(m: SpMat) -> int:
-    """(-1)^((alpha+beta+gamma)/2) on the level-2 Hecke group, C*tD = (a b; b c)."""
-    if not subgroup_membership(m, Subgroup.hecke(2)):
+    """(-1)^((alpha+beta+gamma)/2) on the level-2 Hecke group, where
+    C tD = (alpha beta; beta gamma); ValueError unless C = 0 mod 2, which
+    makes each of the six products below even."""
+    if not subgroup_membership(m, Subgroup.hecke()):
         raise ValueError("character is only defined for C = 0 mod 2")
-    alpha, beta, gamma = _diag_sum_mod(m)
-    s = alpha + beta + gamma
-    if s % 2 != 0:
-        raise ArithmeticError("diagonal sum is odd for an even-level matrix")
-    return -1 if (s // 2) % 2 else 1
+    (c00, c01, d00, d01), (c10, c11, d10, d11) = m.rows[2:]
+    s = c00 * d00 + c01 * d01 + c00 * d10 + c01 * d11 + c10 * d10 + c11 * d11
+    return -1 if s % 4 else 1
 
 
 def cusp_form_character(m: SpMat) -> int:
@@ -199,10 +167,46 @@ def cusp_form_character(m: SpMat) -> int:
     return theta_character(m) * sp4f2_sign(m.rows)
 
 
+def _is_identity(x: tuple[int, ...]) -> bool:
+    return x == (0b1000, 0b0100, 0b0010, 0b0001)
+
+
+def _has_even_c(x: tuple[int, ...]) -> bool:
+    return (x[2] | x[3]) & 0b1100 == 0
+
+
+#: each subgroup: a test of the classes mod 2 (their row masks, as
+#: `characteristics.sp4f2_walk` keeps them) that its members reduce to, and
+#: the character whose kernel it is among those, or None
+_SUBGROUPS = {
+    Subgroup.full(): (lambda x: True, None),
+    Subgroup.principal(): (_is_identity, None),
+    Subgroup.hecke(): (_has_even_c, None),
+    Subgroup.chi_kernel(): (_is_identity, theta_character),
+    Subgroup.hecke_chi_kernel(): (_has_even_c, cusp_form_character),
+}
+
+
+def _definition(tag: Subgroup):
+    """The row of `_SUBGROUPS`; ValueError for any other subgroup."""
+    try:
+        return _SUBGROUPS[tag]
+    except KeyError:
+        raise ValueError(f"no subgroup {tag!r}: only the full group and level 2") from None
+
+
+def subgroup_membership(m: SpMat, tag: Subgroup) -> bool:
+    """Whether m lies in `tag`: the class mod 2 that m reduces to is one of
+    the subgroup's, and the subgroup's character, if it has one, is 1 on m."""
+    reduces_to, character = _definition(tag)
+    classes = sp4f2_walk()[0]
+    return (reduces_to(classes[sp4f2_class(m.rows)])
+            and (character is None or character(m) == 1))
+
+
 # -- sampling -----------------------------------------------------------
 
 def _generators() -> list[SpMat]:
-    e = ((1, 0), (0, 1))
     gens = [
         SpMat.translation(((1, 0), (0, 0))),
         SpMat.translation(((0, 0), (0, 1))),
@@ -234,25 +238,16 @@ LOWER_TWOS = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
 @cache
 def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
     """corrections[c]: a shortest generator word w such that class c times w
-    is a class that members of `tag` reduce to mod 2.
+    is a class that members of `tag` reduce to mod 2 (`_SUBGROUPS`).
 
-    Members of Gamma2[2] and Gamma_n are the identity mod 2 (class 0), and
-    members of the level-2 Hecke group and of its cusp-form kernel have
-    C = 0 mod 2; every class passes for the full group.  ValueError for any
-    other tag.  One breadth-first pass from those classes keeps each class's
-    round, the length of its word, in a list indexed by class; a class's
-    word is then the first generator into an earlier round followed by the
-    word of the class it reaches.
+    One breadth-first pass from those classes keeps each class's round, the
+    length of its word, in a list indexed by class; a class's word is then
+    the first generator into an earlier round followed by the word of the
+    class it reaches.  ValueError for a subgroup outside `_SUBGROUPS`.
     """
     classes = sp4f2_walk()[0]
-    if tag.kind == "full":
-        word = {c: () for c in range(len(classes))}
-    elif tag.level == 2 and tag.kind in ("principal", "chi_kernel"):
-        word = {0: ()}
-    elif tag.level == 2 and tag.kind in ("hecke", "hecke_chi_kernel"):
-        word = {c: () for c, x in enumerate(classes) if (x[2] | x[3]) & 0b1100 == 0}
-    else:
-        raise ValueError(f"cannot sample {tag}: only the full group and level 2")
+    reduces_to = _definition(tag)[0]
+    word = {c: () for c, x in enumerate(classes) if reduces_to(x)}
     step = sp4f2_steps(_GENERATOR_ROWS)
     # breadth first along reversed steps: rounds[c] is the length of c's
     # word.  The generators are closed under inverses, so the classes one
@@ -283,10 +278,10 @@ def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     is read off the step table and the shortest word to a member's class
     (`_corrections`) is appended, so a sample of the full group is the
     word itself.  The generators are multiplied onto `_IDENTITY`, whose
-    symplectic relation is checked once, at import.  In the two index-two
-    kernels a product outside the kernel is multiplied by `LOWER_TWOS`.
-    Every returned matrix has passed `subgroup_membership`; ArithmeticError
-    if one does not.
+    symplectic relation is checked once, at import.  In a subgroup that
+    `_SUBGROUPS` gives a character, a product outside its kernel is
+    multiplied by `LOWER_TWOS`.  Every returned matrix has passed
+    `subgroup_membership`; ArithmeticError if one does not.
     """
     corrections = _corrections(tag)
     rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
@@ -298,7 +293,8 @@ def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     m = _IDENTITY
     for g in (*word, *corrections[c]):
         m = m * _GENERATORS[g]
-    if tag.kind in ("chi_kernel", "hecke_chi_kernel") and not subgroup_membership(m, tag):
+    character = _definition(tag)[1]
+    if character is not None and character(m) != 1:
         m = m * LOWER_TWOS
     if not subgroup_membership(m, tag):
         raise ArithmeticError(f"sample {m} is not a member of {tag}")

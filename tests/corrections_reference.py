@@ -14,16 +14,17 @@ from siegelcy.symplectic import _GENERATOR_INDICES, _GENERATOR_ROWS, Subgroup
 
 
 def corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """`_corrections(tag)`, searched round by round."""
+    """`_corrections(tag)`, searched round by round, for a subgroup of the
+    full group or of level 2."""
     classes = sp4f2_walk()[0]
+    # the targets are written here, not read from the module's table: every
+    # class, the identity (class 0), or the classes with C = 0 mod 2
     if tag.kind == "full":
         word = {c: () for c in range(len(classes))}
-    elif tag.level == 2 and tag.kind in ("principal", "chi_kernel"):
+    elif tag.kind in ("principal", "chi_kernel"):
         word = {0: ()}
-    elif tag.level == 2 and tag.kind in ("hecke", "hecke_chi_kernel"):
-        word = {c: () for c, x in enumerate(classes) if (x[2] | x[3]) & 0b1100 == 0}
     else:
-        raise ValueError(f"cannot sample {tag}: only the full group and level 2")
+        word = {c: () for c, x in enumerate(classes) if (x[2] | x[3]) & 0b1100 == 0}
     step = sp4f2_steps(_GENERATOR_ROWS)
     while len(word) < len(classes):  # one more generator per round
         reached = dict(word)

@@ -122,6 +122,25 @@ def test_ring_axioms_on_seeded_triples():
         assert a * b == b * a
 
 
+def test_sums_and_equality_take_polynomials_of_one_ring():
+    x, _ = MPoly.ring(XY)
+    u, _ = MPoly.ring(UV)
+    for scalar in (1, Fraction(1, 2)):
+        for refused in (lambda: x + scalar, lambda: scalar + x,
+                        lambda: x - scalar, lambda: scalar - x):
+            with pytest.raises(TypeError):
+                refused()
+        assert MPoly.const(XY, scalar) != scalar
+    assert MPoly.zero(XY) != 0
+    with pytest.raises(ValueError):
+        x + u
+    assert x != u
+    # scalars enter through * and const
+    assert 2 * x == x * 2 == x + x
+    assert x * Fraction(1, 2) + MPoly.const(XY, 1) == MPoly(XY, {(1, 0): Fraction(1, 2),
+                                                                (0, 0): 1})
+
+
 def test_degree_and_homogeneity():
     x, y = MPoly.ring(XY)
     f = x ** 2 * y + x * y ** 2
@@ -255,23 +274,26 @@ def _dz() -> ThreeForm:
     return ThreeForm(Z3, one, one, ("z1", "z2", "z3"))
 
 
-def test_wedge_normalization_sign():
+def test_wedge_outside_chart_order_is_refused():
+    # no sort and no sign: a swapped, repeated, foreign or short wedge
     one = MPoly.const(Z3, 1)
-    swapped = ThreeForm(Z3, one, one, ("z2", "z1", "z3"))
-    assert swapped.wedge == ("z1", "z2", "z3")
-    assert swapped.num == -one and swapped.den == one
-    assert ThreeForm(Z3, one, one, ("z1", "z1", "z2")).is_zero()
+    for wedge in (("z2", "z1", "z3"), ("z1", "z1", "z2"), ("z1", "z2", "w"), ("z1", "z2")):
+        with pytest.raises(ValueError, match="chart order"):
+            ThreeForm(Z3, one, one, wedge)
 
 
 def test_threeform_equality_by_cross_multiplication():
     z1, z2, z3 = MPoly.ring(Z3)
     one = MPoly.const(Z3, 1)
     wedge = ("z1", "z2", "z3")
-    spurious = ThreeForm(Z3, z1 * z2, z1 * (z3 + 1), wedge)   # z2/(z3 + 1)
-    assert spurious == ThreeForm(Z3, z2, z3 + 1, wedge)
+    spurious = ThreeForm(Z3, z1 * z2, z1 * (z3 + one), wedge)   # z2/(z3 + 1)
+    assert spurious == ThreeForm(Z3, z2, z3 + one, wedge)
     assert spurious != ThreeForm(Z3, z2, one, wedge)
-    assert spurious != ThreeForm(Z3, z2, z3 + 1, ("z2", "z1", "z3"))
-    assert -spurious == ThreeForm(Z3, -z2, z3 + 1, wedge)
+    assert -spurious == ThreeForm(Z3, -z2, z3 + one, wedge)
+    # forms on two wedges differ
+    z4 = (*Z3, "z4")
+    one4 = MPoly.const(z4, 1)
+    assert ThreeForm(z4, one4, one4, Z3) != ThreeForm(z4, one4, one4, ("z1", "z2", "z4"))
     with pytest.raises(ZeroDivisionError):
         ThreeForm(Z3, one, MPoly.zero(Z3), wedge)
 
@@ -342,7 +364,8 @@ def test_pullback_contravariant_functorial():
 
         f = rand_subs()
         g = rand_subs()
-        omega = ThreeForm(Z3, gens[0] + 1, gens[1] + 2, ("z1", "z2", "z3"))
+        omega = ThreeForm(Z3, gens[0] + MPoly.const(Z3, 1), gens[1] + MPoly.const(Z3, 2),
+                          ("z1", "z2", "z3"))
         # pull back along f, then along g
         step = threeform_pullback(omega, f, Z3)
         twice = threeform_pullback(step, g, Z3)

@@ -494,12 +494,12 @@ def law_samples(name: str) -> tuple[str, list[SpMat]]:
     ("chi_kernel"), and the weight-3 law on Gamma2,0[2] ("cusp_form")."""
     if name == "hecke2":
         return "theta_product", conditioned_samples(
-            Subgroup.hecke(2), 20, seed=200, word_length=8, max_entry=5, nonzero_c=8)
+            Subgroup.hecke(), 20, seed=200, word_length=8, max_entry=5, nonzero_c=8)
     if name == "chi_kernel":
         return "cusp_form", conditioned_samples(
             Subgroup.chi_kernel(), 20, seed=300, word_length=8, max_entry=5, nonzero_c=8)
     return "cusp_form", conditioned_samples(
-        Subgroup.hecke(2), 12, seed=400, word_length=8, max_entry=5, nonzero_c=5)
+        Subgroup.hecke(), 12, seed=400, word_length=8, max_entry=5, nonzero_c=5)
 
 
 LAW_SAMPLES = ["hecke2", "chi_kernel", "cusp_form"]
@@ -672,7 +672,7 @@ def test_lower_triangular_flips_the_product_form():
 
 
 def test_measured_characters_are_multiplicative():
-    mats = conditioned_samples(Subgroup.hecke(2), 10, seed=500,
+    mats = conditioned_samples(Subgroup.hecke(), 10, seed=500,
                                word_length=6, max_entry=3, nonzero_c=4)
     rng = random.Random(9)
     pairs = [(a, b) for a, b in ((rng.choice(mats), rng.choice(mats)) for _ in range(30))

@@ -7,6 +7,7 @@ import pytest
 
 import corrections_reference
 from siegelcy.characteristics import (
+    IDENTITY4,
     all_characteristics,
     mat_mul,
     mod2,
@@ -41,6 +42,25 @@ def lower(c) -> SpMat:
     return SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)), c, ((1, 0), (0, 1)))
 
 
+MEMBER_TAGS = [
+    Subgroup.full(),
+    Subgroup.principal(),
+    Subgroup.hecke(),
+    Subgroup.chi_kernel(),
+    Subgroup.hecke_chi_kernel(),
+]
+
+#: the groups' usual names, the pytest ids
+NAMES = {"full": "Sp(4,Z)", "principal": "Gamma2[{}]", "hecke": "Gamma2,0[{}]",
+         "chi_kernel": "Gamma_n", "hecke_chi_kernel": "Gamma2,0[2]_n"}
+
+
+def tag_id(value):
+    if isinstance(value, Subgroup):
+        return NAMES[value.kind].format(value.level)
+    return None
+
+
 def test_identity_and_inversion_are_symplectic():
     assert is_symplectic(SpMat.identity().rows)
     assert is_symplectic(SpMat.inversion().rows)
@@ -67,17 +87,15 @@ def test_inverse_and_product():
 
 def test_membership_examples():
     m = lower(((2, 0), (0, 2)))
-    assert subgroup_membership(m, Subgroup.principal(2))
+    assert subgroup_membership(m, Subgroup.principal())
     assert subgroup_membership(m, Subgroup.chi_kernel())  # 2 + 0 + 2 = 4
 
     m2 = lower(((2, 0), (0, 0)))
-    assert subgroup_membership(m2, Subgroup.principal(2))
+    assert subgroup_membership(m2, Subgroup.principal())
     assert not subgroup_membership(m2, Subgroup.chi_kernel())  # sum = 2
 
     ident = SpMat.identity()
-    for tag in (Subgroup.full(), Subgroup.principal(2), Subgroup.principal(4),
-                Subgroup.hecke(2), Subgroup.chi_kernel(),
-                Subgroup.hecke_chi_kernel()):
+    for tag in MEMBER_TAGS:
         assert subgroup_membership(ident, tag)
 
 
@@ -94,7 +112,7 @@ def test_theta_character_rejects_odd_c():
 
 
 def test_theta_character_is_multiplicative():
-    tag = Subgroup.hecke(2)
+    tag = Subgroup.hecke()
     pairs = conditioned_samples(tag, 200, seed=210, word_length=6, max_entry=2 ** 6)
     for i in range(0, 200, 2):
         a, b = pairs[i], pairs[i + 1]
@@ -102,7 +120,7 @@ def test_theta_character_is_multiplicative():
 
 
 def test_cusp_form_character_is_multiplicative():
-    tag = Subgroup.hecke(2)
+    tag = Subgroup.hecke()
     mats = conditioned_samples(tag, 60, seed=321, word_length=6, max_entry=2 ** 6)
     for i in range(0, 60, 2):
         a, b = mats[i], mats[i + 1]
@@ -122,16 +140,7 @@ def test_mod2_action_and_sign_read_integer_matrices():
     assert theta_character(LOWER_TWOS) == -1
 
 
-MEMBER_TAGS = [
-    Subgroup.full(),
-    Subgroup.principal(2),
-    Subgroup.hecke(2),
-    Subgroup.chi_kernel(),
-    Subgroup.hecke_chi_kernel(),
-]
-
-
-@pytest.mark.parametrize("tag", MEMBER_TAGS, ids=str)
+@pytest.mark.parametrize("tag", MEMBER_TAGS, ids=tag_id)
 def test_membership_closed_under_product_and_inverse(tag):
     mats = conditioned_samples(tag, 20, seed=77, word_length=8, max_entry=2 ** 8)
     rng = random.Random(7)
@@ -171,11 +180,11 @@ def _target_classes(tag) -> set[int]:
 
 
 @pytest.mark.parametrize("tag, longest", [
-    (Subgroup.principal(2), 7),
+    (Subgroup.principal(), 7),
     (Subgroup.chi_kernel(), 7),
-    (Subgroup.hecke(2), 3),
+    (Subgroup.hecke(), 3),
     (Subgroup.hecke_chi_kernel(), 3),
-], ids=str)
+], ids=tag_id)
 def test_corrections_are_shortest_words_into_the_target(tag, longest):
     step = sp4f2_steps(tuple(g.rows for g in _GENERATORS))
     target = _target_classes(tag)
@@ -203,10 +212,7 @@ def test_corrections_are_shortest_words_into_the_target(tag, longest):
     assert max(map(len, corrections)) == longest
 
 
-@pytest.mark.parametrize("tag", [
-    Subgroup.full(), Subgroup.principal(2), Subgroup.chi_kernel(), Subgroup.hecke(2),
-    Subgroup.hecke_chi_kernel(),
-], ids=str)
+@pytest.mark.parametrize("tag", MEMBER_TAGS, ids=tag_id)
 def test_corrections_are_the_round_by_round_search(tag):
     # the same word for every class, so every sample is unchanged: among the
     # shortest words, each takes the first generator into an earlier round
@@ -214,17 +220,58 @@ def test_corrections_are_the_round_by_round_search(tag):
 
 
 def test_equal_subgroups_share_their_corrections():
-    a, b = Subgroup.hecke(2), Subgroup("hecke", 2)
+    a, b = Subgroup.hecke(), Subgroup("hecke", 2)
     assert a is not b and a == b and hash(a) == hash(b)
     assert _corrections(a) is _corrections(b)
     assert _corrections(a) is not _corrections(Subgroup.hecke_chi_kernel())
 
 
-@pytest.mark.parametrize("tag", [Subgroup.principal(3), Subgroup.principal(4),
-                                 Subgroup.hecke(3)], ids=str)
+@pytest.mark.parametrize("tag", [Subgroup("principal", 3), Subgroup("principal", 4),
+                                 Subgroup("hecke", 3)], ids=tag_id)
 def test_sampling_refuses_other_levels(tag):
+    # a tuple built at another level names no subgroup of the table
     with pytest.raises(ValueError, match="level 2"):
         sample_element(tag, word_length=5, seed=0)
+    with pytest.raises(ValueError, match="level 2"):
+        subgroup_membership(SpMat.identity(), tag)
+
+
+def test_level_is_not_a_parameter():
+    for make in (Subgroup.principal, Subgroup.hecke):
+        assert make().level == 2
+        with pytest.raises(TypeError):
+            make(2)
+
+
+def _reference_membership(m: SpMat, tag: Subgroup) -> bool:
+    """The congruence definitions: Gamma2[2] is the identity mod 2, the Hecke
+    group C = 0 mod 2, Gamma_n adds alpha + beta + gamma = 0 mod 4 for
+    C tD = (alpha beta; beta gamma), and the Hecke kernel adds that the
+    cusp-form character, (-1)^((alpha+beta+gamma)/2) times the sign
+    character, is 1."""
+    principal = all((v - IDENTITY4[i][j]) % 2 == 0
+                    for i, row in enumerate(m.rows) for j, v in enumerate(row))
+    hecke = all(v % 2 == 0 for row in m.C for v in row)
+    (c00, c01, d00, d01), (c10, c11, d10, d11) = m.rows[2:]
+    alpha, beta, gamma = c00 * d00 + c01 * d01, c00 * d10 + c01 * d11, c10 * d10 + c11 * d11
+    theta = -1 if (alpha + beta + gamma) % 4 else 1
+    return {"full": True,
+            "principal": principal,
+            "hecke": hecke,
+            "chi_kernel": principal and theta == 1,
+            "hecke_chi_kernel": hecke and theta * sp4f2_sign(m.rows) == 1}[tag.kind]
+
+
+def test_membership_is_the_congruence_definitions():
+    samples = [sample_element(Subgroup.full(), 8, seed) for seed in range(200)]
+    mats = [*samples, *(m * LOWER_TWOS for m in samples),
+            *(m * lower(((2, 0), (0, 2))) for m in samples)]
+    for tag in MEMBER_TAGS:
+        seen = {subgroup_membership(m, tag) for m in mats}
+        assert all(subgroup_membership(m, tag) == _reference_membership(m, tag)
+                   for m in mats), tag
+        # every level-2 kind sees members and non-members
+        assert seen == ({True} if tag == Subgroup.full() else {True, False}), tag
 
 
 def test_inverse_is_the_block_formula():
@@ -261,7 +308,7 @@ def test_word_length_zero_gives_identity():
 
 
 def test_chi_kernel_has_index_two():
-    level2 = Subgroup.principal(2)
+    level2 = Subgroup.principal()
     kernel = Subgroup.chi_kernel()
     mats = conditioned_samples(level2, 200, seed=1234, word_length=8, max_entry=2 ** 8)
     nonmembers = [m for m in mats if not subgroup_membership(m, kernel)]
@@ -274,7 +321,7 @@ def test_chi_kernel_has_index_two():
 
 
 def test_chi_kernel_is_hecke_kernel_restricted_to_level_two():
-    mats = conditioned_samples(Subgroup.principal(2), 80, seed=4321, word_length=8,
+    mats = conditioned_samples(Subgroup.principal(), 80, seed=4321, word_length=8,
                                max_entry=2 ** 8)
     for m in mats:
         assert subgroup_membership(m, Subgroup.chi_kernel()) == (
