@@ -15,9 +15,11 @@ uses the diagonal correction ((C^tD)_0; (A^tB)_0), the variant that
 preserves parity and satisfies the group-action law (the condition the
 whole suite tests).  Its sign character is the sign of the permutation it
 induces on the six odd characteristics.  The orbit and the stabilizer
-order of a set of characteristics come from one scan of the 720 elements,
-kept per set.  The 4x4 integer matrix helpers below are shared with
-`symplectic`.
+order of a set of characteristics come from one scan of the 720 elements.
+Only fixed tables are cached for the process: the walk, its step tables and
+its element list.  The quadruples, the sextuples and a scan are recomputed
+on each call; the suite keeps each for one run.  The 4x4 integer matrix
+helpers below are shared with `symplectic`.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ PRODUCT_FORM_CHARS = (Char(0, 0, 0, 1), Char(0, 0, 0, 0), Char(0, 0, 1, 0),
 STANDARD_QUADRUPLE: Quadruple = frozenset(PRODUCT_FORM_CHARS)
 
 
-@cache
 def syzygetic_quadruples() -> tuple[Quadruple, ...]:
     """All syzygetic quadruples of even characteristics (there are 15)."""
     evens = even_characteristics()
@@ -132,7 +133,6 @@ def complement_sextuple(q: Iterable[Char]) -> Sextuple:
 STANDARD_SEXTUPLE: Sextuple = complement_sextuple(STANDARD_QUADRUPLE)
 
 
-@cache
 def all_sextuples() -> tuple[Sextuple, ...]:
     return tuple(complement_sextuple(q) for q in syzygetic_quadruples())
 
@@ -281,10 +281,11 @@ def sp4f2_sign(x: Mat4) -> int:
     return perm_sign(tuple(odds.index(sp4f2_act(x, m)) for m in odds))
 
 
-@cache
-def _quadruple_scan(start: frozenset[Char]) -> tuple[frozenset[Quadruple], int]:
-    """(orbit, stabilizer order) of a set of characteristics: one pass over
-    the 720 elements, kept per set."""
+def quadruple_scan(q: Iterable[Char]) -> tuple[frozenset[Quadruple], int]:
+    """(orbit, stabilizer order) of a set of characteristics under the whole
+    group, from one pass over the 720 elements; not cached, so the suite
+    reads it through its run's memo."""
+    start = frozenset(q)
     orbit = set()
     fixed = 0
     for x in sp4f2_elements():
@@ -292,15 +293,3 @@ def _quadruple_scan(start: frozenset[Char]) -> tuple[frozenset[Quadruple], int]:
         orbit.add(image)
         fixed += image == start
     return frozenset(orbit), fixed
-
-
-def quadruple_orbit(q: Iterable[Char]) -> set[Quadruple]:
-    """Orbit of a 4-set of characteristics under the whole group, read off
-    the one scan of the group that `quadruple_stabilizer_order` shares."""
-    return set(_quadruple_scan(frozenset(q))[0])
-
-
-def quadruple_stabilizer_order(q: Iterable[Char]) -> int:
-    """How many of the 720 elements fix the 4-set, read off the same scan
-    as `quadruple_orbit`."""
-    return _quadruple_scan(frozenset(q))[1]

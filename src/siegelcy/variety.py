@@ -459,7 +459,6 @@ def canonical_curve_key(curve: CurveRep):
 
 
 class CurveCheckReport(NamedTuple):
-    name: str
     param_satisfies_ideal: bool
     equations_in_ideal: bool
     jacobian_rank: int
@@ -491,7 +490,7 @@ def curve_checks(curve: CurveRep, pres: Presentation) -> CurveCheckReport:
                     for f in pres.gens())
     rank = two_row_rank([[along(f.partial(v)) for v in pres.variables]
                          for f in pres.gens()])
-    return CurveCheckReport(curve.name, param_ok, member_ok, rank)
+    return CurveCheckReport(param_ok, member_ok, rank)
 
 
 def _up_to_sign(f: MPoly) -> frozenset:
@@ -658,9 +657,7 @@ def case3_chart() -> BlowupChart:
 
 
 class BlowupReport(NamedTuple):
-    name: str
     pullback_matches: bool
-    zero_divisors: tuple[str, ...]
     transformed_group_matches: bool
     inverted_identity_holds: bool
 
@@ -684,5 +681,4 @@ def blowup_chart_check(chart: BlowupChart) -> BlowupReport:
     _, e2, e3 = chart.substitution_monomials["z1"]
     transformed = {(s1 * s2 ** e2 * s3 ** e3, s2, s3) for s1, s2, s3 in chart.group}
     group_ok = transformed == set(chart.expected_transformed)
-    return BlowupReport(chart.name, matches, chart.expected_zero_divisors,
-                        group_ok, inverted_holds)
+    return BlowupReport(matches, group_ok, inverted_holds)

@@ -20,8 +20,7 @@ from siegelcy.characteristics import (
     is_syzygetic,
     odd_characteristics,
     parity,
-    quadruple_orbit,
-    quadruple_stabilizer_order,
+    quadruple_scan,
     sp4f2_act,
     sp4f2_class,
     sp4f2_elements,
@@ -74,10 +73,7 @@ def test_fifteen_syzygetic_quadruples():
     assert len(sextuples) == 15
 
 
-def test_quadruples_and_sextuples_are_enumerated_once():
-    """Repeated calls return the one tuple built on the first."""
-    assert syzygetic_quadruples() is syzygetic_quadruples()
-    assert all_sextuples() is all_sextuples()
+def test_sextuples_are_the_complements_of_the_quadruples():
     assert all_sextuples() == tuple(complement_sextuple(q) for q in syzygetic_quadruples())
 
 
@@ -191,18 +187,18 @@ def test_action_is_a_group_action():
 
 
 def test_orbit_of_standard_quadruple_is_everything():
-    orbit = quadruple_orbit(STANDARD_QUADRUPLE)
+    orbit, _ = quadruple_scan(STANDARD_QUADRUPLE)
     assert orbit == set(syzygetic_quadruples())
     assert len(orbit) == 15
 
 
 def test_orbit_images_stay_syzygetic():
-    for q in quadruple_orbit(STANDARD_QUADRUPLE):
+    for q in quadruple_scan(STANDARD_QUADRUPLE)[0]:
         assert is_syzygetic(q)
 
 
 def test_stabilizer_order():
-    assert quadruple_stabilizer_order(STANDARD_QUADRUPLE) == 720 // 15
+    assert quadruple_scan(STANDARD_QUADRUPLE)[1] == 720 // 15
 
 
 def test_even_enumeration_is_ascending_in_the_encoding():

@@ -196,22 +196,30 @@ def test_mutant_fails_its_records(battery, owner, name, replace, failing, reason
         calls.append(args)
         return mutant(*args, **kwargs)
 
-    # the orbit and stabilizer scan is kept per quadruple: cleared so that
-    # the mutant is scanned, and again so that no later test reads it
-    characteristics._quadruple_scan.cache_clear()
     monkeypatch.setattr(owner, name, counted)
-    try:
-        changed = {c.id: c.status for c in run_suite(battery).checks}
-    finally:
-        characteristics._quadruple_scan.cache_clear()
+    changed = {c.id: c.status for c in run_suite(battery).checks}
     assert calls, f"the patched {name} was never called"
     assert {i for i, status in changed.items() if status != usual[i]} == failing, reason
     assert all(changed[i] == "fail" for i in failing)
 
 
-def test_every_passing_record_has_a_mutant():
+def _committed_statuses() -> dict[str, str]:
     report = json.loads((Path(__file__).parent / "golden" / "all_seed0.json").read_text())
-    passing = {c["id"] for c in report["checks"] if c["status"] == "pass"}
+    return {c["id"]: c["status"] for c in report["checks"]}
+
+
+def test_mutants_leave_no_trace():
+    """A run of `all` under each mutant in turn leaves nothing that a clean
+    run in the same process reads."""
+    for _, _, owner, name, replace, _, _ in MUTANTS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, name, replace(getattr(owner, name)))
+            run_suite("all")
+    assert {c.id: c.status for c in run_suite("all").checks} == _committed_statuses()
+
+
+def test_every_passing_record_has_a_mutant():
+    passing = {i for i, status in _committed_statuses().items() if status == "pass"}
     named = set().union(*(row[5] for row in MUTANTS))
     assert len(passing) == 39
     assert passing <= named, sorted(passing - named)

@@ -244,18 +244,34 @@ def test_crash_reason_is_on_the_text_line(monkeypatch, capsys):
     def broken(quadruple):
         raise RuntimeError("planted failure")
 
-    monkeypatch.setattr(characteristics, "quadruple_stabilizer_order", broken)
+    # the scan is setup that two checks share: both fail, and only they
+    monkeypatch.setattr(characteristics, "quadruple_scan", broken)
     report = run_suite("chars")
     by_id = {c.id: c for c in report.checks}
     assert len(by_id) == 7
-    assert by_id["chars.stabilizer"].status == "fail"
-    assert by_id["chars.stabilizer"].data == {"error": "RuntimeError: planted failure"}
-    assert all(c.status == "pass" for c in report.checks if c.id != "chars.stabilizer")
+    scanning = {"chars.orbit_transitive", "chars.stabilizer"}
+    for check_id in scanning:
+        assert by_id[check_id].status == "fail"
+        assert by_id[check_id].data == {"error": "RuntimeError: planted failure"}
+    assert all(c.status == "pass" for c in report.checks if c.id not in scanning)
     assert main(["chars"]) == 1
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if "chars.stabilizer" in line)
     assert line.startswith("[FAIL  ] chars.stabilizer")
     assert line.endswith("RuntimeError: planted failure")
+
+
+def test_one_run_scans_once_and_lists_the_sextuples_once(monkeypatch):
+    from siegelcy import characteristics
+
+    calls = []
+    for name in ("quadruple_scan", "all_sextuples"):
+        def counted(*args, genuine=getattr(characteristics, name), name=name):
+            calls.append(name)
+            return genuine(*args)
+        monkeypatch.setattr(characteristics, name, counted)
+    run_suite("all")
+    assert sorted(calls) == ["all_sextuples", "quadruple_scan"]
 
 
 def test_a_crashing_check_hides_no_other_check(monkeypatch):

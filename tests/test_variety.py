@@ -525,7 +525,6 @@ def test_homogeneous_jacobian_random_specializations():
 def test_case1_blowup_chart():
     report = blowup_chart_check(case1_chart())
     assert report.pullback_matches
-    assert report.zero_divisors == ("z2",)
     assert report.transformed_group_matches
     assert not report.inverted_identity_holds
 
@@ -533,7 +532,6 @@ def test_case1_blowup_chart():
 def test_case3_blowup_chart():
     report = blowup_chart_check(case3_chart())
     assert report.pullback_matches
-    assert report.zero_divisors == ("z2", "z3")
     assert report.transformed_group_matches
     assert not report.inverted_identity_holds
 
