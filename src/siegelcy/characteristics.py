@@ -8,18 +8,20 @@ standard quadruple, the four with upper characteristic zero, is defined
 here once, in the order of the weight-2 product form that the series
 registry and the numeric laws read.
 
-The finite group Sp(4, F_2) of order 720 is held once, as the classes of
-a walk from the identity through four generators; `symplectic` walks its
-sampling words on the same classes.  Its affine action on characteristics
+The generators of Sp(4, Z) are written once, as `SP4_GENERATORS`, seven
+integer matrices followed by their inverses; `symplectic` samples words in
+them.  The finite group Sp(4, F_2) of order 720 is held once, as the
+classes of a walk from the identity through those generators, with the
+class each generator carries each class to; `symplectic` walks its
+sampling words on that step table.  Its affine action on characteristics
 uses the diagonal correction ((C^tD)_0; (A^tB)_0), the variant that
 preserves parity and satisfies the group-action law (the condition the
 whole suite tests).  Its sign character is the sign of the permutation it
 induces on the six odd characteristics.  The orbit and the stabilizer
 order of a set of characteristics come from one scan of the 720 elements.
-Only fixed tables are cached for the process: the walk, its step tables and
-its element list.  The quadruples, the sextuples and a scan are recomputed
-on each call; the suite keeps each for one run.  The 4x4 integer matrix
-helpers below are shared with `symplectic`.
+Only fixed tables are cached for the process: the walk and its element
+list.  The quadruples, the sextuples and a scan are recomputed on each
+call; the suite keeps each for one run.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class Char(NamedTuple):
     a2: int
     b1: int
     b2: int
-
-
-Mat2F2 = tuple[tuple[int, int, int, int], ...]  # 4x4 bit matrix, rows
 
 
 def parity(m: Char) -> int:
@@ -153,35 +152,37 @@ def mat_transpose(x: Mat4) -> Mat4:
     return tuple(tuple(x[j][i] for j in range(4)) for i in range(4))
 
 
-def mod2(x: Mat4) -> Mat2F2:
-    return tuple(tuple(v % 2 for v in row) for row in x)
-
-
 IDENTITY4: Mat4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 J4: Mat4 = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
-def _translation_f2(s11: int, s12: int, s22: int) -> Mat2F2:
-    return (
-        (1, 0, s11 % 2, s12 % 2),
-        (0, 1, s12 % 2, s22 % 2),
-        (0, 0, 1, 0),
-        (0, 0, 0, 1),
-    )
+def mat_inverse(x: Mat4) -> Mat4:
+    """The inverse of a symplectic x: -J tx J = t(x J) J, since tx J x = J
+    and tJ = J^-1 = -J."""
+    return mat_mul(mat_transpose(mat_mul(x, J4)), J4)
 
 
-SP4F2_GENERATORS: tuple[Mat2F2, ...] = (
-    mod2(J4),
-    _translation_f2(1, 0, 0),
-    _translation_f2(0, 0, 1),
-    _translation_f2(0, 1, 0),
+#: generators of Sp(4, Z) (Hua and Reiner, Trans. AMS 65, 1949): the upper
+#: translations by ((1,0),(0,0)), ((0,0),(0,1)) and ((0,1),(1,0)); J4; the
+#: partial inversion in the first modular factor; and diag(U, tU^-1) for
+#: U = ((1,1),(0,1)) and ((0,1),(1,0)); then their inverses, generator k + 7
+#: undoing generator k
+SP4_GENERATORS: tuple[Mat4, ...] = (
+    ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    J4,
+    ((0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
+    ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)),
+    ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
 )
+SP4_GENERATORS += tuple(map(mat_inverse, SP4_GENERATORS))
 
 
 # -- the mod-2 walk ---------------------------------------------------------
 #
 # Sp(4, F_2) is held once, as the classes a walk from the identity (class 0)
-# through SP4F2_GENERATORS finds, numbered in that order.  A class is kept as
+# through SP4_GENERATORS finds, numbered in that order.  A class is kept as
 # the four rows of its matrix mod 2, each a 4-bit mask with column j at bit
 # 3 - j; a matrix is symplectic mod 2 iff its masks are a class.
 
@@ -201,18 +202,24 @@ def _right_product(g: Mat4) -> list[int]:
 
 
 @cache
-def sp4f2_walk() -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """(classes, index): the 720 classes as row masks, and mask -> class."""
-    combos = [_right_product(g) for g in SP4F2_GENERATORS]
+def sp4f2_walk() -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int],
+                          tuple[tuple[int, ...], ...]]:
+    """(classes, index, step): the 720 classes as row masks, mask -> class,
+    and step[c][g], the class of classes[c] times SP4_GENERATORS[g] mod 2."""
+    combos = [_right_product(g) for g in SP4_GENERATORS]
     classes = [_masks(IDENTITY4)]
     index = {classes[0]: 0}
+    step = []
     for x in classes:  # grows while it is walked
+        row = []
         for comb in combos:
             y = (comb[x[0]], comb[x[1]], comb[x[2]], comb[x[3]])
-            if y not in index:
-                index[y] = len(classes)
+            c = index.setdefault(y, len(classes))
+            if c == len(classes):
                 classes.append(y)
-    return tuple(classes), index
+            row.append(c)
+        step.append(tuple(row))
+    return tuple(classes), index, tuple(step)
 
 
 def sp4f2_class(x: Mat4) -> int:
@@ -223,23 +230,12 @@ def sp4f2_class(x: Mat4) -> int:
     return c
 
 
-@cache
-def sp4f2_steps(generators: tuple[Mat4, ...]) -> tuple[tuple[int, ...], ...]:
-    """step[c][g]: the class of classes[c] times generators[g] mod 2."""
-    classes, index = sp4f2_walk()
-    combos = [_right_product(g) for g in generators]
-    return tuple(
-        tuple([index[comb[r0], comb[r1], comb[r2], comb[r3]] for comb in combos])
-        for r0, r1, r2, r3 in classes
-    )
-
-
 #: _MASK_ROWS[mask]: the 0/1 row whose bit 3 - j is column j
 _MASK_ROWS = tuple(tuple(mask >> (3 - j) & 1 for j in range(4)) for mask in range(16))
 
 
 @cache
-def sp4f2_elements() -> tuple[Mat2F2, ...]:
+def sp4f2_elements() -> tuple[Mat4, ...]:
     """The 720 classes as 0/1 matrices, sorted."""
     return tuple(sorted((_MASK_ROWS[r0], _MASK_ROWS[r1], _MASK_ROWS[r2], _MASK_ROWS[r3])
                         for r0, r1, r2, r3 in sp4f2_walk()[0]))

@@ -11,8 +11,10 @@ lattice point g in Z^2 and with r = 2g + a, the monomial
 
 with coefficient i^(b1*r1 + b2*r2).  The points r and -r share the
 monomial and carry conjugate phases, so every coefficient is a rational
-integer.  Series hold plain ints only: `theta_qexp` raises on a phase sum
-that is not real, and `translate_action` on a phase other than +-1.
+integer.  The constructor takes any coefficient; the program's series are
+integral because `theta_qexp` raises on a phase sum that is not real and
+`translate_action` on a phase other than +-1, and the suite's check
+`series.integral_coefficients` is the one guard that reads them.
 Exponent triples correspond to half-integral index matrices via
 (8t0, 16t1, 8t2) = (n0, n0+n2-n1, n2), so semipositivity reads
 4*n0*n2 >= (n0+n2-n1)^2 and n0+n2 is (a rescaling of) the trace.

@@ -110,8 +110,7 @@ def _syzygetic_count(report):
 
 @_check("chars.complement_sextuples", "complementary sextuples are distinct")
 def _complement_sextuples(report):
-    count = len({chars_mod.complement_sextuple(q)
-                 for q in report.once(chars_mod.syzygetic_quadruples)})
+    count = len(set(report.once(chars_mod.all_sextuples)))
     return count == 15, {"count": count}
 
 

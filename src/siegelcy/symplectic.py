@@ -8,11 +8,11 @@ kernel it is: the quadratic theta character (-1)^((alpha+beta+gamma)/2)
 on C*tD, or that times the sign character of the mod-2 quotient.
 Membership, the sampler's correction targets and its kernel fix all read
 that table.  Members are sampled without search: a pseudo-random word in
-a fixed generator set is walked through Sp(4, F_2), on the classes and
-step table that `characteristics` builds, and the shortest word that
-carries its class to a member's class is appended.  In the two kernels a
-product outside the kernel is multiplied by one fixed coset
-representative, `LOWER_TWOS`.
+the generators of Sp(4, Z) that `characteristics` writes, `SP4_GENERATORS`,
+is walked through Sp(4, F_2) on the step table of its one walk, and the
+shortest word that carries the word's class to a member's class is
+appended.  In the two kernels a product outside the kernel is multiplied
+by one fixed coset representative, `LOWER_TWOS`.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from typing import NamedTuple
 from .characteristics import (
     IDENTITY4,
     J4,
+    SP4_GENERATORS,
+    mat_inverse,
     mat_mul,
     mat_transpose,
     sp4f2_class,
     sp4f2_sign,
-    sp4f2_steps,
     sp4f2_walk,
 )
 
@@ -57,29 +58,9 @@ class SpMat:
         return cls(IDENTITY4)
 
     @classmethod
-    def inversion(cls) -> SpMat:
-        return cls(J4)
-
-    @classmethod
     def from_blocks(cls, a, b, c, d) -> SpMat:
         (a0, a1), (b0, b1), (c0, c1), (d0, d1) = a, b, c, d
         return cls(((*a0, *b0), (*a1, *b1), (*c0, *d0), (*c1, *d1)))
-
-    @classmethod
-    def translation(cls, s) -> SpMat:
-        """Upper translation (E S; 0 E) for symmetric integer S."""
-        if s[0][1] != s[1][0]:
-            raise ValueError("translation matrix must be symmetric")
-        return cls.from_blocks(((1, 0), (0, 1)), s, ((0, 0), (0, 0)), ((1, 0), (0, 1)))
-
-    @classmethod
-    def embed_unimodular(cls, u) -> SpMat:
-        """diag(U, tU^-1) for U in GL(2, Z)."""
-        det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-        if det not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        tinv = ((u[1][1] * det, -u[1][0] * det), (-u[0][1] * det, u[0][0] * det))
-        return cls.from_blocks(u, ((0, 0), (0, 0)), ((0, 0), (0, 0)), tinv)
 
     @property
     def C(self):
@@ -93,9 +74,8 @@ class SpMat:
         return out
 
     def inverse(self) -> SpMat:
-        """-J tM J = t(M J) J, since tM J M = J and tJ = J^-1 = -J."""
         out = SpMat.__new__(SpMat)
-        out.rows = mat_mul(mat_transpose(mat_mul(self.rows, J4)), J4)
+        out.rows = mat_inverse(self.rows)
         return out
 
     def max_entry(self) -> int:
@@ -206,23 +186,8 @@ def subgroup_membership(m: SpMat, tag: Subgroup) -> bool:
 
 # -- sampling -----------------------------------------------------------
 
-def _generators() -> list[SpMat]:
-    gens = [
-        SpMat.translation(((1, 0), (0, 0))),
-        SpMat.translation(((0, 0), (0, 1))),
-        SpMat.translation(((0, 1), (1, 0))),
-        SpMat.inversion(),
-        # partial inversion in the first modular factor
-        SpMat(((0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))),
-        SpMat.embed_unimodular(((1, 1), (0, 1))),
-        SpMat.embed_unimodular(((0, 1), (1, 0))),
-    ]
-    inverses = [g.inverse() for g in gens]
-    return gens + inverses
-
-
-_GENERATORS = _generators()
-_GENERATOR_ROWS = tuple(g.rows for g in _GENERATORS)
+#: the sampling generators, each checked symplectic once, at import
+_GENERATORS = [SpMat(g) for g in SP4_GENERATORS]
 _GENERATOR_INDICES = range(len(_GENERATORS))
 #: the product every sample's word is multiplied onto, checked once
 _IDENTITY = SpMat.identity()
@@ -237,21 +202,22 @@ LOWER_TWOS = SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)),
 
 @cache
 def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """corrections[c]: a shortest generator word w such that class c times w
-    is a class that members of `tag` reduce to mod 2 (`_SUBGROUPS`).
+    """corrections[c]: a shortest word w in `SP4_GENERATORS` such that class
+    c times w is a class that members of `tag` reduce to mod 2 (`_SUBGROUPS`).
 
-    One breadth-first pass from those classes keeps each class's round, the
-    length of its word, in a list indexed by class; a class's word is then
-    the first generator into an earlier round followed by the word of the
-    class it reaches.  ValueError for a subgroup outside `_SUBGROUPS`.
+    One breadth-first pass from those classes, along the step table of the
+    mod-2 walk (`sp4f2_walk`), keeps each class's round, the length of its
+    word, in a list indexed by class; a class's word is then the first
+    generator into an earlier round followed by the word of the class it
+    reaches.  ValueError for a subgroup outside `_SUBGROUPS`.
     """
-    classes = sp4f2_walk()[0]
+    classes, _, step = sp4f2_walk()
     reduces_to = _definition(tag)[0]
     word = {c: () for c, x in enumerate(classes) if reduces_to(x)}
-    step = sp4f2_steps(_GENERATOR_ROWS)
     # breadth first along reversed steps: rounds[c] is the length of c's
-    # word.  The generators are closed under inverses, so the classes one
-    # step before t are the classes one step after it.
+    # word.  The generators are closed under inverses (generator k + 7
+    # undoes generator k), so the classes one step before t are the classes
+    # one step after it.
     order = list(word)
     rounds: list[int | None] = [None] * len(classes)
     for c in order:
@@ -274,19 +240,20 @@ def _corrections(tag: Subgroup) -> tuple[tuple[int, ...], ...]:
 def sample_element(tag: Subgroup, word_length: int, seed: int) -> SpMat:
     """Deterministic member of the subgroup, built from one random word.
 
-    The seeded RNG draws `word_length` generators; the word's class mod 2
-    is read off the step table and the shortest word to a member's class
-    (`_corrections`) is appended, so a sample of the full group is the
-    word itself.  The generators are multiplied onto `_IDENTITY`, whose
-    symplectic relation is checked once, at import.  In a subgroup that
-    `_SUBGROUPS` gives a character, a product outside its kernel is
-    multiplied by `LOWER_TWOS`.  Every returned matrix has passed
+    The seeded RNG draws `word_length` of the fourteen `SP4_GENERATORS`;
+    the word's class mod 2 is read off the step table of the mod-2 walk
+    (`sp4f2_walk`), from the identity, class 0, and the shortest word to
+    a member's class (`_corrections`) is appended, so a sample of the full
+    group is the word itself.  The generators are multiplied onto
+    `_IDENTITY`, whose symplectic relation is checked once, at import.  In
+    a subgroup that `_SUBGROUPS` gives a character, a product outside its
+    kernel is multiplied by `LOWER_TWOS`.  Every returned matrix has passed
     `subgroup_membership`; ArithmeticError if one does not.
     """
     corrections = _corrections(tag)
     rng = random.Random(f"{seed}:{word_length}:{tag.kind}:{tag.level}")
     word = [rng.choice(_GENERATOR_INDICES) for _ in range(word_length)]
-    step = sp4f2_steps(_GENERATOR_ROWS)
+    step = sp4f2_walk()[2]
     c = 0
     for g in word:
         c = step[c][g]

@@ -7,7 +7,7 @@ import pytest
 from siegelcy.characteristics import (
     IDENTITY4,
     J4,
-    SP4F2_GENERATORS,
+    SP4_GENERATORS,
     Char,
     STANDARD_QUADRUPLE,
     STANDARD_SEXTUPLE,
@@ -28,8 +28,8 @@ from siegelcy.characteristics import (
     syzygetic_quadruples,
     mat_mul,
     mat_transpose,
-    mod2,
 )
+from corrections_reference import mod2
 
 
 def test_parity_examples():
@@ -232,13 +232,13 @@ def test_sign_character_is_multiplicative_and_onto():
     elements = sp4f2_elements()
     signs = {x: sp4f2_sign(x) for x in elements}
     assert sum(1 for v in signs.values() if v == 1) == 360
-    j, *translations = SP4F2_GENERATORS
-    assert signs[j] == 1
-    assert [signs[t] for t in translations] == [-1, -1, -1]
+    generator_signs = [sp4f2_sign(g) for g in SP4_GENERATORS]
+    assert generator_signs[3] == 1  # J4
+    assert generator_signs[:3] == [-1, -1, -1]  # the three translations
     # multiplicative on every element times every generator, hence everywhere
     for x in elements:
-        for g in SP4F2_GENERATORS:
-            assert signs[mod2(mat_mul(x, g))] == signs[x] * signs[g]
+        for g, sign in zip(SP4_GENERATORS, generator_signs):
+            assert signs[mod2(mat_mul(x, g))] == signs[x] * sign
 
 
 def test_sign_character_rejects_non_symplectic():

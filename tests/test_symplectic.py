@@ -6,16 +6,17 @@ from collections import deque
 import pytest
 
 import corrections_reference
+from corrections_reference import mod2
 from siegelcy.characteristics import (
     IDENTITY4,
+    J4,
+    SP4_GENERATORS,
     all_characteristics,
     mat_mul,
-    mod2,
     sp4f2_act,
     sp4f2_class,
     sp4f2_elements,
     sp4f2_sign,
-    sp4f2_steps,
     sp4f2_walk,
 )
 from siegelcy.numeric import conditioned_samples
@@ -42,6 +43,10 @@ def lower(c) -> SpMat:
     return SpMat.from_blocks(((1, 0), (0, 1)), ((0, 0), (0, 0)), c, ((1, 0), (0, 1)))
 
 
+def upper(s) -> SpMat:
+    return SpMat.from_blocks(((1, 0), (0, 1)), s, ((0, 0), (0, 0)), ((1, 0), (0, 1)))
+
+
 MEMBER_TAGS = [
     Subgroup.full(),
     Subgroup.principal(),
@@ -63,11 +68,11 @@ def tag_id(value):
 
 def test_identity_and_inversion_are_symplectic():
     assert is_symplectic(SpMat.identity().rows)
-    assert is_symplectic(SpMat.inversion().rows)
+    assert is_symplectic(SpMat(J4).rows)
 
 
 def test_translation_requires_symmetric_block():
-    assert is_symplectic(SpMat.translation(((1, 2), (2, 3))).rows)
+    assert is_symplectic(upper(((1, 2), (2, 3))).rows)
     rows = [
         [1, 0, 1, 2],
         [0, 1, 0, 3],
@@ -80,7 +85,7 @@ def test_translation_requires_symmetric_block():
 
 
 def test_inverse_and_product():
-    m = SpMat.translation(((1, 2), (2, 3))) * SpMat.inversion()
+    m = upper(((1, 2), (2, 3))) * SpMat(J4)
     assert m * m.inverse() == SpMat.identity()
     assert m.inverse() * m == SpMat.identity()
 
@@ -106,7 +111,7 @@ def test_theta_character_values():
 
 
 def test_theta_character_rejects_odd_c():
-    m = SpMat.inversion()  # C = E is not 0 mod 2
+    m = SpMat(J4)  # C = E is not 0 mod 2
     with pytest.raises(ValueError):
         theta_character(m)
 
@@ -186,7 +191,7 @@ def _target_classes(tag) -> set[int]:
     (Subgroup.hecke_chi_kernel(), 3),
 ], ids=tag_id)
 def test_corrections_are_shortest_words_into_the_target(tag, longest):
-    step = sp4f2_steps(tuple(g.rows for g in _GENERATORS))
+    step = sp4f2_walk()[2]
     target = _target_classes(tag)
     # breadth-first distance to the target along reversed steps
     into = [[] for _ in step]
@@ -210,6 +215,16 @@ def test_corrections_are_shortest_words_into_the_target(tag, longest):
         assert end in target, (c, word)
         assert len(word) == distance[c], (c, word)
     assert max(map(len, corrections)) == longest
+
+
+def test_generators_are_closed_under_inverses():
+    # the premise of the reverse search in `_corrections`: generator k + 7
+    # undoes generator k, on the integers and on every class mod 2
+    step = sp4f2_walk()[2]
+    assert len(SP4_GENERATORS) == 14
+    for k in range(7):
+        assert mat_mul(SP4_GENERATORS[k], SP4_GENERATORS[k + 7]) == IDENTITY4
+        assert all(step[step[c][k]][k + 7] == c for c in range(720)), k
 
 
 @pytest.mark.parametrize("tag", MEMBER_TAGS, ids=tag_id)
@@ -291,8 +306,7 @@ def test_inverse_is_the_block_formula():
 
 
 def test_mod2_walk_is_the_multiplication_table_of_sp4f2():
-    classes = sp4f2_walk()[0]
-    step = sp4f2_steps(tuple(g.rows for g in _GENERATORS))
+    classes, _, step = sp4f2_walk()
     assert sp4f2_class(SpMat.identity().rows) == 0
     matrices = {sp4f2_class(x): x for x in sp4f2_elements()}
     assert sorted(matrices) == list(range(720))
