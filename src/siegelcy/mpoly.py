@@ -441,9 +441,6 @@ class ThreeForm:
         self.den = den
         self.wedge = tuple(wedge)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ThreeForm):
             return NotImplemented
@@ -467,9 +464,9 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
     pulled-back wedge is a sum of 3x3 polynomial minors of the map's
     partials, one for each three target columns.  The coefficient num/den
     becomes (num o phi) * minor over den o phi.  The expansion must
-    collapse to a single wedge term on the target chart (true for all
-    charts used here); a substitution with identically zero Jacobian yields
-    the zero form rather than an error.
+    collapse to exactly one wedge term on the target chart (true for all
+    charts used here): a map whose minors all vanish, or several of them,
+    raises ValueError.
     """
     tv = tuple(target_vars)
     for v in omega.vars:
@@ -487,9 +484,7 @@ def threeform_pullback(omega: ThreeForm, substitution: dict[str, MPoly],
         det = determinant([[row[c] for c in cols] for row in differentials])
         if not det.is_zero():
             components[tuple(tv[c] for c in cols)] = det
-    if not components:
-        return ThreeForm(tv, MPoly.zero(tv), MPoly.const(tv, 1), tv[:3])
-    if len(components) > 1:
-        raise ValueError("pullback does not collapse to a single wedge term")
+    if len(components) != 1:
+        raise ValueError(f"pullback has {len(components)} wedge terms, not one")
     (wedge, jac), = components.items()
     return ThreeForm(tv, num * jac, den, wedge)

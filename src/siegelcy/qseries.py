@@ -20,8 +20,10 @@ Exponent triples correspond to half-integral index matrices via
 4*n0*n2 >= (n0+n2-n1)^2 and n0+n2 is (a rescaling of) the trace.
 
 Truncation: a series with bound N stores exactly the terms with
-n0 + n2 <= N; larger exponents are unknown, and equality of two series is
-only ever asserted up to the smaller of the two bounds.
+n0 + n2 <= N; larger exponents are unknown.  Operands share one bound:
+`+`, `-`, `*`, `product` and powers refuse two bounds with ValueError, and
+`==` reads False across them.  `restrict` compares at a lower bound, and
+`unimodular_action` is the one operation that lowers one.
 
 Products go through one packed kernel (Kronecker substitution).  Each
 factor is split into cells by (n0, n2), the exponents that decide the
@@ -85,14 +87,7 @@ class QSeries:
     def zero(cls, truncation: int) -> QSeries:
         return cls({}, truncation)
 
-    @classmethod
-    def one(cls, truncation: int) -> QSeries:
-        return cls({(0, 0, 0): 1}, truncation)
-
     # -- basic queries -----------------------------------------------------
-
-    def coefficient(self, n: ExpTriple) -> int:
-        return self.terms.get(tuple(n), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -102,34 +97,27 @@ class QSeries:
             raise ValueError("cannot raise a truncation bound")
         return QSeries(self.terms, truncation)
 
-    def _upto(self, n: int) -> dict[ExpTriple, int]:
-        """The stored terms of weight at most n <= the bound: all of them,
-        not copied, when n is the bound."""
-        if n == self.truncation:
-            return self.terms
-        return {k: v for k, v in self.terms.items() if k[0] + k[2] <= n}
-
     def __eq__(self, other: object) -> bool:
-        """Equality of the known parts, up to the smaller truncation."""
+        """Equal bounds and equal terms."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        return self._upto(n) == other._upto(n)
+        return self.truncation == other.truncation and self.terms == other.terms
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        terms = dict(self._upto(n))
-        for k, v in other._upto(n).items():
+        if other.truncation != self.truncation:
+            raise ValueError(f"truncations {self.truncation} and {other.truncation} differ")
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
             s = terms.get(k, 0) + v
             if not s:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-        return QSeries._exact(terms, n)
+        return QSeries._exact(terms, self.truncation)
 
     def __neg__(self) -> QSeries:
         return QSeries._exact({k: -v for k, v in self.terms.items()}, self.truncation)
@@ -158,7 +146,7 @@ class QSeries:
         if n < 0:
             raise ValueError("negative power of a series")
         if n == 0:
-            return QSeries.one(self.truncation)
+            return QSeries({(0, 0, 0): 1}, self.truncation)
         layout = _Layout([self], n)
         base = layout.pack(self)
         result = None
@@ -175,13 +163,11 @@ class QSeries:
 
 
 def product(series: Iterable[QSeries]) -> QSeries:
-    """The product of the series, up to the smallest of their bounds.
+    """The product of series of one bound, at that bound.
 
     The factors are packed once, in one layout whose slots are wide
     enough for the whole chain, multiplied from the left with every
-    partial product kept packed, and the result is decoded once.  Terms
-    past the smallest bound are dropped before packing: a weight only
-    grows in a product.
+    partial product kept packed, and the result is decoded once.
     """
     items = list(series)
     if not items:
@@ -244,12 +230,15 @@ class _Layout:
     __slots__ = ("truncation", "width", "step", "residue", "bits")
 
     def __init__(self, factors: list[QSeries], power: int = 1) -> None:
-        """The layout of the product of the factors, raised to the power.
-        An empty factor adds nothing to the step or the residue."""
-        self.truncation = min(s.truncation for s in factors)
+        """The layout of the product of the factors, raised to the power;
+        the factors share one bound.  An empty factor adds nothing to the
+        step or the residue."""
+        self.truncation = factors[0].truncation
         self.width = self.truncation + 1
         bound, step, firsts = 1, 0, []
         for s in factors:
+            if s.truncation != self.truncation:
+                raise ValueError(f"truncations {self.truncation} and {s.truncation} differ")
             bound *= sum(map(abs, s.terms.values()))
             phis = [n1 + 3 * (n0 + n2) for n0, n1, n2 in s.terms]
             if phis:
@@ -260,13 +249,11 @@ class _Layout:
         self.bits = (bound ** power).bit_length() + 1
 
     def pack(self, s: QSeries) -> Packed:
-        """One pass over the terms of s within the truncation."""
-        n, width, step, bits = self.truncation, self.width, self.step, self.bits
+        """One pass over the terms of s, a series at the layout's bound."""
+        width, step, bits = self.width, self.step, self.bits
         cells: Packed = {}
         for (n0, n1, n2), c in s.terms.items():
             w = n0 + n2
-            if w > n:
-                continue
             key = w * width + n2
             cells[key] = cells.get(key, 0) + (c << bits * ((n1 + 3 * w) // step))
         return cells
@@ -449,7 +436,7 @@ def unimodular_action(s: QSeries, U: Sym2) -> QSeries:
 
     The remap can move high-trace indices down, so the result is complete
     only up to a smaller bound; the lowered bound is recorded in the
-    returned series and terms beyond it are dropped.
+    returned series, whose constructor drops the terms beyond it.
     """
     det = U[0][0] * U[1][1] - U[0][1] * U[1][0]
     if det not in (1, -1):
@@ -470,10 +457,7 @@ def unimodular_action(s: QSeries, U: Sym2) -> QSeries:
         n0, n2 = p00 // 2, p11 // 2
         n1 = n0 + n2 - p01
         key = (n0, n1, n2)
-        if n0 + n2 > new_trunc:
-            continue
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
+        terms[key] = terms.get(key, 0) + c
     return QSeries(terms, new_trunc)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from collections import Counter
 from typing import NamedTuple
@@ -487,8 +486,8 @@ def run_suite(selector: str, truncation: int = 12, seed: int = 0,
                          f"choose from {', '.join(sorted(SELECTORS))}")
     if truncation < 4:
         raise ValueError(f"truncation must be at least 4, got {truncation}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0 < tol < 1:  # a relative deviation never exceeds 1; nan fails too
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     report = SuiteReport(truncation=truncation, seed=seed, tol=tol)
     for run in SELECTORS[selector]:
         run(report)

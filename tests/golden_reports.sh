@@ -42,6 +42,7 @@ stable variety.json 1 variety
 stable all_seed0.json 1 all --seed 0
 stable numeric_1000.json 0 numeric --seed 1000
 stable numeric_1001.json 0 numeric --seed 1001
-# a golden added under tests/golden must be listed above, and in tests/traffic.py
+# a golden added under tests/golden must be listed above (tests/traffic.py
+# reads its invocation from the stable lines)
 test "$count" -eq "$(ls tests/golden/*.json | wc -l)"
 echo "$count golden reports reproduced"

@@ -1,11 +1,11 @@
 """The term-pair series product, kept as the reference for the packed kernel.
 
-`mul` walks every pair of terms whose weights n0 + n2 sum to at most the
-smaller bound and adds each coefficient product into a dict keyed by the
-exponent triple.  `product` folds it from the left and `power` squares and
-multiplies, so each of the three matches one entry point of
-`siegelcy.qseries` term for term.  The results are built with the public
-constructor, which drops zero coefficients.
+`mul` takes two series of one bound, walks every pair of terms whose
+weights n0 + n2 sum to at most that bound, and adds each coefficient
+product into a dict keyed by the exponent triple.  `product` folds it
+from the left and `power` squares and multiplies, so each of the three
+matches one entry point of `siegelcy.qseries` term for term.  The results
+are built with the public constructor, which drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from siegelcy.qseries import QSeries
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
-    n = min(a.truncation, b.truncation)
+    n = a.truncation
     terms: dict = {}
     # group the right factor by n0+n2 so hopeless pairs are skipped early
     by_weight: dict[int, list] = {}
@@ -44,7 +44,7 @@ def product(series) -> QSeries:
 
 def power(s: QSeries, n: int) -> QSeries:
     if n == 0:
-        return QSeries.one(s.truncation)
+        return QSeries({(0, 0, 0): 1}, s.truncation)
     result = None
     base = s
     while True:

@@ -42,13 +42,13 @@ def registry() -> FormRegistry:
 
 def test_constant_terms_of_y_generators(registry):
     expected = [1, 1, 1, -1, -1, 1]
-    got = [s.coefficient((0, 0, 0)) for s in registry.y]
+    got = [s.terms.get((0, 0, 0), 0) for s in registry.y]
     assert got == expected
 
 
 def test_constant_terms_of_f_generators(registry):
     expected = [1, 0, 0, 0, 0, 1]
-    got = [s.coefficient((0, 0, 0)) for s in registry.F]
+    got = [s.terms.get((0, 0, 0), 0) for s in registry.F]
     assert got == expected
 
 
@@ -263,7 +263,7 @@ def test_igusa_quartic_constant_term_spot_check(registry):
     # (1 + 1 + 1 - 1)^2 = 4 = 4 * 1 * (1 + 1 + 1 - 1 - 1)
     y = registry.y
     lhs = (y[0] * y[1] + y[0] * y[2] + y[1] * y[2] - y[3] * y[4]) ** 2
-    assert lhs.coefficient((0, 0, 0)) == 4
+    assert lhs.terms.get((0, 0, 0), 0) == 4
 
 
 def test_sextuple_products(registry):

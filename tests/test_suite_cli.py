@@ -217,6 +217,7 @@ def test_cli_rejects_bad_selector(capsys):
     ["relations", "--truncation", "2"],
     ["numeric", "--tol", "0"],
     ["numeric", "--tol", "-1"],
+    ["numeric", "--tol", "1"],
     ["numeric", "--tol", "inf"],
     ["numeric", "--tol", "nan"],
     ["chars", "--json", "/nonexistent/dir/r.json"],

@@ -2,13 +2,13 @@
 executes.
 
 One process runs `siegelcy.cli.main` on the invocations behind the committed
-reports (the list in `tests/golden_reports.sh`, repeated here: keep the two
-in step), then on three refusals: a truncation of 3, `--tol nan` and a
-`--json` path in a missing folder.  `sys.settrace` records every line the
-package executes, imports included.  The report prints, per function, the
-lines of the statements that no run reached, or that the function was never
-entered.  It is printed for the record, with no gate.  Standard library
-only; run from the root of the repository:
+reports (the arguments of the `stable` lines of `tests/golden_reports.sh`,
+read from the script), then on three refusals: a truncation of 3,
+`--tol nan` and a `--json` path in a missing folder.  `sys.settrace`
+records every line the package executes, imports included.  The report
+prints, per function, the lines of the statements that no run reached, or
+that the function was never entered.  It is printed for the record, with
+no gate.  Standard library only; run from the root of the repository:
 
     PYTHONPATH=src python tests/traffic.py
 """
@@ -18,20 +18,18 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import shlex
 import sys
 import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "siegelcy"
 
-#: the committed reports' invocations, as in tests/golden_reports.sh
-GOLDEN_RUNS = [
-    ["chars"], ["relations"], ["relations", "--truncation", "48"],
-    ["relations", "--truncation", "96"], ["boundary", "--truncation", "48"],
-    ["boundary", "--truncation", "96"], ["series", "--truncation", "48"],
-    ["variety"], ["all", "--seed", "0"], ["numeric", "--seed", "1000"],
-    ["numeric", "--seed", "1001"],
-]
+#: the committed reports' invocations: each `stable GOLDEN MAX_EXIT ARGS...`
+#: line of tests/golden_reports.sh gives its ARGS
+GOLDEN_RUNS = [shlex.split(line)[3:] for line in
+               (Path(__file__).parent / "golden_reports.sh").read_text().splitlines()
+               if line.startswith("stable ")]
 
 
 def statements(tree: ast.Module) -> dict[str, list[int]]:
